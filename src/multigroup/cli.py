@@ -295,17 +295,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(args: argparse.Namespace) -> tuple[dict, int]:
     """Execute one parsed command and return (report payload, exit code)."""
-    limits = DEFAULT_LIMITS
-    if args.exhaustive_bound:
-        limits = Limits(max_group_order=args.exhaustive_bound,
-                        max_exhaustive_universe=args.exhaustive_bound)
     payload: dict = {"command": args.command, "instance": args.instance}
     started = time.perf_counter()
     try:
+        limits = DEFAULT_LIMITS
+        if args.exhaustive_bound is not None:
+            if args.exhaustive_bound < 1:
+                raise DomainError(f"--exhaustive-bound must be at least 1, "
+                                  f"got {args.exhaustive_bound}")
+            limits = Limits(max_group_order=args.exhaustive_bound,
+                            max_exhaustive_universe=args.exhaustive_bound)
         path = Path(args.instance)
-        if not path.exists():
-            raise ParseError(f"no such file: {args.instance}")
-        ms = parse_instance(path.read_text(encoding="utf-8"))
+        try:
+            if not path.exists():
+                raise ParseError(f"no such file: {args.instance}")
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.instance}: "
+                             f"{exc.strerror or exc}") from None
+        ms = parse_instance(text)
         handler = _COMMANDS[args.command][0]
         body, code = handler(ms, args, limits)
         payload.update(body)

@@ -10,8 +10,7 @@ first appearance in the carrier so reports and golden files are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundExceeded, DomainError, PreconditionError
@@ -84,6 +83,14 @@ class FiniteGroup:
         except KeyError:
             raise DomainError(
                 f"{a!r} has no inverse under {self.op_id!r}") from None
+
+    @cached_property
+    def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
+        masks = sorted((m for m in _closed_sets_with_identity(self)
+                        if self.order % m.bit_count() == 0),
+                       key=lambda m: (m.bit_count(), _bits(m)))
+        subs = [tuple(self.carrier[i] for i in _bits(m)) for m in masks]
+        return tuple(s for s in subs if is_subgroup(self, s))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -208,34 +215,110 @@ def is_normal_subgroup(g: FiniteGroup, subset) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _subgroups_cached(g: FiniteGroup) -> tuple[tuple[Element, ...], ...]:
-    n = g.order
-    rest = [e for e in g.carrier if e != g.identity]
-    found = []
-    # every subgroup contains the identity and has order dividing |G|
-    for size in range(1, n + 1):
-        if n % size != 0:
-            continue
-        for extra in combinations(rest, size - 1):
-            cand = set(extra)
-            cand.add(g.identity)
-            if is_subgroup(g, cand):
-                found.append(g.sorted_elements(cand))
-    found.sort(key=lambda s: (len(s), g.sort_key(s)))
-    return tuple(found)
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _close(t: list[list[int]], members: list[int], mask: int,
+           fresh: list[int]) -> int | None:
+    """Product closure of a closed set (members, as mask) and fresh elements.
+
+    Semi-naive: each element is multiplied, on both sides, only against the
+    elements taken before it, so every ordered pair is tried once. Returns
+    the closed bitmask, or None when a product leaves the carrier.
+    """
+    members = list(members)
+    while fresh:
+        x = fresh.pop()
+        members.append(x)
+        row = t[x]
+        for y in members:
+            p, q = row[y], t[y][x]
+            if p < 0 or q < 0:
+                return None
+            if not mask >> p & 1:
+                mask |= 1 << p
+                fresh.append(p)
+            if not mask >> q & 1:
+                mask |= 1 << q
+                fresh.append(q)
+    return mask
+
+
+def _powers(t: list[list[int]], x: int) -> int | None:
+    """Bitmask of x, x*x, (x*x)*x, ... up to the first repeat, or None on escape."""
+    mask, p = 1 << x, x
+    while True:
+        p = t[p][x]
+        if p < 0:
+            return None
+        if mask >> p & 1:
+            return mask
+        mask |= 1 << p
+
+
+def _closed_sets_with_identity(g: FiniteGroup) -> set[int]:
+    """Every product-closed subset of the carrier holding the identity, as bitmasks.
+
+    Cyclic extension (Neubueser 1960): close the identity, then each
+    element's powers, then join every closed set found with every such
+    cyclic closure until nothing new appears. Exact on any table, group or
+    not: a closed set S is reached from cl({e}) by joining, one at a time,
+    the cyclic closures of its elements, and every join stays inside S. A
+    join whose products leave the carrier lies in no closed set and is
+    dropped.
+    """
+    index = g._index
+    t = [[index.get(p, -1) for p in row] for row in g.table]
+    e = g.index(g.identity)
+    base = _close(t, [], 1 << e, [e])
+    if base is None:
+        return set()
+    base_members = _bits(base)
+    found = {base}
+    cyclic: list[int] = []
+    # cl(base + {x}) depends only on the powers of x, which it contains
+    powers = set()
+    for x in range(g.order):
+        if not base >> x & 1:
+            powers.add(_powers(t, x))
+    for p in sorted(powers - {None}):
+        c = _close(t, base_members, base | p, _bits(p & ~base))
+        if c is not None and c not in found:
+            found.add(c)
+            cyclic.append(c)
+    frontier = list(cyclic)
+    joined: set[int] = set()  # cl(h | c) depends only on the union
+    while frontier:
+        grown = []
+        for h in frontier:
+            h_members = _bits(h)
+            for c in cyclic:
+                union = h | c
+                if union == h or union in joined:
+                    continue
+                joined.add(union)
+                j = _close(t, h_members, union, _bits(c & ~h))
+                if j is not None and j not in found:
+                    found.add(j)
+                    grown.append(j)
+        frontier = grown
+    return found
 
 
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
-    """All subgroups, by exhaustive subset scan with the divisor prefilter.
+    """All subgroups, ordered by size and then canonical element order.
 
+    Built by cyclic extension over the product-closed sets that hold the
+    identity; each one of order dividing |G| is still checked against the
+    subgroup axioms with is_subgroup. The lattice is cached on the group.
     Refuses groups larger than the configured bound instead of truncating.
     """
     if g.order > limits.max_group_order:
         raise BoundExceeded(
             f"subgroup enumeration bounded at order {limits.max_group_order}, "
             f"got {g.order}", limits.max_group_order)
-    return list(_subgroups_cached(g))
+    return list(g._subgroups)
 
 
 def proper_normal_subgroups(g: FiniteGroup,

@@ -218,8 +218,10 @@ def _interposable(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
     """Search for a normal subspace strictly between a link and its parent.
 
     Returns the witness subset if one interposes, else None. Exhaustive
-    over subsets of the gap, which stays small because parents and links
-    differ by at most one composition step.
+    over the 2^|gap| subsets of the gap between link and parent. The gap
+    is not small in general: the first step of GF(p) under (+, *) removes
+    p-1 elements. Only max_exhaustive_universe, checked before the search
+    starts, bounds this scan.
     """
     lower_set = frozenset(lower.elements)
     for elems in _strict_subsets_between(lower_set, upper_space.universe):

@@ -5,9 +5,16 @@ out of the structures under test, sharing no decision logic with the
 engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
+
+scan_subgroups is the exception: it is the divisor-filtered subset scan
+the engine used before cyclic extension, kept verbatim (the engine's
+is_subgroup on every identity-holding subset of divisor size) as the
+oracle for the code that replaced it.
 """
 
 from itertools import combinations, product
+
+from multigroup.groups import is_subgroup
 
 
 def raw_group(g):
@@ -46,6 +53,24 @@ def brute_subgroups(elems, mul, identity):
             if identity in s and _closed(s, mul, inv):
                 out.append(s)
     return out
+
+
+def scan_subgroups(g):
+    """subgroups(g) as the exhaustive subset scan with the divisor prefilter."""
+    n = g.order
+    rest = [e for e in g.carrier if e != g.identity]
+    found = []
+    # every subgroup contains the identity and has order dividing |G|
+    for size in range(1, n + 1):
+        if n % size != 0:
+            continue
+        for extra in combinations(rest, size - 1):
+            cand = set(extra)
+            cand.add(g.identity)
+            if is_subgroup(g, cand):
+                found.append(g.sorted_elements(cand))
+    found.sort(key=lambda s: (len(s), g.sort_key(s)))
+    return found
 
 
 def brute_is_normal(sub, elems, mul, inv):

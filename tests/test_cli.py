@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import INSTANCE_DIR, run_cli
 
 
@@ -118,6 +120,30 @@ def test_missing_file_and_parse_errors_exit_two(tmp_path):
     bad.write_text("elements: 0 0\n")
     out, code = run_cli(["validate", str(bad)])
     assert code == 2 and "line 1" in out
+
+
+def test_unreadable_instance_path_exits_two(tmp_path):
+    out, code = run_cli(["validate", str(tmp_path), "--json"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["error_kind"] == "parse"
+    assert data["error"].startswith(f"cannot read {tmp_path}:")
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_exhaustive_bound_below_one_exits_two(bound):
+    out, code = run_cli(["maximal-series", path("z12"),
+                         "--exhaustive-bound", bound, "--json"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["error_kind"] == "input"
+    assert data["error"] == f"--exhaustive-bound must be at least 1, got {bound}"
+
+
+def test_subspace_on_corrupt_multiplication_names_the_missing_inverse():
+    out, code = run_cli(["subspace", path("gf3_corrupt"), "--set", "0,2", "--json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "'2' has no inverse under '*'"
 
 
 def test_json_reports_are_valid_json():

@@ -1,17 +1,21 @@
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multigroup import catalog
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
-from multigroup.groups import (FiniteGroup, composition_series, is_normal_subgroup,
+from multigroup.groups import (FiniteGroup, _bits, _closed_sets_with_identity,
+                               composition_series, is_normal_subgroup,
                                is_subgroup, maximal_proper_normal_subgroups,
                                quotient_group, subgroups, validate_group)
+from multigroup.instances import parse_instance
 
+from conftest import INSTANCE_DIR
 from oracles import (brute_composition_chains, brute_subgroups,
-                     prime_factor_count, raw_group)
+                     prime_factor_count, raw_group, scan_subgroups)
 
 CORPUS = catalog.corpus_groups()
 CORPUS_NAMES = sorted(CORPUS)
@@ -26,6 +30,8 @@ EXPECTED_SUBGROUP_ORDERS = {
     "D4": [1, 2, 2, 2, 2, 2, 4, 4, 4, 8],
     "A4": [1, 2, 2, 2, 3, 3, 3, 3, 4, 12],
 }
+
+S4_SUBGROUP_ORDERS = {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
 
 # composition lengths equal the prime-factor count for every corpus group
 EXPECTED_CHAIN_COUNTS = {"S3": 1, "Z12": 3, "A4": 3, "Q8": 3, "D4": 7, "V4": 3}
@@ -247,3 +253,136 @@ def test_inverse_lookup_errors():
 def test_composition_series_bound_refusal():
     with pytest.raises(BoundExceeded):
         composition_series(catalog.cyclic(25))
+
+
+def _lattice_groups():
+    """Every corpus group, every group of a catalog space, every shipped file's group."""
+    groups = {f"corpus/{name}": g for name, g in CORPUS.items()}
+    spaces = {"gf3": catalog.gf3(), "gf5": catalog.prime_field(5),
+              "gf3_corrupt": catalog.gf3_corrupt(), "z2z3": catalog.z2_z3(),
+              "z2z2": catalog.z2_z2(), "z4z4": catalog.z4_twice(),
+              "z6units": catalog.z6_with_units(), "z2link": catalog.linked_z2s(),
+              "trivial": catalog.trivial_space()}
+    spaces.update({f"shipped/{path.stem}": parse_instance(path.read_text())
+                   for path in sorted(INSTANCE_DIR.glob("*.mgs"))})
+    for key, ms in spaces.items():
+        for g in ms.groups:
+            groups[f"{key}/{g.op_id}"] = g
+    return groups
+
+
+LATTICE_GROUPS = _lattice_groups()
+
+
+def _outcome(enumerate_, g):
+    """The subgroup list, or the type of the exception raised instead."""
+    try:
+        return list(enumerate_(g))
+    except Exception as exc:
+        return type(exc)
+
+
+def _fresh(g):
+    """An equal group without the lattice cached on g."""
+    return FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
+
+
+@pytest.mark.parametrize("key", sorted(LATTICE_GROUPS))
+def test_lattice_matches_the_subset_scan(key):
+    g = LATTICE_GROUPS[key]
+    got = _outcome(subgroups, _fresh(g))
+    assert got == _outcome(scan_subgroups, g)
+    if isinstance(got, list) and g.order <= 12 and validate_group(g).ok:
+        assert set(map(frozenset, got)) == set(brute_subgroups(*raw_group(g)))
+
+
+def test_lattice_of_corrupt_multiplication_names_the_missing_inverse():
+    g = catalog.gf3_corrupt().group_of("*")
+    with pytest.raises(DomainError, match="'2' has no inverse under '\\*'"):
+        subgroups(g)
+
+
+def _symmetric_4():
+    perms = list(permutations(range(4)))
+    names = {p: "".join(map(str, p)) for p in perms}
+    mul = {(names[p], names[q]): names[tuple(p[q[i]] for i in range(4))]
+           for p in perms for q in perms}
+    return FiniteGroup.from_function("*", names.values(),
+                                     lambda a, b: mul[(a, b)], "0123")
+
+
+def test_s4_lattice():
+    # agrees with the subset scan, which takes seconds on S4 and is not run here
+    g = _symmetric_4()
+    subs = subgroups(g)
+    assert Counter(len(s) for s in subs) == S4_SUBGROUP_ORDERS
+    assert all(is_subgroup(g, s) for s in subs)
+    assert len(set(map(frozenset, subs))) == 30
+
+
+def test_lattice_is_cached_on_the_group():
+    g = _fresh(CORPUS["A4"])
+    assert subgroups(g) == subgroups(g)
+    assert "_subgroups" in vars(g)
+    assert "_subgroups" not in vars(_fresh(g))
+
+
+@st.composite
+def _tables(draw, outside=(), paired=False):
+    """An arbitrary square table of order <= 6, entries from the carrier
+    plus the given outside elements. With paired=True every element gets an
+    inverse: the carrier is cut into pairs and fixed points of a drawn
+    involution, and each pair multiplies to the identity both ways."""
+    n = draw(st.integers(1, 6))
+    carrier = tuple(str(i) for i in range(n))
+    values = carrier + tuple(outside)
+    table = [[draw(st.sampled_from(values)) for _ in carrier] for _ in carrier]
+    identity = draw(st.sampled_from(carrier))
+    if paired:
+        order = [int(a) for a in draw(st.permutations(carrier))]
+        for i in range(0, n, 2):
+            a, b = order[i], order[min(i + 1, n - 1)]
+            table[a][b] = table[b][a] = identity
+    return FiniteGroup("*", carrier, tuple(map(tuple, table)), identity)
+
+
+@settings(max_examples=200)
+@given(_tables(outside=("x",)))
+def test_cyclic_extension_finds_exactly_the_closed_sets(g):
+    # every identity-holding subset whose products all stay inside it
+    mul = raw_group(g)[1]
+    expected = set()
+    for r in range(1, g.order + 1):
+        for cand in combinations(g.carrier, r):
+            if g.identity in cand and all(mul[(a, b)] in cand
+                                          for a in cand for b in cand):
+                expected.add(frozenset(cand))
+    got = {frozenset(g.carrier[i] for i in _bits(m))
+           for m in _closed_sets_with_identity(g)}
+    assert got == expected
+
+
+@settings(max_examples=300)
+@given(_tables())
+def test_lattice_matches_the_subset_scan_on_arbitrary_tables(g):
+    assert _outcome(subgroups, g) == _outcome(scan_subgroups, _fresh(g))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([n for n in CORPUS_NAMES if CORPUS[n].order <= 8]), st.data())
+def test_lattice_matches_the_subset_scan_on_perturbed_groups(name, data):
+    g = CORPUS[name]
+    table = [list(row) for row in g.table]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j = (data.draw(st.integers(0, g.order - 1)) for _ in "ij")
+        table[i][j] = data.draw(st.sampled_from(g.carrier))
+    broken = FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), g.identity)
+    assert _outcome(subgroups, broken) == _outcome(scan_subgroups, _fresh(broken))
+
+
+@settings(max_examples=200)
+@given(_tables(outside=("x",), paired=True))
+def test_lattice_matches_the_subset_scan_on_tables_leaving_the_carrier(g):
+    # with an inverse for every element neither enumeration can raise, so
+    # the outcome does not depend on the order the scan visits a subset in
+    assert subgroups(g) == scan_subgroups(_fresh(g))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multigroup import catalog
 from multigroup.errors import ParseError
@@ -166,3 +167,61 @@ def test_rows_in_any_order():
         "    0: 0 1 2\n    1: 1 2 0\n    2: 2 0 1",
         "    2: 2 0 1\n    0: 0 1 2\n    1: 1 2 0")
     assert parse_instance(shuffled) == catalog.gf3()
+
+
+# lines built from the format's own keywords, so that drawn texts get deep
+# into the parser instead of failing on the first line
+_NAMES = ["0", "1", "2", "e", "a"]
+_KEYWORD_LINES = st.one_of(
+    st.sampled_from(["", "# comment", "table:", "group +:", "group *:",
+                     "group :", "group + :", "elements:", "carrier:",
+                     "identity:", "elements: 0 1", "carrier: 0 1",
+                     "identity: 0", "0: 0 1", "1: 1 0", "1: 1 2"]),
+    st.builds(lambda head, toks: " ".join([head, *toks]),
+              st.sampled_from(["elements:", "carrier:", "identity:", "table:",
+                               "group", "0:", "1:", "e:", "x:", "  "]),
+              st.lists(st.sampled_from(_NAMES + ["x", "+", "*", "::", "#c"]),
+                       max_size=4)))
+
+
+@st.composite
+def _near_instances(draw):
+    """A well-formed instance with up to two lines deleted or inserted."""
+    universe = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4,
+                             unique=True))
+    lines = ["elements: " + " ".join(universe)]
+    for op in draw(st.lists(st.sampled_from(["+", "*", "o"]), max_size=2)):
+        carrier = draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+        lines += [f"group {op}:", "  carrier: " + " ".join(carrier),
+                  "  identity: " + draw(st.sampled_from(carrier)), "  table:"]
+        for label in carrier:
+            row = draw(st.lists(st.sampled_from(universe), min_size=len(carrier),
+                                max_size=len(carrier)))
+            lines.append(f"    {label}: " + " ".join(row))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()):
+            lines.insert(at, draw(_KEYWORD_LINES))
+        else:
+            del lines[at:at + 1]
+    return lines
+
+
+def _parses_and_round_trips_or_rejects(text):
+    try:
+        ms = parse_instance(text)
+    except ParseError:
+        return
+    assert parse_instance(serialize_instance(ms)) == ms
+
+
+@settings(max_examples=300)
+@given(st.text())
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    _parses_and_round_trips_or_rejects(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(_KEYWORD_LINES, max_size=14), _near_instances()))
+def test_keyword_line_soup_parses_or_raises_parse_error(lines):
+    _parses_and_round_trips_or_rejects("\n".join(lines))
