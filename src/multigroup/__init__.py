@@ -24,7 +24,7 @@ from .series import (LengthInvariance, MaximalSeriesResult, NormalSeries,
                      OrientedOperationSequence, build_series,
                      enumerate_maximal_series, is_normal_subspace,
                      length_invariance_check, normality_criterion)
-from .spaces import (Classification, DistributionCheck, MultiGroupSpace, OpContext,
+from .spaces import (Classification, DistributionCheck, MultiGroupSpace,
                      check_distribution, classify_special_case, is_complete,
                      ops_of_element, validate_multigroup)
 from .subspaces import (CosetDecomposition, SubsetRef, SubspaceEvidence, coset,

@@ -19,8 +19,8 @@ from .errors import (BoundExceeded, DecompositionFailure, DomainError,
                      MultigroupError, ParseError, PreconditionError)
 from .generation import GeneratingSet, is_finitely_generated, span_closure, span_once
 from .instances import parse_instance
-from .series import (OrientedOperationSequence, build_series,
-                     enumerate_maximal_series, is_normal_subspace,
+from .series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
+                     build_series, enumerate_maximal_series, is_normal_subspace,
                      length_invariance_check, normality_criterion)
 from .spaces import MultiGroupSpace, classify_special_case, validate_multigroup
 from .subspaces import (SubsetRef, coset_decomposition, is_subspace,
@@ -30,9 +30,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
-
-# cross-sequence comparison is skipped above this many operations (factorial blowup)
-MAX_CROSS_SEQUENCE_OPS = 4
 
 
 def _fmt_set(elements) -> str:

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
+from .groups import _bits, _close
 from .spaces import Element, MultiGroupSpace
 
 
@@ -40,13 +41,15 @@ def span_once(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
 
 
 def span_closure(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
-    """Least fixed point of S -> S | span_once(S), starting from the seeds."""
-    current = set(a.seeds)
-    while True:
-        step = set(span_once(ms, GeneratingSet(ms.sorted_elements(current))))
-        if step <= current:
-            return ms.sorted_elements(current)
-        current |= step
+    """Least fixed point of S -> S | span_once(S), starting from the seeds.
+
+    The seed mask is closed under every operation's int table at once by
+    the kernel shared with the subgroup lattice; the undefined product is
+    one more absorbing index, dropped at the end.
+    """
+    n = len(ms.universe)
+    mask = _close(ms._tables, 0, sum(1 << ms.index(e) for e in a.seeds))
+    return tuple(ms.universe[i] for i in _bits(mask) if i < n)
 
 
 @dataclass(frozen=True)

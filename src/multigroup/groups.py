@@ -85,9 +85,27 @@ class FiniteGroup:
                 f"{a!r} has no inverse under {self.op_id!r}") from None
 
     @cached_property
+    def _ints(self) -> tuple[list[list[int]], tuple[Element, ...]]:
+        """The table over carrier indices, and the products outside the carrier.
+
+        Each product outside the carrier gets the next index past it, in
+        row-major table order, and that index is absorbing: every product
+        with it is itself. A closure that leaves the carrier therefore just
+        carries the escaped bits along.
+        """
+        n, index = self.order, dict(self._index)
+        t = [[index.setdefault(p, len(index)) for p in row] for row in self.table]
+        size = len(index)
+        t = [row + list(range(n, size)) for row in t] + \
+            [[k] * size for k in range(n, size)]
+        return t, tuple(index)[n:]
+
+    @cached_property
     def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
-        masks = sorted((m for m in _closed_sets_with_identity(self)
-                        if self.order % m.bit_count() == 0),
+        found, _ = _closed_subsets(self._ints[0], (1 << self.order) - 1)
+        e = 1 << self.index(self.identity)
+        masks = sorted((m for m in found
+                        if m & e and self.order % m.bit_count() == 0),
                        key=lambda m: (m.bit_count(), _bits(m)))
         subs = [tuple(self.carrier[i] for i in _bits(m)) for m in masks]
         return tuple(s for s in subs if is_subgroup(self, s))
@@ -187,16 +205,19 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
 
 
 def is_subgroup(g: FiniteGroup, subset) -> bool:
-    """True iff the subset is nonempty and closed under products and inverses."""
-    sub = set(subset)
-    for e in sub:
-        g.index(e)
+    """True iff the subset is nonempty and closed under products and inverses.
+
+    Members are visited in carrier order, so a missing inverse is reported
+    for the same element on every run.
+    """
+    members = [g.carrier[i] for i in sorted({g.index(e) for e in subset})]
+    sub = set(members)
     if not sub:
         return False
-    for a in sub:
+    for a in members:
         if g.inverse(a) not in sub:
             return False
-        for b in sub:
+        for b in members:
             if g.mul(a, b) not in sub:
                 return False
     return True
@@ -219,98 +240,74 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _close(t: list[list[int]], members: list[int], mask: int,
-           fresh: list[int]) -> int | None:
-    """Product closure of a closed set (members, as mask) and fresh elements.
+def _close(tables, closed: int, mask: int) -> int:
+    """Product closure of mask under every table, given a closed part of it.
 
-    Semi-naive: each element is multiplied, on both sides, only against the
-    elements taken before it, so every ordered pair is tried once. Returns
-    the closed bitmask, or None when a product leaves the carrier.
+    Tables are int Cayley tables in which an index standing for "outside"
+    absorbs every product with it, so the kernel only sets bits. Semi-naive:
+    each new element is multiplied, on both sides, only against the elements
+    taken before it, so every ordered pair is tried once per table.
     """
-    members = list(members)
+    members = _bits(closed)
+    fresh = _bits(mask & ~closed)
     while fresh:
         x = fresh.pop()
         members.append(x)
-        row = t[x]
-        for y in members:
-            p, q = row[y], t[y][x]
-            if p < 0 or q < 0:
-                return None
-            if not mask >> p & 1:
-                mask |= 1 << p
-                fresh.append(p)
-            if not mask >> q & 1:
-                mask |= 1 << q
-                fresh.append(q)
+        for t in tables:
+            row = t[x]
+            for y in members:
+                p, q = row[y], t[y][x]
+                if not mask >> p & 1:
+                    mask |= 1 << p
+                    fresh.append(p)
+                if not mask >> q & 1:
+                    mask |= 1 << q
+                    fresh.append(q)
     return mask
 
 
-def _powers(t: list[list[int]], x: int) -> int | None:
-    """Bitmask of x, x*x, (x*x)*x, ... up to the first repeat, or None on escape."""
-    mask, p = 1 << x, x
-    while True:
-        p = t[p][x]
-        if p < 0:
-            return None
-        if mask >> p & 1:
-            return mask
-        mask |= 1 << p
+def _closed_subsets(t: list[list[int]], within: int) -> tuple[list[int], int]:
+    """Every nonempty product-closed subset of `within`, as bitmasks.
 
-
-def _closed_sets_with_identity(g: FiniteGroup) -> set[int]:
-    """Every product-closed subset of the carrier holding the identity, as bitmasks.
-
-    Cyclic extension (Neubueser 1960): close the identity, then each
-    element's powers, then join every closed set found with every such
-    cyclic closure until nothing new appears. Exact on any table, group or
-    not: a closed set S is reached from cl({e}) by joining, one at a time,
-    the cyclic closures of its elements, and every join stays inside S. A
-    join whose products leave the carrier lies in no closed set and is
-    dropped.
+    Closes each element of `within`, then joins every two closed sets found,
+    memoised on their union, and keeps a closure only when it lies inside
+    `within`. Exact on any table, group or not: a closed set S is the join
+    of the closures of its elements, and every partial join stays inside S.
+    Also returns the union of the closures that were not kept, so a caller
+    can see which products outside the carrier were reached.
     """
-    index = g._index
-    t = [[index.get(p, -1) for p in row] for row in g.table]
-    e = g.index(g.identity)
-    base = _close(t, [], 1 << e, [e])
-    if base is None:
-        return set()
-    base_members = _bits(base)
-    found = {base}
-    cyclic: list[int] = []
-    # cl(base + {x}) depends only on the powers of x, which it contains
-    powers = set()
-    for x in range(g.order):
-        if not base >> x & 1:
-            powers.add(_powers(t, x))
-    for p in sorted(powers - {None}):
-        c = _close(t, base_members, base | p, _bits(p & ~base))
-        if c is not None and c not in found:
-            found.add(c)
-            cyclic.append(c)
-    frontier = list(cyclic)
-    joined: set[int] = set()  # cl(h | c) depends only on the union
-    while frontier:
-        grown = []
-        for h in frontier:
-            h_members = _bits(h)
-            for c in cyclic:
-                union = h | c
-                if union == h or union in joined:
-                    continue
-                joined.add(union)
-                j = _close(t, h_members, union, _bits(c & ~h))
-                if j is not None and j not in found:
-                    found.add(j)
-                    grown.append(j)
-        frontier = grown
-    return found
+    found: list[int] = []
+    known: set[int] = set()
+    tried: set[int] = set()  # the closure of a union depends on nothing else
+    rejected = 0
+
+    def visit(closed: int, union: int) -> None:
+        nonlocal rejected
+        if union in tried:
+            return
+        tried.add(union)
+        c = _close((t,), closed, union)
+        if c & ~within:
+            rejected |= c
+        elif c not in known:
+            known.add(c)
+            found.append(c)
+
+    for x in _bits(within):
+        visit(0, 1 << x)
+    for i, a in enumerate(found):  # also visits the sets appended meanwhile
+        for b in found[:i]:
+            if a | b not in (a, b):
+                visit(a, a | b)
+    return found, rejected
 
 
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
     """All subgroups, ordered by size and then canonical element order.
 
-    Built by cyclic extension over the product-closed sets that hold the
-    identity; each one of order dividing |G| is still checked against the
+    Built by cyclic extension: every product-closed subset of the carrier
+    is found by joining closures (_closed_subsets), and each one that holds
+    the identity and has order dividing |G| is still checked against the
     subgroup axioms with is_subgroup. The lattice is cached on the group.
     Refuses groups larger than the configured bound instead of truncating.
     """

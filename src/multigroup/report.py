@@ -53,9 +53,6 @@ class ValidationReport:
     def structural(self) -> list[Violation]:
         return [v for v in self.violations if v.category == STRUCTURAL]
 
-    def axiom_failures(self) -> list[Violation]:
-        return [v for v in self.violations if v.category != STRUCTURAL]
-
     def merge(self, other: "ValidationReport") -> None:
         self.violations.extend(other.violations)
         self.notes.extend(other.notes)

@@ -32,6 +32,10 @@ ANOMALY_TERMINAL_MISMATCH = "TERMINAL_MISMATCH"
 ANOMALY_CARRIER_LOST = "CARRIER_LOST"
 ANOMALY_REJECTED_STEP = "INTERPOSABLE_STEP"
 
+# the comparison across all oriented sequences is refused above this many
+# operations (factorial blowup)
+MAX_CROSS_SEQUENCE_OPS = 4
+
 
 @dataclass(frozen=True)
 class OrientedOperationSequence:
@@ -322,12 +326,17 @@ def length_invariance_check(ms: MultiGroupSpace,
 
     Within a fixed sequence all maximal series must share one length; the
     comparison across different sequences is reported, not asserted, since
-    its status is exactly what the construction leaves open.
+    its status is exactly what the construction leaves open. Comparing all
+    sequences is refused above MAX_CROSS_SEQUENCE_OPS operations.
     """
     orders: list[tuple[str, ...]]
     if seq is not None:
         orders = [seq.order]
     elif across_sequences:
+        if len(ms.op_set) > MAX_CROSS_SEQUENCE_OPS:
+            raise BoundExceeded(
+                f"cross-sequence comparison bounded at {MAX_CROSS_SEQUENCE_OPS} "
+                f"operations, got {len(ms.op_set)}", MAX_CROSS_SEQUENCE_OPS)
         orders = [tuple(p) for p in permutations(ms.op_set)]
     else:
         orders = [ms.op_set]

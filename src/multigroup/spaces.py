@@ -22,14 +22,6 @@ MAX_DISTRIBUTION_WITNESSES = 10
 
 
 @dataclass(frozen=True)
-class OpContext:
-    """One operation together with the elements it is defined on."""
-
-    op_id: str
-    carrier: tuple[Element, ...]
-
-
-@dataclass(frozen=True)
 class MultiGroupSpace:
     universe: tuple[Element, ...]
     groups: tuple[FiniteGroup, ...]
@@ -60,15 +52,28 @@ class MultiGroupSpace:
         except KeyError:
             raise DomainError(f"{element!r} is not in the universe") from None
 
+    @cached_property
+    def _tables(self) -> tuple[list[list[int]], ...]:
+        """One int table per operation over universe indices.
+
+        Index len(universe) stands for an undefined product and absorbs
+        every product with it, like an escape in FiniteGroup._ints.
+        """
+        n, u = len(self.universe), self.universe
+        return tuple([[self.index(g.mul(a, b)) if a in g and b in g else n
+                       for b in u] + [n] for a in u] + [[n] * (n + 1)]
+                     for g in self.groups)
+
+    @cached_property
+    def _decompositions(self) -> dict:
+        # subspaces.subspace_decomposition results by SubsetRef
+        return {}
+
     def group_of(self, op_id: str) -> FiniteGroup:
         try:
             return self._by_op[op_id]
         except KeyError:
             raise DomainError(f"unknown operation {op_id!r}") from None
-
-    def op_context(self, op_id: str) -> OpContext:
-        g = self.group_of(op_id)
-        return OpContext(op_id, g.carrier)
 
     def defined(self, op_id: str, a: Element, b: Element) -> bool:
         g = self.group_of(op_id)

@@ -16,16 +16,21 @@ reading, closure of the whole subset under every retained operation, is
 kept as is_subspace_by_completeness because it genuinely differs: in the
 field-of-three space the subset {0,1} with both operations retained is a
 subspace (parts {0} and {1}) while raw closure fails on 1+1=2.
+
+The completeness route's candidates come from the bitmask closure kernel
+that also builds the subgroup lattice and span_closure: on the group's int
+table, each allowed element is closed, every two closed sets found are
+joined, and the maximal closures inside the allowed set are kept.
+Decompositions are cached on the space, so the cache is freed with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import DecompositionFailure, PreconditionError
-from .groups import Element, FiniteGroup, subgroups
+from .errors import DecompositionFailure, DomainError, PreconditionError
+from .groups import Element, FiniteGroup, _bits, _closed_subsets, subgroups
 from .spaces import MultiGroupSpace, is_complete
 
 
@@ -60,42 +65,21 @@ class SubsetRef:
         return SubsetRef(elems, tuple(ops))
 
 
-def _closure(g: FiniteGroup, seed) -> frozenset:
-    """Product closure of a seed set inside a group's carrier."""
-    cur = set(seed)
-    while True:
-        new = {g.mul(a, b) for a in cur for b in cur} - cur
-        if not new:
-            return frozenset(cur)
-        cur |= new
-
-
 def _closed_part_candidates(g: FiniteGroup, allowed: frozenset) -> list[frozenset]:
     """Maximal nonempty product-closed subsets of `allowed` (completeness route).
 
-    Grown by closing single elements and then joins of already-found closed
-    sets; any closed set escaping `allowed` is discarded, which prunes every
-    superset as well.
+    Raises DomainError naming the first product outside the carrier, in
+    row-major table order, that a closure on the way reaches.
     """
-    found: set[frozenset] = set()
-    frontier: list[frozenset] = []
-    for x in sorted(allowed, key=g.index):
-        c = _closure(g, {x})
-        if c <= allowed and c not in found:
-            found.add(c)
-            frontier.append(c)
-    while frontier:
-        fresh: list[frozenset] = []
-        for a in list(found):
-            for b in frontier:
-                if a is b or a >= b:
-                    continue
-                c = _closure(g, a | b)
-                if c <= allowed and c not in found:
-                    found.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return [a for a in found if not any(a < b for b in found)]
+    t, outside = g._ints
+    found, rejected = _closed_subsets(t, sum(1 << g.index(e) for e in allowed))
+    escaped = rejected >> g.order
+    if escaped:
+        first = outside[(escaped & -escaped).bit_length() - 1]
+        raise DomainError(f"{first!r} is not in the carrier of {g.op_id!r}")
+    maximal = [m for m in found
+               if not any(m != o and m & o == m for o in found)]
+    return [frozenset(g.carrier[i] for i in _bits(m)) for m in maximal]
 
 
 def _lattice_part_candidates(g: FiniteGroup, allowed: frozenset,
@@ -136,8 +120,7 @@ def _select_cover(ms: MultiGroupSpace, target: frozenset,
     return None
 
 
-@lru_cache(maxsize=None)
-def _decomposition_cached(ms: MultiGroupSpace, s: SubsetRef):
+def _decomposition(ms: MultiGroupSpace, s: SubsetRef):
     target = frozenset(s.elements)
     if not target or not s.retained_ops:
         return None
@@ -163,7 +146,10 @@ def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):
     """
     for e in s.elements:
         ms.index(e)
-    return _decomposition_cached(ms, s)
+    cache = ms._decompositions
+    if s not in cache:
+        cache[s] = _decomposition(ms, s)
+    return cache[s]
 
 
 def is_subspace(ms: MultiGroupSpace, s: SubsetRef) -> bool:

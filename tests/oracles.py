@@ -6,10 +6,12 @@ engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
-scan_subgroups is the exception: it is the divisor-filtered subset scan
-the engine used before cyclic extension, kept verbatim (the engine's
-is_subgroup on every identity-holding subset of divisor size) as the
-oracle for the code that replaced it.
+scan_subgroups and scan_closed_parts are the exceptions: they are code
+the engine replaced, kept verbatim as oracles for their replacements.
+scan_subgroups is the divisor-filtered subset scan used before cyclic
+extension (the engine's is_subgroup on every identity-holding subset of
+divisor size); scan_closed_parts is the string-keyed closure and join loop
+the completeness route used before the bitmask closure kernel.
 """
 
 from itertools import combinations, product
@@ -71,6 +73,44 @@ def scan_subgroups(g):
                 found.append(g.sorted_elements(cand))
     found.sort(key=lambda s: (len(s), g.sort_key(s)))
     return found
+
+
+def _closure(g, seed) -> frozenset:
+    """Product closure of a seed set inside a group's carrier."""
+    cur = set(seed)
+    while True:
+        new = {g.mul(a, b) for a in cur for b in cur} - cur
+        if not new:
+            return frozenset(cur)
+        cur |= new
+
+
+def scan_closed_parts(g, allowed: frozenset) -> list[frozenset]:
+    """Maximal nonempty product-closed subsets of `allowed` (completeness route).
+
+    Grown by closing single elements and then joins of already-found closed
+    sets; any closed set escaping `allowed` is discarded, which prunes every
+    superset as well.
+    """
+    found: set[frozenset] = set()
+    frontier: list[frozenset] = []
+    for x in sorted(allowed, key=g.index):
+        c = _closure(g, {x})
+        if c <= allowed and c not in found:
+            found.add(c)
+            frontier.append(c)
+    while frontier:
+        fresh: list[frozenset] = []
+        for a in list(found):
+            for b in frontier:
+                if a is b or a >= b:
+                    continue
+                c = _closure(g, a | b)
+                if c <= allowed and c not in found:
+                    found.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return [a for a in found if not any(a < b for b in found)]
 
 
 def brute_is_normal(sub, elems, mul, inv):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -176,3 +177,50 @@ def test_timing_flag_adds_the_field():
     assert "timing_ms:" in out
     out, _ = run_cli(["validate", path("gf3")])
     assert "timing_ms" not in out
+
+
+MULTI_ESCAPE = """elements: e a d b c
+group *:
+  carrier: e a d
+  identity: e
+  table:
+    e: e a d
+    a: a d b
+    d: d c e
+group +:
+  carrier: b c
+  identity: b
+  table:
+    b: b c
+    c: c b
+"""
+
+MISSING_INVERSES = """elements: e a b
+group *:
+  carrier: e a b
+  identity: e
+  table:
+    e: e a b
+    a: a a a
+    b: b b b
+"""
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (MULTI_ESCAPE, ["--set", "e,a"], "error: 'b' is not in the carrier of '*'"),
+    (MISSING_INVERSES, ["--set", "e,a", "--ops", "*"],
+     "error: 'a' has no inverse under '*'"),
+], ids=["escape", "inverse"])
+def test_error_reports_do_not_depend_on_the_hash_seed(tmp_path, text, argv, message):
+    fp = tmp_path / "space.mgs"
+    fp.write_text(text)
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        run = subprocess.run(
+            [sys.executable, "-m", "multigroup.cli", "subspace", str(fp), *argv],
+            capture_output=True, text=True, env=env)
+        assert run.returncode == 2, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert message in outputs.pop()

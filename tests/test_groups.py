@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from multigroup import catalog
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
-from multigroup.groups import (FiniteGroup, _bits, _closed_sets_with_identity,
+from multigroup.groups import (FiniteGroup, _bits, _closed_subsets,
                                composition_series, is_normal_subgroup,
                                is_subgroup, maximal_proper_normal_subgroups,
                                quotient_group, subgroups, validate_group)
@@ -347,19 +347,23 @@ def _tables(draw, outside=(), paired=False):
 
 
 @settings(max_examples=200)
-@given(_tables(outside=("x",)))
-def test_cyclic_extension_finds_exactly_the_closed_sets(g):
-    # every identity-holding subset whose products all stay inside it
+@given(st.one_of(_tables(outside=("x",)),
+                st.sampled_from([CORPUS[n] for n in CORPUS_NAMES if CORPUS[n].order <= 8])),
+       st.data())
+def test_cyclic_extension_finds_exactly_the_closed_sets(g, data):
+    # every nonempty subset of `within` whose products all stay inside it;
+    # groups have many closed sets that only joins reach
+    within = data.draw(st.sets(st.sampled_from(g.carrier)))
     mul = raw_group(g)[1]
     expected = set()
-    for r in range(1, g.order + 1):
-        for cand in combinations(g.carrier, r):
-            if g.identity in cand and all(mul[(a, b)] in cand
-                                          for a in cand for b in cand):
+    for r in range(1, len(within) + 1):
+        for cand in combinations(within, r):
+            if all(mul[(a, b)] in cand for a in cand for b in cand):
                 expected.add(frozenset(cand))
-    got = {frozenset(g.carrier[i] for i in _bits(m))
-           for m in _closed_sets_with_identity(g)}
-    assert got == expected
+    mask = sum(1 << g.index(e) for e in within)
+    found, _ = _closed_subsets(g._ints[0], mask)
+    assert len(found) == len(expected)
+    assert {frozenset(g.carrier[i] for i in _bits(m)) for m in found} == expected
 
 
 @settings(max_examples=300)

@@ -4,9 +4,11 @@ from multigroup import catalog
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import composition_series
-from multigroup.series import (OrientedOperationSequence, build_series,
-                               enumerate_maximal_series, is_normal_subspace,
-                               length_invariance_check, normality_criterion)
+from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
+                               build_series, enumerate_maximal_series,
+                               is_normal_subspace, length_invariance_check,
+                               normality_criterion)
+from multigroup.spaces import MultiGroupSpace
 from multigroup.subspaces import SubsetRef, is_subspace
 
 from conftest import subspaces_of
@@ -385,3 +387,15 @@ def test_invariance_report_absorbs_unconstructible_orderings():
     worked = by_order[("q", "p")]
     assert worked.constant == 2
     assert inv.cross_sequence_constant is None
+
+
+def test_cross_sequence_comparison_refuses_too_many_operations():
+    # one Z2 per operation, disjoint: 5! orderings would be compared
+    groups = tuple(catalog.cyclic(2, op_id=f"o{i}", prefix=f"o{i}_")
+                   for i in range(MAX_CROSS_SEQUENCE_OPS + 1))
+    ms = MultiGroupSpace(tuple(e for g in groups for e in g.carrier), groups)
+    with pytest.raises(BoundExceeded, match="cross-sequence comparison bounded "
+                                            "at 4 operations, got 5"):
+        length_invariance_check(ms)
+    single = length_invariance_check(ms, across_sequences=False)
+    assert [s.order for s in single.per_sequence] == [ms.op_set]

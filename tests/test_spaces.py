@@ -152,11 +152,6 @@ def test_each_carrier_is_complete_in_valid_spaces(small_spaces):
             assert is_complete(ms, g.carrier, g.op_id)
 
 
-def test_op_context(gf3):
-    ctx = gf3.op_context("*")
-    assert ctx.op_id == "*" and ctx.carrier == ("1", "2")
-
-
 def test_partial_products(gf3):
     assert gf3.product("+", "1", "2") == "0"
     assert gf3.product("*", "0", "1") is None

@@ -1,19 +1,23 @@
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import subgroups
 from multigroup.spaces import validate_multigroup
-from multigroup.subspaces import (SubsetRef, coset, coset_decomposition,
-                                  induced_space, is_subspace,
+from multigroup.subspaces import (SubsetRef, _closed_part_candidates, coset,
+                                  coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
                                   is_subspace_by_intersection, lagrange_check,
                                   subspace_decomposition)
 
 from conftest import subset_op_combinations, subspaces_of
-from oracles import brute_subspace
+from oracles import brute_subspace, scan_closed_parts
+from test_groups import _tables
 
 A3 = ("e", "(123)", "(132)")
 
@@ -282,3 +286,35 @@ def test_subspace_transitivity(small_spaces):
             for s1 in subspaces_of(inner):
                 lifted = SubsetRef.of(ms, s1.elements, s1.retained_ops)
                 assert is_subspace(ms, lifted), (name, s2, s1)
+
+
+def _candidates_outcome(find, g, allowed):
+    try:
+        return set(find(g, allowed))
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_tables(outside=("x",)),
+                st.sampled_from([g for g in catalog.corpus_groups().values()
+                                 if g.order <= 8])),
+       st.data())
+def test_closed_part_candidates_match_the_string_closure(g, data):
+    # the old closure raises when it multiplies an escaped product, the
+    # kernel when a closure it computed reached one: the same closures.
+    # Corpus groups need joins of several closed sets to reach their parts.
+    allowed = frozenset(data.draw(st.sets(st.sampled_from(g.carrier))))
+    assert _candidates_outcome(_closed_part_candidates, g, allowed) == \
+        _candidates_outcome(scan_closed_parts, g, allowed)
+
+
+def test_decomposition_cache_is_freed_with_its_space():
+    ms = catalog.gf3()
+    s = ref(ms, ["0", "1"], ["+", "*"])
+    assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
+    assert s in ms._decompositions
+    gone = weakref.ref(ms)
+    del ms
+    gc.collect()
+    assert gone() is None
