@@ -68,11 +68,12 @@ class FiniteGroup:
 
     @cached_property
     def _inverses(self) -> dict[Element, Element]:
+        t, e, c = self._ints[0], self.index(self.identity), self.carrier
         inv = {}
-        for a in self.carrier:
-            for b in self.carrier:
-                if self.mul(a, b) == self.identity and self.mul(b, a) == self.identity:
-                    inv[a] = b
+        for a in range(self.order):
+            for b in range(self.order):
+                if t[a][b] == e and t[b][a] == e:
+                    inv[c[a]] = c[b]
                     break
         return inv
 
@@ -150,9 +151,8 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
 
     closure_witness = None
     structural_witness = None
-    for a in g.carrier:
-        for b in g.carrier:
-            p = g.table[g.index(a)][g.index(b)]
+    for a, row in zip(g.carrier, g.table):
+        for b, p in zip(g.carrier, row):
             if p not in known:
                 structural_witness = structural_witness or (a, b, p)
             elif p not in members:
@@ -170,26 +170,19 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     if structural_witness or closure_witness:
         return report  # remaining axioms are meaningless on a non-closed table
 
-    for a in g.carrier:
-        if g.mul(g.identity, a) != a or g.mul(a, g.identity) != a:
+    # every product is now in the carrier, so the int table has no escapes
+    t, e, n = g._ints[0], g.index(g.identity), g.order
+    for a in range(n):
+        if t[e][a] != a or t[a][e] != a:
             report.add(AXIOM, "identity",
-                       f"{g.identity} is not an identity at {a}",
-                       (g.op_id,), (a,))
+                       f"{g.identity} is not an identity at {g.carrier[a]}",
+                       (g.op_id,), (g.carrier[a],))
             break
 
-    assoc_witness = None
-    for a in g.carrier:
-        if assoc_witness:
-            break
-        for b in g.carrier:
-            if assoc_witness:
-                break
-            for c in g.carrier:
-                if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-                    assoc_witness = (a, b, c)
-                    break
+    assoc_witness = next(((a, b, c) for a in range(n) for b in range(n)
+                          for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]]), None)
     if assoc_witness:
-        a, b, c = assoc_witness
+        a, b, c = (g.carrier[i] for i in assoc_witness)
         report.add(AXIOM, "associativity",
                    f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
                    (g.op_id,), (a, b, c))

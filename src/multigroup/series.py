@@ -22,9 +22,9 @@ from itertools import permutations
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
-from .groups import (Element, is_normal_subgroup,
-                     maximal_proper_normal_subgroups)
-from .spaces import MultiGroupSpace, validate_multigroup
+from .groups import (Element, _bits, is_normal_subgroup,
+                     maximal_proper_normal_subgroups, subgroups)
+from .spaces import MultiGroupSpace
 from .subspaces import (SubsetRef, induced_space, is_subspace,
                         subspace_decomposition)
 
@@ -118,7 +118,7 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
         raise BoundExceeded(
             f"series construction bounded at group order {limits.max_group_order}, "
             f"got {worst}", limits.max_group_order)
-    if not validate_multigroup(ms).ok:
+    if not ms._validation.ok:
         raise PreconditionError(
             "series construction requires a valid multi-group space")
 
@@ -208,27 +208,37 @@ def build_series(ms: MultiGroupSpace, seq: OrientedOperationSequence | None = No
     return _finish_series(ms, seq, chain, steps, anomalies)
 
 
-def _strict_subsets_between(lower: frozenset, upper: tuple[Element, ...]):
-    """All E with lower < E < set(upper), by adding nonempty proper subsets."""
-    from itertools import combinations
-    extra = [e for e in upper if e not in lower]
-    for size in range(1, len(extra)):
-        for add in combinations(extra, size):
-            yield lower | set(add)
+def _candidates_between(upper_space: MultiGroupSpace, lower: SubsetRef,
+                        limits: Limits):
+    """The unions of one subgroup (or nothing) per operation, as universe
+    bitmasks, strictly between lower and the whole space, in the order of
+    the scan over the gap: by size, then by the gap positions taken."""
+    index = upper_space.index
+    low = sum(1 << index(e) for e in lower.elements)
+    unions = {0}
+    for g in upper_space.groups:
+        parts = [sum(1 << index(e) for e in s) for s in subgroups(g, limits)]
+        unions |= {u | p for u in unions for p in parts}
+    whole = (1 << len(upper_space.universe)) - 1
+    between = [m for m in unions if m & low == low and m not in (low, whole)]
+    for m in sorted(between, key=lambda m: (m.bit_count(), _bits(m & ~low))):
+        yield [upper_space.universe[i] for i in _bits(m)]
 
 
 def _interposable(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
-                  lower: SubsetRef) -> tuple[Element, ...] | None:
+                  lower: SubsetRef, limits: Limits) -> tuple[Element, ...] | None:
     """Search for a normal subspace strictly between a link and its parent.
 
-    Returns the witness subset if one interposes, else None. Exhaustive
-    over the 2^|gap| subsets of the gap between link and parent. The gap
-    is not small in general: the first step of GF(p) under (+, *) removes
-    p-1 elements. Only max_exhaustive_universe, checked before the search
-    starts, bounds this scan.
+    Returns the witness subset if one interposes, else None. The candidates
+    are the unions of lattice members between link and parent: complete,
+    since a subspace is a union of one subgroup (or nothing) per operation
+    and every group here is finite, so every subspace between them is one.
+    Each is decided by the usual subspace and normality checks, in the order
+    of a scan over all 2^|gap| subsets, so the first witness is the one that
+    scan finds. GF(11) has at most 15 such unions where its first gap has
+    1,024 subsets.
     """
-    lower_set = frozenset(lower.elements)
-    for elems in _strict_subsets_between(lower_set, upper_space.universe):
+    for elems in _candidates_between(upper_space, lower, limits):
         mid = SubsetRef.of(upper_space, elems)
         if not is_subspace(upper_space, mid):
             continue
@@ -259,9 +269,11 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
     """All staged series with no normal subspace interposable between links.
 
     Every branching choice of maximal proper normal subgroup is explored;
-    each produced chain is then re-checked link by link with the exhaustive
-    interposition search. Chains that fail it are returned separately,
-    never silently dropped or silently kept.
+    each produced chain is then re-checked link by link with the
+    interposition search, which is exhaustive although it tries only unions
+    of subgroups: every subspace between two links is such a union (see
+    _interposable). Chains that fail it are returned separately, never
+    silently dropped or silently kept.
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
     if len(ms.universe) > limits.max_exhaustive_universe:
@@ -283,7 +295,7 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
         reason = None
         parent_space = ms
         for upper, lower in zip(series.chain, series.chain[1:]):
-            witness = _interposable(ms, parent_space, lower)
+            witness = _interposable(ms, parent_space, lower, limits)
             if witness is not None:
                 reason = (f"{ANOMALY_REJECTED_STEP}: {{{', '.join(witness)}}} "
                           f"interposes below {{{', '.join(upper.elements)}}}")

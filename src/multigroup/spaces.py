@@ -69,6 +69,11 @@ class MultiGroupSpace:
         # subspaces.subspace_decomposition results by SubsetRef
         return {}
 
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        # the space is frozen, so it is validated once; callers get copies
+        return _validate(self)
+
     def group_of(self, op_id: str) -> FiniteGroup:
         try:
             return self._by_op[op_id]
@@ -197,8 +202,15 @@ def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
 
     Structural problems (orphan universe elements, duplicate operation ids,
     carrier elements outside the universe) are reported separately from
-    axiom and distribution failures.
+    axiom and distribution failures. The check runs once per space; each
+    call returns a fresh copy of the report, so mutating it changes nothing
+    later.
     """
+    cached = ms._validation
+    return ValidationReport(list(cached.violations), list(cached.notes))
+
+
+def _validate(ms: MultiGroupSpace) -> ValidationReport:
     report = ValidationReport()
     universe = set(ms.universe)
 
@@ -266,7 +278,7 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
     multiplicative group of a field); commutativity of both groups upgrades
     a body to a field. Everything else is tagged general.
     """
-    if not validate_multigroup(ms).ok:
+    if not ms._validation.ok:
         raise PreconditionError("classification requires a valid multi-group space")
     if len(ms.groups) == 1:
         return Classification("group")

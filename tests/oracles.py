@@ -6,17 +6,25 @@ engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
-scan_subgroups and scan_closed_parts are the exceptions: they are code
-the engine replaced, kept verbatim as oracles for their replacements.
-scan_subgroups is the divisor-filtered subset scan used before cyclic
-extension (the engine's is_subgroup on every identity-holding subset of
-divisor size); scan_closed_parts is the string-keyed closure and join loop
-the completeness route used before the bitmask closure kernel.
+scan_subgroups, scan_closed_parts, scan_validate_group and
+scan_interposable are the exceptions: they are code the engine replaced,
+kept verbatim as oracles for their replacements. scan_subgroups is the
+divisor-filtered subset scan used before cyclic extension (the engine's
+is_subgroup on every identity-holding subset of divisor size);
+scan_closed_parts is the string-keyed closure and join loop the
+completeness route used before the bitmask closure kernel;
+scan_validate_group checks the group axioms with string-keyed products,
+as validate_group did before it read the int table; scan_interposable
+tries every subset between a series link and its parent, as the
+interposition search did before it enumerated unions of subgroups.
 """
 
 from itertools import combinations, product
 
 from multigroup.groups import is_subgroup
+from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
+from multigroup.series import is_normal_subspace
+from multigroup.subspaces import SubsetRef, induced_space, is_subspace
 
 
 def raw_group(g):
@@ -180,3 +188,110 @@ def brute_span_closure(ms, seeds):
         if frozenset(grown) == current:
             return current
         current = frozenset(grown)
+
+
+def _string_inverses(g):
+    inv = {}
+    for a in g.carrier:
+        for b in g.carrier:
+            if g.mul(a, b) == g.identity and g.mul(b, a) == g.identity:
+                inv[a] = b
+                break
+    return inv
+
+
+def scan_validate_group(g, universe=None) -> ValidationReport:
+    """Check all four group axioms, reporting one witness per violated axiom.
+
+    When a universe is supplied, table entries that are not elements of it
+    at all are flagged as structural (a malformed table), distinct from the
+    closure axiom failure of an entry that escapes the carrier.
+    """
+    report = ValidationReport()
+    members = set(g.carrier)
+    known = members if universe is None else set(universe) | members
+
+    closure_witness = None
+    structural_witness = None
+    for a in g.carrier:
+        for b in g.carrier:
+            p = g.table[g.index(a)][g.index(b)]
+            if p not in known:
+                structural_witness = structural_witness or (a, b, p)
+            elif p not in members:
+                closure_witness = closure_witness or (a, b, p)
+    if structural_witness:
+        a, b, p = structural_witness
+        report.add(STRUCTURAL, "malformed-table",
+                   f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
+                   (g.op_id,), (a, b, p))
+    if closure_witness:
+        a, b, p = closure_witness
+        report.add(AXIOM, "closure",
+                   f"{a} {g.op_id} {b} = {p} is outside the carrier",
+                   (g.op_id,), (a, b, p))
+    if structural_witness or closure_witness:
+        return report  # remaining axioms are meaningless on a non-closed table
+
+    for a in g.carrier:
+        if g.mul(g.identity, a) != a or g.mul(a, g.identity) != a:
+            report.add(AXIOM, "identity",
+                       f"{g.identity} is not an identity at {a}",
+                       (g.op_id,), (a,))
+            break
+
+    assoc_witness = None
+    for a in g.carrier:
+        if assoc_witness:
+            break
+        for b in g.carrier:
+            if assoc_witness:
+                break
+            for c in g.carrier:
+                if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
+                    assoc_witness = (a, b, c)
+                    break
+    if assoc_witness:
+        a, b, c = assoc_witness
+        report.add(AXIOM, "associativity",
+                   f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
+                   (g.op_id,), (a, b, c))
+
+    inverses = _string_inverses(g)
+    for a in g.carrier:
+        if a not in inverses:
+            report.add(AXIOM, "inverse",
+                       f"{a} has no inverse under {g.op_id!r}",
+                       (g.op_id,), (a,))
+            break
+
+    return report
+
+
+def _strict_subsets_between(lower: frozenset, upper):
+    """All E with lower < E < set(upper), by adding nonempty proper subsets."""
+    extra = [e for e in upper if e not in lower]
+    for size in range(1, len(extra)):
+        for add in combinations(extra, size):
+            yield lower | set(add)
+
+
+def scan_interposable(ms, upper_space, lower):
+    """Search for a normal subspace strictly between a link and its parent.
+
+    Returns the witness subset if one interposes, else None. Exhaustive
+    over the 2^|gap| subsets of the gap between link and parent.
+    """
+    lower_set = frozenset(lower.elements)
+    for elems in _strict_subsets_between(lower_set, upper_space.universe):
+        mid = SubsetRef.of(upper_space, elems)
+        if not is_subspace(upper_space, mid):
+            continue
+        if not is_normal_subspace(upper_space, mid):
+            continue
+        mid_space = induced_space(upper_space, mid)
+        low_in_mid = SubsetRef.of(mid_space, lower.elements)
+        if is_subspace(mid_space, low_in_mid) and \
+                is_normal_subspace(mid_space, low_in_mid):
+            return tuple(sorted(elems, key=ms.index))
+    return None

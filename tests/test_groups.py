@@ -15,7 +15,8 @@ from multigroup.instances import parse_instance
 
 from conftest import INSTANCE_DIR
 from oracles import (brute_composition_chains, brute_subgroups,
-                     prime_factor_count, raw_group, scan_subgroups)
+                     prime_factor_count, raw_group, scan_subgroups,
+                     scan_validate_group)
 
 CORPUS = catalog.corpus_groups()
 CORPUS_NAMES = sorted(CORPUS)
@@ -390,3 +391,25 @@ def test_lattice_matches_the_subset_scan_on_tables_leaving_the_carrier(g):
     # with an inverse for every element neither enumeration can raise, so
     # the outcome does not depend on the order the scan visits a subset in
     assert subgroups(g) == scan_subgroups(_fresh(g))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_tables(outside=("x",)), _tables(paired=True)),
+       st.sampled_from([None, ("x",)]))
+def test_validate_group_matches_the_string_checks(g, universe):
+    # the same violations with the same first witnesses, in the same order
+    assert validate_group(g, universe).to_dict() == \
+        scan_validate_group(_fresh(g), universe).to_dict()
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(CORPUS_NAMES), st.data())
+def test_validate_group_matches_the_string_checks_on_perturbed_groups(name, data):
+    g = CORPUS[name]
+    table = [list(row) for row in g.table]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = (data.draw(st.integers(0, g.order - 1)) for _ in "ij")
+        table[i][j] = data.draw(st.sampled_from(g.carrier))
+    broken = FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), g.identity)
+    assert validate_group(broken).to_dict() == \
+        scan_validate_group(_fresh(broken)).to_dict()

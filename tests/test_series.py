@@ -1,17 +1,22 @@
+from itertools import permutations
+
 import pytest
 
-from multigroup import catalog
+from multigroup import catalog, series as series_module
 from multigroup.config import Limits
-from multigroup.errors import BoundExceeded, DomainError, PreconditionError
+from multigroup.errors import (BoundExceeded, DomainError,
+                               InternalConsistencyError, PreconditionError)
 from multigroup.groups import composition_series
+from multigroup.instances import parse_instance
 from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
                                build_series, enumerate_maximal_series,
                                is_normal_subspace, length_invariance_check,
                                normality_criterion)
-from multigroup.spaces import MultiGroupSpace
-from multigroup.subspaces import SubsetRef, is_subspace
+from multigroup.spaces import MultiGroupSpace, validate_multigroup
+from multigroup.subspaces import SubsetRef, induced_space, is_subspace
 
-from conftest import subspaces_of
+from conftest import INSTANCE_DIR, overlapping_pair_family, relabel, subspaces_of
+from oracles import _strict_subsets_between, scan_interposable
 
 A3 = ("e", "(123)", "(132)")
 S3_SPACE = catalog.single(catalog.symmetric_3())
@@ -399,3 +404,93 @@ def test_cross_sequence_comparison_refuses_too_many_operations():
         length_invariance_check(ms)
     single = length_invariance_check(ms, across_sequences=False)
     assert [s.order for s in single.per_sequence] == [ms.op_set]
+
+
+# ------------------------------------------- interposition search vs the scan
+
+WIDE = Limits(max_group_order=24, max_exhaustive_universe=24)
+
+
+def _disjoint_union(g1, g2):
+    a = relabel(g1, [f"a{i}" for i in range(g1.order)], "a")
+    b = relabel(g2, [f"b{i}" for i in range(g2.order)], "b")
+    return MultiGroupSpace(a.carrier + b.carrier, (a, b))
+
+
+def _interposition_cases():
+    cases = []
+    for path in sorted(INSTANCE_DIR.glob("*.mgs")):
+        ms = parse_instance(path.read_text(encoding="utf-8"))
+        if validate_multigroup(ms).ok:
+            cases.append(pytest.param(ms, id=path.stem))
+    for i, ms in enumerate(overlapping_pair_family()):
+        cases.append(pytest.param(ms, id=f"overlap{i}"))
+    for p in (2, 3, 5, 7, 11, 13):
+        cases.append(pytest.param(catalog.prime_field(p), id=f"gf{p}"))
+    for m in range(1, 7):
+        cases.append(pytest.param(
+            _disjoint_union(catalog.cyclic(m), catalog.symmetric_3()), id=f"z{m}+s3"))
+    for m in range(1, 5):
+        cases.append(pytest.param(
+            _disjoint_union(catalog.cyclic(m), catalog.alternating_4()), id=f"z{m}+a4"))
+    return cases
+
+
+def _staged_chains(ms, order):
+    """Every branch=True staged chain, up to a construction failure."""
+    chains = []
+    try:
+        for chain, _, _ in series_module._series_stages(ms, seq(ms, order), WIDE,
+                                                        branch=True):
+            chains.append(chain)
+    except InternalConsistencyError:
+        pass
+    return chains
+
+
+def _subspaces(ms, subsets):
+    return [frozenset(s) for s in subsets if is_subspace(ms, SubsetRef.of(ms, s))]
+
+
+def _outcome(ms, order):
+    try:
+        result = enumerate_maximal_series(ms, seq(ms, order), WIDE)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return result.series, result.rejected
+
+
+@pytest.mark.parametrize("name", ("gf3", "gf5", "z6units", "z2link", "z2z3",
+                                  "z2z2", "s3", "z6", "klein"))
+def test_unions_of_subgroups_hold_every_subspace_between(small_spaces, name):
+    """Also below sets that are no series link, such as one component of a
+    disjoint union, where a subspace between may leave an operation out."""
+    ms = small_spaces[name]
+    for lower in {frozenset(h.elements) for h in subspaces_of(ms)}:
+        ref = SubsetRef.of(ms, lower)
+        assert _subspaces(ms, series_module._candidates_between(ms, ref, WIDE)) == \
+            _subspaces(ms, _strict_subsets_between(lower, ms.universe)), lower
+
+
+@pytest.mark.parametrize("ms", _interposition_cases())
+def test_interposition_search_matches_the_subset_scan(ms, monkeypatch):
+    """On every link of every staged chain, the unions of subgroups hold
+    every subspace between link and parent, in the order of the scan over
+    every subset of the gap, and the search finds the same first witness,
+    or none, as that scan; the enumeration accepts and rejects the same
+    series."""
+    for order in permutations(ms.op_set):
+        for chain in _staged_chains(ms, order):
+            parent = ms
+            for lower in chain[1:]:
+                assert _subspaces(parent, series_module._candidates_between(
+                    parent, lower, WIDE)) == _subspaces(parent, _strict_subsets_between(
+                        frozenset(lower.elements), parent.universe)), (order, lower)
+                assert series_module._interposable(ms, parent, lower, WIDE) == \
+                    scan_interposable(ms, parent, lower), (order, lower)
+                parent = induced_space(parent, SubsetRef.of(parent, lower.elements))
+
+    found = {order: _outcome(ms, order) for order in permutations(ms.op_set)}
+    monkeypatch.setattr(series_module, "_interposable",
+                        lambda ms, upper, lower, limits: scan_interposable(ms, upper, lower))
+    assert found == {order: _outcome(ms, order) for order in permutations(ms.op_set)}

@@ -2,12 +2,16 @@ from itertools import combinations
 
 import pytest
 
-from multigroup import catalog
+from multigroup import catalog, spaces
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup
+from multigroup.instances import serialize_instance
+from multigroup.report import DISTRIBUTION
 from multigroup.spaces import (MultiGroupSpace, check_distribution,
                                classify_special_case, is_complete,
                                ops_of_element, validate_multigroup)
+
+from conftest import run_cli
 
 
 def test_gf3_distribution_passes(gf3):
@@ -166,3 +170,37 @@ def test_exact_carrier_body_convention():
     # distribution fails here, so classification refuses; the convention
     # detection itself is exercised through the valid gf3 case
     assert not validate_multigroup(ms).ok
+
+
+@pytest.mark.parametrize("argv", [["maximal-series"], ["validate"], ["classify"]])
+def test_cli_validates_a_space_once(tmp_path, monkeypatch, argv):
+    """One distribution scan per direction of the one operation pair, though
+    maximal-series enumerates under both orderings and validate classifies."""
+    path = tmp_path / "gf5.mgs"
+    path.write_text(serialize_instance(catalog.prime_field(5)), encoding="utf-8")
+    calls = []
+    check = spaces._check_one_direction
+    monkeypatch.setattr(spaces, "_check_one_direction",
+                        lambda ms, times, circ: calls.append((times, circ))
+                        or check(ms, times, circ))
+    _, code = run_cli([argv[0], str(path)])
+    assert code in (0, 1)
+    assert sorted(calls) == [("*", "+"), ("+", "*")]
+
+
+def test_mutating_a_validation_report_changes_no_later_verdict(gf3):
+    ms = catalog.prime_field(3)
+    report = validate_multigroup(ms)
+    report.add(DISTRIBUTION, "distribution", "injected", ("+", "*"))
+    report.note("injected")
+    again = validate_multigroup(ms)
+    assert again.ok and "injected" not in again.notes
+    assert again.to_dict() == validate_multigroup(gf3).to_dict()
+    assert classify_special_case(ms).tag == "field"
+
+    broken = catalog.gf3_corrupt()
+    report = validate_multigroup(broken)
+    report.violations.clear()
+    assert not validate_multigroup(broken).ok
+    with pytest.raises(PreconditionError):
+        classify_special_case(broken)
