@@ -172,8 +172,8 @@ def test_exact_carrier_body_convention():
     assert not validate_multigroup(ms).ok
 
 
-@pytest.mark.parametrize("argv", [["maximal-series"], ["validate"], ["classify"]])
-def test_cli_validates_a_space_once(tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("command", ["maximal-series", "validate", "classify"])
+def test_cli_validates_a_space_once(tmp_path, monkeypatch, command):
     """One distribution scan per direction of the one operation pair, though
     maximal-series enumerates under both orderings and validate classifies."""
     path = tmp_path / "gf5.mgs"
@@ -183,7 +183,7 @@ def test_cli_validates_a_space_once(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(spaces, "_check_one_direction",
                         lambda ms, times, circ: calls.append((times, circ))
                         or check(ms, times, circ))
-    _, code = run_cli([argv[0], str(path)])
+    _, code = run_cli([command, str(path)])
     assert code in (0, 1)
     assert sorted(calls) == [("*", "+"), ("+", "*")]
 
