@@ -448,8 +448,13 @@ def _staged_chains(ms, order):
     return chains
 
 
-def _subspaces(ms, subsets):
-    return [frozenset(s) for s in subsets if is_subspace(ms, SubsetRef.of(ms, s))]
+def _subspaces_between(ms, lower):
+    """The subspaces strictly between lower and the whole space, in visiting
+    order, among the search's candidates and among all subsets of the gap."""
+    def subspaces(subsets):
+        return [frozenset(s) for s in subsets if is_subspace(ms, SubsetRef.of(ms, s))]
+    return (subspaces(series_module._candidates_between(ms, lower, WIDE)),
+            subspaces(_strict_subsets_between(frozenset(lower.elements), ms.universe)))
 
 
 def _outcome(ms, order):
@@ -466,10 +471,9 @@ def test_unions_of_subgroups_hold_every_subspace_between(small_spaces, name):
     """Also below sets that are no series link, such as one component of a
     disjoint union, where a subspace between may leave an operation out."""
     ms = small_spaces[name]
-    for lower in {frozenset(h.elements) for h in subspaces_of(ms)}:
-        ref = SubsetRef.of(ms, lower)
-        assert _subspaces(ms, series_module._candidates_between(ms, ref, WIDE)) == \
-            _subspaces(ms, _strict_subsets_between(lower, ms.universe)), lower
+    for lower in {h.elements for h in subspaces_of(ms)}:
+        found, expected = _subspaces_between(ms, SubsetRef.of(ms, lower))
+        assert found == expected, lower
 
 
 @pytest.mark.parametrize("ms", _interposition_cases())
@@ -483,9 +487,8 @@ def test_interposition_search_matches_the_subset_scan(ms, monkeypatch):
         for chain in _staged_chains(ms, order):
             parent = ms
             for lower in chain[1:]:
-                assert _subspaces(parent, series_module._candidates_between(
-                    parent, lower, WIDE)) == _subspaces(parent, _strict_subsets_between(
-                        frozenset(lower.elements), parent.universe)), (order, lower)
+                found, expected = _subspaces_between(parent, lower)
+                assert found == expected, (order, lower)
                 assert series_module._interposable(ms, parent, lower, WIDE) == \
                     scan_interposable(ms, parent, lower), (order, lower)
                 parent = induced_space(parent, SubsetRef.of(parent, lower.elements))
