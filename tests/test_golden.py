@@ -8,13 +8,16 @@ holds the maximal-series reports of an instance whose universe exceeds the
 default bound, run with --exhaustive-bound 24, so the interposition search
 meets gaps larger than any shipped instance has. The instance path is
 printed as <instance>, so the files do not depend on where the repository
-lives. The test compares byte for byte; after a deliberate change to a
+lives. Each tests/golden/scripts/<script>.txt holds what
+scripts/<script>.py prints on the shipped instances with its default
+arguments. The tests compare byte for byte; after a deliberate change to a
 report, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -34,6 +37,7 @@ INSTANCES = sorted((HERE.parent / "instances").glob("*.mgs")) + \
     sorted(GOLDEN_DIR.glob("*.mgs"))
 SET_COMMANDS = ("cosets", "normal", "subspace")
 ABOVE_BOUND = sorted((GOLDEN_DIR / "above_bound").glob("*.mgs"))
+SCRIPTS = ("subspace_census", "survey_series")
 
 
 def _invocations(ms):
@@ -79,6 +83,18 @@ def test_above_bound_reports_match_golden_files(path):
     assert render_golden(path, _above_bound_invocations) == expected
 
 
+def render_script(name: str) -> str:
+    script = HERE.parent / "scripts" / f"{name}.py"
+    return subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_survey_scripts_match_golden_files(name):
+    expected = (GOLDEN_DIR / "scripts" / f"{name}.txt").read_text(encoding="utf-8")
+    assert render_script(name) == expected
+
+
 if __name__ == "__main__":
     for instance in INSTANCES + ABOVE_BOUND:
         invocations = (_above_bound_invocations if instance in ABOVE_BOUND
@@ -86,3 +102,7 @@ if __name__ == "__main__":
         _golden_file(instance).write_text(render_golden(instance, invocations),
                                           encoding="utf-8")
         print(f"wrote {_golden_file(instance).relative_to(HERE.parent)}")
+    for name in SCRIPTS:
+        target = GOLDEN_DIR / "scripts" / f"{name}.txt"
+        target.write_text(render_script(name), encoding="utf-8")
+        print(f"wrote {target.relative_to(HERE.parent)}")
