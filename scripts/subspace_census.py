@@ -13,31 +13,21 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from itertools import combinations
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from multigroup.instances import parse_instance
 from multigroup.spaces import validate_multigroup
-from multigroup.subspaces import (SubsetRef, is_subspace,
-                                  is_subspace_by_completeness,
+from multigroup.subspaces import (is_subspace, is_subspace_by_completeness,
                                   is_subspace_by_intersection)
-
-
-def combinations_of(ms):
-    for r in range(0, len(ms.universe) + 1):
-        for elems in combinations(ms.universe, r):
-            present = [op for op in ms.op_set
-                       if set(elems) & set(ms.group_of(op).carrier)]
-            for k in range(1, len(present) + 1):
-                for ops in combinations(present, k):
-                    yield SubsetRef.of(ms, elems, ops)
+from oracles import subset_op_combinations
 
 
 def census(path: Path) -> None:
     ms = parse_instance(path.read_text())
     total = subspaces = disagreements = raw_divergences = 0
-    for s in combinations_of(ms):
+    for s in subset_op_combinations(ms):
         total += 1
         implemented = is_subspace(ms, s)
         lattice = is_subspace_by_intersection(ms, s).ok
@@ -51,9 +41,7 @@ def census(path: Path) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("instances", nargs="?",
-                        default=str(Path(__file__).resolve().parent.parent
-                                    / "instances"))
+    parser.add_argument("instances", nargs="?", default=str(ROOT / "instances"))
     parser.add_argument("--bound", type=int, default=8)
     args = parser.parse_args()
     target = Path(args.instances)

@@ -31,13 +31,13 @@ class GeneratingSet:
 
 def span_once(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
     """The literal one-step product set: {x o y} over all defined products."""
-    out: set[Element] = set()
-    for g in ms.groups:
-        inside = [e for e in a.seeds if e in g]
-        for x in inside:
-            for y in inside:
-                out.add(g.mul(x, y))
-    return ms.sorted_elements(out)
+    seeds = _bits(ms._mask(a.seeds))
+    out = 0
+    for t in ms._tables:
+        for x in seeds:
+            for y in seeds:
+                out |= 1 << t[x][y]
+    return tuple(ms.universe[i] for i in _bits(out) if i < len(ms.universe))
 
 
 def span_closure(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
@@ -48,7 +48,7 @@ def span_closure(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
     one more absorbing index, dropped at the end.
     """
     n = len(ms.universe)
-    mask = _close(ms._tables, 0, sum(1 << ms.index(e) for e in a.seeds))
+    mask = _close(ms._tables, 0, ms._mask(a.seeds))
     return tuple(ms.universe[i] for i in _bits(mask) if i < n)
 
 

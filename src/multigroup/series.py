@@ -73,16 +73,18 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
     """
     if not is_subspace(ms, h):
         raise PreconditionError("normality requires a subspace")
-    members = set(h.elements)
+    u, n, members = ms.universe, len(ms.universe), ms._mask(h.elements)
+    ok = members | 1 << n  # a member outside the carrier is skipped
     for op in h.retained_ops:
-        g = ms.group_of(op)
-        inside = [e for e in h.elements if e in g]
+        g, t = ms.group_of(op), ms._table(op)
         for x in g.carrier:
-            xi = g.inverse(x)
-            for member in inside:
-                conjugate = g.mul(g.mul(x, member), xi)
-                if conjugate not in members:
-                    return NormalityEvidence(False, (op, x, member, conjugate))
+            xi, row = ms.index(g.inverse(x)), t[ms.index(x)]
+            for m in _bits(members):
+                conjugate = t[row[m]][xi]
+                if conjugate == n and row[m] != n:
+                    g.index(u[row[m]])  # x * m left the carrier: DomainError
+                if not ok >> conjugate & 1:
+                    return NormalityEvidence(False, (op, x, u[m], u[conjugate]))
     return NormalityEvidence(True)
 
 
@@ -137,7 +139,8 @@ def _validate_link(parent_space: MultiGroupSpace, elements) -> SubsetRef:
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    limits: Limits, branch: bool):
-    """Generate (chain, step_ops, anomalies) triples from the staged programming.
+    """Generate (chain, step_ops, anomalies, spaces) from the staged programming,
+    where spaces[i] is the space induced on chain[i].
 
     With branch=False only the canonically smallest maximal proper normal
     subgroup is taken at each step (the single-witness mode); with
@@ -147,22 +150,22 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
     if not is_subspace(ms, whole):
         raise PreconditionError("the whole space must validate as a subspace")
 
-    def stages(parent_space, current, chain, steps, anomalies, op_index):
+    def stages(spaces, current, chain, steps, anomalies, op_index):
         if op_index == len(seq.order):
-            yield chain, steps, anomalies
+            yield chain, steps, anomalies, spaces
             return
         op = seq.order[op_index]
         decomp = subspace_decomposition(ms, current)
         if op not in decomp:
             note = f"{ANOMALY_CARRIER_LOST}:{op}"
-            yield from stages(parent_space, current, chain,
+            yield from stages(spaces, current, chain,
                               steps, anomalies + [note], op_index + 1)
             return
         part = decomp[op]
 
-        def descend(parent_space, current, part, chain, steps, anomalies):
+        def descend(spaces, current, part, chain, steps, anomalies):
             if len(part) == 1:
-                yield from stages(parent_space, current, chain, steps,
+                yield from stages(spaces, current, chain, steps,
                                   anomalies, op_index + 1)
                 return
             part_group = ms.group_of(op).restrict(part)
@@ -173,15 +176,15 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
             for nxt in choices:
                 removed = set(part) - set(nxt)
                 new_elements = [e for e in current.elements if e not in removed]
-                link = _validate_link(parent_space, new_elements)
+                link = _validate_link(spaces[-1], new_elements)
                 new_current = SubsetRef.of(ms, new_elements)
-                new_space = induced_space(parent_space, link)
-                yield from descend(new_space, new_current, nxt,
+                new_space = induced_space(spaces[-1], link)
+                yield from descend(spaces + [new_space], new_current, nxt,
                                    chain + [new_current], steps + [op], anomalies)
 
-        yield from descend(parent_space, current, part, chain, steps, anomalies)
+        yield from descend(spaces, current, part, chain, steps, anomalies)
 
-    yield from stages(ms, whole, [whole], [], [], 0)
+    yield from stages([ms], whole, [whole], [], [], 0)
 
 
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
@@ -204,20 +207,22 @@ def build_series(ms: MultiGroupSpace, seq: OrientedOperationSequence | None = No
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
     _check_preconditions(ms, limits)
-    chain, steps, anomalies = next(_series_stages(ms, seq, limits, branch=False))
+    chain, steps, anomalies, _ = next(_series_stages(ms, seq, limits, branch=False))
     return _finish_series(ms, seq, chain, steps, anomalies)
 
 
-def _candidates_between(upper_space: MultiGroupSpace, lower: SubsetRef,
-                        limits: Limits):
+def _candidates_between(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
+                        lower: SubsetRef, limits: Limits):
     """The unions of one subgroup (or nothing) per operation, as universe
     bitmasks, strictly between lower and the whole space, in the order of
-    the scan over the gap: by size, then by the gap positions taken."""
-    index = upper_space.index
-    low = sum(1 << index(e) for e in lower.elements)
+    the scan over the gap: by size, then by the gap positions taken. Each
+    group of upper_space restricts one of ms to a subgroup, so its subgroups
+    are the lattice members of ms inside its carrier."""
+    low = upper_space._mask(lower.elements)
     unions = {0}
     for g in upper_space.groups:
-        parts = [sum(1 << index(e) for e in s) for s in subgroups(g, limits)]
+        parts = [upper_space._mask(s) for s in subgroups(ms.group_of(g.op_id), limits)
+                 if all(e in g for e in s)]
         unions |= {u | p for u in unions for p in parts}
     whole = (1 << len(upper_space.universe)) - 1
     between = [m for m in unions if m & low == low and m not in (low, whole)]
@@ -238,7 +243,7 @@ def _interposable(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
     scan finds. GF(11) has at most 15 such unions where its first gap has
     1,024 subsets.
     """
-    for elems in _candidates_between(upper_space, lower, limits):
+    for elems in _candidates_between(ms, upper_space, lower, limits):
         mid = SubsetRef.of(upper_space, elems)
         if not is_subspace(upper_space, mid):
             continue
@@ -286,22 +291,19 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
     accepted: list[NormalSeries] = []
     rejected: list[tuple[NormalSeries, str]] = []
     seen: set[tuple] = set()
-    for chain, steps, anomalies in _series_stages(ms, seq, limits, branch=True):
+    for chain, steps, anomalies, spaces in _series_stages(ms, seq, limits, branch=True):
         series = _finish_series(ms, seq, chain, steps, anomalies)
         key = series.element_chain()
         if key in seen:
             continue
         seen.add(key)
         reason = None
-        parent_space = ms
-        for upper, lower in zip(series.chain, series.chain[1:]):
+        for upper, lower, parent_space in zip(chain, chain[1:], spaces):
             witness = _interposable(ms, parent_space, lower, limits)
             if witness is not None:
                 reason = (f"{ANOMALY_REJECTED_STEP}: {{{', '.join(witness)}}} "
                           f"interposes below {{{', '.join(upper.elements)}}}")
                 break
-            parent_space = induced_space(parent_space,
-                                         SubsetRef.of(parent_space, lower.elements))
         if reason is None:
             accepted.append(series)
         else:

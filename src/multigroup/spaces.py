@@ -4,7 +4,8 @@ A product a *_i b is defined exactly when both operands lie in the carrier
 of operation i. The validation here checks, per unordered pair of distinct
 operations, that at least one of the two distributes over the other on
 every triple whose intermediate products are all defined; a law with no
-fully defined triple holds vacuously.
+fully defined triple holds vacuously. Every product lookup of the space
+layer reads that rule from one place, the int tables MultiGroupSpace._tables.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import DomainError, PreconditionError
-from .groups import Element, FiniteGroup, validate_group
+from .groups import Element, FiniteGroup, _bits, validate_group
 from .report import DISTRIBUTION, STRUCTURAL, ValidationReport
 
 # at most this many witness triples are kept per operation pair
@@ -57,12 +58,25 @@ class MultiGroupSpace:
         """One int table per operation over universe indices.
 
         Index len(universe) stands for an undefined product and absorbs
-        every product with it, like an escape in FiniteGroup._ints.
+        every product with it, so t[x][t[y][z]] is undefined as soon as any
+        product on the way is. The distribution scan, the raw reading,
+        cosets, the one-step span and the conjugation scan all read it.
+        Precondition: every carrier element and product lies in the
+        universe. The parser and the catalog ensure it, and validation
+        scans distribution only without structural violations; a product
+        outside the universe makes building the tables raise DomainError.
         """
         n, u = len(self.universe), self.universe
-        return tuple([[self.index(g.mul(a, b)) if a in g and b in g else n
-                       for b in u] + [n] for a in u] + [[n] * (n + 1)]
-                     for g in self.groups)
+        cols = [[g._index.get(b) for b in u] for g in self.groups]  # None: not in g
+        return tuple([[n if i is None or k is None else self.index(g.table[i][k])
+                       for k in c] + [n] for i in c] + [[n] * (n + 1)]
+                     for g, c in zip(self.groups, cols))
+
+    def _table(self, op_id: str) -> list[list[int]]:
+        return self._tables[self.groups.index(self.group_of(op_id))]
+
+    def _mask(self, elements) -> int:
+        return sum(1 << i for i in {self.index(e) for e in elements})
 
     @cached_property
     def _decompositions(self) -> dict:
@@ -108,12 +122,11 @@ def is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:
     """Closure of the partial operation restricted to the subset.
 
     True iff every defined product of two subset members lands back in the
-    subset.
+    subset. Members outside the universe lie in no carrier and are ignored.
     """
-    g = ms.group_of(op_id)
-    sub = set(subset)
-    inside = [e for e in sub if e in g]
-    return all(g.mul(a, b) in sub for a in inside for b in inside)
+    t, sub = ms._table(op_id), ms._mask(e for e in subset if e in ms._index)
+    ok, members = sub | 1 << len(ms.universe), _bits(sub)  # undefined is fine
+    return all(ok >> t[a][b] & 1 for a in members for b in members)
 
 
 @dataclass(frozen=True)
@@ -132,41 +145,29 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
     """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror.
 
     Only triples with every intermediate product defined count; a triple
-    with any undefined product is skipped entirely.
+    with any undefined product is skipped entirely. A law is tested exactly
+    when both of its sides are defined, since the undefined index absorbs.
     """
-    gt = ms.group_of(times)
-    gc = ms.group_of(circ)
+    t, c, u = ms._table(times), ms._table(circ), ms.universe
+    n = len(u)
     tested = 0
     witnesses: list[tuple[Element, Element, Element]] = []
-    failed = False
-
-    def witness(x, y, z):
-        nonlocal failed
-        failed = True
-        if (x, y, z) not in witnesses and len(witnesses) < MAX_DISTRIBUTION_WITNESSES:
-            witnesses.append((x, y, z))
-
-    for x in ms.universe:
-        for y in ms.universe:
-            for z in ms.universe:
-                if not (y in gc and z in gc):
+    for x in range(n):
+        tx = t[x]
+        for y in range(n):
+            for z in range(n):
+                yz = c[y][z]
+                if yz == n:
                     continue
-                yz = gc.mul(y, z)
-                if not (x in gt and yz in gt and y in gt and z in gt):
-                    continue
-                # left law: x*(y o z) = (x*y) o (x*z)
-                xy, xz = gt.mul(x, y), gt.mul(x, z)
-                if xy in gc and xz in gc:
-                    tested += 1
-                    if gt.mul(x, yz) != gc.mul(xy, xz):
-                        witness(x, y, z)
-                # right law: (y o z)*x = (y*x) o (z*x)
-                yx, zx = gt.mul(y, x), gt.mul(z, x)
-                if yx in gc and zx in gc:
-                    tested += 1
-                    if gt.mul(yz, x) != gc.mul(yx, zx):
-                        witness(x, y, z)
-    return LawCheck(times, circ, holds=not failed, vacuous=tested == 0,
+                # x*(y o z) = (x*y) o (x*z), then (y o z)*x = (y*x) o (z*x)
+                for left, right in ((tx[yz], c[tx[y]][tx[z]]),
+                                    (t[yz][x], c[t[y][x]][t[z][x]])):
+                    if left != n and right != n:
+                        tested += 1
+                        if left != right and len(witnesses) < MAX_DISTRIBUTION_WITNESSES \
+                                and (u[x], u[y], u[z]) not in witnesses:
+                            witnesses.append((u[x], u[y], u[z]))
+    return LawCheck(times, circ, holds=not witnesses, vacuous=tested == 0,
                     tested=tested, witnesses=tuple(witnesses))
 
 

@@ -260,20 +260,16 @@ def coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
     An element with no defined product against the parts yields {g}, so a
     transversal can still cover the whole universe.
     """
-    ms.index(g)
+    x, n = ms.index(g), len(ms.universe)
     decomp = subspace_decomposition(ms, h)
     if decomp is None:
         raise PreconditionError("coset requires a subspace")
-    out: set[Element] = set()
+    out = 0
     for op, part in decomp.items():
-        grp = ms.group_of(op)
-        if g not in grp:
-            continue
+        row = ms._table(op)[x]  # all undefined when g is outside the carrier
         for member in part:
-            out.add(grp.mul(g, member))
-    if not out:
-        out = {g}
-    return ms.sorted_elements(out)
+            out |= 1 << row[ms.index(member)]
+    return tuple(ms.universe[i] for i in _bits(out) if i < n) or (g,)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 import io
 import sys
 from contextlib import redirect_stdout
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,8 @@ settings.load_profile("suite")
 sys.path.insert(0, str(Path(__file__).parent))
 
 from multigroup import catalog, cli  # noqa: E402
-from multigroup.subspaces import SubsetRef, is_subspace  # noqa: E402
+from multigroup.subspaces import is_subspace  # noqa: E402
+from oracles import subset_op_combinations  # noqa: E402
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -68,17 +68,6 @@ def small_space_catalog():
 @pytest.fixture(scope="session")
 def instance_dir():
     return INSTANCE_DIR
-
-
-def subset_op_combinations(ms):
-    """Every constructible (subset, retained ops) pair over a space."""
-    for r in range(0, len(ms.universe) + 1):
-        for elems in combinations(ms.universe, r):
-            present = [op for op in ms.op_set
-                       if set(elems) & set(ms.group_of(op).carrier)]
-            for k in range(1, len(present) + 1):
-                for ops in combinations(present, k):
-                    yield SubsetRef.of(ms, elems, ops)
 
 
 def subspaces_of(ms):

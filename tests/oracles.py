@@ -6,25 +6,37 @@ engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
-scan_subgroups, scan_closed_parts, scan_validate_group and
-scan_interposable are the exceptions: they are code the engine replaced,
-kept verbatim as oracles for their replacements. scan_subgroups is the
-divisor-filtered subset scan used before cyclic extension (the engine's
-is_subgroup on every identity-holding subset of divisor size);
-scan_closed_parts is the string-keyed closure and join loop the
-completeness route used before the bitmask closure kernel;
-scan_validate_group checks the group axioms with string-keyed products,
-as validate_group did before it read the int table; scan_interposable
-tries every subset between a series link and its parent, as the
-interposition search did before it enumerated unions of subgroups.
+scan_subgroups, scan_closed_parts, scan_validate_group,
+scan_interposable and the five string-keyed product scans are the
+exceptions: they are code the engine replaced, kept verbatim as oracles
+for their replacements. scan_subgroups is the divisor-filtered subset scan
+used before cyclic extension (the engine's is_subgroup on every
+identity-holding subset of divisor size); scan_closed_parts is the
+string-keyed closure and join loop the completeness route used before the
+bitmask closure kernel; scan_validate_group checks the group axioms with
+string-keyed products, as validate_group did before it read the int
+table; scan_interposable tries every subset between a series link and its
+parent, as the interposition search did before it enumerated unions of
+subgroups. scan_check_one_direction, scan_is_complete, scan_span_once,
+scan_coset and scan_is_normal_subspace test carrier membership and
+multiply with FiniteGroup.mul, as the distribution scan, the raw reading,
+the one-step span, cosets and the conjugation scan did before they read
+MultiGroupSpace._tables.
+
+subset_op_combinations is the one enumerator of (subset, retained ops)
+pairs, shared by the tests and scripts/subspace_census.py.
 """
 
 from itertools import combinations, product
 
-from multigroup.groups import is_subgroup
+from multigroup.errors import PreconditionError
+from multigroup.generation import GeneratingSet
+from multigroup.groups import Element, is_subgroup
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
-from multigroup.series import is_normal_subspace
-from multigroup.subspaces import SubsetRef, induced_space, is_subspace
+from multigroup.series import NormalityEvidence, is_normal_subspace
+from multigroup.spaces import MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace
+from multigroup.subspaces import (SubsetRef, induced_space, is_subspace,
+                                  subspace_decomposition)
 
 
 def raw_group(g):
@@ -37,6 +49,17 @@ def raw_group(g):
 
 def raw_space(ms):
     return list(ms.universe), [(g.op_id, *raw_group(g)) for g in ms.groups]
+
+
+def subset_op_combinations(ms):
+    """Every constructible (subset, retained ops) pair over a space."""
+    for r in range(0, len(ms.universe) + 1):
+        for elems in combinations(ms.universe, r):
+            present = [op for op in ms.op_set
+                       if set(elems) & set(ms.group_of(op).carrier)]
+            for k in range(1, len(present) + 1):
+                for ops in combinations(present, k):
+                    yield SubsetRef.of(ms, elems, ops)
 
 
 def _inverses(elems, mul, identity):
@@ -295,3 +318,112 @@ def scan_interposable(ms, upper_space, lower):
                 is_normal_subspace(mid_space, low_in_mid):
             return tuple(sorted(elems, key=ms.index))
     return None
+
+
+def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck:
+    """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror.
+
+    Only triples with every intermediate product defined count; a triple
+    with any undefined product is skipped entirely.
+    """
+    gt = ms.group_of(times)
+    gc = ms.group_of(circ)
+    tested = 0
+    witnesses: list[tuple[Element, Element, Element]] = []
+    failed = False
+
+    def witness(x, y, z):
+        nonlocal failed
+        failed = True
+        if (x, y, z) not in witnesses and len(witnesses) < MAX_DISTRIBUTION_WITNESSES:
+            witnesses.append((x, y, z))
+
+    for x in ms.universe:
+        for y in ms.universe:
+            for z in ms.universe:
+                if not (y in gc and z in gc):
+                    continue
+                yz = gc.mul(y, z)
+                if not (x in gt and yz in gt and y in gt and z in gt):
+                    continue
+                # left law: x*(y o z) = (x*y) o (x*z)
+                xy, xz = gt.mul(x, y), gt.mul(x, z)
+                if xy in gc and xz in gc:
+                    tested += 1
+                    if gt.mul(x, yz) != gc.mul(xy, xz):
+                        witness(x, y, z)
+                # right law: (y o z)*x = (y*x) o (z*x)
+                yx, zx = gt.mul(y, x), gt.mul(z, x)
+                if yx in gc and zx in gc:
+                    tested += 1
+                    if gt.mul(yz, x) != gc.mul(yx, zx):
+                        witness(x, y, z)
+    return LawCheck(times, circ, holds=not failed, vacuous=tested == 0,
+                    tested=tested, witnesses=tuple(witnesses))
+
+
+def scan_is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:
+    """Closure of the partial operation restricted to the subset.
+
+    True iff every defined product of two subset members lands back in the
+    subset.
+    """
+    g = ms.group_of(op_id)
+    sub = set(subset)
+    inside = [e for e in sub if e in g]
+    return all(g.mul(a, b) in sub for a in inside for b in inside)
+
+
+def scan_span_once(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
+    """The literal one-step product set: {x o y} over all defined products."""
+    out: set[Element] = set()
+    for g in ms.groups:
+        inside = [e for e in a.seeds if e in g]
+        for x in inside:
+            for y in inside:
+                out.add(g.mul(x, y))
+    return ms.sorted_elements(out)
+
+
+def scan_coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
+    """All defined products g * h' over the subspace's decomposition parts.
+
+    An element with no defined product against the parts yields {g}, so a
+    transversal can still cover the whole universe.
+    """
+    ms.index(g)
+    decomp = subspace_decomposition(ms, h)
+    if decomp is None:
+        raise PreconditionError("coset requires a subspace")
+    out: set[Element] = set()
+    for op, part in decomp.items():
+        grp = ms.group_of(op)
+        if g not in grp:
+            continue
+        for member in part:
+            out.add(grp.mul(g, member))
+    if not out:
+        out = {g}
+    return ms.sorted_elements(out)
+
+
+def scan_is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
+    """Conjugation route: g * h' * g^-1 stays inside for every retained op.
+
+    h' ranges over the subset's intersection with the op's carrier and g
+    over the whole carrier; membership of the conjugate is tested against
+    the subset itself.
+    """
+    if not is_subspace(ms, h):
+        raise PreconditionError("normality requires a subspace")
+    members = set(h.elements)
+    for op in h.retained_ops:
+        g = ms.group_of(op)
+        inside = [e for e in h.elements if e in g]
+        for x in g.carrier:
+            xi = g.inverse(x)
+            for member in inside:
+                conjugate = g.mul(g.mul(x, member), xi)
+                if conjugate not in members:
+                    return NormalityEvidence(False, (op, x, member, conjugate))
+    return NormalityEvidence(True)

@@ -1,0 +1,153 @@
+"""The space layer reads one product table.
+
+The distribution scan, the raw reading, the one-step span, cosets and the
+conjugation scan read their products from MultiGroupSpace._tables. Each
+must equal the string-keyed scan it replaced (tests/oracles.py): the same
+result, or the same exception type and text, on every shipped instance,
+the overlapping pair family, the small catalog spaces and invalid spaces
+where distribution fails.
+"""
+
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from multigroup import catalog
+from multigroup.errors import DomainError
+from multigroup.generation import GeneratingSet, span_closure, span_once
+from multigroup.groups import FiniteGroup
+from multigroup.instances import parse_instance
+from multigroup.series import is_normal_subspace
+from multigroup.spaces import MultiGroupSpace, _check_one_direction, is_complete
+from multigroup.subspaces import coset, is_subspace
+
+from conftest import INSTANCE_DIR, overlapping_pair_family, small_space_catalog
+from oracles import (scan_check_one_direction, scan_coset, scan_is_complete,
+                     scan_is_normal_subspace, scan_span_once,
+                     subset_op_combinations)
+
+
+def _spaces():
+    cases = []
+    for path in sorted(INSTANCE_DIR.glob("*.mgs")):
+        ms = parse_instance(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(ms, id=path.stem))
+    for name, ms in small_space_catalog().items():
+        cases.append(pytest.param(ms, id=f"catalog-{name}"))
+    for i, ms in enumerate(overlapping_pair_family()):
+        cases.append(pytest.param(ms, id=f"overlap{i}"))
+    cases.append(pytest.param(catalog.z4_twice(), id="catalog-z4z4"))
+    cases.append(pytest.param(catalog.gf3_corrupt(), id="catalog-gf3_corrupt"))
+    return cases
+
+
+SPACES = _spaces()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc), str(exc)
+
+
+def _same_distribution_scan(ms):
+    for times, circ in permutations(ms.op_set, 2):
+        assert _outcome(_check_one_direction, ms, times, circ) == \
+            _outcome(scan_check_one_direction, ms, times, circ), (times, circ)
+
+
+def _same_raw_reading(ms):
+    for r in range(len(ms.universe) + 1):
+        for subset in combinations(ms.universe, r):
+            for op in ms.op_set:
+                assert _outcome(is_complete, ms, subset, op) == \
+                    _outcome(scan_is_complete, ms, subset, op), (subset, op)
+
+
+def _same_span_once(ms):
+    for r in range(1, len(ms.universe) + 1):
+        for seeds in combinations(ms.universe, r):
+            a = GeneratingSet.of(ms, seeds)
+            assert _outcome(span_once, ms, a) == _outcome(scan_span_once, ms, a), seeds
+
+
+def _same_cosets_and_conjugation(ms):
+    """Over every subset and retained ops: a non-subspace (or a space whose
+    decomposition raises) must fail the same way in both."""
+    for h in subset_op_combinations(ms):
+        assert _outcome(is_normal_subspace, ms, h) == \
+            _outcome(scan_is_normal_subspace, ms, h), h
+        if _outcome(is_subspace, ms, h) is not True:
+            continue
+        for g in ms.universe:
+            assert _outcome(coset, ms, h, g) == _outcome(scan_coset, ms, h, g), (h, g)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_distribution_scan_matches_the_string_scan(ms):
+    _same_distribution_scan(ms)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_raw_reading_matches_the_string_scan(ms):
+    _same_raw_reading(ms)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_one_step_span_matches_the_string_scan(ms):
+    _same_span_once(ms)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_cosets_and_conjugation_match_the_string_scans(ms):
+    _same_cosets_and_conjugation(ms)
+
+
+SHARED = ("gf3", "gf5", "z6units", "z2link")  # carriers overlap
+
+
+@st.composite
+def perturbed_spaces(draw):
+    """A small space with carriers sharing elements, one table cell of one
+    operation rewritten to any universe element: the group axioms, closure
+    and distribution can all fail, while every product stays in the
+    universe."""
+    ms = small_space_catalog()[draw(st.sampled_from(SHARED))]
+    k = draw(st.integers(0, len(ms.groups) - 1))
+    g = ms.groups[k]
+    i = draw(st.integers(0, g.order - 1))
+    j = draw(st.integers(0, g.order - 1))
+    table = [list(row) for row in g.table]
+    table[i][j] = draw(st.sampled_from(ms.universe))
+    changed = FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), g.identity)
+    return MultiGroupSpace(ms.universe, ms.groups[:k] + (changed,) + ms.groups[k + 1:])
+
+
+@given(perturbed_spaces())
+def test_perturbed_tables_match_the_string_scans(ms):
+    _same_distribution_scan(ms)
+    _same_raw_reading(ms)
+    _same_span_once(ms)
+    _same_cosets_and_conjugation(ms)
+
+
+def test_the_raw_reading_ignores_members_outside_the_universe(gf3):
+    assert is_complete(gf3, {"0", "zz"}, "+")
+    assert not is_complete(gf3, {"1", "zz"}, "+")
+
+
+def test_a_product_outside_the_universe_raises_when_the_tables_are_built():
+    """The tables need every product in the universe; a programmatic space
+    that breaks it gets the DomainError of building them, as span_closure
+    always did."""
+    broken = FiniteGroup("*", ("e", "a"), (("e", "a"), ("a", "q")), "e")
+    z2 = FiniteGroup("+", ("e", "a"), (("e", "a"), ("a", "e")), "e")
+    ms = MultiGroupSpace(("e", "a"), (broken, z2))
+    a = GeneratingSet.of(ms, ("e",))
+    for read in (lambda: span_closure(ms, a), lambda: span_once(ms, a),
+                 lambda: is_complete(ms, ("e",), "*"),
+                 lambda: _check_one_direction(ms, "*", "+")):
+        with pytest.raises(DomainError, match="'q' is not in the universe"):
+            read()

@@ -1,4 +1,6 @@
+from functools import cached_property
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,7 @@ from multigroup import catalog, series as series_module
 from multigroup.config import Limits
 from multigroup.errors import (BoundExceeded, DomainError,
                                InternalConsistencyError, PreconditionError)
-from multigroup.groups import composition_series
+from multigroup.groups import FiniteGroup, composition_series
 from multigroup.instances import parse_instance
 from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
                                build_series, enumerate_maximal_series,
@@ -440,20 +442,21 @@ def _staged_chains(ms, order):
     """Every branch=True staged chain, up to a construction failure."""
     chains = []
     try:
-        for chain, _, _ in series_module._series_stages(ms, seq(ms, order), WIDE,
-                                                        branch=True):
+        for chain, _, _, _ in series_module._series_stages(ms, seq(ms, order), WIDE,
+                                                           branch=True):
             chains.append(chain)
     except InternalConsistencyError:
         pass
     return chains
 
 
-def _subspaces_between(ms, lower):
-    """The subspaces strictly between lower and the whole space, in visiting
-    order, among the search's candidates and among all subsets of the gap."""
+def _subspaces_between(top, ms, lower):
+    """The subspaces strictly between lower and the whole space ms, induced
+    from top, in visiting order, among the search's candidates and among
+    all subsets of the gap."""
     def subspaces(subsets):
         return [frozenset(s) for s in subsets if is_subspace(ms, SubsetRef.of(ms, s))]
-    return (subspaces(series_module._candidates_between(ms, lower, WIDE)),
+    return (subspaces(series_module._candidates_between(top, ms, lower, WIDE)),
             subspaces(_strict_subsets_between(frozenset(lower.elements), ms.universe)))
 
 
@@ -472,8 +475,50 @@ def test_unions_of_subgroups_hold_every_subspace_between(small_spaces, name):
     disjoint union, where a subspace between may leave an operation out."""
     ms = small_spaces[name]
     for lower in {h.elements for h in subspaces_of(ms)}:
-        found, expected = _subspaces_between(ms, SubsetRef.of(ms, lower))
+        found, expected = _subspaces_between(ms, ms, SubsetRef.of(ms, lower))
         assert found == expected, lower
+
+
+Z4A4 = Path(__file__).parent / "golden" / "above_bound" / "z4a4.mgs"
+
+
+def test_maximal_series_reuses_the_induced_spaces(monkeypatch):
+    """The interposition check runs in the spaces the staged programming
+    induced on each link instead of inducing them again. On Z4 + A4 no
+    normal subspace interposes, so the check induces no space of its own."""
+    ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
+    induced = []
+
+    def counted(parent, link):
+        induced.append(link)
+        return induced_space(parent, link)
+
+    monkeypatch.setattr(series_module, "induced_space", counted)
+    list(series_module._series_stages(ms, seq(ms), WIDE, branch=True))
+    staged = len(induced)
+    enumerate_maximal_series(ms, limits=WIDE)
+    assert len(induced) == 2 * staged
+
+
+def test_lattices_are_enumerated_once_per_operation(monkeypatch):
+    """The interposition search takes the subgroups of an induced space's
+    groups from the lattices of the top-level groups instead of enumerating
+    every restricted group again; the evaluations left come from the
+    staged descent."""
+    lattice = FiniteGroup.__dict__["_subgroups"]
+    evaluations = []
+
+    def counted(group):
+        evaluations.append(group)
+        return lattice.func(group)
+
+    counting = cached_property(counted)
+    counting.__set_name__(FiniteGroup, "_subgroups")
+    monkeypatch.setattr(FiniteGroup, "_subgroups", counting)
+    ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
+    enumerate_maximal_series(ms, limits=WIDE)
+    length_invariance_check(ms, limits=WIDE)
+    assert len(evaluations) <= 27
 
 
 @pytest.mark.parametrize("ms", _interposition_cases())
@@ -487,7 +532,7 @@ def test_interposition_search_matches_the_subset_scan(ms, monkeypatch):
         for chain in _staged_chains(ms, order):
             parent = ms
             for lower in chain[1:]:
-                found, expected = _subspaces_between(parent, lower)
+                found, expected = _subspaces_between(ms, parent, lower)
                 assert found == expected, (order, lower)
                 assert series_module._interposable(ms, parent, lower, WIDE) == \
                     scan_interposable(ms, parent, lower), (order, lower)
