@@ -6,18 +6,20 @@ engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
-scan_subgroups, scan_closed_parts, scan_validate_group,
-scan_interposable and the five string-keyed product scans are the
+scan_subgroups, scan_closed_parts, scan_validate_group, scan_interposable,
+scan_is_finitely_generated and the five string-keyed product scans are the
 exceptions: they are code the engine replaced, kept verbatim as oracles
 for their replacements. scan_subgroups is the divisor-filtered subset scan
 used before cyclic extension (the engine's is_subgroup on every
 identity-holding subset of divisor size); scan_closed_parts is the
 string-keyed closure and join loop the completeness route used before the
 bitmask closure kernel; scan_validate_group checks the group axioms with
-string-keyed products, as validate_group did before it read the int
-table; scan_interposable tries every subset between a series link and its
-parent, as the interposition search did before it enumerated unions of
-subgroups. scan_check_one_direction, scan_is_complete, scan_span_once,
+string-keyed products, as validate_group did before it read the int table;
+scan_interposable tries every subset between a series link and its parent,
+as the interposition search did before it enumerated unions of subgroups;
+scan_is_finitely_generated scans every subset of the universe by size, as
+the generating-set search did before it split the universe into connected
+components. scan_check_one_direction, scan_is_complete, scan_span_once,
 scan_coset and scan_is_normal_subspace test carrier membership and
 multiply with FiniteGroup.mul, as the distribution scan, the raw reading,
 the one-step span, cosets and the conjugation scan did before they read
@@ -29,8 +31,9 @@ pairs, shared by the tests and scripts/subspace_census.py.
 
 from itertools import combinations, product
 
+from multigroup.config import DEFAULT_LIMITS, Limits
 from multigroup.errors import PreconditionError
-from multigroup.generation import GeneratingSet
+from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import Element, is_subgroup
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
 from multigroup.series import NormalityEvidence, is_normal_subspace
@@ -383,6 +386,26 @@ def scan_span_once(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]
             for y in inside:
                 out.add(g.mul(x, y))
     return ms.sorted_elements(out)
+
+
+def scan_is_finitely_generated(ms: MultiGroupSpace,
+                               limits: Limits = DEFAULT_LIMITS) -> GenerationWitness:
+    """A minimal-cardinality generating set, by increasing-size subset search.
+
+    Finite spaces always generate themselves, so this cannot fail; if the
+    search budget runs out before a minimal witness is confirmed, the whole
+    universe is returned flagged non-minimal rather than guessing.
+    """
+    target = set(ms.universe)
+    examined = 0
+    for size in range(1, len(ms.universe) + 1):
+        for seeds in combinations(ms.universe, size):
+            examined += 1
+            if examined > limits.max_generator_candidates:
+                return GenerationWitness(tuple(ms.universe), minimal=False)
+            if set(span_closure(ms, GeneratingSet(seeds))) == target:
+                return GenerationWitness(seeds, minimal=True)
+    return GenerationWitness(tuple(ms.universe), minimal=False)
 
 
 def scan_coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:

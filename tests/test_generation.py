@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from multigroup import catalog
+from multigroup import catalog, generation
 from multigroup.config import Limits
 from multigroup.errors import DomainError
 from multigroup.generation import (GeneratingSet, is_finitely_generated,
                                    span_closure, span_once)
+from multigroup.groups import FiniteGroup
+from multigroup.instances import parse_instance
+from multigroup.spaces import MultiGroupSpace
 
-from oracles import brute_span_closure
+from conftest import INSTANCE_DIR, overlapping_pair_family, relabel, small_space_catalog
+from oracles import brute_span_closure, scan_is_finitely_generated
 
 SPACES = {
     "gf3": catalog.gf3(),
@@ -66,10 +72,13 @@ def test_single_elements_cannot_generate_disjoint_union(z2z3):
         assert set(span_closure(z2z3, seeds(z2z3, [e]))) != set(z2z3.universe)
 
 
-def test_budget_exhaustion_returns_flagged_universe(z2z3):
-    w = is_finitely_generated(z2z3, Limits(max_generator_candidates=2))
-    assert w.generators == z2z3.universe
+def test_budget_exhaustion_returns_flagged_universe():
+    """GF(5) is one component, and 0 and 1 are its first two candidates."""
+    gf5 = catalog.prime_field(5)
+    w = is_finitely_generated(gf5, Limits(max_generator_candidates=1))
+    assert w.generators == gf5.universe
     assert not w.minimal
+    assert is_finitely_generated(gf5, Limits(max_generator_candidates=2)).generators == ("1",)
 
 
 @given(st.sampled_from(sorted(SPACES)), st.data())
@@ -101,3 +110,124 @@ def test_span_closure_is_complete_per_carrier(name, data):
         for a in inside:
             for b in inside:
                 assert g.mul(a, b) in closed
+
+
+# ------------------------------------ component search vs the subset scan
+
+ESCAPE = Path(__file__).parent / "golden" / "escape.mgs"
+
+
+def _union(*groups):
+    """The disjoint union of groups, renamed apart."""
+    renamed = [relabel(g, [f"{chr(97 + k)}{i}" for i in range(g.order)], chr(97 + k))
+               for k, g in enumerate(groups)]
+    return MultiGroupSpace(tuple(e for g in renamed for e in g.carrier), tuple(renamed))
+
+
+def _generation_cases():
+    cases = []
+    for path in sorted(INSTANCE_DIR.glob("*.mgs")) + [ESCAPE]:
+        cases.append(pytest.param(parse_instance(path.read_text(encoding="utf-8")),
+                                  id=path.stem))
+    for name, ms in small_space_catalog().items():
+        cases.append(pytest.param(ms, id=f"catalog-{name}"))
+    cases.append(pytest.param(catalog.z4_twice(), id="catalog-z4z4"))
+    cases.append(pytest.param(catalog.gf3_corrupt(), id="catalog-gf3_corrupt"))
+    for i, ms in enumerate(overlapping_pair_family()):
+        cases.append(pytest.param(ms, id=f"overlap{i}"))
+    for k in range(1, 6):
+        cases.append(pytest.param(_union(*[catalog.cyclic(2)] * k), id=f"{k}xz2"))
+    for m in range(1, 5):
+        cases.append(pytest.param(_union(catalog.cyclic(m), catalog.symmetric_3()),
+                                  id=f"z{m}+s3"))
+    return cases
+
+
+def _outcome(search, ms, limits=Limits()):
+    try:
+        return search(ms, limits)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("ms", _generation_cases())
+def test_component_search_matches_the_subset_scan(ms):
+    assert _outcome(is_finitely_generated, ms) == \
+        _outcome(scan_is_finitely_generated, ms)
+
+
+@st.composite
+def perturbed_unions(draw):
+    """Two groups side by side plus one element in no carrier, with table
+    cells rewritten to any universe element: a product may land in the
+    other group's component, on the loose element, or back inside."""
+    pieces = [catalog.cyclic(2), catalog.cyclic(3), catalog.klein_four(),
+              catalog.symmetric_3()]
+    ms = _union(draw(st.sampled_from(pieces)), draw(st.sampled_from(pieces)))
+    universe = ms.universe + ("z",)
+    groups = list(ms.groups)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(groups) - 1))
+        g = groups[k]
+        table = [list(row) for row in g.table]
+        i, j = draw(st.integers(0, g.order - 1)), draw(st.integers(0, g.order - 1))
+        table[i][j] = draw(st.sampled_from(universe))
+        groups[k] = FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), g.identity)
+    return MultiGroupSpace(universe, tuple(groups))
+
+
+@given(perturbed_unions())
+def test_perturbed_tables_match_the_subset_scan(ms):
+    assert _outcome(is_finitely_generated, ms) == \
+        _outcome(scan_is_finitely_generated, ms)
+
+
+def test_a_product_outside_its_carrier_joins_the_component():
+    """In escape.mgs a * a = b, and b lies in no carrier: b is no component
+    of its own, so {e, a} generates and b needs no seed."""
+    ms = parse_instance(ESCAPE.read_text(encoding="utf-8"))
+    assert generation._components(ms) == [0b111]
+    assert is_finitely_generated(ms).generators == ("e", "a")
+
+
+def _closures(monkeypatch):
+    calls = []
+    kernel = generation._close
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(generation, "_close", counted)
+    return calls
+
+
+def test_twelve_copies_of_z2_take_two_closures_each(monkeypatch):
+    """The subset scan would try every set of up to 12 of 24 elements."""
+    ms = _union(*[catalog.cyclic(2)] * 12)
+    calls = _closures(monkeypatch)
+    w = is_finitely_generated(ms)
+    assert w.minimal and w.generators == tuple(f"{chr(97 + k)}1" for k in range(12))
+    assert len(calls) == 24
+
+
+def test_one_element_generating_costs_no_extra_closures(monkeypatch):
+    """GF(23) is generated by 1: the scan stops after closing 0 and 1, and
+    so does the component search."""
+    gf23 = catalog.prime_field(23)
+    calls = _closures(monkeypatch)
+    scanned = scan_is_finitely_generated(gf23)
+    expected = len(calls)
+    calls.clear()
+    assert is_finitely_generated(gf23) == scanned
+    assert len(calls) <= expected == 2
+
+
+def test_sets_beyond_size_one_use_the_first_element_of_each_class(monkeypatch):
+    """In S3, (123) and (132) close to the same set, so after the six
+    singletons the search skips {e, (132)} and tries four pairs before
+    {(23), (12)}, where the scan tries five."""
+    s3 = SPACES["s3"]
+    calls = _closures(monkeypatch)
+    assert is_finitely_generated(s3).generators == ("(23)", "(12)")
+    assert len(calls) == 6 + 5
