@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .config import DEFAULT_LIMITS, Limits
@@ -332,8 +333,15 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, code
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call rather than at import, and kept: parse_args
+    # leaves the parser as it found it, even when it exits on an error
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     payload, code = run_command(args)
     sys.stdout.write(render_report(payload, args.json))
     return code

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from multigroup import cli
+
 from conftest import INSTANCE_DIR, run_cli
 
 
@@ -145,6 +147,28 @@ def test_subspace_on_corrupt_multiplication_names_the_missing_inverse():
     out, code = run_cli(["subspace", path("gf3_corrupt"), "--set", "0,2", "--json"])
     assert code == 2
     assert json.loads(out)["error"] == "'2' has no inverse under '*'"
+
+
+def test_the_parser_is_built_once_and_survives_its_errors(monkeypatch):
+    """main builds the parser on its first call and keeps it; an argparse
+    error still exits 2, and the next call in the process still answers."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["validate"], ["nope", path("gf5")],
+                     ["validate", path("gf5"), "--exhaustive-bound", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+        out, code = run_cli(["validate", path("gf5"), "--json"])
+        assert code == 0 and json.loads(out)["verdict"] == "valid"
+        out, code = run_cli(["generators", path("z2z3")])
+        assert code == 0 and "witness: {a1, b1}" in out
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_json_reports_are_valid_json():
