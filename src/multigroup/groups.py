@@ -216,12 +216,13 @@ def is_subgroup(g: FiniteGroup, subset) -> bool:
     return True
 
 
-def is_normal_subgroup(g: FiniteGroup, subset) -> bool:
-    """True iff x s x^-1 stays in the subset for every x in the carrier."""
+def is_normal_subgroup(g: FiniteGroup, subset, within=None) -> bool:
+    """True iff x s x^-1 stays in the subset for every x in the carrier, or
+    for every x in `within`, a subgroup of g holding the subset."""
     sub = set(subset)
     if not is_subgroup(g, sub):
         raise PreconditionError("normality requires a subgroup")
-    for x in g.carrier:
+    for x in g.carrier if within is None else within:
         xi = g.inverse(x)
         for h in sub:
             if g.mul(g.mul(x, h), xi) not in sub:
@@ -311,16 +312,22 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Ele
     return list(g._subgroups)
 
 
-def proper_normal_subgroups(g: FiniteGroup,
-                            limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
+def proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
+                            within=None) -> list[tuple[Element, ...]]:
+    """The proper normal subgroups of g, or of its subgroup `within`: the
+    subgroups of a subgroup are the members of g's lattice inside it, so
+    its own lattice is never enumerated."""
+    top = set(g.carrier if within is None else within)
     return [s for s in subgroups(g, limits)
-            if len(s) < g.order and is_normal_subgroup(g, s)]
+            if len(s) < len(top) and top.issuperset(s)
+            and is_normal_subgroup(g, s, within)]
 
 
-def maximal_proper_normal_subgroups(g: FiniteGroup,
-                                    limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
-    """Proper normal subgroups with no strictly larger proper normal subgroup above them."""
-    normals = proper_normal_subgroups(g, limits)
+def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
+                                    within=None) -> list[tuple[Element, ...]]:
+    """Proper normal subgroups with no strictly larger proper normal subgroup
+    above them, of g or of its subgroup `within`."""
+    normals = proper_normal_subgroups(g, limits, within)
     sets = [set(s) for s in normals]
     return [s for s, ss in zip(normals, sets)
             if not any(ss < other for other in sets)]

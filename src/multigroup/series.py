@@ -168,8 +168,8 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                 yield from stages(spaces, current, chain, steps,
                                   anomalies, op_index + 1)
                 return
-            part_group = ms.group_of(op).restrict(part)
-            choices = sorted(maximal_proper_normal_subgroups(part_group, limits),
+            choices = sorted(maximal_proper_normal_subgroups(ms.group_of(op), limits,
+                                                             within=part),
                              key=ms.sort_key)
             if not branch:
                 choices = choices[:1]
@@ -278,7 +278,9 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
     interposition search, which is exhaustive although it tries only unions
     of subgroups: every subspace between two links is such a union (see
     _interposable). Chains that fail it are returned separately, never
-    silently dropped or silently kept.
+    silently dropped or silently kept. Results are cached on the space per
+    (order, limits), so mgs maximal-series enumerates each ordering once; a
+    construction that raises is not cached.
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
     if len(ms.universe) > limits.max_exhaustive_universe:
@@ -287,7 +289,14 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
             f"{limits.max_exhaustive_universe}, got {len(ms.universe)}; "
             f"use build_series for a single witness", limits.max_exhaustive_universe)
     _check_preconditions(ms, limits)
+    key = (seq.order, limits)
+    if key not in ms._maximal_series:
+        ms._maximal_series[key] = _enumerate_maximal_series(ms, seq, limits)
+    return ms._maximal_series[key]
 
+
+def _enumerate_maximal_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
+                              limits: Limits) -> MaximalSeriesResult:
     accepted: list[NormalSeries] = []
     rejected: list[tuple[NormalSeries, str]] = []
     seen: set[tuple] = set()

@@ -84,6 +84,11 @@ class MultiGroupSpace:
         return {}
 
     @cached_property
+    def _maximal_series(self) -> dict:
+        # series.enumerate_maximal_series results by (order, limits)
+        return {}
+
+    @cached_property
     def _validation(self) -> ValidationReport:
         # the space is frozen, so it is validated once; callers get copies
         return _validate(self)

@@ -17,7 +17,8 @@ from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup.subspaces import SubsetRef, induced_space, is_subspace
 
-from conftest import INSTANCE_DIR, overlapping_pair_family, relabel, subspaces_of
+from conftest import (INSTANCE_DIR, overlapping_pair_family, relabel, run_cli,
+                      subspaces_of)
 from oracles import _strict_subsets_between, scan_interposable
 
 A3 = ("e", "(123)", "(132)")
@@ -461,6 +462,9 @@ def _subspaces_between(top, ms, lower):
 
 
 def _outcome(ms, order):
+    """The enumeration on a fresh copy of the space, so that no result
+    cached on the space is reused."""
+    ms = MultiGroupSpace(ms.universe, ms.groups)
     try:
         result = enumerate_maximal_series(ms, seq(ms, order), WIDE)
     except InternalConsistencyError as exc:
@@ -501,10 +505,10 @@ def test_maximal_series_reuses_the_induced_spaces(monkeypatch):
 
 
 def test_lattices_are_enumerated_once_per_operation(monkeypatch):
-    """The interposition search takes the subgroups of an induced space's
-    groups from the lattices of the top-level groups instead of enumerating
-    every restricted group again; the evaluations left come from the
-    staged descent."""
+    """The staged descent and the interposition search take the subgroups
+    of every part and of every induced space's groups from the lattices of
+    the top-level groups instead of enumerating each restricted group
+    again: one evaluation for Z4, one for A4."""
     lattice = FiniteGroup.__dict__["_subgroups"]
     evaluations = []
 
@@ -518,7 +522,46 @@ def test_lattices_are_enumerated_once_per_operation(monkeypatch):
     ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
     enumerate_maximal_series(ms, limits=WIDE)
     length_invariance_check(ms, limits=WIDE)
-    assert len(evaluations) <= 27
+    assert len(evaluations) == 2
+
+
+def _count_stagings(monkeypatch):
+    runs = []
+    stages = series_module._series_stages
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].order)
+        return stages(*args, **kwargs)
+
+    monkeypatch.setattr(series_module, "_series_stages", counted)
+    return runs
+
+
+def test_maximal_series_command_enumerates_each_ordering_once(monkeypatch):
+    """mgs maximal-series enumerates the file order, then compares every
+    ordering; the file order's result is cached on the space and reused."""
+    runs = _count_stagings(monkeypatch)
+    out, code = run_cli(["maximal-series", str(INSTANCE_DIR / "gf5.mgs")])
+    assert code == 1 and "  *,+: 2" in out
+    assert runs == [("+", "*"), ("*", "+")]
+
+
+def test_enumeration_results_are_cached_per_ordering_and_limits(gf3):
+    ms = MultiGroupSpace(gf3.universe, gf3.groups)
+    first = enumerate_maximal_series(ms, seq(ms, ["+", "*"]))
+    assert enumerate_maximal_series(ms, seq(ms, ["+", "*"])) is first
+    assert enumerate_maximal_series(ms, seq(ms, ["*", "+"])) is not first
+    assert enumerate_maximal_series(ms, seq(ms, ["+", "*"]), WIDE) is not first
+    assert enumerate_maximal_series(ms, seq(ms, ["+", "*"]), WIDE) == first
+
+
+def test_a_failed_construction_is_not_cached(monkeypatch):
+    ms = catalog.linked_z2s()
+    runs = _count_stagings(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError):
+            enumerate_maximal_series(ms, seq(ms, ["p", "q"]))
+    assert len(runs) == 2 and not ms._maximal_series
 
 
 @pytest.mark.parametrize("ms", _interposition_cases())
