@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import DomainError
+from .errors import BoundExceeded, DomainError
 from .groups import _bits, _close
 from .spaces import Element, MultiGroupSpace
 
@@ -131,19 +131,24 @@ def is_finitely_generated(ms: MultiGroupSpace,
 
     Each connected component is searched on its own by increasing size, and
     the first minimal sets of the components are joined (see the module
-    docstring). Finite spaces always generate themselves, so this cannot
-    fail; if the budget of max_generator_candidates candidates, counted
-    across components, runs out before a minimal witness is confirmed, the
-    whole universe is returned flagged non-minimal rather than guessing.
+    docstring). Finite spaces always generate themselves, so the search
+    always ends; it refuses with BoundExceeded, rather than guess, when it
+    would examine more than max_generator_candidates candidates, counted
+    across components.
     """
     witness = examined = 0
     for component in _components(ms):
-        for seeds, closure in _candidates(ms._tables, component):
+        candidates = _candidates(ms._tables, component)
+        closure = 0
+        while closure & component != component:  # the last candidate generates
+            if examined == limits.max_generator_candidates:
+                raise BoundExceeded(
+                    f"generating-set search examined {examined} candidate sets "
+                    f"without confirming a minimal one; the bound is "
+                    f"max_generator_candidates = {limits.max_generator_candidates}",
+                    limits.max_generator_candidates)
             examined += 1
-            if examined > limits.max_generator_candidates:
-                return GenerationWitness(tuple(ms.universe), minimal=False)
-            if closure & component == component:
-                witness |= seeds
-                break
+            seeds, closure = next(candidates)
+        witness |= seeds
     return GenerationWitness(tuple(ms.universe[i] for i in _bits(witness)),
                              minimal=True)

@@ -116,6 +116,16 @@ def test_span_and_generators():
     assert "witness: {a1, b1}" in out and "minimal: true" in out
 
 
+def test_generator_budget_refusal_exits_three(monkeypatch):
+    from multigroup.config import Limits
+    monkeypatch.setattr(cli, "DEFAULT_LIMITS", Limits(max_generator_candidates=1))
+    out, code = run_cli(["generators", path("gf5"), "--json"])
+    report = json.loads(out)
+    assert code == 3 and report["error_kind"] == "bound-exceeded"
+    assert "examined 1 candidate sets" in report["error"]
+    assert "max_generator_candidates = 1" in report["error"]
+
+
 def test_missing_file_and_parse_errors_exit_two(tmp_path):
     _, code = run_cli(["validate", str(tmp_path / "nope.mgs")])
     assert code == 2

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from multigroup import catalog, generation
 from multigroup.config import Limits
-from multigroup.errors import DomainError
+from multigroup.errors import BoundExceeded, DomainError
 from multigroup.generation import (GeneratingSet, is_finitely_generated,
                                    span_closure, span_once)
 from multigroup.groups import FiniteGroup
@@ -72,13 +72,22 @@ def test_single_elements_cannot_generate_disjoint_union(z2z3):
         assert set(span_closure(z2z3, seeds(z2z3, [e]))) != set(z2z3.universe)
 
 
-def test_budget_exhaustion_returns_flagged_universe():
+def test_budget_exhaustion_refuses():
     """GF(5) is one component, and 0 and 1 are its first two candidates."""
     gf5 = catalog.prime_field(5)
-    w = is_finitely_generated(gf5, Limits(max_generator_candidates=1))
-    assert w.generators == gf5.universe
-    assert not w.minimal
+    with pytest.raises(BoundExceeded, match=r"examined 1 candidate sets .* "
+                                            r"max_generator_candidates = 1") as exc:
+        is_finitely_generated(gf5, Limits(max_generator_candidates=1))
+    assert exc.value.bound == 1
     assert is_finitely_generated(gf5, Limits(max_generator_candidates=2)).generators == ("1",)
+
+
+def test_the_budget_is_counted_across_components():
+    """Z2 + Z3 needs two candidates in each component."""
+    ms = SPACES["z2z3"]
+    with pytest.raises(BoundExceeded, match="examined 3 candidate sets"):
+        is_finitely_generated(ms, Limits(max_generator_candidates=3))
+    assert is_finitely_generated(ms, Limits(max_generator_candidates=4)).size == 2
 
 
 @given(st.sampled_from(sorted(SPACES)), st.data())
