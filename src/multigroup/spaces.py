@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
 from .groups import Element, FiniteGroup, _bits, validate_group
@@ -146,32 +147,67 @@ class LawCheck:
     witnesses: tuple[tuple[Element, Element, Element], ...]
 
 
+def _getter(indices):
+    """itemgetter over the indices that returns a tuple of at least two
+    entries: one index is doubled, where itemgetter would return a scalar."""
+    return itemgetter(*indices) if len(indices) > 1 else \
+        itemgetter(indices[0], indices[0])
+
+
 def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck:
     """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror.
 
     Only triples with every intermediate product defined count; a triple
     with any undefined product is skipped entirely. A law is tested exactly
-    when both of its sides are defined, since the undefined index absorbs.
+    when both of its sides are defined, and that depends on carriers alone:
+    x lies in the * carrier, y and z in both, y o z in the * carrier, and
+    x*y, x*z (left law) or y*x, z*x (right law) in the o carrier. So
+    `tested` is a bit count of two z-bitmasks per (x, y). The comparison
+    builds both sides of each law for every z at once, as tuples over rows
+    of the space's int tables, and only an (x, y) whose tuples differ is
+    walked z by z. Witnesses come in (x, y, z) order, and the walk stops
+    once MAX_DISTRIBUTION_WITNESSES are found; the count does not.
     """
     t, c, u = ms._table(times), ms._table(circ), ms.universe
     n = len(u)
+    in_t = [i for i in range(n) if t[i][i] != n]
+    in_c = sum(1 << i for i in range(n) if c[i][i] != n)
+    t_mask = sum(1 << i for i in in_t)
+    both = [i for i in in_t if in_c >> i & 1]
+    cols = [list(col) for col in zip(*t)]  # cols[x][y] = t[y][x]
+    # per y: the z where y o z is defined and lies in the * carrier
+    per_y = []
+    for y in both:
+        zs = [z for z in both if t_mask >> c[y][z] & 1]
+        if zs:
+            per_y.append((y, zs, sum(1 << z for z in zs),
+                          _getter(zs), _getter([c[y][z] for z in zs])))
     tested = 0
     witnesses: list[tuple[Element, Element, Element]] = []
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            for z in range(n):
-                yz = c[y][z]
-                if yz == n:
+    for x in in_t:
+        tx, cx = t[x], cols[x]
+        x_left = sum(1 << z for z in both if in_c >> tx[z] & 1)    # x*z in o
+        x_right = sum(1 << z for z in both if in_c >> cx[z] & 1)  # z*x in o
+        for y, zs, z_mask, at_z, at_yz in per_y:
+            xy, yx = tx[y], cx[y]
+            left = in_c >> xy & 1
+            right = in_c >> yx & 1
+            tested += left * (z_mask & x_left).bit_count() + \
+                right * (z_mask & x_right).bit_count()
+            if len(witnesses) == MAX_DISTRIBUTION_WITNESSES:
+                continue
+            failed = set()
+            # x*(y o z) against (x*y) o (x*z), then (y o z)*x against (y*x) o (z*x)
+            for ok, row, product in ((left, tx, xy), (right, cx, yx)):
+                if not ok:
                     continue
-                # x*(y o z) = (x*y) o (x*z), then (y o z)*x = (y*x) o (z*x)
-                for left, right in ((tx[yz], c[tx[y]][tx[z]]),
-                                    (t[yz][x], c[t[y][x]][t[z][x]])):
-                    if left != n and right != n:
-                        tested += 1
-                        if left != right and len(witnesses) < MAX_DISTRIBUTION_WITNESSES \
-                                and (u[x], u[y], u[z]) not in witnesses:
-                            witnesses.append((u[x], u[y], u[z]))
+                lhs = at_yz(row)
+                rhs = itemgetter(*at_z(row))(c[product])
+                if lhs != rhs:
+                    failed.update(z for z, a, b in zip(zs, lhs, rhs)
+                                  if b != n and a != b)
+            for z in sorted(failed)[:MAX_DISTRIBUTION_WITNESSES - len(witnesses)]:
+                witnesses.append((u[x], u[y], u[z]))
     return LawCheck(times, circ, holds=not witnesses, vacuous=tested == 0,
                     tested=tested, witnesses=tuple(witnesses))
 

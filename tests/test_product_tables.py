@@ -5,13 +5,15 @@ conjugation scan read their products from MultiGroupSpace._tables. Each
 must equal the string-keyed scan it replaced (tests/oracles.py): the same
 result, or the same exception type and text, on every shipped instance,
 the overlapping pair family, the small catalog spaces and invalid spaces
-where distribution fails.
+where distribution fails. The distribution scan is also checked on random
+partial tables, down to one-element universes, and where both directions
+fail often enough to stop its witness search early.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multigroup import catalog
 from multigroup.errors import DomainError
@@ -19,7 +21,8 @@ from multigroup.generation import GeneratingSet, span_closure, span_once
 from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
 from multigroup.series import is_normal_subspace
-from multigroup.spaces import MultiGroupSpace, _check_one_direction, is_complete
+from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
+                               _check_one_direction, is_complete)
 from multigroup.subspaces import coset, is_subspace
 
 from conftest import INSTANCE_DIR, overlapping_pair_family, small_space_catalog
@@ -151,3 +154,67 @@ def test_a_product_outside_the_universe_raises_when_the_tables_are_built():
                  lambda: _check_one_direction(ms, "*", "+")):
         with pytest.raises(DomainError, match="'q' is not in the universe"):
             read()
+
+
+@st.composite
+def partial_spaces(draw, sizes=st.integers(1, 6), full=False):
+    """A universe of the drawn size with two or three operations, each on a
+    carrier drawn in any order (the whole universe with full=True) and with
+    a table drawn freely over the universe: carriers overlap, products may
+    leave their carrier and no axiom need hold."""
+    universe = tuple(f"u{i}" for i in range(draw(sizes)))
+    ops = draw(st.sampled_from([("+", "*"), ("+", "*", "o")]))
+    groups = []
+    for op in ops:
+        carrier = draw(st.permutations(universe)) if full else \
+            tuple(draw(st.lists(st.sampled_from(universe), min_size=1, unique=True)))
+        table = tuple(tuple(draw(st.sampled_from(universe)) for _ in carrier)
+                      for _ in carrier)
+        groups.append(FiniteGroup(op, tuple(carrier), table,
+                                  draw(st.sampled_from(carrier))))
+    return MultiGroupSpace(universe, tuple(groups))
+
+
+@settings(max_examples=300)
+@given(partial_spaces())
+def test_distribution_scan_matches_the_string_scan_on_partial_tables(ms):
+    _same_distribution_scan(ms)
+
+
+def _failing_triples(ms, times, circ):
+    """The triples where either law has both sides defined and unequal."""
+    t, c = ms.group_of(times), ms.group_of(circ)
+
+    def mul(g, a, b):
+        return g.mul(a, b) if a in g and b in g else None
+
+    count = 0
+    for x, y, z in product(ms.universe, repeat=3):
+        yz = mul(c, y, z)
+        laws = ((mul(t, x, yz), mul(c, mul(t, x, y), mul(t, x, z))),
+                (mul(t, yz, x), mul(c, mul(t, y, x), mul(t, z, x))))
+        count += any(a is not None and b is not None and a != b for a, b in laws)
+    return count
+
+
+@settings(max_examples=100)
+@given(partial_spaces(sizes=st.integers(3, 6), full=True))
+def test_the_witness_search_stops_early_and_the_count_stays_exact(ms):
+    """Both directions fail on more than MAX_DISTRIBUTION_WITNESSES triples,
+    so the scan stops looking for witnesses but still counts every law."""
+    pairs = list(permutations(ms.op_set[:2]))
+    assume(all(_failing_triples(ms, *pair) > MAX_DISTRIBUTION_WITNESSES
+               for pair in pairs))
+    for times, circ in pairs:
+        check = _check_one_direction(ms, times, circ)
+        assert check == scan_check_one_direction(ms, times, circ)
+        assert len(check.witnesses) == MAX_DISTRIBUTION_WITNESSES
+
+
+def test_a_one_element_space_tests_both_laws_once():
+    g = FiniteGroup("+", ("e",), (("e",),), "e")
+    ms = MultiGroupSpace(("e",), (g, FiniteGroup("*", ("e",), (("e",),), "e")))
+    for times, circ in (("+", "*"), ("*", "+")):
+        check = _check_one_direction(ms, times, circ)
+        assert check == scan_check_one_direction(ms, times, circ)
+        assert check.holds and check.tested == 2
