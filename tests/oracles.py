@@ -7,23 +7,28 @@ are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
 scan_subgroups, scan_closed_parts, scan_validate_group, scan_interposable,
-scan_is_finitely_generated and the five string-keyed product scans are the
-exceptions: they are code the engine replaced, kept verbatim as oracles
-for their replacements. scan_subgroups is the divisor-filtered subset scan
-used before cyclic extension (the engine's is_subgroup on every
-identity-holding subset of divisor size); scan_closed_parts is the
-string-keyed closure and join loop the completeness route used before the
-bitmask closure kernel; scan_validate_group checks the group axioms with
-string-keyed products, as validate_group did before it read the int table;
-scan_interposable tries every subset between a series link and its parent,
-as the interposition search did before it enumerated unions of subgroups;
+scan_is_finitely_generated, scan_composition_series, scan_is_abelian and
+the five string-keyed product scans are the exceptions: they are code the
+engine replaced, kept verbatim as oracles for their replacements.
+scan_subgroups is the divisor-filtered subset scan used before cyclic
+extension (the engine's is_subgroup on every identity-holding subset of
+divisor size); scan_closed_parts is the string-keyed closure and join loop
+the completeness route used before the bitmask closure kernel;
+scan_validate_group checks the group axioms with string-keyed products, as
+validate_group did before it read the int table; scan_interposable tries
+every subset between a series link and its parent, as the interposition
+search did before it enumerated unions of subgroups;
 scan_is_finitely_generated scans every subset of the universe by size, as
 the generating-set search did before it split the universe into connected
-components. scan_check_one_direction, scan_is_complete, scan_span_once,
-scan_coset and scan_is_normal_subspace test carrier membership and
-multiply with FiniteGroup.mul, as the distribution scan, the raw reading,
-the one-step span, cosets and the conjugation scan did before they read
-MultiGroupSpace._tables.
+components; scan_composition_series recurses on the restricted group of
+every maximal normal subgroup, as composition_series did before it
+filtered the top-level lattice to each link; scan_is_abelian compares
+string-keyed products, as FiniteGroup.is_abelian did before it compared
+the int table with its transpose. scan_check_one_direction,
+scan_is_complete, scan_span_once, scan_coset and scan_is_normal_subspace
+test carrier membership and multiply with FiniteGroup.mul, as the
+distribution scan, the raw reading, the one-step span, cosets and the
+conjugation scan did before they read MultiGroupSpace._tables.
 
 subset_op_combinations is the one enumerator of (subset, retained ops)
 pairs, shared by the tests and scripts/subspace_census.py.
@@ -34,7 +39,8 @@ from itertools import combinations, product
 from multigroup.config import DEFAULT_LIMITS, Limits
 from multigroup.errors import PreconditionError
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
-from multigroup.groups import Element, is_subgroup
+from multigroup.groups import (CompositionChain, Element, is_subgroup,
+                               maximal_proper_normal_subgroups)
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
 from multigroup.series import NormalityEvidence, is_normal_subspace
 from multigroup.spaces import MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace
@@ -168,6 +174,22 @@ def brute_composition_chains(elems, mul, identity):
         for tail in brute_composition_chains(inner, inner_mul, identity):
             chains.append([whole] + tail)
     return chains
+
+
+def scan_composition_series(g, limits: Limits = DEFAULT_LIMITS):
+    """All composition series of g, recursing on restricted groups."""
+    whole = g.sorted_elements(g.carrier)
+    if g.order == 1:
+        return [CompositionChain((whole,))]
+    chains = []
+    for n in maximal_proper_normal_subgroups(g, limits):
+        for tail in scan_composition_series(g.restrict(n), limits):
+            chains.append(CompositionChain((whole,) + tail.links))
+    return chains
+
+
+def scan_is_abelian(g) -> bool:
+    return all(g.mul(a, b) == g.mul(b, a) for a in g.carrier for b in g.carrier)
 
 
 def prime_factor_count(n):

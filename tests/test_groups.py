@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cached_property
 from itertools import combinations, permutations
 
 import pytest
@@ -8,15 +9,16 @@ from multigroup import catalog
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _closed_subsets,
-                               composition_series, is_normal_subgroup,
-                               is_subgroup, maximal_proper_normal_subgroups,
-                               quotient_group, subgroups, validate_group)
+                               _light_associative, composition_series,
+                               is_normal_subgroup, is_subgroup,
+                               maximal_proper_normal_subgroups, quotient_group,
+                               subgroups, validate_group)
 from multigroup.instances import parse_instance
 
 from conftest import INSTANCE_DIR
 from oracles import (brute_composition_chains, brute_subgroups,
-                     prime_factor_count, raw_group, scan_subgroups,
-                     scan_validate_group)
+                     prime_factor_count, raw_group, scan_composition_series,
+                     scan_is_abelian, scan_subgroups, scan_validate_group)
 
 CORPUS = catalog.corpus_groups()
 CORPUS_NAMES = sorted(CORPUS)
@@ -413,3 +415,88 @@ def test_validate_group_matches_the_string_checks_on_perturbed_groups(name, data
     broken = FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), g.identity)
     assert validate_group(broken).to_dict() == \
         scan_validate_group(_fresh(broken)).to_dict()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_composition_series_matches_the_restricting_recursion(name):
+    # the same chains in the same order as descending through restrict()
+    g = CORPUS[name]
+    assert composition_series(_fresh(g)) == scan_composition_series(_fresh(g))
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "Z12"])
+def test_composition_series_enumerates_one_lattice(monkeypatch, name):
+    """Every link's maximal normal subgroups come from the top-level lattice;
+    the recursion through restrict() evaluated 11, 7 and 6 lattices."""
+    lattice = FiniteGroup.__dict__["_subgroups"]
+    evaluations = []
+
+    def counted(group):
+        evaluations.append(group)
+        return lattice.func(group)
+
+    counting = cached_property(counted)
+    counting.__set_name__(FiniteGroup, "_subgroups")
+    monkeypatch.setattr(FiniteGroup, "_subgroups", counting)
+    composition_series(_fresh(CORPUS[name]))
+    assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_is_abelian_matches_the_string_products(name):
+    assert _fresh(CORPUS[name]).is_abelian == scan_is_abelian(CORPUS[name])
+
+
+@settings(max_examples=200)
+@given(st.one_of(_tables(outside=("x", "y")), _tables(paired=True)))
+def test_is_abelian_matches_the_string_products_on_arbitrary_tables(g):
+    # products outside the carrier commute only when they name one element
+    assert g.is_abelian == scan_is_abelian(_fresh(g))
+
+
+@st.composite
+def _conservative_tables(draw):
+    """A table of order <= 6 with every product one of its two factors, so
+    every subset is closed and the generating set is the whole carrier;
+    max, min and the left- and right-zero bands are among them."""
+    n = draw(st.integers(1, 6))
+    carrier = tuple(str(i) for i in range(n))
+    table = tuple(tuple(draw(st.sampled_from((a, b))) for b in carrier)
+                  for a in carrier)
+    return FiniteGroup("*", carrier, table, draw(st.sampled_from(carrier)))
+
+
+@st.composite
+def _associative_tables(draw):
+    """Associative tables of order <= 6 with several generators and mostly
+    no identity: a semilattice max, a left- or right-zero band, or the
+    direct product of two of them on a 2 x 3 carrier."""
+    kinds = {"max": lambda a, b: max(a, b), "left": lambda a, b: a,
+             "right": lambda a, b: b}
+    f, h = (kinds[draw(st.sampled_from(sorted(kinds)))] for _ in "fh")
+    pairs = [(i, j) for i in range(2) for j in range(3)]
+    carrier = tuple(f"{i}{j}" for i, j in pairs)
+    table = tuple(tuple(f"{f(a[0], b[0])}{h(a[1], b[1])}" for b in pairs)
+                  for a in pairs)
+    return FiniteGroup("*", carrier, table, draw(st.sampled_from(carrier)))
+
+
+def _first_associativity_witness(t):
+    n = len(t)
+    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if t[t[a][b]][c] != t[a][t[b][c]]), None)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_tables(), _conservative_tables(), _associative_tables()))
+def test_lights_test_matches_the_full_associativity_scan(g):
+    # closed tables, with or without an identity; the report carries the
+    # first witness of the full scan
+    t = g._ints[0]
+    witness = _first_associativity_witness(t)
+    assert _light_associative(t) == (witness is None)
+    assert validate_group(g).to_dict() == scan_validate_group(_fresh(g)).to_dict()
+    reported = [v.witness for v in validate_group(g).violations
+                if v.kind == "associativity"]
+    assert reported == ([] if witness is None else
+                        [tuple(g.carrier[i] for i in witness)])
