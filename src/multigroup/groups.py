@@ -67,23 +67,21 @@ class FiniteGroup:
         return self.table[self.index(a)][self.index(b)]
 
     @cached_property
-    def _inverses(self) -> dict[Element, Element]:
-        t, e, c = self._ints[0], self.index(self.identity), self.carrier
-        inv = {}
-        for a in range(self.order):
-            for b in range(self.order):
-                if t[a][b] == e and t[b][a] == e:
-                    inv[c[a]] = c[b]
-                    break
-        return inv
+    def _inverses(self) -> list[int | None]:
+        """The first two-sided inverse of each carrier index, or None."""
+        t, e, n = self._ints[0], self.index(self.identity), self.order
+        return [next((b for b in range(n) if t[a][b] == e and t[b][a] == e), None)
+                for a in range(n)]
+
+    def _inverse_of(self, a: int) -> int:
+        b = self._inverses[a]
+        if b is None:
+            raise DomainError(
+                f"{self.carrier[a]!r} has no inverse under {self.op_id!r}")
+        return b
 
     def inverse(self, a: Element) -> Element:
-        self.index(a)
-        try:
-            return self._inverses[a]
-        except KeyError:
-            raise DomainError(
-                f"{a!r} has no inverse under {self.op_id!r}") from None
+        return self.carrier[self._inverse_of(self.index(a))]
 
     @cached_property
     def _ints(self) -> tuple[list[list[int]], tuple[Element, ...]]:
@@ -102,8 +100,14 @@ class FiniteGroup:
         return t, tuple(index)[n:]
 
     @cached_property
+    def _associative(self) -> bool:
+        """No product leaves the carrier and Light's test passes: closures are words."""
+        return not self._ints[1] and _light_associative(self._ints[0])
+
+    @cached_property
     def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
-        found, _ = _closed_subsets(self._ints[0], (1 << self.order) - 1)
+        found = _closed_subsets(self._ints[0], (1 << self.order) - 1,
+                                self._associative)
         e = 1 << self.index(self.identity)
         masks = sorted((m for m in found
                         if m & e and self.order % m.bit_count() == 0),
@@ -146,9 +150,10 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     When a universe is supplied, table entries that are not elements of it
     at all are flagged as structural (a malformed table), distinct from the
     closure axiom failure of an entry that escapes the carrier.
-    Associativity is decided by Light's test (_light_associative), which
-    compares whole rows for the members of a generating set only; when it
-    fails, the full |G|^3 scan finds the first witness in (a, b, c) order.
+    Associativity is decided by Light's test (_light_associative, cached on
+    the group as _associative), which compares whole rows for the members
+    of a generating set only; when it fails, the full |G|^3 scan finds the
+    first witness in (a, b, c) order.
     """
     report = ValidationReport()
     members = set(g.carrier)
@@ -184,7 +189,7 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
                        (g.op_id,), (g.carrier[a],))
             break
 
-    assoc_witness = None if _light_associative(t) else next(
+    assoc_witness = None if g._associative else next(
         (a, b, c) for a in range(n) for b in range(n) for c in range(n)
         if t[t[a][b]][c] != t[a][t[b][c]])
     if assoc_witness:
@@ -193,8 +198,8 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
                    f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
                    (g.op_id,), (a, b, c))
 
-    for a in g.carrier:
-        if a not in g._inverses:
+    for a, inverse in zip(g.carrier, g._inverses):
+        if inverse is None:
             report.add(AXIOM, "inverse",
                        f"{a} has no inverse under {g.op_id!r}",
                        (g.op_id,), (a,))
@@ -211,13 +216,15 @@ def _light_associative(t: list[list[int]]) -> bool:
     x((sr)y). So the table is associative iff every member of a generating
     set is such a middle, and each is checked a row at a time: row (x s)
     against x times row s. The generating set is greedy: every element not
-    yet in the closure of those before it.
+    yet a right word over those before it (_close with gens); on any table
+    a word lies in their closure.
     """
-    closed = 0
+    closed, gens = 0, []
     for s in range(len(t)):
         if closed >> s & 1:
             continue
-        closed = _close((t,), closed, closed | 1 << s)
+        gens.append(s)
+        closed = _close((t,), closed, closed | 1 << s, gens)
         ts = t[s]
         if any(t[row[s]] != list(map(row.__getitem__, ts)) for row in t):
             return False
@@ -230,29 +237,30 @@ def is_subgroup(g: FiniteGroup, subset) -> bool:
     Members are visited in carrier order, so a missing inverse is reported
     for the same element on every run.
     """
-    members = [g.carrier[i] for i in sorted({g.index(e) for e in subset})]
-    sub = set(members)
-    if not sub:
-        return False
+    members = sorted({g.index(e) for e in subset})
+    mask, t = sum(1 << a for a in members), g._ints[0]
     for a in members:
-        if g.inverse(a) not in sub:
+        row = t[a]
+        if not mask >> g._inverse_of(a) & 1 or \
+                any(not mask >> row[b] & 1 for b in members):
             return False
-        for b in members:
-            if g.mul(a, b) not in sub:
-                return False
-    return True
+    return bool(members)
 
 
 def is_normal_subgroup(g: FiniteGroup, subset, within=None) -> bool:
     """True iff x s x^-1 stays in the subset for every x in the carrier, or
-    for every x in `within`, a subgroup of g holding the subset."""
-    sub = set(subset)
-    if not is_subgroup(g, sub):
+    in `within`, a subgroup of g holding the subset; members are visited in
+    carrier order, so an x s outside the carrier is named alike on every run."""
+    members = sorted({g.index(e) for e in subset})
+    if not is_subgroup(g, (g.carrier[a] for a in members)):
         raise PreconditionError("normality requires a subgroup")
-    for x in g.carrier if within is None else within:
-        xi = g.inverse(x)
-        for h in sub:
-            if g.mul(g.mul(x, h), xi) not in sub:
+    mask, t, n = sum(1 << a for a in members), g._ints[0], g.order
+    for x in range(n) if within is None else map(g.index, within):
+        xi, row = g._inverse_of(x), t[x]
+        for h in members:
+            if row[h] >= n:
+                g.index(g.table[x][h])  # raises, naming the product
+            if not mask >> t[row[h]][xi] & 1:
                 return False
     return True
 
@@ -261,16 +269,34 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _close(tables, closed: int, mask: int) -> int:
+def _close(tables, closed: int, mask: int, gens=None, within: int = -1) -> int:
     """Product closure of mask under every table, given a closed part of it.
 
     Tables are int Cayley tables in which an index standing for "outside"
     absorbs every product with it, so the kernel only sets bits. Semi-naive:
     each new element is multiplied, on both sides, only against the elements
     taken before it, so every ordered pair is tried once per table.
+
+    With `gens` (one associative table closed on its carrier; the gens in
+    `closed` generate it, the rest of mask are gens), members are words over
+    gens: old members times each new gen, then new members times every gen.
+    Stops at the first bit outside `within`, returning a mask that holds it.
     """
     members = _bits(closed)
     fresh = _bits(mask & ~closed)
+    if gens is not None:
+        (t,) = tables
+        products = [t[y][x] for x in fresh for y in members]
+        while True:
+            for p in products:
+                if not mask >> p & 1:
+                    if not within >> p & 1:
+                        return mask | 1 << p
+                    mask |= 1 << p
+                    fresh.append(p)
+            if not fresh:
+                return mask
+            products = map(t[fresh.pop()].__getitem__, gens)
     while fresh:
         x = fresh.pop()
         members.append(x)
@@ -279,57 +305,59 @@ def _close(tables, closed: int, mask: int) -> int:
             for y in members:
                 p, q = row[y], t[y][x]
                 if not mask >> p & 1:
+                    if not within >> p & 1:
+                        return mask | 1 << p
                     mask |= 1 << p
                     fresh.append(p)
                 if not mask >> q & 1:
+                    if not within >> q & 1:
+                        return mask | 1 << q
                     mask |= 1 << q
                     fresh.append(q)
     return mask
 
 
-def _closed_subsets(t: list[list[int]], within: int) -> tuple[list[int], int]:
+def _closed_subsets(t: list[list[int]], within: int, words: bool = False) -> list[int]:
     """Every nonempty product-closed subset of `within`, as bitmasks.
 
-    Closes each element of `within`, then joins every two closed sets found,
-    memoised on their union, and keeps a closure only when it lies inside
-    `within`. Exact on any table, group or not: a closed set S is the join
-    of the closures of its elements, and every partial join stays inside S.
-    Also returns the union of the closures that were not kept, so a caller
-    can see which products outside the carrier were reached.
+    True cyclic extension (Neubüser 1960): closes each element of `within`,
+    then joins each closed set found with each element closure not inside
+    it, memoised on their union; a closure stops at its first bit outside
+    `within` and is dropped. Exact on any table: a closed set S is the join
+    of its elements' closures added one at a time, each partial join inside
+    S. With `words` (an associative table closed on its carrier) a closure
+    is built as words over the elements its set was joined from.
     """
-    found: list[int] = []
-    known: set[int] = set()
-    tried: set[int] = set()  # the closure of a union depends on nothing else
-    rejected = 0
-
-    def visit(closed: int, union: int) -> None:
-        nonlocal rejected
-        if union in tried:
-            return
-        tried.add(union)
-        c = _close((t,), closed, union)
-        if c & ~within:
-            rejected |= c
-        elif c not in known:
-            known.add(c)
-            found.append(c)
-
+    gens: dict[int, list[int]] = {}  # each closed set found: the elements joined into it
     for x in _bits(within):
-        visit(0, 1 << x)
-    for i, a in enumerate(found):  # also visits the sets appended meanwhile
-        for b in found[:i]:
-            if a | b not in (a, b):
-                visit(a, a | b)
-    return found, rejected
+        c = _close((t,), 0, 1 << x, [x] if words else None, within)
+        if not c & ~within:
+            gens.setdefault(c, [x])
+    cyclic = list(gens.items())
+    found = list(gens)
+    tried: set[int] = set()  # the closure of a union depends on nothing else
+    for a in found:  # also visits the sets appended meanwhile
+        for c, (x,) in cyclic:
+            union = a | c
+            if union == a or union in tried or union in gens:
+                continue
+            tried.add(union)
+            g = gens[a] + [x]
+            j = _close((t,), a, a | 1 << x, g if words else None, within)
+            if not j & ~within and j not in gens:
+                gens[j] = g
+                found.append(j)
+    return found
 
 
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
     """All subgroups, ordered by size and then canonical element order.
 
     Built by cyclic extension: every product-closed subset of the carrier
-    is found by joining closures (_closed_subsets), and each one that holds
-    the identity and has order dividing |G| is still checked against the
-    subgroup axioms with is_subgroup. The lattice is cached on the group.
+    is found by joining closed sets with element closures (_closed_subsets),
+    and each one that holds the identity and has order dividing |G| is
+    still checked against the subgroup axioms with is_subgroup. The lattice
+    is cached on the group.
     Refuses groups larger than the configured bound instead of truncating.
     """
     if g.order > limits.max_group_order:

@@ -19,9 +19,11 @@ subspace (parts {0} and {1}) while raw closure fails on 1+1=2.
 
 The completeness route's candidates come from the bitmask closure kernel
 that also builds the subgroup lattice and span_closure: on the group's int
-table, each allowed element is closed, every two closed sets found are
-joined, and the maximal closures inside the allowed set are kept.
-Decompositions are cached on the space, so the cache is freed with it.
+table, each allowed element is closed, each closed set found is joined
+with each element closure not inside it (as words over its generators on
+a table already known to be associative), and the maximal closures inside
+the allowed set are kept. Decompositions are cached on the space, so the
+cache is freed with it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DecompositionFailure, DomainError, PreconditionError
-from .groups import Element, FiniteGroup, _bits, _closed_subsets, subgroups
+from .groups import (Element, FiniteGroup, _bits, _close, _closed_subsets,
+                     subgroups)
 from .spaces import MultiGroupSpace, is_complete
 
 
@@ -69,16 +72,25 @@ def _closed_part_candidates(g: FiniteGroup, allowed: frozenset) -> list[frozense
     """Maximal nonempty product-closed subsets of `allowed` (completeness route).
 
     Raises DomainError naming the first product outside the carrier, in
-    row-major table order, that a closure on the way reaches.
+    row-major table order, that the closure of an allowed element or of two
+    maximal closed sets reaches: exactly what joining every two closed sets
+    reaches, as each such join lies inside one of the latter. Closures are
+    words only if validation or the lattice already cached Light's verdict:
+    on a small allowed set the test costs more than the closures it saves.
     """
     t, outside = g._ints
-    found, rejected = _closed_subsets(t, sum(1 << g.index(e) for e in allowed))
-    escaped = rejected >> g.order
-    if escaped:
-        first = outside[(escaped & -escaped).bit_length() - 1]
-        raise DomainError(f"{first!r} is not in the carrier of {g.op_id!r}")
+    within = sum(1 << g.index(e) for e in allowed)
+    found = _closed_subsets(t, within, vars(g).get("_associative", False))
     maximal = [m for m in found
                if not any(m != o and m & o == m for o in found)]
+    if outside:
+        escaped = 0
+        for closed, union in [(0, 1 << x) for x in _bits(within)] + \
+                [(a, a | b) for i, a in enumerate(maximal) for b in maximal[:i]]:
+            escaped |= _close((t,), closed, union) >> g.order
+        if escaped:
+            first = outside[(escaped & -escaped).bit_length() - 1]
+            raise DomainError(f"{first!r} is not in the carrier of {g.op_id!r}")
     return [frozenset(g.carrier[i] for i in _bits(m)) for m in maximal]
 
 

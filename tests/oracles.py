@@ -6,14 +6,18 @@ engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
-scan_subgroups, scan_closed_parts, scan_validate_group, scan_interposable,
-scan_is_finitely_generated, scan_composition_series, scan_is_abelian and
-the five string-keyed product scans are the exceptions: they are code the
-engine replaced, kept verbatim as oracles for their replacements.
+scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_validate_group,
+scan_interposable, scan_is_finitely_generated, scan_composition_series,
+scan_is_abelian and the five string-keyed product scans are the
+exceptions: they are code the engine replaced, kept verbatim as oracles
+for their replacements.
 scan_subgroups is the divisor-filtered subset scan used before cyclic
 extension (the engine's is_subgroup on every identity-holding subset of
 divisor size); scan_closed_parts is the string-keyed closure and join loop
 the completeness route used before the bitmask closure kernel;
+scan_closed_subsets joins every two closed sets found, as the lattice and
+the completeness route did before they joined closed sets with element
+closures only, and returns the union of the closures it dropped;
 scan_validate_group checks the group axioms with string-keyed products, as
 validate_group did before it read the int table; scan_interposable tries
 every subset between a series link and its parent, as the interposition
@@ -39,8 +43,8 @@ from itertools import combinations, product
 from multigroup.config import DEFAULT_LIMITS, Limits
 from multigroup.errors import PreconditionError
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
-from multigroup.groups import (CompositionChain, Element, is_subgroup,
-                               maximal_proper_normal_subgroups)
+from multigroup.groups import (CompositionChain, Element, _bits, _close,
+                               is_subgroup, maximal_proper_normal_subgroups)
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
 from multigroup.series import NormalityEvidence, is_normal_subspace
 from multigroup.spaces import MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace
@@ -151,6 +155,42 @@ def scan_closed_parts(g, allowed: frozenset) -> list[frozenset]:
                     fresh.append(c)
         frontier = fresh
     return [a for a in found if not any(a < b for b in found)]
+
+
+def scan_closed_subsets(t: list[list[int]], within: int) -> tuple[list[int], int]:
+    """Every nonempty product-closed subset of `within`, as bitmasks.
+
+    Closes each element of `within`, then joins every two closed sets found,
+    memoised on their union, and keeps a closure only when it lies inside
+    `within`. Exact on any table, group or not: a closed set S is the join
+    of the closures of its elements, and every partial join stays inside S.
+    Also returns the union of the closures that were not kept, so a caller
+    can see which products outside the carrier were reached.
+    """
+    found: list[int] = []
+    known: set[int] = set()
+    tried: set[int] = set()  # the closure of a union depends on nothing else
+    rejected = 0
+
+    def visit(closed: int, union: int) -> None:
+        nonlocal rejected
+        if union in tried:
+            return
+        tried.add(union)
+        c = _close((t,), closed, union)
+        if c & ~within:
+            rejected |= c
+        elif c not in known:
+            known.add(c)
+            found.append(c)
+
+    for x in _bits(within):
+        visit(0, 1 << x)
+    for i, a in enumerate(found):  # also visits the sets appended meanwhile
+        for b in found[:i]:
+            if a | b not in (a, b):
+                visit(a, a | b)
+    return found, rejected
 
 
 def brute_is_normal(sub, elems, mul, inv):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
-from multigroup.groups import subgroups
+from multigroup.groups import FiniteGroup, _bits, subgroups
 from multigroup.spaces import validate_multigroup
 from multigroup.subspaces import (SubsetRef, _closed_part_candidates, coset,
                                   coset_decomposition, induced_space, is_subspace,
@@ -16,7 +16,7 @@ from multigroup.subspaces import (SubsetRef, _closed_part_candidates, coset,
                                   subspace_decomposition)
 
 from conftest import subset_op_combinations, subspaces_of
-from oracles import brute_subspace, scan_closed_parts
+from oracles import brute_subspace, scan_closed_parts, scan_closed_subsets
 from test_groups import _tables
 
 A3 = ("e", "(123)", "(132)")
@@ -295,6 +295,19 @@ def _candidates_outcome(find, g, allowed):
         return str(exc)
 
 
+def _pairwise_candidates(g, allowed):
+    """_closed_part_candidates over the loop that joined every two closed
+    sets, naming the first escape any dropped closure reached."""
+    t, outside = g._ints
+    found, rejected = scan_closed_subsets(t, sum(1 << g.index(e) for e in allowed))
+    escaped = rejected >> g.order
+    if escaped:
+        first = outside[(escaped & -escaped).bit_length() - 1]
+        raise DomainError(f"{first!r} is not in the carrier of {g.op_id!r}")
+    return [frozenset(g.carrier[i] for i in _bits(m)) for m in found
+            if not any(m != o and m & o == m for o in found)]
+
+
 @settings(max_examples=300)
 @given(st.one_of(_tables(outside=("x",)),
                 st.sampled_from([g for g in catalog.corpus_groups().values()
@@ -305,8 +318,45 @@ def test_closed_part_candidates_match_the_string_closure(g, data):
     # kernel when a closure it computed reached one: the same closures.
     # Corpus groups need joins of several closed sets to reach their parts.
     allowed = frozenset(data.draw(st.sets(st.sampled_from(g.carrier))))
+    g = FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
+    if data.draw(st.booleans()):
+        g._associative  # cached Light's verdict: word closures where it holds
+    outcome = _candidates_outcome(_closed_part_candidates, g, allowed)
+    assert outcome == _candidates_outcome(scan_closed_parts, g, allowed)
+    assert outcome == _candidates_outcome(_pairwise_candidates, g, allowed)
+
+
+@st.composite
+def _escaping_groups(draw):
+    """A corpus group with one to three products sent outside the carrier."""
+    g = draw(st.sampled_from([g for g in catalog.corpus_groups().values()
+                              if 1 < g.order <= 12]))
+    table = [list(row) for row in g.table]
+    for name in draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3)):
+        i, j = (draw(st.integers(0, g.order - 1)) for _ in "ij")
+        table[i][j] = name
+    return FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), g.identity)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_tables(outside=("x", "y", "z")), _escaping_groups()), st.data())
+def test_closed_part_candidates_name_the_escape_of_pairwise_joins(g, data):
+    # several products leave the carrier; the first one in table order that
+    # joining every two closed sets reached is the one named
+    allowed = frozenset(data.draw(st.sets(st.sampled_from(g.carrier))))
     assert _candidates_outcome(_closed_part_candidates, g, allowed) == \
-        _candidates_outcome(scan_closed_parts, g, allowed)
+        _candidates_outcome(_pairwise_candidates, g, allowed)
+
+
+def test_closed_part_candidates_name_an_escape_only_a_join_reaches():
+    # {a} and {b} are closed, c * c = z escapes, and only the join of {a}
+    # and {b} reaches a * b = x, which comes first in table order
+    rows = ("e a b c", "a a x a", "b y b b", "c c c z")
+    g = FiniteGroup("*", tuple("eabc"), tuple(tuple(r.split()) for r in rows), "e")
+    allowed = frozenset("abc")
+    assert _candidates_outcome(_closed_part_candidates, g, allowed) == \
+        _candidates_outcome(_pairwise_candidates, g, allowed) == \
+        "'x' is not in the carrier of '*'"
 
 
 def test_decomposition_cache_is_freed_with_its_space():
