@@ -308,9 +308,9 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
             if not path.exists():
                 raise ParseError(f"no such file: {args.instance}")
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.instance}: "
-                             f"{exc.strerror or exc}") from None
+                             f"{getattr(exc, 'strerror', None) or exc}") from None
         ms = parse_instance(text)
         handler = _COMMANDS[args.command][0]
         body, code = handler(ms, args, limits)

@@ -45,7 +45,7 @@ class GeneratingSet:
 
     @staticmethod
     def of(ms: MultiGroupSpace, seeds) -> "GeneratingSet":
-        seeds = ms.sorted_elements(set(seeds))
+        seeds = ms._elements(ms._mask(seeds))
         if not seeds:
             raise DomainError("a generating set must be nonempty")
         return GeneratingSet(seeds)
@@ -59,7 +59,7 @@ def span_once(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
         for x in seeds:
             for y in seeds:
                 out |= 1 << t[x][y]
-    return tuple(ms.universe[i] for i in _bits(out) if i < len(ms.universe))
+    return ms._elements(out)
 
 
 def span_closure(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
@@ -69,9 +69,7 @@ def span_closure(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
     the kernel shared with the subgroup lattice; the undefined product is
     one more absorbing index, dropped at the end.
     """
-    n = len(ms.universe)
-    mask = _close(ms._tables, 0, ms._mask(a.seeds))
-    return tuple(ms.universe[i] for i in _bits(mask) if i < n)
+    return ms._elements(_close(ms._tables, 0, ms._mask(a.seeds)))
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,8 @@ def _components(ms: MultiGroupSpace) -> list[int]:
     every product of it at once, so one merge per operation suffices."""
     n = len(ms.universe)
     components = [1 << i for i in range(n)]
-    for t in ms._tables:
-        touched = set().union(*t) | {x for x in range(n) if t[x][x] != n}
-        touched.discard(n)
-        merged = sum(1 << x for x in touched)
+    for t, carrier in zip(ms._tables, ms._carriers):
+        merged = carrier | (sum(1 << x for x in set().union(*t)) & ~(1 << n))
         if not merged:
             continue
         rest = []
@@ -150,5 +146,4 @@ def is_finitely_generated(ms: MultiGroupSpace,
             examined += 1
             seeds, closure = next(candidates)
         witness |= seeds
-    return GenerationWitness(tuple(ms.universe[i] for i in _bits(witness)),
-                             minimal=True)
+    return GenerationWitness(ms._elements(witness), minimal=True)

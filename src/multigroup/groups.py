@@ -122,19 +122,14 @@ class FiniteGroup:
         rows = [row[:n] for row in self._ints[0][:n]]
         return rows == [list(col) for col in zip(*rows)]
 
-    def sort_key(self, elements) -> tuple[int, ...]:
-        return tuple(sorted(self.index(e) for e in elements))
-
-    def sorted_elements(self, elements) -> tuple[Element, ...]:
-        return tuple(sorted(elements, key=self.index))
-
     def restrict(self, subset) -> "FiniteGroup":
-        """The group induced on a subgroup, reusing this table."""
-        sub = self.sorted_elements(subset)
+        """The group induced on a subgroup, reusing this table's rows."""
+        rows = sorted(map(self.index, subset))
+        sub = tuple(self.carrier[a] for a in rows)
         if self.identity not in sub:
             raise PreconditionError(
                 f"restriction of {self.op_id!r} must contain the identity")
-        table = tuple(tuple(self.mul(a, b) for b in sub) for a in sub)
+        table = tuple(tuple(self.table[a][b] for b in rows) for a in rows)
         return FiniteGroup(self.op_id, sub, table, self.identity)
 
     @staticmethod
@@ -448,4 +443,4 @@ def composition_series(g: FiniteGroup,
                 for n in maximal_proper_normal_subgroups(g, limits, within=link)
                 for tail in descend(n)]
 
-    return [CompositionChain(links) for links in descend(g.sorted_elements(g.carrier))]
+    return [CompositionChain(links) for links in descend(g.carrier)]

@@ -170,7 +170,7 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                 return
             choices = sorted(maximal_proper_normal_subgroups(ms.group_of(op), limits,
                                                              within=part),
-                             key=ms.sort_key)
+                             key=lambda s: _bits(ms._mask(s)))
             if not branch:
                 choices = choices[:1]
             for nxt in choices:
@@ -227,7 +227,7 @@ def _candidates_between(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
     whole = (1 << len(upper_space.universe)) - 1
     between = [m for m in unions if m & low == low and m not in (low, whole)]
     for m in sorted(between, key=lambda m: (m.bit_count(), _bits(m & ~low))):
-        yield [upper_space.universe[i] for i in _bits(m)]
+        yield upper_space._elements(m)
 
 
 def _interposable(ms: MultiGroupSpace, upper_space: MultiGroupSpace,

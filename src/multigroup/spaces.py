@@ -61,7 +61,8 @@ class MultiGroupSpace:
         Index len(universe) stands for an undefined product and absorbs
         every product with it, so t[x][t[y][z]] is undefined as soon as any
         product on the way is. The distribution scan, the raw reading,
-        cosets, the one-step span and the conjugation scan all read it.
+        cosets, the one-step span, the conjugation scan and the
+        completeness route's subspace candidates all read it.
         Precondition: every carrier element and product lies in the
         universe. The parser and the catalog ensure it, and validation
         scans distribution only without structural violations; a product
@@ -76,12 +77,29 @@ class MultiGroupSpace:
     def _table(self, op_id: str) -> list[list[int]]:
         return self._tables[self.groups.index(self.group_of(op_id))]
 
+    @cached_property
+    def _carriers(self) -> tuple[int, ...]:
+        """One universe bitmask per operation, read from its carrier through
+        _index, so it exists even where _tables raises. A carrier element
+        outside the universe is left out."""
+        return tuple(sum(1 << self._index[e] for e in g.carrier if e in self._index)
+                     for g in self.groups)
+
+    def _carrier(self, op_id: str) -> int:
+        return self._carriers[self.groups.index(self.group_of(op_id))]
+
     def _mask(self, elements) -> int:
         return sum(1 << i for i in {self.index(e) for e in elements})
 
+    def _elements(self, mask: int) -> tuple[Element, ...]:
+        """The members of a universe bitmask in universe order; the bit of
+        the undefined product, len(universe), is dropped."""
+        n = len(self.universe)
+        return tuple(self.universe[i] for i in _bits(mask) if i < n)
+
     @cached_property
     def _decompositions(self) -> dict:
-        # subspaces.subspace_decomposition results by SubsetRef
+        # subspaces._parts results by (universe bitmask, retained ops)
         return {}
 
     @cached_property
@@ -110,12 +128,6 @@ class MultiGroupSpace:
         if a in g and b in g:
             return g.mul(a, b)
         return None
-
-    def sorted_elements(self, elements) -> tuple[Element, ...]:
-        return tuple(sorted(elements, key=self.index))
-
-    def sort_key(self, elements) -> tuple[int, ...]:
-        return tuple(sorted(self.index(e) for e in elements))
 
 
 def ops_of_element(ms: MultiGroupSpace, element: Element) -> tuple[str, ...]:
@@ -170,9 +182,8 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
     """
     t, c, u = ms._table(times), ms._table(circ), ms.universe
     n = len(u)
-    in_t = [i for i in range(n) if t[i][i] != n]
-    in_c = sum(1 << i for i in range(n) if c[i][i] != n)
-    t_mask = sum(1 << i for i in in_t)
+    t_mask, in_c = ms._carrier(times), ms._carrier(circ)
+    in_t = _bits(t_mask)
     both = [i for i in in_t if in_c >> i & 1]
     cols = [list(col) for col in zip(*t)]  # cols[x][y] = t[y][x]
     # per y: the z where y o z is defined and lies in the * carrier

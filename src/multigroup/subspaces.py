@@ -17,13 +17,15 @@ kept as is_subspace_by_completeness because it genuinely differs: in the
 field-of-three space the subset {0,1} with both operations retained is a
 subspace (parts {0} and {1}) while raw closure fails on 1+1=2.
 
-The completeness route's candidates come from the bitmask closure kernel
-that also builds the subgroup lattice and span_closure: on the group's int
-table, each allowed element is closed, each closed set found is joined
-with each element closure not inside it (as words over its generators on
-a table already known to be associative), and the maximal closures inside
-the allowed set are kept. Decompositions are cached on the space, so the
-cache is freed with it.
+Both routes, the cover search and cosets work on universe bitmasks over
+the space's tables; element names appear only in the results. The
+completeness route's candidates come from the bitmask closure kernel that
+also builds the subgroup lattice and span_closure: on the operation's
+table in the space, each allowed element is closed, each closed set found
+is joined with each element closure not inside it (as words over its
+generators on a table already known to be associative), and the maximal
+closures inside the allowed set are kept. Decompositions are cached on the
+space by (bitmask, retained ops), so the cache is freed with it.
 """
 
 from __future__ import annotations
@@ -52,24 +54,24 @@ class SubsetRef:
         retained (the convention used for series links). An explicitly
         retained operation must act on at least one element of the subset.
         """
-        elems = ms.sorted_elements(set(elements))
+        mask = ms._mask(elements)
         if ops is None:
-            ops = [op for op in ms.op_set
-                   if set(elems) & set(ms.group_of(op).carrier)]
+            ops = [op for op in ms.op_set if mask & ms._carrier(op)]
         else:
             ops = list(dict.fromkeys(ops))
             for op in ops:
                 ms.group_of(op)  # raises DomainError on unknown ids
             ops = [op for op in ms.op_set if op in ops]
             for op in ops:
-                if not set(elems) & set(ms.group_of(op).carrier):
+                if not mask & ms._carrier(op):
                     raise ValueError(
                         f"retained operation {op!r} acts on no element of the subset")
-        return SubsetRef(elems, tuple(ops))
+        return SubsetRef(ms._elements(mask), tuple(ops))
 
 
-def _closed_part_candidates(g: FiniteGroup, allowed: frozenset) -> list[frozenset]:
-    """Maximal nonempty product-closed subsets of `allowed` (completeness route).
+def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[int]:
+    """Maximal nonempty product-closed subsets of within's share of op's
+    carrier, as universe bitmasks (completeness route).
 
     Raises DomainError naming the first product outside the carrier, in
     row-major table order, that the closure of an allowed element or of two
@@ -78,46 +80,46 @@ def _closed_part_candidates(g: FiniteGroup, allowed: frozenset) -> list[frozense
     words only if validation or the lattice already cached Light's verdict:
     on a small allowed set the test costs more than the closures it saves.
     """
-    t, outside = g._ints
-    within = sum(1 << g.index(e) for e in allowed)
+    g, t = ms.group_of(op), ms._table(op)
+    within &= ms._carrier(op)
     found = _closed_subsets(t, within, vars(g).get("_associative", False))
     maximal = [m for m in found
                if not any(m != o and m & o == m for o in found)]
-    if outside:
+    if g._ints[1]:
         escaped = 0
         for closed, union in [(0, 1 << x) for x in _bits(within)] + \
                 [(a, a | b) for i, a in enumerate(maximal) for b in maximal[:i]]:
-            escaped |= _close((t,), closed, union) >> g.order
-        if escaped:
-            first = outside[(escaped & -escaped).bit_length() - 1]
-            raise DomainError(f"{first!r} is not in the carrier of {g.op_id!r}")
-    return [frozenset(g.carrier[i] for i in _bits(m)) for m in maximal]
+            escaped |= _close((t,), closed, union)
+        for name in g._ints[1]:  # the products outside the carrier, in table order
+            if escaped >> ms.index(name) & 1:
+                raise DomainError(f"{name!r} is not in the carrier of {g.op_id!r}")
+    return maximal
 
 
-def _lattice_part_candidates(g: FiniteGroup, allowed: frozenset,
-                             limits: Limits) -> list[frozenset]:
-    """Maximal subgroups of g inside `allowed` (the intersection route)."""
-    inside = [frozenset(s) for s in subgroups(g, limits) if frozenset(s) <= allowed]
-    return [s for s in inside if not any(s < t for t in inside)]
+def _lattice_part_candidates(ms: MultiGroupSpace, op: str, allowed: int,
+                             limits: Limits) -> list[int]:
+    """Maximal subgroups of op's group inside `allowed` (the intersection
+    route), as universe bitmasks."""
+    inside = [m for m in map(ms._mask, subgroups(ms.group_of(op), limits))
+              if not m & ~allowed]
+    return [m for m in inside if not any(m != o and m & o == m for o in inside)]
 
 
-def _select_cover(ms: MultiGroupSpace, target: frozenset,
-                  candidates_by_op: dict[str, list[frozenset]]):
-    """First per-op assignment (canonical order) whose parts cover the target."""
+def _select_cover(target: int, candidates_by_op: dict[str, list[int]]):
+    """First per-op assignment (candidates in canonical order) whose parts
+    cover the target."""
     ops = list(candidates_by_op)
-    for op in ops:
-        candidates_by_op[op] = sorted(candidates_by_op[op], key=ms.sort_key)
     # cheap necessary condition: every element must lie in some candidate
-    reachable: set[Element] = set()
+    reachable = 0
     for cands in candidates_by_op.values():
         for c in cands:
             reachable |= c
-    if not target <= reachable:
+    if target & ~reachable:
         return None
 
-    chosen: dict[str, frozenset] = {}
+    chosen: dict[str, int] = {}
 
-    def backtrack(i: int, covered: frozenset):
+    def backtrack(i: int, covered: int):
         if i == len(ops):
             return covered == target
         for cand in candidates_by_op[ops[i]]:
@@ -127,27 +129,31 @@ def _select_cover(ms: MultiGroupSpace, target: frozenset,
         chosen.pop(ops[i], None)
         return False
 
-    if backtrack(0, frozenset()):
+    if backtrack(0, 0):
         return dict(chosen)
     return None
 
 
-def _decomposition(ms: MultiGroupSpace, s: SubsetRef):
-    target = frozenset(s.elements)
-    if not target or not s.retained_ops:
+def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...]):
+    if not target or not ops:
         return None
-    candidates: dict[str, list[frozenset]] = {}
-    for op in s.retained_ops:
-        g = ms.group_of(op)
-        allowed = target & frozenset(g.carrier)
-        cands = _closed_part_candidates(g, allowed)
+    candidates: dict[str, list[int]] = {}
+    for op in ops:
+        cands = _closed_part_candidates(ms, op, target)
         if not cands:
             return None  # the op cannot contribute a nonempty group
-        candidates[op] = cands
-    cover = _select_cover(ms, target, candidates)
-    if cover is None:
-        return None
-    return {op: ms.sorted_elements(cover[op]) for op in s.retained_ops}
+        candidates[op] = sorted(cands, key=_bits)
+    return _select_cover(target, candidates)
+
+
+def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...]):
+    """subspace_decomposition over universe bitmasks: one part per retained
+    operation, or None. Cached on the space by (mask, ops), so the cache is
+    freed with it."""
+    cache = ms._decompositions
+    if (mask, ops) not in cache:
+        cache[mask, ops] = _decomposition(ms, mask, ops)
+    return cache[mask, ops]
 
 
 def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):
@@ -156,12 +162,9 @@ def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):
     Deterministic: operations in operation-set order, candidate parts in
     canonical element order, first full cover wins.
     """
-    for e in s.elements:
-        ms.index(e)
-    cache = ms._decompositions
-    if s not in cache:
-        cache[s] = _decomposition(ms, s)
-    return cache[s]
+    parts = _parts(ms, ms._mask(s.elements), s.retained_ops)
+    return None if parts is None else \
+        {op: ms._elements(part) for op, part in parts.items()}
 
 
 def is_subspace(ms: MultiGroupSpace, s: SubsetRef) -> bool:
@@ -171,7 +174,7 @@ def is_subspace(ms: MultiGroupSpace, s: SubsetRef) -> bool:
     closed subset of a finite group is automatically a subgroup, which is
     what makes this route agree with the intersection route.
     """
-    return subspace_decomposition(ms, s) is not None
+    return _parts(ms, ms._mask(s.elements), s.retained_ops) is not None
 
 
 @dataclass(frozen=True)
@@ -195,39 +198,34 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
     subgroup enumeration with explicit inverse checks, and the search walks
     uncovered elements instead of operations.
     """
-    for e in s.elements:
-        ms.index(e)
-    target = frozenset(s.elements)
-    intersections = tuple(
-        (op, ms.sorted_elements(target & frozenset(ms.group_of(op).carrier)))
-        for op in s.retained_ops)
+    target = ms._mask(s.elements)
+    intersections = tuple((op, ms._elements(target & ms._carrier(op)))
+                          for op in s.retained_ops)
     if not target or not s.retained_ops:
         return SubspaceEvidence(False, intersections, None,
                                 "a subspace needs elements and a retained operation")
 
-    candidates: dict[str, list[frozenset]] = {}
+    candidates: dict[str, list[int]] = {}
     for op in s.retained_ops:
-        g = ms.group_of(op)
-        allowed = target & frozenset(g.carrier)
-        cands = _lattice_part_candidates(g, allowed, limits)
+        cands = _lattice_part_candidates(ms, op, target, limits)
         if not cands:
             return SubspaceEvidence(
                 False, intersections, None,
                 f"no subgroup of {op!r} lies inside the subset")
-        candidates[op] = sorted(cands, key=ms.sort_key)
+        candidates[op] = sorted(cands, key=_bits)
 
     # element-driven search: repeatedly satisfy the smallest uncovered element
-    def assign(remaining_ops: tuple[str, ...], covered: frozenset,
-               chosen: dict[str, frozenset]):
+    def assign(remaining_ops: tuple[str, ...], covered: int, chosen: dict[str, int]):
         if covered == target:
             # unassigned ops still need a part; any candidate will do
             for op in remaining_ops:
                 chosen[op] = candidates[op][0]
             return dict(chosen)
-        uncovered = min(target - covered, key=ms.index)
+        left = target & ~covered
+        uncovered = left & -left
         for op in remaining_ops:
             for cand in candidates[op]:
-                if uncovered in cand:
+                if cand & uncovered:
                     chosen[op] = cand
                     rest = tuple(o for o in remaining_ops if o != op)
                     result = assign(rest, covered | cand, chosen)
@@ -236,11 +234,11 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
                     chosen.pop(op, None)
         return None
 
-    cover = assign(s.retained_ops, frozenset(), {})
+    cover = assign(s.retained_ops, 0, {})
     if cover is None:
         return SubspaceEvidence(False, intersections, None,
                                 "no per-operation assignment of subgroups covers the subset")
-    parts = tuple((op, ms.sorted_elements(cover[op])) for op in s.retained_ops)
+    parts = tuple((op, ms._elements(cover[op])) for op in s.retained_ops)
     return SubspaceEvidence(True, intersections, parts)
 
 
@@ -272,16 +270,16 @@ def coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
     An element with no defined product against the parts yields {g}, so a
     transversal can still cover the whole universe.
     """
-    x, n = ms.index(g), len(ms.universe)
-    decomp = subspace_decomposition(ms, h)
-    if decomp is None:
+    x = ms.index(g)
+    parts = _parts(ms, ms._mask(h.elements), h.retained_ops)
+    if parts is None:
         raise PreconditionError("coset requires a subspace")
     out = 0
-    for op, part in decomp.items():
+    for op, part in parts.items():
         row = ms._table(op)[x]  # all undefined when g is outside the carrier
-        for member in part:
-            out |= 1 << row[ms.index(member)]
-    return tuple(ms.universe[i] for i in _bits(out) if i < n) or (g,)
+        for member in _bits(part):
+            out |= 1 << row[member]
+    return ms._elements(out) or (g,)
 
 
 @dataclass(frozen=True)
@@ -312,10 +310,10 @@ def coset_decomposition(ms: MultiGroupSpace, h: SubsetRef) -> CosetDecomposition
         covered.update(c)
     for i in range(len(cosets)):
         for j in range(i + 1, len(cosets)):
-            overlap = set(cosets[i]) & set(cosets[j])
+            overlap = ms._mask(cosets[i]) & ms._mask(cosets[j])
             if overlap:
                 raise DecompositionFailure(transversal[i], transversal[j],
-                                           ms.sorted_elements(overlap))
+                                           ms._elements(overlap))
     return CosetDecomposition(h, tuple(transversal), tuple(cosets))
 
 

@@ -41,15 +41,16 @@ pairs, shared by the tests and scripts/subspace_census.py.
 from itertools import combinations, product
 
 from multigroup.config import DEFAULT_LIMITS, Limits
-from multigroup.errors import PreconditionError
+from multigroup.errors import DomainError, PreconditionError
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
-from multigroup.groups import (CompositionChain, Element, _bits, _close,
-                               is_subgroup, maximal_proper_normal_subgroups)
+from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
+                               _closed_subsets, is_subgroup,
+                               maximal_proper_normal_subgroups, subgroups)
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
 from multigroup.series import NormalityEvidence, is_normal_subspace
 from multigroup.spaces import MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace
-from multigroup.subspaces import (SubsetRef, induced_space, is_subspace,
-                                  subspace_decomposition)
+from multigroup.subspaces import (SubspaceEvidence, SubsetRef, induced_space,
+                                  is_subspace, subspace_decomposition)
 
 
 def raw_group(g):
@@ -62,6 +63,15 @@ def raw_group(g):
 
 def raw_space(ms):
     return list(ms.universe), [(g.op_id, *raw_group(g)) for g in ms.groups]
+
+
+def _sort_key(within, elements) -> tuple[int, ...]:
+    """Indices in a group's carrier or a space's universe, in order."""
+    return tuple(sorted(within.index(e) for e in elements))
+
+
+def _sorted_elements(within, elements) -> tuple[Element, ...]:
+    return tuple(sorted(elements, key=within.index))
 
 
 def subset_op_combinations(ms):
@@ -114,8 +124,8 @@ def scan_subgroups(g):
             cand = set(extra)
             cand.add(g.identity)
             if is_subgroup(g, cand):
-                found.append(g.sorted_elements(cand))
-    found.sort(key=lambda s: (len(s), g.sort_key(s)))
+                found.append(_sorted_elements(g, cand))
+    found.sort(key=lambda s: (len(s), _sort_key(g, s)))
     return found
 
 
@@ -218,7 +228,7 @@ def brute_composition_chains(elems, mul, identity):
 
 def scan_composition_series(g, limits: Limits = DEFAULT_LIMITS):
     """All composition series of g, recursing on restricted groups."""
-    whole = g.sorted_elements(g.carrier)
+    whole = _sorted_elements(g, g.carrier)
     if g.order == 1:
         return [CompositionChain((whole,))]
     chains = []
@@ -447,7 +457,7 @@ def scan_span_once(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]
         for x in inside:
             for y in inside:
                 out.add(g.mul(x, y))
-    return ms.sorted_elements(out)
+    return _sorted_elements(ms, out)
 
 
 def scan_is_finitely_generated(ms: MultiGroupSpace,
@@ -489,7 +499,7 @@ def scan_coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, 
             out.add(grp.mul(g, member))
     if not out:
         out = {g}
-    return ms.sorted_elements(out)
+    return _sorted_elements(ms, out)
 
 
 def scan_is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
@@ -512,3 +522,154 @@ def scan_is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvide
                 if conjugate not in members:
                     return NormalityEvidence(False, (op, x, member, conjugate))
     return NormalityEvidence(True)
+
+
+def _scan_closed_part_candidates(g: FiniteGroup, allowed: frozenset) -> list[frozenset]:
+    """Maximal nonempty product-closed subsets of `allowed` (completeness route).
+
+    Raises DomainError naming the first product outside the carrier, in
+    row-major table order, that the closure of an allowed element or of two
+    maximal closed sets reaches: exactly what joining every two closed sets
+    reaches, as each such join lies inside one of the latter. Closures are
+    words only if validation or the lattice already cached Light's verdict:
+    on a small allowed set the test costs more than the closures it saves.
+    """
+    t, outside = g._ints
+    within = sum(1 << g.index(e) for e in allowed)
+    found = _closed_subsets(t, within, vars(g).get("_associative", False))
+    maximal = [m for m in found
+               if not any(m != o and m & o == m for o in found)]
+    if outside:
+        escaped = 0
+        for closed, union in [(0, 1 << x) for x in _bits(within)] + \
+                [(a, a | b) for i, a in enumerate(maximal) for b in maximal[:i]]:
+            escaped |= _close((t,), closed, union) >> g.order
+        if escaped:
+            first = outside[(escaped & -escaped).bit_length() - 1]
+            raise DomainError(f"{first!r} is not in the carrier of {g.op_id!r}")
+    return [frozenset(g.carrier[i] for i in _bits(m)) for m in maximal]
+
+
+def _scan_lattice_part_candidates(g: FiniteGroup, allowed: frozenset,
+                                  limits: Limits) -> list[frozenset]:
+    """Maximal subgroups of g inside `allowed` (the intersection route)."""
+    inside = [frozenset(s) for s in subgroups(g, limits) if frozenset(s) <= allowed]
+    return [s for s in inside if not any(s < t for t in inside)]
+
+
+def _scan_select_cover(ms: MultiGroupSpace, target: frozenset,
+                       candidates_by_op: dict[str, list[frozenset]]):
+    """First per-op assignment (canonical order) whose parts cover the target."""
+    ops = list(candidates_by_op)
+    for op in ops:
+        candidates_by_op[op] = sorted(candidates_by_op[op],
+                                      key=lambda c: _sort_key(ms, c))
+    # cheap necessary condition: every element must lie in some candidate
+    reachable: set[Element] = set()
+    for cands in candidates_by_op.values():
+        for c in cands:
+            reachable |= c
+    if not target <= reachable:
+        return None
+
+    chosen: dict[str, frozenset] = {}
+
+    def backtrack(i: int, covered: frozenset):
+        if i == len(ops):
+            return covered == target
+        for cand in candidates_by_op[ops[i]]:
+            chosen[ops[i]] = cand
+            if backtrack(i + 1, covered | cand):
+                return True
+        chosen.pop(ops[i], None)
+        return False
+
+    if backtrack(0, frozenset()):
+        return dict(chosen)
+    return None
+
+
+def _scan_decomposition(ms: MultiGroupSpace, s: SubsetRef):
+    target = frozenset(s.elements)
+    if not target or not s.retained_ops:
+        return None
+    candidates: dict[str, list[frozenset]] = {}
+    for op in s.retained_ops:
+        g = ms.group_of(op)
+        allowed = target & frozenset(g.carrier)
+        cands = _scan_closed_part_candidates(g, allowed)
+        if not cands:
+            return None  # the op cannot contribute a nonempty group
+        candidates[op] = cands
+    cover = _scan_select_cover(ms, target, candidates)
+    if cover is None:
+        return None
+    return {op: _sorted_elements(ms, cover[op]) for op in s.retained_ops}
+
+
+def scan_subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):
+    """The canonical per-op part assignment, or None if s is not a subspace.
+
+    Deterministic: operations in operation-set order, candidate parts in
+    canonical element order, first full cover wins.
+    """
+    for e in s.elements:
+        ms.index(e)
+    return _scan_decomposition(ms, s)
+
+
+def scan_is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
+                                     limits: Limits = DEFAULT_LIMITS) -> SubspaceEvidence:
+    """Subspace test on the subgroup lattice of each retained operation.
+
+    Independent of the completeness route: candidate parts come from full
+    subgroup enumeration with explicit inverse checks, and the search walks
+    uncovered elements instead of operations.
+    """
+    for e in s.elements:
+        ms.index(e)
+    target = frozenset(s.elements)
+    intersections = tuple(
+        (op, _sorted_elements(ms, target & frozenset(ms.group_of(op).carrier)))
+        for op in s.retained_ops)
+    if not target or not s.retained_ops:
+        return SubspaceEvidence(False, intersections, None,
+                                "a subspace needs elements and a retained operation")
+
+    candidates: dict[str, list[frozenset]] = {}
+    for op in s.retained_ops:
+        g = ms.group_of(op)
+        allowed = target & frozenset(g.carrier)
+        cands = _scan_lattice_part_candidates(g, allowed, limits)
+        if not cands:
+            return SubspaceEvidence(
+                False, intersections, None,
+                f"no subgroup of {op!r} lies inside the subset")
+        candidates[op] = sorted(cands, key=lambda c: _sort_key(ms, c))
+
+    # element-driven search: repeatedly satisfy the smallest uncovered element
+    def assign(remaining_ops: tuple[str, ...], covered: frozenset,
+               chosen: dict[str, frozenset]):
+        if covered == target:
+            # unassigned ops still need a part; any candidate will do
+            for op in remaining_ops:
+                chosen[op] = candidates[op][0]
+            return dict(chosen)
+        uncovered = min(target - covered, key=ms.index)
+        for op in remaining_ops:
+            for cand in candidates[op]:
+                if uncovered in cand:
+                    chosen[op] = cand
+                    rest = tuple(o for o in remaining_ops if o != op)
+                    result = assign(rest, covered | cand, chosen)
+                    if result is not None:
+                        return result
+                    chosen.pop(op, None)
+        return None
+
+    cover = assign(s.retained_ops, frozenset(), {})
+    if cover is None:
+        return SubspaceEvidence(False, intersections, None,
+                                "no per-operation assignment of subgroups covers the subset")
+    parts = tuple((op, _sorted_elements(ms, cover[op])) for op in s.retained_ops)
+    return SubspaceEvidence(True, intersections, parts)

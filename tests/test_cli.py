@@ -135,12 +135,17 @@ def test_missing_file_and_parse_errors_exit_two(tmp_path):
     assert code == 2 and "line 1" in out
 
 
-def test_unreadable_instance_path_exits_two(tmp_path):
-    out, code = run_cli(["validate", str(tmp_path), "--json"])
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_instance_path_exits_two(tmp_path, kind):
+    target = tmp_path
+    if kind == "undecodable":
+        target = tmp_path / "bad.mgs"
+        target.write_bytes(b"\xff\xfeelements: a\n")  # a UTF-16 byte order mark
+    out, code = run_cli(["validate", str(target), "--json"])
     assert code == 2
     data = json.loads(out)
     assert data["error_kind"] == "parse"
-    assert data["error"].startswith(f"cannot read {tmp_path}:")
+    assert data["error"].startswith(f"cannot read {target}:")
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -244,7 +249,8 @@ group *:
     (MULTI_ESCAPE, ["--set", "e,a"], "error: 'b' is not in the carrier of '*'"),
     (MISSING_INVERSES, ["--set", "e,a", "--ops", "*"],
      "error: 'a' has no inverse under '*'"),
-], ids=["escape", "inverse"])
+    (MISSING_INVERSES, ["--set", "xx,yy,zz"], "error: 'xx' is not in the universe"),
+], ids=["escape", "inverse", "unknown"])
 def test_error_reports_do_not_depend_on_the_hash_seed(tmp_path, text, argv, message):
     fp = tmp_path / "space.mgs"
     fp.write_text(text)

@@ -237,8 +237,13 @@ def test_restrict_and_from_function_roundtrip():
     z6 = CORPUS["Z6"]
     sub = z6.restrict(("0", "2", "4"))
     assert validate_group(sub).ok and sub.order == 3
+    assert z6.restrict(("4", "0", "2")) == sub
     with pytest.raises(PreconditionError):
         z6.restrict(("2", "4"))
+    with pytest.raises(ValueError, match="duplicate element"):
+        z6.restrict(("0", "0", "2", "4"))
+    with pytest.raises(DomainError, match="'x' is not in the carrier"):
+        z6.restrict(("0", "x", "2"))
 
 
 def test_construction_rejects_malformed_shapes():

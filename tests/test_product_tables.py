@@ -1,16 +1,18 @@
 """The space layer reads one product table.
 
-The distribution scan, the raw reading, the one-step span, cosets and the
-conjugation scan read their products from MultiGroupSpace._tables. Each
-must equal the string-keyed scan it replaced (tests/oracles.py): the same
-result, or the same exception type and text, on every shipped instance,
-the overlapping pair family, the small catalog spaces and invalid spaces
-where distribution fails. The distribution scan is also checked on random
+The distribution scan, the raw reading, the one-step span, cosets, the
+conjugation scan and both subspace routes read their products and subsets
+from MultiGroupSpace._tables and universe bitmasks. Each must equal the
+string-keyed code it replaced (tests/oracles.py): the same result, or the
+same exception type and text, on every shipped instance, the overlapping
+pair family, the small catalog spaces, invalid spaces where distribution
+fails and tests/golden/escape.mgs, where a product leaves its carrier. The distribution scan is also checked on random
 partial tables, down to one-element universes, and where both directions
 fail often enough to stop its witness search early.
 """
 
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,11 +25,15 @@ from multigroup.instances import parse_instance
 from multigroup.series import is_normal_subspace
 from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
                                _check_one_direction, is_complete)
-from multigroup.subspaces import coset, is_subspace
+from multigroup.subspaces import (SubsetRef, coset, is_subspace,
+                                  is_subspace_by_intersection, subspace_decomposition)
 
 from conftest import INSTANCE_DIR, overlapping_pair_family, small_space_catalog
+from test_groups import _tables
+from test_subspaces import _escaping_groups
 from oracles import (scan_check_one_direction, scan_coset, scan_is_complete,
-                     scan_is_normal_subspace, scan_span_once,
+                     scan_is_normal_subspace, scan_is_subspace_by_intersection,
+                     scan_span_once, scan_subspace_decomposition,
                      subset_op_combinations)
 
 
@@ -42,6 +48,9 @@ def _spaces():
         cases.append(pytest.param(ms, id=f"overlap{i}"))
     cases.append(pytest.param(catalog.z4_twice(), id="catalog-z4z4"))
     cases.append(pytest.param(catalog.gf3_corrupt(), id="catalog-gf3_corrupt"))
+    escape = Path(__file__).parent / "golden" / "escape.mgs"
+    cases.append(pytest.param(parse_instance(escape.read_text(encoding="utf-8")),
+                              id="golden-escape"))
     return cases
 
 
@@ -86,6 +95,16 @@ def _same_cosets_and_conjugation(ms):
             continue
         for g in ms.universe:
             assert _outcome(coset, ms, h, g) == _outcome(scan_coset, ms, h, g), (h, g)
+
+
+def _same_subspace_routes(ms):
+    """Over every subset and retained ops: the same decomposition, the same
+    intersection-route evidence, or the same error."""
+    for s in subset_op_combinations(ms):
+        assert _outcome(subspace_decomposition, ms, s) == \
+            _outcome(scan_subspace_decomposition, ms, s), s
+        assert _outcome(is_subspace_by_intersection, ms, s) == \
+            _outcome(scan_is_subspace_by_intersection, ms, s), s
 
 
 @pytest.mark.parametrize("ms", SPACES)
@@ -134,6 +153,7 @@ def test_perturbed_tables_match_the_string_scans(ms):
     _same_raw_reading(ms)
     _same_span_once(ms)
     _same_cosets_and_conjugation(ms)
+    _same_subspace_routes(ms)
 
 
 def test_the_raw_reading_ignores_members_outside_the_universe(gf3):
@@ -144,14 +164,15 @@ def test_the_raw_reading_ignores_members_outside_the_universe(gf3):
 def test_a_product_outside_the_universe_raises_when_the_tables_are_built():
     """The tables need every product in the universe; a programmatic space
     that breaks it gets the DomainError of building them, as span_closure
-    always did."""
+    always did and the completeness route now does."""
     broken = FiniteGroup("*", ("e", "a"), (("e", "a"), ("a", "q")), "e")
     z2 = FiniteGroup("+", ("e", "a"), (("e", "a"), ("a", "e")), "e")
     ms = MultiGroupSpace(("e", "a"), (broken, z2))
     a = GeneratingSet.of(ms, ("e",))
     for read in (lambda: span_closure(ms, a), lambda: span_once(ms, a),
                  lambda: is_complete(ms, ("e",), "*"),
-                 lambda: _check_one_direction(ms, "*", "+")):
+                 lambda: _check_one_direction(ms, "*", "+"),
+                 lambda: subspace_decomposition(ms, SubsetRef.of(ms, ("e",)))):
         with pytest.raises(DomainError, match="'q' is not in the universe"):
             read()
 
@@ -218,3 +239,24 @@ def test_a_one_element_space_tests_both_laws_once():
         check = _check_one_direction(ms, times, circ)
         assert check == scan_check_one_direction(ms, times, circ)
         assert check.holds and check.tested == 2
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_subspace_routes_match_the_string_routes(ms):
+    _same_subspace_routes(ms)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_tables(outside=("x", "y", "z")), _escaping_groups()), st.data())
+def test_subspace_routes_match_the_string_routes_on_escaping_tables(g, data):
+    """One operation whose products may leave its carrier, in a space whose
+    universe also holds them: any subset of that universe, with Light's
+    verdict cached or not, gets the same decomposition, evidence or error."""
+    ms = MultiGroupSpace(g.carrier + g._ints[1], (g,))
+    if data.draw(st.booleans()):
+        g._associative  # cached Light's verdict: word closures where it holds
+    s = SubsetRef.of(ms, data.draw(st.sets(st.sampled_from(ms.universe))))
+    assert _outcome(subspace_decomposition, ms, s) == \
+        _outcome(scan_subspace_decomposition, ms, s)
+    assert _outcome(is_subspace_by_intersection, ms, s) == \
+        _outcome(scan_is_subspace_by_intersection, ms, s)

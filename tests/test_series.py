@@ -428,6 +428,9 @@ def _interposition_cases():
             cases.append(pytest.param(ms, id=path.stem))
     for i, ms in enumerate(overlapping_pair_family()):
         cases.append(pytest.param(ms, id=f"overlap{i}"))
+        # induced universes are then no prefix of the top-level one
+        cases.append(pytest.param(MultiGroupSpace(ms.universe[::-1], ms.groups),
+                                  id=f"overlap{i}-reversed"))
     for p in (2, 3, 5, 7, 11, 13):
         cases.append(pytest.param(catalog.prime_field(p), id=f"gf{p}"))
     for m in range(1, 7):

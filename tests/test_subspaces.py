@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, subgroups
-from multigroup.spaces import validate_multigroup
+from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup.subspaces import (SubsetRef, _closed_part_candidates, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
@@ -16,7 +16,8 @@ from multigroup.subspaces import (SubsetRef, _closed_part_candidates, coset,
                                   subspace_decomposition)
 
 from conftest import subset_op_combinations, subspaces_of
-from oracles import brute_subspace, scan_closed_parts, scan_closed_subsets
+from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
+                     scan_subspace_decomposition)
 from test_groups import _tables
 
 A3 = ("e", "(123)", "(132)")
@@ -97,6 +98,20 @@ def test_decomposition_is_canonical_and_cached(gf3):
     d = subspace_decomposition(gf3, s)
     assert d == {"+": ("0",), "*": ("1",)}
     assert subspace_decomposition(gf3, s) == d
+
+
+def test_parts_come_in_universe_index_order_not_bitmask_value():
+    """Two maximal subgroups of S3 fit the subset, and a Z3 on the other
+    elements completes either. The first in universe index order, A3 at
+    indices 0, 1, 5, is the part, although {e, (12)} at 0, 2 has the
+    smaller bitmask."""
+    s3, c = catalog.symmetric_3(), ("(12)", "(123)", "(132)")
+    z3 = FiniteGroup("o", c, tuple(c[i:] + c[:i] for i in range(3)), c[0])
+    ms = MultiGroupSpace(("e", "(123)", "(12)", "(23)", "(13)", "(132)"), (s3, z3))
+    s = ref(ms, ["e", "(123)", "(132)", "(12)"])
+    parts = {s3.op_id: ("e", "(123)", "(132)"), "o": ("(123)", "(12)", "(132)")}
+    assert subspace_decomposition(ms, s) == scan_subspace_decomposition(ms, s) == parts
+    assert is_subspace_by_intersection(ms, s).parts == tuple(parts.items())
 
 
 @pytest.mark.parametrize("name", ("gf3", "gf5", "z6units", "z2link", "z2z3",
@@ -288,6 +303,14 @@ def test_subspace_transitivity(small_spaces):
                 assert is_subspace(ms, lifted), (name, s2, s1)
 
 
+def _space_candidates(g, allowed):
+    """_closed_part_candidates through a one-operation space whose universe
+    is g's carrier followed by the products outside it."""
+    ms = MultiGroupSpace(g.carrier + g._ints[1], (g,))
+    return [frozenset(ms._elements(m))
+            for m in _closed_part_candidates(ms, g.op_id, ms._mask(allowed))]
+
+
 def _candidates_outcome(find, g, allowed):
     try:
         return set(find(g, allowed))
@@ -321,7 +344,7 @@ def test_closed_part_candidates_match_the_string_closure(g, data):
     g = FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
     if data.draw(st.booleans()):
         g._associative  # cached Light's verdict: word closures where it holds
-    outcome = _candidates_outcome(_closed_part_candidates, g, allowed)
+    outcome = _candidates_outcome(_space_candidates, g, allowed)
     assert outcome == _candidates_outcome(scan_closed_parts, g, allowed)
     assert outcome == _candidates_outcome(_pairwise_candidates, g, allowed)
 
@@ -344,7 +367,7 @@ def test_closed_part_candidates_name_the_escape_of_pairwise_joins(g, data):
     # several products leave the carrier; the first one in table order that
     # joining every two closed sets reached is the one named
     allowed = frozenset(data.draw(st.sets(st.sampled_from(g.carrier))))
-    assert _candidates_outcome(_closed_part_candidates, g, allowed) == \
+    assert _candidates_outcome(_space_candidates, g, allowed) == \
         _candidates_outcome(_pairwise_candidates, g, allowed)
 
 
@@ -354,7 +377,7 @@ def test_closed_part_candidates_name_an_escape_only_a_join_reaches():
     rows = ("e a b c", "a a x a", "b y b b", "c c c z")
     g = FiniteGroup("*", tuple("eabc"), tuple(tuple(r.split()) for r in rows), "e")
     allowed = frozenset("abc")
-    assert _candidates_outcome(_closed_part_candidates, g, allowed) == \
+    assert _candidates_outcome(_space_candidates, g, allowed) == \
         _candidates_outcome(_pairwise_candidates, g, allowed) == \
         "'x' is not in the carrier of '*'"
 
@@ -363,7 +386,7 @@ def test_decomposition_cache_is_freed_with_its_space():
     ms = catalog.gf3()
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
-    assert s in ms._decompositions
+    assert (ms._mask(s.elements), s.retained_ops) in ms._decompositions
     gone = weakref.ref(ms)
     del ms
     gc.collect()
