@@ -112,8 +112,8 @@ class FiniteGroup:
         masks = sorted((m for m in found
                         if m & e and self.order % m.bit_count() == 0),
                        key=lambda m: (m.bit_count(), _bits(m)))
-        subs = [tuple(self.carrier[i] for i in _bits(m)) for m in masks]
-        return tuple(s for s in subs if is_subgroup(self, s))
+        return tuple(tuple(self.carrier[i] for i in _bits(m)) for m in masks
+                     if all(m >> self._inverse_of(a) & 1 for a in _bits(m)))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -261,7 +261,11 @@ def is_normal_subgroup(g: FiniteGroup, subset, within=None) -> bool:
 
 
 def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []  # the set positions of a nonnegative mask, lowest first
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _close(tables, closed: int, mask: int, gens=None, within: int = -1) -> int:
@@ -350,9 +354,9 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Ele
 
     Built by cyclic extension: every product-closed subset of the carrier
     is found by joining closed sets with element closures (_closed_subsets),
-    and each one that holds the identity and has order dividing |G| is
-    still checked against the subgroup axioms with is_subgroup. The lattice
-    is cached on the group.
+    and each one that holds the identity and has order dividing |G| is kept
+    when it holds the inverse of each member. The lattice is cached on the
+    group.
     Refuses groups larger than the configured bound instead of truncating.
     """
     if g.order > limits.max_group_order:

@@ -11,13 +11,16 @@ walked down a composition series, removing the stripped elements from the
 whole link. Removals can clip or delete the carriers of later operations;
 such anomalies are recorded on the series instead of being papered over,
 and the series may legitimately terminate away from the last operation's
-identity (flagged TERMINAL_MISMATCH).
+identity (flagged TERMINAL_MISMATCH). The walk stays in the top-level tables:
+a link is a universe bitmask, the space induced on it a tuple of carriers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
+from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
@@ -25,8 +28,7 @@ from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
 from .groups import (Element, _bits, is_normal_subgroup,
                      maximal_proper_normal_subgroups, subgroups)
 from .spaces import MultiGroupSpace
-from .subspaces import (SubsetRef, induced_space, is_subspace,
-                        subspace_decomposition)
+from .subspaces import SubsetRef, _parts, is_subspace, subspace_decomposition
 
 ANOMALY_TERMINAL_MISMATCH = "TERMINAL_MISMATCH"
 ANOMALY_CARRIER_LOST = "CARRIER_LOST"
@@ -73,19 +75,31 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
     """
     if not is_subspace(ms, h):
         raise PreconditionError("normality requires a subspace")
-    u, n, members = ms.universe, len(ms.universe), ms._mask(h.elements)
-    ok = members | 1 << n  # a member outside the carrier is skipped
-    for op in h.retained_ops:
-        g, t = ms.group_of(op), ms._table(op)
+    witness = _conjugation_witness(ms, ms._mask(h.elements), h.retained_ops,
+                                   ms._carriers)
+    return NormalityEvidence(witness is None, witness)
+
+
+def _conjugation_witness(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
+                         carriers: tuple[int, ...]):
+    """The first (op, g, h, g * h * g^-1) with the conjugate outside the
+    members, g and h in op's carrier (see subspaces._parts), or None."""
+    u, n = ms.universe, len(ms.universe)
+    ok = members | 1 << n
+    for op in ops:
+        k = ms.groups.index(ms.group_of(op))
+        g, t, carrier = ms.groups[k], ms._tables[k], carriers[k]
+        inside = _bits(members & carrier)
         for x in g.carrier:
-            xi, row = ms.index(g.inverse(x)), t[ms.index(x)]
-            for m in _bits(members):
+            xi, i = ms.index(g.inverse(x)), ms.index(x)
+            row = t[i]
+            for m in inside if carrier >> i & 1 else ():
                 conjugate = t[row[m]][xi]
                 if conjugate == n and row[m] != n:
                     g.index(u[row[m]])  # x * m left the carrier: DomainError
                 if not ok >> conjugate & 1:
-                    return NormalityEvidence(False, (op, x, u[m], u[conjugate]))
-    return NormalityEvidence(True)
+                    return op, x, u[m], u[conjugate]
+    return None
 
 
 def normality_criterion(ms: MultiGroupSpace, h: SubsetRef) -> bool:
@@ -125,29 +139,40 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
             "series construction requires a valid multi-group space")
 
 
-def _validate_link(parent_space: MultiGroupSpace, elements) -> SubsetRef:
-    """A link must be a normal subspace of the space induced on its parent."""
-    ref = SubsetRef.of(parent_space, elements)
-    if not is_subspace(parent_space, ref):
-        raise InternalConsistencyError(
-            f"constructed link {tuple(elements)!r} is not a subspace of its parent")
-    if not is_normal_subspace(parent_space, ref):
-        raise InternalConsistencyError(
-            f"constructed link {tuple(elements)!r} is not normal in its parent")
-    return ref
+def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int, normal=True):
+    """The carriers of the space induced on mask inside the space with the
+    given carriers (mask's decomposition parts there, 0 for a lost
+    operation), or None if mask is no subspace there, or no normal one. It
+    retains the operations whose carrier meets mask, as SubsetRef.of does."""
+    ops = tuple(op for op, carrier in zip(ms.op_set, carriers) if mask & carrier)
+    parts = _parts(ms, mask, ops, carriers)
+    if parts is None or normal and _conjugation_witness(ms, mask, ops, carriers):
+        return None
+    return tuple(parts.get(op, 0) for op in ms.op_set)
+
+
+def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int):
+    """The carriers of the space induced on a link, which must be a normal
+    subspace of its parent, the space with the given carriers."""
+    for normal, relation in (False, "a subspace of"), (True, "normal in"):
+        if (inner := _induced(ms, carriers, link, normal)) is None:
+            raise InternalConsistencyError(
+                f"constructed link {ms._elements(link)!r} is not {relation} its parent")
+    return inner
 
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    limits: Limits, branch: bool):
     """Generate (chain, step_ops, anomalies, spaces) from the staged programming,
-    where spaces[i] is the space induced on chain[i].
+    where chain holds universe bitmasks and spaces[i] is the carrier tuple of
+    the space induced on chain[i].
 
     With branch=False only the canonically smallest maximal proper normal
     subgroup is taken at each step (the single-witness mode); with
     branch=True every choice is explored.
     """
-    whole = SubsetRef.of(ms, ms.universe)
-    if not is_subspace(ms, whole):
+    whole = (1 << len(ms.universe)) - 1
+    if _induced(ms, ms._carriers, whole, normal=False) is None:
         raise PreconditionError("the whole space must validate as a subspace")
 
     def stages(spaces, current, chain, steps, anomalies, op_index):
@@ -155,40 +180,35 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
             yield chain, steps, anomalies, spaces
             return
         op = seq.order[op_index]
-        decomp = subspace_decomposition(ms, current)
-        if op not in decomp:
+        part = _induced(ms, ms._carriers, current, normal=False)[ms.op_set.index(op)]
+        if not part:
             note = f"{ANOMALY_CARRIER_LOST}:{op}"
             yield from stages(spaces, current, chain,
                               steps, anomalies + [note], op_index + 1)
             return
-        part = decomp[op]
 
         def descend(spaces, current, part, chain, steps, anomalies):
-            if len(part) == 1:
+            if part.bit_count() == 1:
                 yield from stages(spaces, current, chain, steps,
                                   anomalies, op_index + 1)
                 return
-            choices = sorted(maximal_proper_normal_subgroups(ms.group_of(op), limits,
-                                                             within=part),
-                             key=lambda s: _bits(ms._mask(s)))
+            choices = sorted(map(ms._mask, maximal_proper_normal_subgroups(
+                ms.group_of(op), limits, within=ms._elements(part))), key=_bits)
             if not branch:
                 choices = choices[:1]
             for nxt in choices:
-                removed = set(part) - set(nxt)
-                new_elements = [e for e in current.elements if e not in removed]
-                link = _validate_link(spaces[-1], new_elements)
-                new_current = SubsetRef.of(ms, new_elements)
-                new_space = induced_space(spaces[-1], link)
-                yield from descend(spaces + [new_space], new_current, nxt,
-                                   chain + [new_current], steps + [op], anomalies)
+                link = current & ~part | nxt
+                yield from descend(spaces + [_link_carriers(ms, spaces[-1], link)],
+                                   link, nxt, chain + [link], steps + [op], anomalies)
 
         yield from descend(spaces, current, part, chain, steps, anomalies)
 
-    yield from stages([ms], whole, [whole], [], [], 0)
+    yield from stages([ms._carriers], whole, [whole], [], [], 0)
 
 
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    chain, steps, anomalies) -> NormalSeries:
+    chain = [SubsetRef.of(ms, ms._elements(link)) for link in chain]
     last_identity = ms.group_of(seq.order[-1]).identity
     terminal = chain[-1].elements
     if set(terminal) != {last_identity}:
@@ -211,49 +231,35 @@ def build_series(ms: MultiGroupSpace, seq: OrientedOperationSequence | None = No
     return _finish_series(ms, seq, chain, steps, anomalies)
 
 
-def _candidates_between(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
-                        lower: SubsetRef, limits: Limits):
-    """The unions of one subgroup (or nothing) per operation, as universe
-    bitmasks, strictly between lower and the whole space, in the order of
-    the scan over the gap: by size, then by the gap positions taken. Each
-    group of upper_space restricts one of ms to a subgroup, so its subgroups
-    are the lattice members of ms inside its carrier."""
-    low = upper_space._mask(lower.elements)
+def _candidates_between(ms: MultiGroupSpace, carriers: tuple[int, ...],
+                        low: int, limits: Limits) -> list[int]:
+    """The unions of one subgroup (or nothing) per operation strictly between
+    low and the space with the given carriers, by size and then by the gap
+    positions taken. Each carrier is a subgroup of a group of ms, so its
+    subgroups are the lattice members of ms inside it."""
     unions = {0}
-    for g in upper_space.groups:
-        parts = [upper_space._mask(s) for s in subgroups(ms.group_of(g.op_id), limits)
-                 if all(e in g for e in s)]
+    for g, carrier in zip(ms.groups, carriers):
+        parts = [m for m in map(ms._mask, subgroups(g, limits)) if not m & ~carrier]
         unions |= {u | p for u in unions for p in parts}
-    whole = (1 << len(upper_space.universe)) - 1
+    whole = reduce(or_, carriers)
     between = [m for m in unions if m & low == low and m not in (low, whole)]
-    for m in sorted(between, key=lambda m: (m.bit_count(), _bits(m & ~low))):
-        yield upper_space._elements(m)
+    return sorted(between, key=lambda m: (m.bit_count(), _bits(m & ~low)))
 
 
-def _interposable(ms: MultiGroupSpace, upper_space: MultiGroupSpace,
-                  lower: SubsetRef, limits: Limits) -> tuple[Element, ...] | None:
-    """Search for a normal subspace strictly between a link and its parent.
+def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
+                  lower: int, limits: Limits) -> int | None:
+    """The first normal subspace strictly between a link and its parent, the
+    space with the given carriers, in which the link is normal, or None.
 
-    Returns the witness subset if one interposes, else None. The candidates
-    are the unions of lattice members between link and parent: complete,
-    since a subspace is a union of one subgroup (or nothing) per operation
-    and every group here is finite, so every subspace between them is one.
-    Each is decided by the usual subspace and normality checks, in the order
-    of a scan over all 2^|gap| subsets, so the first witness is the one that
-    scan finds. GF(11) has at most 15 such unions where its first gap has
-    1,024 subsets.
+    The candidates are the unions of lattice members between link and
+    parent: every subspace between them is one, as a subspace is a union of
+    one subgroup (or nothing) per operation. They come in the order of a
+    scan over all 2^|gap| subsets, so the witness is the one it finds.
     """
-    for elems in _candidates_between(ms, upper_space, lower, limits):
-        mid = SubsetRef.of(upper_space, elems)
-        if not is_subspace(upper_space, mid):
-            continue
-        if not is_normal_subspace(upper_space, mid):
-            continue
-        mid_space = induced_space(upper_space, mid)
-        low_in_mid = SubsetRef.of(mid_space, lower.elements)
-        if is_subspace(mid_space, low_in_mid) and \
-                is_normal_subspace(mid_space, low_in_mid):
-            return tuple(sorted(elems, key=ms.index))
+    for mid in _candidates_between(ms, carriers, lower, limits):
+        inner = _induced(ms, carriers, mid)
+        if inner is not None and _induced(ms, inner, lower) is not None:
+            return mid
     return None
 
 
@@ -301,16 +307,15 @@ def _enumerate_maximal_series(ms: MultiGroupSpace, seq: OrientedOperationSequenc
     rejected: list[tuple[NormalSeries, str]] = []
     seen: set[tuple] = set()
     for chain, steps, anomalies, spaces in _series_stages(ms, seq, limits, branch=True):
-        series = _finish_series(ms, seq, chain, steps, anomalies)
-        key = series.element_chain()
-        if key in seen:
+        if tuple(chain) in seen:
             continue
-        seen.add(key)
+        seen.add(tuple(chain))
+        series = _finish_series(ms, seq, chain, steps, anomalies)
         reason = None
-        for upper, lower, parent_space in zip(chain, chain[1:], spaces):
-            witness = _interposable(ms, parent_space, lower, limits)
+        for upper, lower, carriers in zip(series.chain, chain[1:], spaces):
+            witness = _interposable(ms, carriers, lower, limits)
             if witness is not None:
-                reason = (f"{ANOMALY_REJECTED_STEP}: {{{', '.join(witness)}}} "
+                reason = (f"{ANOMALY_REJECTED_STEP}: {{{', '.join(ms._elements(witness))}}} "
                           f"interposes below {{{', '.join(upper.elements)}}}")
                 break
         if reason is None:

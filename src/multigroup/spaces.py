@@ -60,9 +60,9 @@ class MultiGroupSpace:
 
         Index len(universe) stands for an undefined product and absorbs
         every product with it, so t[x][t[y][z]] is undefined as soon as any
-        product on the way is. The distribution scan, the raw reading,
-        cosets, the one-step span, the conjugation scan and the
-        completeness route's subspace candidates all read it.
+        product on the way is. The distribution scan, the raw reading, cosets,
+        the one-step span, the conjugation scan and the completeness route
+        read it, and so does the series walk inside every induced space.
         Precondition: every carrier element and product lies in the
         universe. The parser and the catalog ensure it, and validation
         scans distribution only without structural violations; a product
@@ -99,7 +99,7 @@ class MultiGroupSpace:
 
     @cached_property
     def _decompositions(self) -> dict:
-        # subspaces._parts results by (universe bitmask, retained ops)
+        # subspaces._parts results by (universe bitmask, retained ops, carriers)
         return {}
 
     @cached_property

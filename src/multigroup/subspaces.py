@@ -7,7 +7,7 @@ and together the chosen parts must cover the subset exactly. Two
 independent routes decide this:
 
  * the intersection route finds candidate parts on the subgroup lattice of
-   each component group (subgroup axioms checked explicitly);
+   each component group (the inverses of each closed set checked explicitly);
  * the completeness route finds candidate parts as product-closed subsets
    (closure only; finiteness makes a closed nonempty set a group).
 
@@ -25,12 +25,16 @@ table in the space, each allowed element is closed, each closed set found
 is joined with each element closure not inside it (as words over its
 generators on a table already known to be associative), and the maximal
 closures inside the allowed set are kept. Decompositions are cached on the
-space by (bitmask, retained ops), so the cache is freed with it.
+space by (bitmask, retained ops, carriers), so the cache is freed with it;
+the series walk decomposes inside induced spaces by passing their carriers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, product
+from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DecompositionFailure, DomainError, PreconditionError
@@ -70,7 +74,7 @@ class SubsetRef:
 
 
 def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[int]:
-    """Maximal nonempty product-closed subsets of within's share of op's
+    """Maximal nonempty product-closed subsets of within, a part of op's
     carrier, as universe bitmasks (completeness route).
 
     Raises DomainError naming the first product outside the carrier, in
@@ -81,7 +85,6 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
     on a small allowed set the test costs more than the closures it saves.
     """
     g, t = ms.group_of(op), ms._table(op)
-    within &= ms._carrier(op)
     found = _closed_subsets(t, within, vars(g).get("_associative", False))
     maximal = [m for m in found
                if not any(m != o and m & o == m for o in found)]
@@ -107,53 +110,41 @@ def _lattice_part_candidates(ms: MultiGroupSpace, op: str, allowed: int,
 
 def _select_cover(target: int, candidates_by_op: dict[str, list[int]]):
     """First per-op assignment (candidates in canonical order) whose parts
-    cover the target."""
-    ops = list(candidates_by_op)
+    cover the target, in product order."""
     # cheap necessary condition: every element must lie in some candidate
-    reachable = 0
-    for cands in candidates_by_op.values():
-        for c in cands:
-            reachable |= c
-    if target & ~reachable:
+    if target & ~reduce(or_, chain.from_iterable(candidates_by_op.values()), 0):
         return None
-
-    chosen: dict[str, int] = {}
-
-    def backtrack(i: int, covered: int):
-        if i == len(ops):
-            return covered == target
-        for cand in candidates_by_op[ops[i]]:
-            chosen[ops[i]] = cand
-            if backtrack(i + 1, covered | cand):
-                return True
-        chosen.pop(ops[i], None)
-        return False
-
-    if backtrack(0, 0):
-        return dict(chosen)
+    for choice in product(*candidates_by_op.values()):
+        if reduce(or_, choice) == target:
+            return dict(zip(candidates_by_op, choice))
     return None
 
 
-def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...]):
+def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...],
+                   carriers: tuple[int, ...]):
     if not target or not ops:
         return None
     candidates: dict[str, list[int]] = {}
     for op in ops:
-        cands = _closed_part_candidates(ms, op, target)
+        carrier = carriers[ms.groups.index(ms.group_of(op))]
+        cands = _closed_part_candidates(ms, op, target & carrier)
         if not cands:
             return None  # the op cannot contribute a nonempty group
         candidates[op] = sorted(cands, key=_bits)
     return _select_cover(target, candidates)
 
 
-def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...]):
+def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...],
+           carriers: tuple[int, ...] | None = None):
     """subspace_decomposition over universe bitmasks: one part per retained
-    operation, or None. Cached on the space by (mask, ops), so the cache is
-    freed with it."""
-    cache = ms._decompositions
-    if (mask, ops) not in cache:
-        cache[mask, ops] = _decomposition(ms, mask, ops)
-    return cache[mask, ops]
+    operation, or None. The carriers, one bitmask per operation, default to
+    the space's own; a space induced on a subspace has its parts for
+    carriers (0 for a lost operation) and the space's tables. Cached on the
+    space by (mask, ops, carriers), so the cache is freed with it."""
+    key = mask, ops, carriers or ms._carriers
+    if key not in ms._decompositions:
+        ms._decompositions[key] = _decomposition(ms, *key)
+    return ms._decompositions[key]
 
 
 def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):

@@ -8,9 +8,10 @@ out every per-operation candidate assignment.
 
 scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_validate_group,
 scan_interposable, scan_is_finitely_generated, scan_composition_series,
-scan_is_abelian and the five string-keyed product scans are the
-exceptions: they are code the engine replaced, kept verbatim as oracles
-for their replacements.
+scan_is_abelian, the staged series walk (scan_series_stages,
+scan_build_series, scan_maximal_series) and the five string-keyed product
+scans are the exceptions: they are code the engine replaced, kept verbatim
+as oracles for their replacements.
 scan_subgroups is the divisor-filtered subset scan used before cyclic
 extension (the engine's is_subgroup on every identity-holding subset of
 divisor size); scan_closed_parts is the string-keyed closure and join loop
@@ -21,7 +22,11 @@ closures only, and returns the union of the closures it dropped;
 scan_validate_group checks the group axioms with string-keyed products, as
 validate_group did before it read the int table; scan_interposable tries
 every subset between a series link and its parent, as the interposition
-search did before it enumerated unions of subgroups;
+search did before it enumerated unions of subgroups; the staged series
+walk builds an induced space for every link and checks the link in it, as
+the series constructions did before they walked universe bitmasks and
+carrier tuples of the top-level space, and it decides interposition with
+scan_interposable;
 scan_is_finitely_generated scans every subset of the universe by size, as
 the generating-set search did before it split the universe into connected
 components; scan_composition_series recurses on the restricted group of
@@ -41,13 +46,17 @@ pairs, shared by the tests and scripts/subspace_census.py.
 from itertools import combinations, product
 
 from multigroup.config import DEFAULT_LIMITS, Limits
-from multigroup.errors import DomainError, PreconditionError
+from multigroup.errors import (DomainError, InternalConsistencyError,
+                               PreconditionError)
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
                                _closed_subsets, is_subgroup,
                                maximal_proper_normal_subgroups, subgroups)
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
-from multigroup.series import NormalityEvidence, is_normal_subspace
+from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
+                               ANOMALY_TERMINAL_MISMATCH, MaximalSeriesResult,
+                               NormalityEvidence, NormalSeries, _check_preconditions,
+                               is_normal_subspace)
 from multigroup.spaces import MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace
 from multigroup.subspaces import (SubspaceEvidence, SubsetRef, induced_space,
                                   is_subspace, subspace_decomposition)
@@ -673,3 +682,111 @@ def scan_is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
                                 "no per-operation assignment of subgroups covers the subset")
     parts = tuple((op, _sorted_elements(ms, cover[op])) for op in s.retained_ops)
     return SubspaceEvidence(True, intersections, parts)
+
+
+# ------------------------------------------------------ staged series walk
+
+def _scan_validate_link(parent_space: MultiGroupSpace, elements) -> SubsetRef:
+    """A link must be a normal subspace of the space induced on its parent."""
+    ref = SubsetRef.of(parent_space, elements)
+    if not is_subspace(parent_space, ref):
+        raise InternalConsistencyError(
+            f"constructed link {tuple(elements)!r} is not a subspace of its parent")
+    if not is_normal_subspace(parent_space, ref):
+        raise InternalConsistencyError(
+            f"constructed link {tuple(elements)!r} is not normal in its parent")
+    return ref
+
+
+def scan_series_stages(ms: MultiGroupSpace, seq, limits: Limits, branch: bool):
+    """Generate (chain, step_ops, anomalies, spaces) from the staged programming,
+    where spaces[i] is the space induced on chain[i].
+
+    With branch=False only the canonically smallest maximal proper normal
+    subgroup is taken at each step (the single-witness mode); with
+    branch=True every choice is explored.
+    """
+    whole = SubsetRef.of(ms, ms.universe)
+    if not is_subspace(ms, whole):
+        raise PreconditionError("the whole space must validate as a subspace")
+
+    def stages(spaces, current, chain, steps, anomalies, op_index):
+        if op_index == len(seq.order):
+            yield chain, steps, anomalies, spaces
+            return
+        op = seq.order[op_index]
+        decomp = subspace_decomposition(ms, current)
+        if op not in decomp:
+            note = f"{ANOMALY_CARRIER_LOST}:{op}"
+            yield from stages(spaces, current, chain,
+                              steps, anomalies + [note], op_index + 1)
+            return
+        part = decomp[op]
+
+        def descend(spaces, current, part, chain, steps, anomalies):
+            if len(part) == 1:
+                yield from stages(spaces, current, chain, steps,
+                                  anomalies, op_index + 1)
+                return
+            choices = sorted(maximal_proper_normal_subgroups(ms.group_of(op), limits,
+                                                             within=part),
+                             key=lambda s: _bits(ms._mask(s)))
+            if not branch:
+                choices = choices[:1]
+            for nxt in choices:
+                removed = set(part) - set(nxt)
+                new_elements = [e for e in current.elements if e not in removed]
+                link = _scan_validate_link(spaces[-1], new_elements)
+                new_current = SubsetRef.of(ms, new_elements)
+                new_space = induced_space(spaces[-1], link)
+                yield from descend(spaces + [new_space], new_current, nxt,
+                                   chain + [new_current], steps + [op], anomalies)
+
+        yield from descend(spaces, current, part, chain, steps, anomalies)
+
+    yield from stages([ms], whole, [whole], [], [], 0)
+
+
+def _scan_finish_series(ms: MultiGroupSpace, seq, chain, steps, anomalies) -> NormalSeries:
+    last_identity = ms.group_of(seq.order[-1]).identity
+    terminal = chain[-1].elements
+    if set(terminal) != {last_identity}:
+        anomalies = anomalies + [
+            f"{ANOMALY_TERMINAL_MISMATCH}: terminal {{{', '.join(terminal)}}} "
+            f"!= {{{last_identity}}}"]
+    return NormalSeries(tuple(chain), tuple(steps), tuple(anomalies))
+
+
+def scan_build_series(ms: MultiGroupSpace, seq, limits: Limits = DEFAULT_LIMITS) -> NormalSeries:
+    """build_series over scan_series_stages."""
+    _check_preconditions(ms, limits)
+    chain, steps, anomalies, _ = next(scan_series_stages(ms, seq, limits, branch=False))
+    return _scan_finish_series(ms, seq, chain, steps, anomalies)
+
+
+def scan_maximal_series(ms: MultiGroupSpace, seq,
+                        limits: Limits = DEFAULT_LIMITS) -> MaximalSeriesResult:
+    """enumerate_maximal_series over scan_series_stages, deciding every link
+    with scan_interposable in the space induced on its parent."""
+    _check_preconditions(ms, limits)
+    accepted: list[NormalSeries] = []
+    rejected: list[tuple[NormalSeries, str]] = []
+    seen: set[tuple] = set()
+    for chain, steps, anomalies, spaces in scan_series_stages(ms, seq, limits, branch=True):
+        series = _scan_finish_series(ms, seq, chain, steps, anomalies)
+        key = series.element_chain()
+        if key in seen:
+            continue
+        seen.add(key)
+        reason = None
+        for upper, lower, parent_space in zip(chain, chain[1:], spaces):
+            witness = scan_interposable(ms, parent_space, lower)
+            if witness is not None:
+                reason = (f"{ANOMALY_REJECTED_STEP}: {{{', '.join(witness)}}} "
+                          f"interposes below {{{', '.join(upper.elements)}}}")
+                break
+        if reason is None:
+            accepted.append(series)
+        else:
+            rejected.append((series, reason))
+    return MaximalSeriesResult(seq, tuple(accepted), tuple(rejected))

@@ -310,6 +310,14 @@ def test_lattice_matches_the_subset_scan(key):
         assert set(map(frozenset, got)) == set(brute_subgroups(*raw_group(g)))
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_every_lattice_member_passes_is_subgroup(name):
+    """The lattice checks only the inverses of its closed sets; the full
+    subgroup check holds on every member."""
+    g = _fresh(CORPUS[name])
+    assert all(is_subgroup(g, s) for s in subgroups(g))
+
+
 def test_lattice_of_corrupt_multiplication_names_the_missing_inverse():
     g = catalog.gf3_corrupt().group_of("*")
     with pytest.raises(DomainError, match="'2' has no inverse under '\\*'"):

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from multigroup import catalog, series as series_module
+from multigroup import catalog, series as series_module, subspaces as subspaces_module
 from multigroup.config import Limits
-from multigroup.errors import (BoundExceeded, DomainError,
-                               InternalConsistencyError, PreconditionError)
+from multigroup.errors import (BoundExceeded, DomainError, InternalConsistencyError,
+                               MultigroupError, PreconditionError)
 from multigroup.groups import FiniteGroup, composition_series
 from multigroup.instances import parse_instance
 from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
@@ -15,11 +15,12 @@ from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence
                                is_normal_subspace, length_invariance_check,
                                normality_criterion)
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
-from multigroup.subspaces import SubsetRef, induced_space, is_subspace
+from multigroup.subspaces import SubsetRef, is_subspace
 
 from conftest import (INSTANCE_DIR, overlapping_pair_family, relabel, run_cli,
                       subspaces_of)
-from oracles import _strict_subsets_between, scan_interposable
+from oracles import (_strict_subsets_between, scan_build_series, scan_interposable,
+                     scan_maximal_series, scan_series_stages)
 
 A3 = ("e", "(123)", "(132)")
 S3_SPACE = catalog.single(catalog.symmetric_3())
@@ -409,7 +410,7 @@ def test_cross_sequence_comparison_refuses_too_many_operations():
     assert [s.order for s in single.per_sequence] == [ms.op_set]
 
 
-# ------------------------------------------- interposition search vs the scan
+# ------------------------------------------------ the walk vs the oracle walk
 
 WIDE = Limits(max_group_order=24, max_exhaustive_universe=24)
 
@@ -420,12 +421,15 @@ def _disjoint_union(g1, g2):
     return MultiGroupSpace(a.carrier + b.carrier, (a, b))
 
 
-def _interposition_cases():
-    cases = []
+def _shipped(valid):
     for path in sorted(INSTANCE_DIR.glob("*.mgs")):
         ms = parse_instance(path.read_text(encoding="utf-8"))
-        if validate_multigroup(ms).ok:
-            cases.append(pytest.param(ms, id=path.stem))
+        if validate_multigroup(ms).ok == valid:
+            yield pytest.param(ms, id=path.stem)
+
+
+def _interposition_cases():
+    cases = list(_shipped(valid=True))
     for i, ms in enumerate(overlapping_pair_family()):
         cases.append(pytest.param(ms, id=f"overlap{i}"))
         # induced universes are then no prefix of the top-level one
@@ -442,37 +446,62 @@ def _interposition_cases():
     return cases
 
 
-def _staged_chains(ms, order):
-    """Every branch=True staged chain, up to a construction failure."""
-    chains = []
-    try:
-        for chain, _, _, _ in series_module._series_stages(ms, seq(ms, order), WIDE,
-                                                           branch=True):
-            chains.append(chain)
-    except InternalConsistencyError:
-        pass
-    return chains
-
-
-def _subspaces_between(top, ms, lower):
-    """The subspaces strictly between lower and the whole space ms, induced
-    from top, in visiting order, among the search's candidates and among
-    all subsets of the gap."""
-    def subspaces(subsets):
-        return [frozenset(s) for s in subsets if is_subspace(ms, SubsetRef.of(ms, s))]
-    return (subspaces(series_module._candidates_between(top, ms, lower, WIDE)),
-            subspaces(_strict_subsets_between(frozenset(lower.elements), ms.universe)))
-
-
-def _outcome(ms, order):
-    """The enumeration on a fresh copy of the space, so that no result
-    cached on the space is reused."""
+def _walk_outcome(run, ms, order):
+    """run on a fresh copy of the space, so that no result cached on it is
+    reused; an error as its type and text."""
     ms = MultiGroupSpace(ms.universe, ms.groups)
     try:
-        result = enumerate_maximal_series(ms, seq(ms, order), WIDE)
-    except InternalConsistencyError as exc:
-        return str(exc)
-    return result.series, result.rejected
+        return run(ms, seq(ms, order), WIDE)
+    except MultigroupError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("ms", list(_shipped(valid=False)) + _interposition_cases())
+def test_series_walk_matches_the_induced_space_walk(ms):
+    """The walk over universe bitmasks and carrier tuples builds the same
+    single series, and accepts and rejects the same maximal series for the
+    same reasons, as the oracle walk, which induces a space on every link
+    and tries every subset between link and parent; where a construction
+    breaks down (z2link) or is refused, both raise the same error."""
+    for order in permutations(ms.op_set):
+        for walk, oracle in ((build_series, scan_build_series),
+                             (enumerate_maximal_series, scan_maximal_series)):
+            assert _walk_outcome(walk, ms, order) == _walk_outcome(oracle, ms, order), order
+
+
+def _staged_walks(ms, order):
+    """Every branch=True staged chain of the oracle walk, as (links, induced
+    spaces), beside the walk's, as (bitmasks, carrier tuples), up to a
+    construction failure."""
+    def chains(stages):
+        out = []
+        try:
+            for chain, _, _, spaces in stages(ms, seq(ms, order), WIDE, branch=True):
+                out.append((chain, spaces))
+        except InternalConsistencyError:
+            pass
+        return out
+    return zip(chains(scan_series_stages), chains(series_module._series_stages),
+               strict=True)
+
+
+def _carriers_of(ms, space):
+    """The carrier tuple of a space induced inside ms."""
+    return tuple(ms._mask(space.group_of(op).carrier) if op in space.op_set else 0
+                 for op in ms.op_set)
+
+
+def _subspaces_between(ms, carriers, space, low):
+    """The subspaces of `space`, the space with the given carriers, strictly
+    between low and its universe, in visiting order, among the search's
+    candidates and among all subsets of the gap."""
+    def subspaces(subsets):
+        return [frozenset(s) for s in subsets
+                if is_subspace(space, SubsetRef.of(space, s))]
+    candidates = series_module._candidates_between(ms, carriers, low, WIDE)
+    return (subspaces(map(ms._elements, candidates)),
+            subspaces(_strict_subsets_between(frozenset(ms._elements(low)),
+                                              space.universe)))
 
 
 @pytest.mark.parametrize("name", ("gf3", "gf5", "z6units", "z2link", "z2z3",
@@ -482,36 +511,85 @@ def test_unions_of_subgroups_hold_every_subspace_between(small_spaces, name):
     disjoint union, where a subspace between may leave an operation out."""
     ms = small_spaces[name]
     for lower in {h.elements for h in subspaces_of(ms)}:
-        found, expected = _subspaces_between(ms, ms, SubsetRef.of(ms, lower))
+        found, expected = _subspaces_between(ms, ms._carriers, ms, ms._mask(lower))
         assert found == expected, lower
+
+
+@pytest.mark.parametrize("ms", _interposition_cases())
+def test_interposition_search_matches_the_subset_scan(ms):
+    """On every link of every staged chain, the walk's link and parent
+    carriers are the oracle walk's link and induced space, the unions of
+    subgroups hold every subspace between link and parent, in the order of
+    the scan over every subset of the gap, and the search finds the same
+    first witness, or none, as that scan."""
+    for order in permutations(ms.op_set):
+        for (chain, spaces), (links, carriers) in _staged_walks(ms, order):
+            assert links == [ms._mask(link.elements) for link in chain], order
+            for lower, low, space, parent in zip(chain[1:], links[1:], spaces, carriers):
+                assert parent == _carriers_of(ms, space), (order, lower)
+                found, expected = _subspaces_between(ms, parent, space, low)
+                assert found == expected, (order, lower)
+                witness = series_module._interposable(ms, parent, low, WIDE)
+                assert (None if witness is None else ms._elements(witness)) == \
+                    scan_interposable(ms, space, lower), (order, lower)
 
 
 Z4A4 = Path(__file__).parent / "golden" / "above_bound" / "z4a4.mgs"
 
 
-def test_maximal_series_reuses_the_induced_spaces(monkeypatch):
-    """The interposition check runs in the spaces the staged programming
-    induced on each link instead of inducing them again. On Z4 + A4 no
-    normal subspace interposes, so the check induces no space of its own."""
+def _count_spaces(monkeypatch):
+    built = []
+    init = MultiGroupSpace.__post_init__
+
+    def counted(space):
+        built.append(space)
+        init(space)
+
+    monkeypatch.setattr(MultiGroupSpace, "__post_init__", counted)
+    return built
+
+
+def test_maximal_series_builds_no_space(monkeypatch):
+    """The enumeration and the comparison across orderings stay in the
+    top-level space: on Z4 + A4 they construct no MultiGroupSpace."""
     ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
-    induced = []
+    built = _count_spaces(monkeypatch)
+    result = enumerate_maximal_series(ms, limits=WIDE)
+    length_invariance_check(ms, limits=WIDE)
+    assert result.series and built == []
 
-    def counted(parent, link):
-        induced.append(link)
-        return induced_space(parent, link)
 
-    monkeypatch.setattr(series_module, "induced_space", counted)
-    list(series_module._series_stages(ms, seq(ms), WIDE, branch=True))
-    staged = len(induced)
-    enumerate_maximal_series(ms, limits=WIDE)
-    assert len(induced) == 2 * staged
+@pytest.mark.parametrize("path", [Z4A4, INSTANCE_DIR / "z6units.mgs"], ids=["z4a4", "z6units"])
+def test_the_walk_passes_only_bitmasks(monkeypatch, path):
+    """The staged walk, the candidates and the interposition search build no
+    space, SubsetRef or restricted group, and hand each other ints only: on
+    Z4 + A4 nothing interposes, on z6units every chain is rejected."""
+    ms = parse_instance(path.read_text(encoding="utf-8"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk left the top-level tables")
+
+    monkeypatch.setattr(MultiGroupSpace, "__post_init__", refuse)
+    monkeypatch.setattr(SubsetRef, "of", staticmethod(refuse))
+    monkeypatch.setattr(subspaces_module, "induced_space", refuse)
+    monkeypatch.setattr(FiniteGroup, "restrict", refuse)
+    witnesses = []
+    for chain, _, _, spaces in series_module._series_stages(ms, seq(ms), WIDE,
+                                                            branch=True):
+        assert all(type(m) is int for m in chain + [c for cs in spaces for c in cs])
+        for carriers, lower in zip(spaces, chain[1:]):
+            assert all(type(m) is int for m in
+                       series_module._candidates_between(ms, carriers, lower, WIDE))
+            witnesses.append(series_module._interposable(ms, carriers, lower, WIDE))
+    assert all(w is None or type(w) is int for w in witnesses)
+    assert any(w is not None for w in witnesses) == (path.stem == "z6units")
 
 
 def test_lattices_are_enumerated_once_per_operation(monkeypatch):
     """The staged descent and the interposition search take the subgroups
-    of every part and of every induced space's groups from the lattices of
-    the top-level groups instead of enumerating each restricted group
-    again: one evaluation for Z4, one for A4."""
+    of every part and of every induced carrier from the lattices of the
+    top-level groups instead of enumerating each restricted group again:
+    one evaluation for Z4, one for A4."""
     lattice = FiniteGroup.__dict__["_subgroups"]
     evaluations = []
 
@@ -565,26 +643,3 @@ def test_a_failed_construction_is_not_cached(monkeypatch):
         with pytest.raises(InternalConsistencyError):
             enumerate_maximal_series(ms, seq(ms, ["p", "q"]))
     assert len(runs) == 2 and not ms._maximal_series
-
-
-@pytest.mark.parametrize("ms", _interposition_cases())
-def test_interposition_search_matches_the_subset_scan(ms, monkeypatch):
-    """On every link of every staged chain, the unions of subgroups hold
-    every subspace between link and parent, in the order of the scan over
-    every subset of the gap, and the search finds the same first witness,
-    or none, as that scan; the enumeration accepts and rejects the same
-    series."""
-    for order in permutations(ms.op_set):
-        for chain in _staged_chains(ms, order):
-            parent = ms
-            for lower in chain[1:]:
-                found, expected = _subspaces_between(ms, parent, lower)
-                assert found == expected, (order, lower)
-                assert series_module._interposable(ms, parent, lower, WIDE) == \
-                    scan_interposable(ms, parent, lower), (order, lower)
-                parent = induced_space(parent, SubsetRef.of(parent, lower.elements))
-
-    found = {order: _outcome(ms, order) for order in permutations(ms.op_set)}
-    monkeypatch.setattr(series_module, "_interposable",
-                        lambda ms, upper, lower, limits: scan_interposable(ms, upper, lower))
-    assert found == {order: _outcome(ms, order) for order in permutations(ms.op_set)}

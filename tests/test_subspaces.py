@@ -9,13 +9,13 @@ from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, subgroups
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
-from multigroup.subspaces import (SubsetRef, _closed_part_candidates, coset,
+from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _parts, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
                                   is_subspace_by_intersection, lagrange_check,
                                   subspace_decomposition)
 
-from conftest import subset_op_combinations, subspaces_of
+from conftest import overlapping_pair_family, subset_op_combinations, subspaces_of
 from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
                      scan_subspace_decomposition)
 from test_groups import _tables
@@ -287,6 +287,32 @@ def test_induced_space_is_valid(gf3, small_spaces):
             assert inner.universe == h.elements
 
 
+def _decomposes_alike_inside(ms, s):
+    """Decomposing inside the space induced on s by passing its carriers
+    to _parts agrees with decomposing in induced_space(ms, s) itself."""
+    inner = induced_space(ms, s)
+    parts = _parts(ms, ms._mask(s.elements), s.retained_ops)
+    carriers = tuple(parts.get(op, 0) for op in ms.op_set)
+    for t in subset_op_combinations(inner):
+        got = _parts(ms, ms._mask(t.elements), t.retained_ops, carriers)
+        expected = subspace_decomposition(inner, t)
+        assert (None if got is None else
+                {op: ms._elements(part) for op, part in got.items()}) == expected, (s, t)
+
+
+@pytest.mark.parametrize("name", ("gf3", "gf5", "z6units", "z2z3", "z2z2", "klein"))
+def test_parts_over_induced_carriers_match_the_induced_space(small_spaces, name):
+    ms = small_spaces[name]
+    for s in subspaces_of(ms):
+        _decomposes_alike_inside(ms, s)
+
+
+def test_parts_over_induced_carriers_match_on_overlapping_carriers():
+    for ms in overlapping_pair_family(max_universe=6):
+        for s in subspaces_of(ms):
+            _decomposes_alike_inside(ms, s)
+
+
 def test_induced_space_requires_a_subspace(gf3):
     with pytest.raises(PreconditionError):
         induced_space(gf3, ref(gf3, ["0", "2"], ["+"]))
@@ -386,7 +412,7 @@ def test_decomposition_cache_is_freed_with_its_space():
     ms = catalog.gf3()
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
-    assert (ms._mask(s.elements), s.retained_ops) in ms._decompositions
+    assert (ms._mask(s.elements), s.retained_ops, ms._carriers) in ms._decompositions
     gone = weakref.ref(ms)
     del ms
     gc.collect()
