@@ -6,9 +6,11 @@ the first carrier for subspace, cosets and normal, each headed by its
 command line and exit code. Each tests/golden/above_bound/<instance>.txt
 holds the maximal-series reports of an instance whose universe exceeds the
 default bound, run with --exhaustive-bound 24, so the interposition search
-meets gaps larger than any shipped instance has. The instance path is
-printed as <instance>, so the files do not depend on where the repository
-lives. Each tests/golden/scripts/<script>.txt holds what
+meets gaps larger than any shipped instance has. Each
+tests/golden/above_bound/hashed/<instance>.sha256 holds the sha256 of the
+--json report of such a run whose report is too large to keep (hundreds of
+series). The instance path is printed as <instance>, so the files do not
+depend on where the repository lives. Each tests/golden/scripts/<script>.txt holds what
 scripts/<script>.py prints on the shipped instances with its default
 arguments. The tests compare byte for byte; after a deliberate change to a
 report, rewrite the files with
@@ -16,6 +18,7 @@ report, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -37,6 +40,7 @@ INSTANCES = sorted((HERE.parent / "instances").glob("*.mgs")) + \
     sorted(GOLDEN_DIR.glob("*.mgs"))
 SET_COMMANDS = ("cosets", "normal", "subspace")
 ABOVE_BOUND = sorted((GOLDEN_DIR / "above_bound").glob("*.mgs"))
+HASHED = sorted((GOLDEN_DIR / "above_bound" / "hashed").glob("*.mgs"))
 SCRIPTS = ("subspace_census", "survey_series")
 
 
@@ -83,6 +87,22 @@ def test_above_bound_reports_match_golden_files(path):
     assert render_golden(path, _above_bound_invocations) == expected
 
 
+def report_digest(path: Path) -> str:
+    """The sha256 of the exit code and --json report of the above-bound run."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = cli.main(["maximal-series", str(path), "--exhaustive-bound", "24",
+                         "--json"])
+    report = f"exit {code}\n" + buffer.getvalue().replace(str(path), "<instance>")
+    return hashlib.sha256(report.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("path", HASHED, ids=lambda p: p.stem)
+def test_large_above_bound_reports_match_their_digests(path):
+    expected = path.with_suffix(".sha256").read_text(encoding="utf-8").strip()
+    assert report_digest(path) == expected
+
+
 def render_script(name: str) -> str:
     script = HERE.parent / "scripts" / f"{name}.py"
     return subprocess.run([sys.executable, str(script)], capture_output=True,
@@ -102,6 +122,10 @@ if __name__ == "__main__":
         _golden_file(instance).write_text(render_golden(instance, invocations),
                                           encoding="utf-8")
         print(f"wrote {_golden_file(instance).relative_to(HERE.parent)}")
+    for instance in HASHED:
+        target = instance.with_suffix(".sha256")
+        target.write_text(report_digest(instance) + "\n", encoding="utf-8")
+        print(f"wrote {target.relative_to(HERE.parent)}")
     for name in SCRIPTS:
         target = GOLDEN_DIR / "scripts" / f"{name}.txt"
         target.write_text(render_script(name), encoding="utf-8")
