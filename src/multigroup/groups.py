@@ -105,15 +105,24 @@ class FiniteGroup:
         return not self._ints[1] and _light_associative(self._ints[0])
 
     @cached_property
-    def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
+    def _lattice(self) -> dict[int, list[int]]:
+        # the subgroups as carrier-index bitmasks in subgroups() order, each
+        # with the elements it was joined from, which generate it
         found = _closed_subsets(self._ints[0], (1 << self.order) - 1,
                                 self._associative)
         e = 1 << self.index(self.identity)
         masks = sorted((m for m in found
                         if m & e and self.order % m.bit_count() == 0),
                        key=lambda m: (m.bit_count(), _bits(m)))
-        return tuple(tuple(self.carrier[i] for i in _bits(m)) for m in masks
-                     if all(m >> self._inverse_of(a) & 1 for a in _bits(m)))
+        return {m: found[m] for m in masks
+                if all(m >> self._inverse_of(a) & 1 for a in _bits(m))}
+
+    @cached_property
+    def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(map(self._names, self._lattice))
+
+    def _names(self, mask: int) -> tuple[Element, ...]:
+        return tuple(self.carrier[i] for i in _bits(mask))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -242,15 +251,15 @@ def is_subgroup(g: FiniteGroup, subset) -> bool:
     return bool(members)
 
 
-def is_normal_subgroup(g: FiniteGroup, subset, within=None) -> bool:
-    """True iff x s x^-1 stays in the subset for every x in the carrier, or
-    in `within`, a subgroup of g holding the subset; members are visited in
-    carrier order, so an x s outside the carrier is named alike on every run."""
+def is_normal_subgroup(g: FiniteGroup, subset) -> bool:
+    """True iff x s x^-1 stays in the subset for every x in the carrier;
+    members are visited in carrier order, so an x s outside the carrier is
+    named alike on every run."""
     members = sorted({g.index(e) for e in subset})
     if not is_subgroup(g, (g.carrier[a] for a in members)):
         raise PreconditionError("normality requires a subgroup")
     mask, t, n = sum(1 << a for a in members), g._ints[0], g.order
-    for x in range(n) if within is None else map(g.index, within):
+    for x in range(n):
         xi, row = g._inverse_of(x), t[x]
         for h in members:
             if row[h] >= n:
@@ -316,8 +325,10 @@ def _close(tables, closed: int, mask: int, gens=None, within: int = -1) -> int:
     return mask
 
 
-def _closed_subsets(t: list[list[int]], within: int, words: bool = False) -> list[int]:
-    """Every nonempty product-closed subset of `within`, as bitmasks.
+def _closed_subsets(t: list[list[int]], within: int,
+                    words: bool = False) -> dict[int, list[int]]:
+    """Every nonempty product-closed subset of `within`, as bitmasks in the
+    order found, each with the elements it was joined from, which generate it.
 
     True cyclic extension (Neubüser 1960): closes each element of `within`,
     then joins each closed set found with each element closure not inside
@@ -346,7 +357,7 @@ def _closed_subsets(t: list[list[int]], within: int, words: bool = False) -> lis
             if not j & ~within and j not in gens:
                 gens[j] = g
                 found.append(j)
-    return found
+    return gens
 
 
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
@@ -366,15 +377,33 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Ele
     return list(g._subgroups)
 
 
+def _normalises(t: list[list[int]], x: int, members: list[int]) -> bool:
+    row = t[x]  # x * members == members * x: x conjugates them onto themselves
+    return {row[h] for h in members} == {t[h][x] for h in members}
+
+
+def _maximal(masks: list[int]) -> list[int]:
+    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+
+
+def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:
+    """The lattice members strictly inside the subgroup `within` that every x
+    in gens normalises. With gens generating `within` that is normality in
+    it: on a group, the elements that normalise a subgroup form a subgroup."""
+    inside = [m for m in lattice if m != within and not m & ~within]
+    return [m for m, hs in zip(inside, map(_bits, inside))
+            if all(_normalises(t, x, hs) for x in gens)]
+
+
 def proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
                             within=None) -> list[tuple[Element, ...]]:
-    """The proper normal subgroups of g, or of its subgroup `within`: the
-    subgroups of a subgroup are the members of g's lattice inside it, so
-    its own lattice is never enumerated."""
-    top = set(g.carrier if within is None else within)
-    return [s for s in subgroups(g, limits)
-            if len(s) < len(top) and top.issuperset(s)
-            and is_normal_subgroup(g, s, within)]
+    """The proper normal subgroups of the group g, or of its subgroup
+    `within`: the subgroups of a subgroup are the members of g's lattice
+    inside it, so its own lattice is never enumerated. Every member of
+    `within` conjugates, so it need not be generated."""
+    subgroups(g, limits)
+    top = (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
+    return [g._names(m) for m in _proper_normal(g._ints[0], g._lattice, top, _bits(top))]
 
 
 def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
@@ -382,9 +411,7 @@ def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIM
     """Proper normal subgroups with no strictly larger proper normal subgroup
     above them, of g or of its subgroup `within`."""
     normals = proper_normal_subgroups(g, limits, within)
-    sets = [set(s) for s in normals]
-    return [s for s, ss in zip(normals, sets)
-            if not any(ss < other for other in sets)]
+    return [s for s in normals if not any(set(s) < set(o) for o in normals)]
 
 
 def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:

@@ -13,22 +13,27 @@ such anomalies are recorded on the series instead of being papered over,
 and the series may legitimately terminate away from the last operation's
 identity (flagged TERMINAL_MISMATCH). The walk stays in the top-level tables:
 a link is a universe bitmask, the space induced on it a tuple of carriers.
+The space is valid, so a link's parts are covers by lattice members, and
+normality conjugates with generators only: the elements that conjugate a
+set onto itself form a subgroup. An edge's interposition verdict, a part's
+maximal normal subgroups and a link's SubsetRef are kept on the space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import permutations
 from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
-from .groups import (Element, _bits, is_normal_subgroup,
-                     maximal_proper_normal_subgroups, subgroups)
+from .groups import (Element, _bits, _maximal, _normalises, _proper_normal,
+                     is_normal_subgroup)
 from .spaces import MultiGroupSpace
-from .subspaces import SubsetRef, _parts, is_subspace, subspace_decomposition
+from .subspaces import (SubsetRef, _decomposition, _lattice_part_candidates,
+                        is_subspace, subspace_decomposition)
 
 ANOMALY_TERMINAL_MISMATCH = "TERMINAL_MISMATCH"
 ANOMALY_CARRIER_LOST = "CARRIER_LOST"
@@ -66,40 +71,49 @@ class NormalityEvidence:
         return self.ok
 
 
+def _normalised(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
+                carriers: tuple[int, ...]) -> bool:
+    """Whether each op's carrier conjugates the members inside it onto
+    themselves. On a valid space the elements that do form a group, so the
+    generators the cached lattice keeps for the carrier suffice (without a
+    cached lattice every member conjugates)."""
+    for k in map(ms.op_set.index, ops):
+        inside = _bits(members & carriers[k])
+        gens = ms._lattices.get(k, {}).get(carriers[k]) or _bits(carriers[k])
+        if not all(_normalises(ms._tables[k], x, inside) for x in gens):
+            return False
+    return True
+
+
 def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
     """Conjugation route: g * h' * g^-1 stays inside for every retained op.
 
     h' ranges over the subset's intersection with the op's carrier and g
     over the whole carrier; membership of the conjugate is tested against
-    the subset itself.
+    the subset itself. On a space validated as valid, _normalised decides
+    first, and the scan over every g runs only to name the first witness.
     """
     if not is_subspace(ms, h):
         raise PreconditionError("normality requires a subspace")
-    witness = _conjugation_witness(ms, ms._mask(h.elements), h.retained_ops,
-                                   ms._carriers)
-    return NormalityEvidence(witness is None, witness)
-
-
-def _conjugation_witness(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
-                         carriers: tuple[int, ...]):
-    """The first (op, g, h, g * h * g^-1) with the conjugate outside the
-    members, g and h in op's carrier (see subspaces._parts), or None."""
+    members, checked = ms._mask(h.elements), vars(ms).get("_validation")
+    if checked is not None and checked.ok and \
+            _normalised(ms, members, h.retained_ops, ms._carriers):
+        return NormalityEvidence(True)
     u, n = ms.universe, len(ms.universe)
     ok = members | 1 << n
-    for op in ops:
+    for op in h.retained_ops:
         k = ms.groups.index(ms.group_of(op))
-        g, t, carrier = ms.groups[k], ms._tables[k], carriers[k]
-        inside = _bits(members & carrier)
+        g, t = ms.groups[k], ms._tables[k]
+        inside = _bits(members & ms._carriers[k])
         for x in g.carrier:
-            xi, i = ms.index(g.inverse(x)), ms.index(x)
-            row = t[i]
-            for m in inside if carrier >> i & 1 else ():
+            xi, row = ms.index(g.inverse(x)), t[ms.index(x)]
+            for m in inside:
                 conjugate = t[row[m]][xi]
                 if conjugate == n and row[m] != n:
                     g.index(u[row[m]])  # x * m left the carrier: DomainError
                 if not ok >> conjugate & 1:
-                    return op, x, u[m], u[conjugate]
-    return None
+                    return NormalityEvidence(False, (op, x, u[m], u[conjugate]))
+    return NormalityEvidence(True)
 
 
 def normality_criterion(ms: MultiGroupSpace, h: SubsetRef) -> bool:
@@ -139,23 +153,31 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
             "series construction requires a valid multi-group space")
 
 
-def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int, normal=True):
+def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int,
+             limits: Limits, normal=True):
     """The carriers of the space induced on mask inside the space with the
     given carriers (mask's decomposition parts there, 0 for a lost
     operation), or None if mask is no subspace there, or no normal one. It
-    retains the operations whose carrier meets mask, as SubsetRef.of does."""
+    retains the operations whose carrier meets mask, as SubsetRef.of does.
+    The space is valid, so the closed sets subspaces._parts would cover mask
+    with are lattice members: the same parts, cached under a key of their own."""
     ops = tuple(op for op, carrier in zip(ms.op_set, carriers) if mask & carrier)
-    parts = _parts(ms, mask, ops, carriers)
-    if parts is None or normal and _conjugation_witness(ms, mask, ops, carriers):
+    key = "lattice", mask, ops, carriers
+    if key not in ms._decompositions:
+        ms._decompositions[key] = _decomposition(
+            ms, mask, ops, carriers, partial(_lattice_part_candidates, limits=limits))
+    parts = ms._decompositions[key]
+    if parts is None or normal and not _normalised(ms, mask, ops, carriers):
         return None
     return tuple(parts.get(op, 0) for op in ms.op_set)
 
 
-def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int):
+def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
+                   limits: Limits):
     """The carriers of the space induced on a link, which must be a normal
     subspace of its parent, the space with the given carriers."""
     for normal, relation in (False, "a subspace of"), (True, "normal in"):
-        if (inner := _induced(ms, carriers, link, normal)) is None:
+        if (inner := _induced(ms, carriers, link, limits, normal)) is None:
             raise InternalConsistencyError(
                 f"constructed link {ms._elements(link)!r} is not {relation} its parent")
     return inner
@@ -172,7 +194,7 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
     branch=True every choice is explored.
     """
     whole = (1 << len(ms.universe)) - 1
-    if _induced(ms, ms._carriers, whole, normal=False) is None:
+    if _induced(ms, ms._carriers, whole, limits, normal=False) is None:
         raise PreconditionError("the whole space must validate as a subspace")
 
     def stages(spaces, current, chain, steps, anomalies, op_index):
@@ -180,7 +202,8 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
             yield chain, steps, anomalies, spaces
             return
         op = seq.order[op_index]
-        part = _induced(ms, ms._carriers, current, normal=False)[ms.op_set.index(op)]
+        k = ms.op_set.index(op)
+        part = spaces[-1][k]  # op's carrier in the space induced on current
         if not part:
             note = f"{ANOMALY_CARRIER_LOST}:{op}"
             yield from stages(spaces, current, chain,
@@ -192,13 +215,16 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                 yield from stages(spaces, current, chain, steps,
                                   anomalies, op_index + 1)
                 return
-            choices = sorted(map(ms._mask, maximal_proper_normal_subgroups(
-                ms.group_of(op), limits, within=ms._elements(part))), key=_bits)
+            lattice = ms._lattice(k, limits)
+            if (k, part) not in ms._walk:  # normality by generators of part
+                ms._walk[k, part] = sorted(_maximal(_proper_normal(
+                    ms._tables[k], lattice, part, lattice[part])), key=_bits)
+            choices = ms._walk[k, part]
             if not branch:
                 choices = choices[:1]
             for nxt in choices:
                 link = current & ~part | nxt
-                yield from descend(spaces + [_link_carriers(ms, spaces[-1], link)],
+                yield from descend(spaces + [_link_carriers(ms, spaces[-1], link, limits)],
                                    link, nxt, chain + [link], steps + [op], anomalies)
 
         yield from descend(spaces, current, part, chain, steps, anomalies)
@@ -208,7 +234,9 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
 
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    chain, steps, anomalies) -> NormalSeries:
-    chain = [SubsetRef.of(ms, ms._elements(link)) for link in chain]
+    refs = ms._walk  # each distinct link is named once per space
+    chain = [refs[m] if m in refs else refs.setdefault(m, SubsetRef.of(ms, ms._elements(m)))
+             for m in chain]
     last_identity = ms.group_of(seq.order[-1]).identity
     terminal = chain[-1].elements
     if set(terminal) != {last_identity}:
@@ -238,8 +266,8 @@ def _candidates_between(ms: MultiGroupSpace, carriers: tuple[int, ...],
     positions taken. Each carrier is a subgroup of a group of ms, so its
     subgroups are the lattice members of ms inside it."""
     unions = {0}
-    for g, carrier in zip(ms.groups, carriers):
-        parts = [m for m in map(ms._mask, subgroups(g, limits)) if not m & ~carrier]
+    for k, carrier in enumerate(carriers):
+        parts = [m for m in ms._lattice(k, limits) if not m & ~carrier]
         unions |= {u | p for u in unions for p in parts}
     whole = reduce(or_, carriers)
     between = [m for m in unions if m & low == low and m not in (low, whole)]
@@ -255,12 +283,14 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     parent: every subspace between them is one, as a subspace is a union of
     one subgroup (or nothing) per operation. They come in the order of a
     scan over all 2^|gap| subsets, so the witness is the one it finds.
+    The verdict depends on the edge (carriers, lower) alone: kept per space.
     """
-    for mid in _candidates_between(ms, carriers, lower, limits):
-        inner = _induced(ms, carriers, mid)
-        if inner is not None and _induced(ms, inner, lower) is not None:
-            return mid
-    return None
+    if (carriers, lower) not in ms._walk:
+        ms._walk[carriers, lower] = next(
+            (mid for mid in _candidates_between(ms, carriers, lower, limits)
+             if (inner := _induced(ms, carriers, mid, limits)) is not None
+             and _induced(ms, inner, lower, limits) is not None), None)
+    return ms._walk[carriers, lower]
 
 
 @dataclass(frozen=True)

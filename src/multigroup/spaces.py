@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
-from .groups import Element, FiniteGroup, _bits, validate_group
+from .groups import Element, FiniteGroup, _bits, subgroups, validate_group
 from .report import DISTRIBUTION, STRUCTURAL, ValidationReport
 
 # at most this many witness triples are kept per operation pair
@@ -100,6 +100,27 @@ class MultiGroupSpace:
     @cached_property
     def _decompositions(self) -> dict:
         # subspaces._parts results by (universe bitmask, retained ops, carriers)
+        return {}
+
+    @cached_property
+    def _lattices(self) -> dict:
+        # by group index: _lattice
+        return {}
+
+    def _lattice(self, k: int, limits) -> dict[int, list[int]]:
+        """groups[k]'s lattice over universe indices: each subgroup as a
+        bitmask, in lattice order, with the indices of its generators."""
+        subgroups(self.groups[k], limits)  # refuses a group above the bound
+        if k not in self._lattices:
+            at = [self.index(e) for e in self.groups[k].carrier]
+            self._lattices[k] = {sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
+                                 for m, gens in self.groups[k]._lattice.items()}
+        return self._lattices[k]
+
+    @cached_property
+    def _walk(self) -> dict:
+        # series memo: descend's choices by (group index, part), interposition
+        # verdicts by (parent carriers, link), SubsetRefs by link bitmask
         return {}
 
     @cached_property

@@ -39,7 +39,7 @@ from operator import or_
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DecompositionFailure, DomainError, PreconditionError
 from .groups import (Element, FiniteGroup, _bits, _close, _closed_subsets,
-                     subgroups)
+                     _maximal, subgroups)
 from .spaces import MultiGroupSpace, is_complete
 
 
@@ -85,9 +85,7 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
     on a small allowed set the test costs more than the closures it saves.
     """
     g, t = ms.group_of(op), ms._table(op)
-    found = _closed_subsets(t, within, vars(g).get("_associative", False))
-    maximal = [m for m in found
-               if not any(m != o and m & o == m for o in found)]
+    maximal = _maximal(_closed_subsets(t, within, vars(g).get("_associative", False)))
     if g._ints[1]:
         escaped = 0
         for closed, union in [(0, 1 << x) for x in _bits(within)] + \
@@ -102,10 +100,9 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
 def _lattice_part_candidates(ms: MultiGroupSpace, op: str, allowed: int,
                              limits: Limits) -> list[int]:
     """Maximal subgroups of op's group inside `allowed` (the intersection
-    route), as universe bitmasks."""
-    inside = [m for m in map(ms._mask, subgroups(ms.group_of(op), limits))
-              if not m & ~allowed]
-    return [m for m in inside if not any(m != o and m & o == m for o in inside)]
+    route), as universe bitmasks, read off the lattice cached on the space."""
+    lattice = ms._lattice(ms.groups.index(ms.group_of(op)), limits)
+    return _maximal([m for m in lattice if not m & ~allowed])
 
 
 def _select_cover(target: int, candidates_by_op: dict[str, list[int]]):
@@ -121,27 +118,24 @@ def _select_cover(target: int, candidates_by_op: dict[str, list[int]]):
 
 
 def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...],
-                   carriers: tuple[int, ...]):
+                   carriers: tuple[int, ...], part_candidates=_closed_part_candidates):
     if not target or not ops:
         return None
     candidates: dict[str, list[int]] = {}
     for op in ops:
         carrier = carriers[ms.groups.index(ms.group_of(op))]
-        cands = _closed_part_candidates(ms, op, target & carrier)
+        cands = part_candidates(ms, op, target & carrier)
         if not cands:
             return None  # the op cannot contribute a nonempty group
         candidates[op] = sorted(cands, key=_bits)
     return _select_cover(target, candidates)
 
 
-def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...],
-           carriers: tuple[int, ...] | None = None):
+def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...]):
     """subspace_decomposition over universe bitmasks: one part per retained
-    operation, or None. The carriers, one bitmask per operation, default to
-    the space's own; a space induced on a subspace has its parts for
-    carriers (0 for a lost operation) and the space's tables. Cached on the
-    space by (mask, ops, carriers), so the cache is freed with it."""
-    key = mask, ops, carriers or ms._carriers
+    operation, or None. Cached on the space by (mask, ops, carriers), so the
+    cache is freed with it."""
+    key = mask, ops, ms._carriers
     if key not in ms._decompositions:
         ms._decompositions[key] = _decomposition(ms, *key)
     return ms._decompositions[key]

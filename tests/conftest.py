@@ -1,6 +1,7 @@
 import io
 import sys
 from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,32 @@ def overlapping_pair_family(max_universe=8):
                     g2, names[g1.order - overlap: g1.order - overlap + g2.order],
                     "q")
                 ms = MultiGroupSpace(tuple(names), (first, second))
+                if validate_multigroup(ms).ok:
+                    spaces.append(ms)
+    return spaces
+
+
+def overlapping_chain_family(max_universe=9):
+    """All valid three-group spaces p, q, r from the pair family's pieces,
+    each overlapping the tail of the one before it by any amount up to the
+    smaller of the two (r may then reach into p as well)."""
+    from multigroup.spaces import MultiGroupSpace, validate_multigroup
+    pieces = [catalog.cyclic(2), catalog.cyclic(3), catalog.cyclic(4),
+              catalog.klein_four(), catalog.symmetric_3()]
+    spaces = []
+    for g1, g2, g3 in product(pieces, repeat=3):
+        for o1 in range(min(g1.order, g2.order) + 1):
+            for o2 in range(min(g2.order, g3.order) + 1):
+                start2 = g1.order - o1
+                start3 = start2 + g2.order - o2
+                total = start3 + g3.order
+                if total > max_universe:
+                    continue
+                names = [f"n{i}" for i in range(total)]
+                groups = (relabel(g1, names[:g1.order], "p"),
+                          relabel(g2, names[start2:start2 + g2.order], "q"),
+                          relabel(g3, names[start3:], "r"))
+                ms = MultiGroupSpace(tuple(names), groups)
                 if validate_multigroup(ms).ok:
                     spaces.append(ms)
     return spaces

@@ -8,7 +8,8 @@ out every per-operation candidate assignment.
 
 scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_validate_group,
 scan_interposable, scan_is_finitely_generated, scan_composition_series,
-scan_is_abelian, the staged series walk (scan_series_stages,
+scan_is_abelian, scan_proper_normal_subgroups,
+scan_maximal_proper_normal_subgroups, the staged series walk (scan_series_stages,
 scan_build_series, scan_maximal_series) and the five string-keyed product
 scans are the exceptions: they are code the engine replaced, kept verbatim
 as oracles for their replacements.
@@ -33,7 +34,10 @@ components; scan_composition_series recurses on the restricted group of
 every maximal normal subgroup, as composition_series did before it
 filtered the top-level lattice to each link; scan_is_abelian compares
 string-keyed products, as FiniteGroup.is_abelian did before it compared
-the int table with its transpose. scan_check_one_direction,
+the int table with its transpose; scan_proper_normal_subgroups and
+scan_maximal_proper_normal_subgroups filter the named lattice with a
+conjugation scan over every element of the carrier or of `within`, as
+their engine namesakes did before they ran on lattice bitmasks. scan_check_one_direction,
 scan_is_complete, scan_span_once, scan_coset and scan_is_normal_subspace
 test carrier membership and multiply with FiniteGroup.mul, as the
 distribution scan, the raw reading, the one-step span, cosets and the
@@ -245,6 +249,37 @@ def scan_composition_series(g, limits: Limits = DEFAULT_LIMITS):
         for tail in scan_composition_series(g.restrict(n), limits):
             chains.append(CompositionChain((whole,) + tail.links))
     return chains
+
+
+def _scan_is_normal_subgroup(g: FiniteGroup, subset, within=None) -> bool:
+    members = sorted({g.index(e) for e in subset})
+    if not is_subgroup(g, (g.carrier[a] for a in members)):
+        raise PreconditionError("normality requires a subgroup")
+    mask, t, n = sum(1 << a for a in members), g._ints[0], g.order
+    for x in range(n) if within is None else map(g.index, within):
+        xi, row = g._inverse_of(x), t[x]
+        for h in members:
+            if row[h] >= n:
+                g.index(g.table[x][h])  # raises, naming the product
+            if not mask >> t[row[h]][xi] & 1:
+                return False
+    return True
+
+
+def scan_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
+                                 within=None) -> list[tuple[Element, ...]]:
+    top = set(g.carrier if within is None else within)
+    return [s for s in subgroups(g, limits)
+            if len(s) < len(top) and top.issuperset(s)
+            and _scan_is_normal_subgroup(g, s, within)]
+
+
+def scan_maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
+                                         within=None) -> list[tuple[Element, ...]]:
+    normals = scan_proper_normal_subgroups(g, limits, within)
+    sets = [set(s) for s in normals]
+    return [s for s, ss in zip(normals, sets)
+            if not any(ss < other for other in sets)]
 
 
 def scan_is_abelian(g) -> bool:
@@ -715,21 +750,22 @@ def scan_series_stages(ms: MultiGroupSpace, seq, limits: Limits, branch: bool):
             yield chain, steps, anomalies, spaces
             return
         op = seq.order[op_index]
-        decomp = subspace_decomposition(ms, current)
-        if op not in decomp:
+        # op's carrier in the space induced on current, not current's
+        # decomposition against the top-level carriers
+        if op not in spaces[-1].op_set:
             note = f"{ANOMALY_CARRIER_LOST}:{op}"
             yield from stages(spaces, current, chain,
                               steps, anomalies + [note], op_index + 1)
             return
-        part = decomp[op]
+        part = spaces[-1].group_of(op).carrier
 
         def descend(spaces, current, part, chain, steps, anomalies):
             if len(part) == 1:
                 yield from stages(spaces, current, chain, steps,
                                   anomalies, op_index + 1)
                 return
-            choices = sorted(maximal_proper_normal_subgroups(ms.group_of(op), limits,
-                                                             within=part),
+            choices = sorted(scan_maximal_proper_normal_subgroups(ms.group_of(op), limits,
+                                                                  within=part),
                              key=lambda s: _bits(ms._mask(s)))
             if not branch:
                 choices = choices[:1]

@@ -2,8 +2,8 @@
 
 Each tests/golden/<instance>.txt holds the text and --json reports of the
 COMMAND_MATRIX invocations, plus --set equal to the whole universe and to
-the first carrier for subspace, cosets and normal, each headed by its
-command line and exit code. Each tests/golden/above_bound/<instance>.txt
+the first carrier for subspace, cosets and normal and the EXTRA invocations
+of that instance, each headed by its command line and exit code. Each tests/golden/above_bound/<instance>.txt
 holds the maximal-series reports of an instance whose universe exceeds the
 default bound, run with --exhaustive-bound 24, so the interposition search
 meets gaps larger than any shipped instance has. Each
@@ -42,6 +42,9 @@ SET_COMMANDS = ("cosets", "normal", "subspace")
 ABOVE_BOUND = sorted((GOLDEN_DIR / "above_bound").glob("*.mgs"))
 HASHED = sorted((GOLDEN_DIR / "above_bound" / "hashed").glob("*.mgs"))
 SCRIPTS = ("subspace_census", "survey_series")
+# tri: under q,p,r the p stage strips r's identity; the link keeps r among
+# its ops, as SubsetRef.of retains every operation whose carrier meets it
+EXTRA = {"tri": [["maximal-series", "--order", "q,p,r"]]}
 
 
 def _invocations(ms):
@@ -59,7 +62,7 @@ def _above_bound_invocations(ms):
 def render_golden(path: Path, invocations=_invocations) -> str:
     ms = parse_instance(path.read_text(encoding="utf-8"))
     out = []
-    for command, *rest in invocations(ms):
+    for command, *rest in [*invocations(ms), *EXTRA.get(path.stem, [])]:
         for fmt in ([], ["--json"]):
             buffer = io.StringIO()
             with redirect_stdout(buffer):

@@ -14,16 +14,19 @@ from multigroup import catalog, groups
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
-                               _light_associative, composition_series,
-                               is_normal_subgroup, is_subgroup,
-                               maximal_proper_normal_subgroups, quotient_group,
+                               _light_associative, _maximal, _proper_normal,
+                               composition_series, is_normal_subgroup, is_subgroup,
+                               maximal_proper_normal_subgroups,
+                               proper_normal_subgroups, quotient_group,
                                subgroups, validate_group)
 from multigroup.instances import parse_instance
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, small_space_catalog
 from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
-                     scan_composition_series, scan_is_abelian, scan_subgroups,
+                     scan_composition_series, scan_is_abelian,
+                     scan_maximal_proper_normal_subgroups,
+                     scan_proper_normal_subgroups, scan_subgroups,
                      scan_validate_group)
 
 CORPUS = catalog.corpus_groups()
@@ -216,6 +219,29 @@ def test_trivial_group_single_chain_of_length_zero():
 
 def test_maximal_proper_normal_subgroups_of_s3():
     assert maximal_proper_normal_subgroups(CORPUS["S3"]) == [("e", "(123)", "(132)")]
+
+
+@pytest.mark.parametrize("ms", [catalog.single(g) for g in CORPUS.values()] +
+                         list(small_space_catalog().values()),
+                         ids=CORPUS_NAMES + list(small_space_catalog()))
+def test_normal_subgroups_match_the_string_scan(ms):
+    """For every group of the corpus and of the catalog spaces, in its
+    universe, and every subgroup `within` of it: the int core, conjugating
+    with the generators the space's lattice keeps for `within`, and the
+    name wrappers, conjugating with every member, find the subgroups the
+    string scan over every conjugator finds, in the same order."""
+    for k, g in enumerate(ms.groups):
+        lattice = ms._lattice(k, Limits())
+        assert proper_normal_subgroups(g) == scan_proper_normal_subgroups(g)
+        assert maximal_proper_normal_subgroups(g) == scan_maximal_proper_normal_subgroups(g)
+        for part, gens in lattice.items():
+            within = ms._elements(part)
+            expected = scan_maximal_proper_normal_subgroups(g, within=within)
+            core = _maximal(_proper_normal(ms._tables[k], lattice, part, gens))
+            assert [set(ms._elements(m)) for m in core] == list(map(set, expected))
+            assert maximal_proper_normal_subgroups(g, within=within) == expected
+            assert proper_normal_subgroups(g, within=within) == \
+                scan_proper_normal_subgroups(g, within=within)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -447,7 +473,7 @@ def test_composition_series_matches_the_restricting_recursion(name):
 def test_composition_series_enumerates_one_lattice(monkeypatch, name):
     """Every link's maximal normal subgroups come from the top-level lattice;
     the recursion through restrict() evaluated 11, 7 and 6 lattices."""
-    lattice = FiniteGroup.__dict__["_subgroups"]
+    lattice = FiniteGroup.__dict__["_lattice"]
     evaluations = []
 
     def counted(group):
@@ -455,8 +481,8 @@ def test_composition_series_enumerates_one_lattice(monkeypatch, name):
         return lattice.func(group)
 
     counting = cached_property(counted)
-    counting.__set_name__(FiniteGroup, "_subgroups")
-    monkeypatch.setattr(FiniteGroup, "_subgroups", counting)
+    counting.__set_name__(FiniteGroup, "_lattice")
+    monkeypatch.setattr(FiniteGroup, "_lattice", counting)
     composition_series(_fresh(CORPUS[name]))
     assert len(evaluations) == 1
 

@@ -17,14 +17,15 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multigroup import catalog
+from multigroup import catalog, series as series_module
+from multigroup.config import Limits
 from multigroup.errors import DomainError
 from multigroup.generation import GeneratingSet, span_closure, span_once
 from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
 from multigroup.series import is_normal_subspace
 from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
-                               _check_one_direction, is_complete)
+                               _check_one_direction, is_complete, validate_multigroup)
 from multigroup.subspaces import (SubsetRef, coset, is_subspace,
                                   is_subspace_by_intersection, subspace_decomposition)
 
@@ -95,6 +96,32 @@ def _same_cosets_and_conjugation(ms):
             continue
         for g in ms.universe:
             assert _outcome(coset, ms, h, g) == _outcome(scan_coset, ms, h, g), (h, g)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_conjugation_by_generators_matches_the_string_scan(monkeypatch, ms):
+    """On a validated space the conjugation route first runs a pass that
+    conjugates with every member of each carrier, or, once the lattices are
+    cached, with the generators they keep, and scans every element only to
+    name a witness; on an invalid space the full scan runs alone. Either way
+    every (subset, ops) gets the verdict, witness or error of the string
+    scan."""
+    ms = MultiGroupSpace(ms.universe, ms.groups)
+    valid = validate_multigroup(ms).ok
+    passes, normalised = [], series_module._normalised
+
+    def counted(*args):
+        passes.append(args)
+        return normalised(*args)
+
+    monkeypatch.setattr(series_module, "_normalised", counted)
+    for lattices in (False, True):
+        for k in range(len(ms.groups)) if valid and lattices else ():
+            ms._lattice(k, Limits())
+        for h in subset_op_combinations(ms):
+            assert _outcome(is_normal_subspace, ms, h) == \
+                _outcome(scan_is_normal_subspace, ms, h), (lattices, h)
+    assert bool(passes) == valid
 
 
 def _same_subspace_routes(ms):

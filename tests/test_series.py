@@ -1,3 +1,4 @@
+import sys
 from functools import cached_property
 from itertools import permutations
 from pathlib import Path
@@ -17,8 +18,8 @@ from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup.subspaces import SubsetRef, is_subspace
 
-from conftest import (INSTANCE_DIR, overlapping_pair_family, relabel, run_cli,
-                      subspaces_of)
+from conftest import (INSTANCE_DIR, overlapping_chain_family, overlapping_pair_family,
+                      relabel, run_cli, subspaces_of)
 from oracles import (_strict_subsets_between, scan_build_series, scan_interposable,
                      scan_maximal_series, scan_series_stages)
 
@@ -456,13 +457,18 @@ def _walk_outcome(run, ms, order):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("ms", list(_shipped(valid=False)) + _interposition_cases())
+@pytest.mark.parametrize("ms", list(_shipped(valid=False)) + _interposition_cases() + [
+    pytest.param(ms, id=f"chain{i}") for i, ms in enumerate(overlapping_chain_family())])
 def test_series_walk_matches_the_induced_space_walk(ms):
     """The walk over universe bitmasks and carrier tuples builds the same
     single series, and accepts and rejects the same maximal series for the
     same reasons, as the oracle walk, which induces a space on every link
     and tries every subset between link and parent; where a construction
-    breaks down (z2link) or is refused, both raise the same error."""
+    breaks down (z2link) or is refused, both raise the same error, and
+    nothing but a MultigroupError is raised. On the three-operation chain
+    family a stage can meet a part whose identity an earlier stage
+    stripped: it takes its part from the space induced on the current
+    link, so that part is lost, not looked up."""
     for order in permutations(ms.op_set):
         for walk, oracle in ((build_series, scan_build_series),
                              (enumerate_maximal_series, scan_maximal_series)):
@@ -590,7 +596,7 @@ def test_lattices_are_enumerated_once_per_operation(monkeypatch):
     of every part and of every induced carrier from the lattices of the
     top-level groups instead of enumerating each restricted group again:
     one evaluation for Z4, one for A4."""
-    lattice = FiniteGroup.__dict__["_subgroups"]
+    lattice = FiniteGroup.__dict__["_lattice"]
     evaluations = []
 
     def counted(group):
@@ -598,12 +604,55 @@ def test_lattices_are_enumerated_once_per_operation(monkeypatch):
         return lattice.func(group)
 
     counting = cached_property(counted)
-    counting.__set_name__(FiniteGroup, "_subgroups")
-    monkeypatch.setattr(FiniteGroup, "_subgroups", counting)
+    counting.__set_name__(FiniteGroup, "_lattice")
+    monkeypatch.setattr(FiniteGroup, "_lattice", counting)
     ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
     enumerate_maximal_series(ms, limits=WIDE)
     length_invariance_check(ms, limits=WIDE)
     assert len(evaluations) == 2
+
+
+def _counted(monkeypatch, name):
+    calls, fn = [], getattr(series_module, name)
+
+    def counted(ms, carriers, lower, limits):
+        calls.append((carriers, lower))
+        return fn(ms, carriers, lower, limits)
+
+    monkeypatch.setattr(series_module, name, counted)
+    return calls
+
+
+def test_each_edge_is_decided_once(monkeypatch):
+    """Series share links, so they share (parent carriers, link) edges: the
+    interposition search asks for the candidates between them once per
+    distinct edge, however many series cross it."""
+    ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
+    asked = _counted(monkeypatch, "_interposable")
+    searched = _counted(monkeypatch, "_candidates_between")
+    enumerate_maximal_series(ms, limits=WIDE)
+    length_invariance_check(ms, limits=WIDE)
+    assert sorted(searched) == sorted(set(asked))
+    assert len(asked) > len(searched) > 0
+
+
+def test_the_walk_masks_only_the_links_it_names(monkeypatch):
+    """No lattice member goes from names back to a bitmask: the only
+    _mask calls of the enumeration are SubsetRef.of naming each distinct
+    link once, for all the series that pass through it."""
+    ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
+    callers, mask = [], MultiGroupSpace._mask
+
+    def counted(space, elements):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mask(space, elements)
+
+    monkeypatch.setattr(MultiGroupSpace, "_mask", counted)
+    result = enumerate_maximal_series(ms, limits=WIDE)
+    series = result.series + tuple(s for s, _ in result.rejected)
+    links = {link for s in series for link in s.chain}
+    assert callers == ["of"] * len(links)
+    assert sum(len(s.chain) for s in series) > len(links)
 
 
 def _count_stagings(monkeypatch):

@@ -9,7 +9,11 @@ from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, subgroups
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
-from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _parts, coset,
+from multigroup import series as series_module
+from multigroup.config import DEFAULT_LIMITS
+from multigroup.series import enumerate_maximal_series
+from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _decomposition,
+                                  _parts, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
                                   is_subspace_by_intersection, lagrange_check,
@@ -288,16 +292,23 @@ def test_induced_space_is_valid(gf3, small_spaces):
 
 
 def _decomposes_alike_inside(ms, s):
-    """Decomposing inside the space induced on s by passing its carriers
-    to _parts agrees with decomposing in induced_space(ms, s) itself."""
+    """Decomposing inside the space induced on s by passing its carriers,
+    by closures (_decomposition) and by the series walk's lattice route
+    (series._induced, on the operations SubsetRef.of retains), agrees with
+    decomposing in induced_space(ms, s) itself."""
     inner = induced_space(ms, s)
     parts = _parts(ms, ms._mask(s.elements), s.retained_ops)
     carriers = tuple(parts.get(op, 0) for op in ms.op_set)
     for t in subset_op_combinations(inner):
-        got = _parts(ms, ms._mask(t.elements), t.retained_ops, carriers)
+        mask = ms._mask(t.elements)
+        got = _decomposition(ms, mask, t.retained_ops, carriers)
         expected = subspace_decomposition(inner, t)
         assert (None if got is None else
                 {op: ms._elements(part) for op, part in got.items()}) == expected, (s, t)
+        if t.retained_ops == SubsetRef.of(inner, t.elements).retained_ops:
+            lattice = series_module._induced(ms, carriers, mask, DEFAULT_LIMITS, False)
+            assert lattice == (None if expected is None else tuple(
+                ms._mask(expected.get(op, ())) for op in ms.op_set)), (s, t)
 
 
 @pytest.mark.parametrize("name", ("gf3", "gf5", "z6units", "z2z3", "z2z2", "klein"))
@@ -409,10 +420,16 @@ def test_closed_part_candidates_name_an_escape_only_a_join_reaches():
 
 
 def test_decomposition_cache_is_freed_with_its_space():
+    """So are the lattices and the series walk's memo: descend's choices,
+    the edge verdicts and the link SubsetRefs."""
     ms = catalog.gf3()
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
     assert (ms._mask(s.elements), s.retained_ops, ms._carriers) in ms._decompositions
+    enumerate_maximal_series(ms)
+    assert set(ms._lattices) == {0, 1}
+    assert {type(k[0]) for k in ms._walk if type(k) is tuple} == {int, tuple}
+    assert any(type(v) is SubsetRef for v in ms._walk.values())
     gone = weakref.ref(ms)
     del ms
     gc.collect()
