@@ -395,23 +395,26 @@ def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:
             if all(_normalises(t, x, hs) for x in gens)]
 
 
+def _normal_masks(g: FiniteGroup, limits: Limits, within) -> list[int]:
+    # the core over every member of `within` as conjugator, so none need generate it
+    subgroups(g, limits)
+    top = (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
+    return _proper_normal(g._ints[0], g._lattice, top, _bits(top))
+
+
 def proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
                             within=None) -> list[tuple[Element, ...]]:
     """The proper normal subgroups of the group g, or of its subgroup
     `within`: the subgroups of a subgroup are the members of g's lattice
-    inside it, so its own lattice is never enumerated. Every member of
-    `within` conjugates, so it need not be generated."""
-    subgroups(g, limits)
-    top = (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
-    return [g._names(m) for m in _proper_normal(g._ints[0], g._lattice, top, _bits(top))]
+    inside it, so its own lattice is never enumerated."""
+    return list(map(g._names, _normal_masks(g, limits, within)))
 
 
 def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
                                     within=None) -> list[tuple[Element, ...]]:
     """Proper normal subgroups with no strictly larger proper normal subgroup
     above them, of g or of its subgroup `within`."""
-    normals = proper_normal_subgroups(g, limits, within)
-    return [s for s in normals if not any(set(s) < set(o) for o in normals)]
+    return list(map(g._names, _maximal(_normal_masks(g, limits, within))))
 
 
 def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:

@@ -74,13 +74,11 @@ class NormalityEvidence:
 def _normalised(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
                 carriers: tuple[int, ...]) -> bool:
     """Whether each op's carrier conjugates the members inside it onto
-    themselves. On a valid space the elements that do form a group, so the
-    generators the cached lattice keeps for the carrier suffice (without a
-    cached lattice every member conjugates)."""
+    themselves. The space is valid, so the elements that do form a group,
+    and the generators its lattice keeps for the carrier suffice."""
     for k in map(ms.op_set.index, ops):
         inside = _bits(members & carriers[k])
-        gens = ms._lattices.get(k, {}).get(carriers[k]) or _bits(carriers[k])
-        if not all(_normalises(ms._tables[k], x, inside) for x in gens):
+        if not all(_normalises(ms._tables[k], x, inside) for x in ms._lattices[k][carriers[k]]):
             return False
     return True
 
@@ -90,16 +88,11 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
 
     h' ranges over the subset's intersection with the op's carrier and g
     over the whole carrier; membership of the conjugate is tested against
-    the subset itself. On a space validated as valid, _normalised decides
-    first, and the scan over every g runs only to name the first witness.
+    the subset itself.
     """
     if not is_subspace(ms, h):
         raise PreconditionError("normality requires a subspace")
-    members, checked = ms._mask(h.elements), vars(ms).get("_validation")
-    if checked is not None and checked.ok and \
-            _normalised(ms, members, h.retained_ops, ms._carriers):
-        return NormalityEvidence(True)
-    u, n = ms.universe, len(ms.universe)
+    u, n, members = ms.universe, len(ms.universe), ms._mask(h.elements)
     ok = members | 1 << n
     for op in h.retained_ops:
         k = ms.groups.index(ms.group_of(op))
@@ -216,10 +209,10 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                                   anomalies, op_index + 1)
                 return
             lattice = ms._lattice(k, limits)
-            if (k, part) not in ms._walk:  # normality by generators of part
-                ms._walk[k, part] = sorted(_maximal(_proper_normal(
+            if ("choices", k, part) not in ms._walk:  # normality by generators of part
+                ms._walk["choices", k, part] = sorted(_maximal(_proper_normal(
                     ms._tables[k], lattice, part, lattice[part])), key=_bits)
-            choices = ms._walk[k, part]
+            choices = ms._walk["choices", k, part]
             if not branch:
                 choices = choices[:1]
             for nxt in choices:
@@ -234,9 +227,10 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
 
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    chain, steps, anomalies) -> NormalSeries:
-    refs = ms._walk  # each distinct link is named once per space
-    chain = [refs[m] if m in refs else refs.setdefault(m, SubsetRef.of(ms, ms._elements(m)))
-             for m in chain]
+    for m in chain:  # each distinct link is named once per space
+        if ("ref", m) not in ms._walk:
+            ms._walk["ref", m] = SubsetRef.of(ms, ms._elements(m))
+    chain = [ms._walk["ref", m] for m in chain]
     last_identity = ms.group_of(seq.order[-1]).identity
     terminal = chain[-1].elements
     if set(terminal) != {last_identity}:
@@ -285,12 +279,12 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     scan over all 2^|gap| subsets, so the witness is the one it finds.
     The verdict depends on the edge (carriers, lower) alone: kept per space.
     """
-    if (carriers, lower) not in ms._walk:
-        ms._walk[carriers, lower] = next(
+    if ("edge", carriers, lower) not in ms._walk:
+        ms._walk["edge", carriers, lower] = next(
             (mid for mid in _candidates_between(ms, carriers, lower, limits)
              if (inner := _induced(ms, carriers, mid, limits)) is not None
              and _induced(ms, inner, lower, limits) is not None), None)
-    return ms._walk[carriers, lower]
+    return ms._walk["edge", carriers, lower]
 
 
 @dataclass(frozen=True)

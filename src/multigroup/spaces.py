@@ -119,8 +119,9 @@ class MultiGroupSpace:
 
     @cached_property
     def _walk(self) -> dict:
-        # series memo: descend's choices by (group index, part), interposition
-        # verdicts by (parent carriers, link), SubsetRefs by link bitmask
+        # series memo, by tagged key: descend's ("choices", group index, part),
+        # interposition verdicts by ("edge", parent carriers, link), SubsetRefs
+        # by ("ref", link bitmask)
         return {}
 
     @cached_property

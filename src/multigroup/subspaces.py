@@ -26,7 +26,7 @@ is joined with each element closure not inside it (as words over its
 generators on a table already known to be associative), and the maximal
 closures inside the allowed set are kept. Decompositions are cached on the
 space by (bitmask, retained ops, carriers), so the cache is freed with it;
-the series walk decomposes inside induced spaces by passing their carriers.
+the series walk covers inside induced spaces with lattice members instead.
 """
 
 from __future__ import annotations

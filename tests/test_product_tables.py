@@ -99,29 +99,21 @@ def _same_cosets_and_conjugation(ms):
 
 
 @pytest.mark.parametrize("ms", SPACES)
-def test_conjugation_by_generators_matches_the_string_scan(monkeypatch, ms):
-    """On a validated space the conjugation route first runs a pass that
-    conjugates with every member of each carrier, or, once the lattices are
-    cached, with the generators they keep, and scans every element only to
-    name a witness; on an invalid space the full scan runs alone. Either way
-    every (subset, ops) gets the verdict, witness or error of the string
-    scan."""
+def test_conjugation_by_generators_matches_the_string_scan(ms):
+    """Every (subset, ops) gets the verdict, witness or error of the string
+    scan from the conjugation route. On a valid space every subspace also
+    gets the scan's verdict from the series walk's pass, which conjugates
+    with only the generators the space's lattices keep for the carriers."""
     ms = MultiGroupSpace(ms.universe, ms.groups)
     valid = validate_multigroup(ms).ok
-    passes, normalised = [], series_module._normalised
-
-    def counted(*args):
-        passes.append(args)
-        return normalised(*args)
-
-    monkeypatch.setattr(series_module, "_normalised", counted)
-    for lattices in (False, True):
-        for k in range(len(ms.groups)) if valid and lattices else ():
-            ms._lattice(k, Limits())
-        for h in subset_op_combinations(ms):
-            assert _outcome(is_normal_subspace, ms, h) == \
-                _outcome(scan_is_normal_subspace, ms, h), (lattices, h)
-    assert bool(passes) == valid
+    for k in range(len(ms.groups)) if valid else ():
+        ms._lattice(k, Limits())
+    for h in subset_op_combinations(ms):
+        expected = _outcome(scan_is_normal_subspace, ms, h)
+        assert _outcome(is_normal_subspace, ms, h) == expected, h
+        if valid and type(expected) is not tuple:
+            assert series_module._normalised(ms, ms._mask(h.elements), h.retained_ops,
+                                             ms._carriers) == expected.ok, h
 
 
 def _same_subspace_routes(ms):

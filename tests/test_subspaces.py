@@ -428,8 +428,8 @@ def test_decomposition_cache_is_freed_with_its_space():
     assert (ms._mask(s.elements), s.retained_ops, ms._carriers) in ms._decompositions
     enumerate_maximal_series(ms)
     assert set(ms._lattices) == {0, 1}
-    assert {type(k[0]) for k in ms._walk if type(k) is tuple} == {int, tuple}
-    assert any(type(v) is SubsetRef for v in ms._walk.values())
+    assert {k[0] for k in ms._walk} == {"choices", "edge", "ref"}
+    assert all(type(v) is SubsetRef for k, v in ms._walk.items() if k[0] == "ref")
     gone = weakref.ref(ms)
     del ms
     gc.collect()
