@@ -76,11 +76,8 @@ def _normalised(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
     """Whether each op's carrier conjugates the members inside it onto
     themselves. The space is valid, so the elements that do form a group,
     and the generators its lattice keeps for the carrier suffice."""
-    for k in map(ms.op_set.index, ops):
-        inside = _bits(members & carriers[k])
-        if not all(_normalises(ms._tables[k], x, inside) for x in ms._lattices[k][carriers[k]]):
-            return False
-    return True
+    return all(_normalises(ms._tables[k], x, _bits(members & carriers[k]))
+               for k in map(ms.op_set.index, ops) for x in ms._lattices[k][carriers[k]])
 
 
 def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
