@@ -100,16 +100,25 @@ class FiniteGroup:
         return t, tuple(index)[n:]
 
     @cached_property
-    def _associative(self) -> bool:
-        """No product leaves the carrier and Light's test passes: closures are words."""
-        return not self._ints[1] and _light_associative(self._ints[0])
+    def _light(self) -> list[int] | None:
+        """Light's generators when no product leaves the carrier and his test
+        passes, so the table is associative; None otherwise."""
+        return None if self._ints[1] else _light_generators(self._ints[0])
+
+    @cached_property
+    def _generators(self) -> list[int] | None:
+        """Light's generators when the table is a group: associative, with
+        the declared identity and every inverse; None otherwise."""
+        t, e = self._ints[0], self.index(self.identity)
+        identity = all(t[e][a] == a == t[a][e] for a in range(self.order))
+        return self._light if identity and None not in self._inverses else None
 
     @cached_property
     def _lattice(self) -> dict[int, list[int]]:
         # the subgroups as carrier-index bitmasks in subgroups() order, each
         # with the elements it was joined from, which generate it
         found = _closed_subsets(self._ints[0], (1 << self.order) - 1,
-                                self._associative)
+                                self._generators is not None)
         e = 1 << self.index(self.identity)
         masks = sorted((m for m in found
                         if m & e and self.order % m.bit_count() == 0),
@@ -154,10 +163,12 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     When a universe is supplied, table entries that are not elements of it
     at all are flagged as structural (a malformed table), distinct from the
     closure axiom failure of an entry that escapes the carrier.
-    Associativity is decided by Light's test (_light_associative, cached on
-    the group as _associative), which compares whole rows for the members
-    of a generating set only; when it fails, the full |G|^3 scan finds the
-    first witness in (a, b, c) order.
+    Associativity is decided by Light's test (_light_generators, cached on
+    the group as _light), which compares whole rows for the members of a
+    generating set only; when it fails, the full |G|^3 scan finds the
+    first witness in (a, b, c) order. Both table witnesses need a product
+    outside the carrier, so the string scan for them runs only when _ints
+    records one.
     """
     report = ValidationReport()
     members = set(g.carrier)
@@ -165,7 +176,7 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
 
     closure_witness = None
     structural_witness = None
-    for a, row in zip(g.carrier, g.table):
+    for a, row in zip(g.carrier, g.table) if g._ints[1] else ():
         for b, p in zip(g.carrier, row):
             if p not in known:
                 structural_witness = structural_witness or (a, b, p)
@@ -193,7 +204,7 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
                        (g.op_id,), (g.carrier[a],))
             break
 
-    assoc_witness = None if g._associative else next(
+    assoc_witness = None if g._light is not None else next(
         (a, b, c) for a in range(n) for b in range(n) for c in range(n)
         if t[t[a][b]][c] != t[a][t[b][c]])
     if assoc_witness:
@@ -212,8 +223,9 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     return report
 
 
-def _light_associative(t: list[list[int]]) -> bool:
-    """Light's associativity test on a table closed on its indices.
+def _light_generators(t: list[list[int]]) -> list[int] | None:
+    """Light's associativity test on a table closed on its indices: the
+    generating set it checked when the table is associative, else None.
 
     The middles s with (x s) y = x (s y) for all x, y form a product-closed
     set: for two of them, (x(sr))y = ((xs)r)y = (xs)(ry) = x(s(ry)) =
@@ -231,8 +243,8 @@ def _light_associative(t: list[list[int]]) -> bool:
         closed = _close((t,), closed, closed | 1 << s, gens)
         ts = t[s]
         if any(t[row[s]] != list(map(row.__getitem__, ts)) for row in t):
-            return False
-    return True
+            return None
+    return gens
 
 
 def is_subgroup(g: FiniteGroup, subset) -> bool:
@@ -326,7 +338,7 @@ def _close(tables, closed: int, mask: int, gens=None, within: int = -1) -> int:
 
 
 def _closed_subsets(t: list[list[int]], within: int,
-                    words: bool = False) -> dict[int, list[int]]:
+                    group: bool = False) -> dict[int, list[int]]:
     """Every nonempty product-closed subset of `within`, as bitmasks in the
     order found, each with the elements it was joined from, which generate it.
 
@@ -335,25 +347,32 @@ def _closed_subsets(t: list[list[int]], within: int,
     it, memoised on their union; a closure stops at its first bit outside
     `within` and is dropped. Exact on any table: a closed set S is the join
     of its elements' closures added one at a time, each partial join inside
-    S. With `words` (an associative table closed on its carrier) a closure
-    is built as words over the elements its set was joined from.
+    S. With `group` (the table is a group) a closure is built as words over
+    the elements its set was joined from, and a closed set a is joined once
+    per coset x a: a is a subgroup, so <a, x h> = <a, x> for h in a, and
+    that join is found already or leaves `within`.
     """
     gens: dict[int, list[int]] = {}  # each closed set found: the elements joined into it
     for x in _bits(within):
-        c = _close((t,), 0, 1 << x, [x] if words else None, within)
+        c = _close((t,), 0, 1 << x, [x] if group else None, within)
         if not c & ~within:
             gens.setdefault(c, [x])
     cyclic = list(gens.items())
     found = list(gens)
     tried: set[int] = set()  # the closure of a union depends on nothing else
     for a in found:  # also visits the sets appended meanwhile
+        joined, members = a, _bits(a)  # the x whose join with a is known
         for c, (x,) in cyclic:
+            if joined >> x & 1:
+                continue
+            if group:
+                joined |= sum({1 << p for p in map(t[x].__getitem__, members)})
             union = a | c
-            if union == a or union in tried or union in gens:
+            if union in tried or union in gens:
                 continue
             tried.add(union)
             g = gens[a] + [x]
-            j = _close((t,), a, a | 1 << x, g if words else None, within)
+            j = _close((t,), a, a | 1 << x, g if group else None, within)
             if not j & ~within and j not in gens:
                 gens[j] = g
                 found.append(j)

@@ -22,11 +22,12 @@ the space's tables; element names appear only in the results. The
 completeness route's candidates come from the bitmask closure kernel that
 also builds the subgroup lattice and span_closure: on the operation's
 table in the space, each allowed element is closed, each closed set found
-is joined with each element closure not inside it (as words over its
-generators on a table already known to be associative), and the maximal
-closures inside the allowed set are kept. Decompositions are cached on the
-space by (bitmask, retained ops, carriers), so the cache is freed with it;
-the series walk covers inside induced spaces with lattice members instead.
+is joined with each element closure not inside it (on a table already
+known to be a group, as words over its generators and once per coset),
+and the maximal closures inside the allowed set are kept. Decompositions
+are cached on the space by (bitmask, retained ops, carriers), so the cache
+is freed with it; the series walk covers inside induced spaces with
+lattice members instead.
 """
 
 from __future__ import annotations
@@ -81,11 +82,13 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
     row-major table order, that the closure of an allowed element or of two
     maximal closed sets reaches: exactly what joining every two closed sets
     reaches, as each such join lies inside one of the latter. Closures are
-    words only if validation or the lattice already cached Light's verdict:
-    on a small allowed set the test costs more than the closures it saves.
+    words, one join per coset, only if validation or the lattice already
+    cached Light's verdict and the table is a group: on a small allowed set
+    the test costs more than the closures it saves.
     """
     g, t = ms.group_of(op), ms._table(op)
-    maximal = _maximal(_closed_subsets(t, within, vars(g).get("_associative", False)))
+    group = "_light" in vars(g) and g._generators is not None
+    maximal = _maximal(_closed_subsets(t, within, group))
     if g._ints[1]:
         escaped = 0
         for closed, union in [(0, 1 << x) for x in _bits(within)] + \

@@ -116,14 +116,13 @@ def overlapping_pair_family(max_universe=8):
     return spaces
 
 
-def overlapping_chain_family(max_universe=9):
-    """All valid three-group spaces p, q, r from the pair family's pieces,
-    each overlapping the tail of the one before it by any amount up to the
-    smaller of the two (r may then reach into p as well)."""
-    from multigroup.spaces import MultiGroupSpace, validate_multigroup
+def chain_layouts(max_universe=9):
+    """Every three-group space p, q, r from the pair family's pieces, valid
+    or not, each overlapping the tail of the one before it by any amount up
+    to the smaller of the two (r may then reach into p as well)."""
+    from multigroup.spaces import MultiGroupSpace
     pieces = [catalog.cyclic(2), catalog.cyclic(3), catalog.cyclic(4),
               catalog.klein_four(), catalog.symmetric_3()]
-    spaces = []
     for g1, g2, g3 in product(pieces, repeat=3):
         for o1 in range(min(g1.order, g2.order) + 1):
             for o2 in range(min(g2.order, g3.order) + 1):
@@ -136,7 +135,10 @@ def overlapping_chain_family(max_universe=9):
                 groups = (relabel(g1, names[:g1.order], "p"),
                           relabel(g2, names[start2:start2 + g2.order], "q"),
                           relabel(g3, names[start3:], "r"))
-                ms = MultiGroupSpace(tuple(names), groups)
-                if validate_multigroup(ms).ok:
-                    spaces.append(ms)
-    return spaces
+                yield MultiGroupSpace(tuple(names), groups)
+
+
+def overlapping_chain_family(max_universe=9):
+    """The valid spaces among chain_layouts."""
+    from multigroup.spaces import validate_multigroup
+    return [ms for ms in chain_layouts(max_universe) if validate_multigroup(ms).ok]

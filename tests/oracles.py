@@ -6,9 +6,9 @@ engine: subgroup enumeration is an unpruned scan over all subsets, chains
 are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
-scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_validate_group,
-scan_interposable, scan_is_finitely_generated, scan_composition_series,
-scan_is_abelian, scan_proper_normal_subgroups,
+scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_element_joins,
+scan_validate_group, scan_interposable, scan_is_finitely_generated,
+scan_composition_series, scan_is_abelian, scan_proper_normal_subgroups,
 scan_maximal_proper_normal_subgroups, the staged series walk (scan_series_stages,
 scan_build_series, scan_maximal_series) and the five string-keyed product
 scans are the exceptions: they are code the engine replaced, kept verbatim
@@ -20,6 +20,8 @@ the completeness route used before the bitmask closure kernel;
 scan_closed_subsets joins every two closed sets found, as the lattice and
 the completeness route did before they joined closed sets with element
 closures only, and returns the union of the closures it dropped;
+scan_element_joins joins each closed set with every element closure, as
+they did before a group's closed set was joined once per coset;
 scan_validate_group checks the group axioms with string-keyed products, as
 validate_group did before it read the int table; scan_interposable tries
 every subset between a series link and its parent, as the interposition
@@ -54,7 +56,7 @@ from multigroup.errors import (DomainError, InternalConsistencyError,
                                PreconditionError)
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
-                               _closed_subsets, is_subgroup,
+                               is_subgroup,
                                maximal_proper_normal_subgroups, subgroups)
 from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
 from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
@@ -214,6 +216,41 @@ def scan_closed_subsets(t: list[list[int]], within: int) -> tuple[list[int], int
             if a | b not in (a, b):
                 visit(a, a | b)
     return found, rejected
+
+
+def scan_element_joins(t: list[list[int]], within: int,
+                       words: bool = False) -> dict[int, list[int]]:
+    """Every nonempty product-closed subset of `within`, as bitmasks in the
+    order found, each with the elements it was joined from, which generate it.
+
+    True cyclic extension (Neubüser 1960): closes each element of `within`,
+    then joins each closed set found with each element closure not inside
+    it, memoised on their union; a closure stops at its first bit outside
+    `within` and is dropped. Exact on any table: a closed set S is the join
+    of its elements' closures added one at a time, each partial join inside
+    S. With `words` (an associative table closed on its carrier) a closure
+    is built as words over the elements its set was joined from.
+    """
+    gens: dict[int, list[int]] = {}  # each closed set found: the elements joined into it
+    for x in _bits(within):
+        c = _close((t,), 0, 1 << x, [x] if words else None, within)
+        if not c & ~within:
+            gens.setdefault(c, [x])
+    cyclic = list(gens.items())
+    found = list(gens)
+    tried: set[int] = set()  # the closure of a union depends on nothing else
+    for a in found:  # also visits the sets appended meanwhile
+        for c, (x,) in cyclic:
+            union = a | c
+            if union == a or union in tried or union in gens:
+                continue
+            tried.add(union)
+            g = gens[a] + [x]
+            j = _close((t,), a, a | 1 << x, g if words else None, within)
+            if not j & ~within and j not in gens:
+                gens[j] = g
+                found.append(j)
+    return gens
 
 
 def brute_is_normal(sub, elems, mul, inv):
@@ -580,7 +617,7 @@ def _scan_closed_part_candidates(g: FiniteGroup, allowed: frozenset) -> list[fro
     """
     t, outside = g._ints
     within = sum(1 << g.index(e) for e in allowed)
-    found = _closed_subsets(t, within, vars(g).get("_associative", False))
+    found = scan_element_joins(t, within, vars(g).get("_light") is not None)
     maximal = [m for m in found
                if not any(m != o and m & o == m for o in found)]
     if outside:

@@ -14,7 +14,7 @@ from multigroup import catalog, groups
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
-                               _light_associative, _maximal, _proper_normal,
+                               _light_generators, _maximal, _proper_normal,
                                composition_series, is_normal_subgroup, is_subgroup,
                                maximal_proper_normal_subgroups,
                                proper_normal_subgroups, quotient_group,
@@ -24,6 +24,7 @@ from multigroup.instances import parse_instance
 from conftest import INSTANCE_DIR, small_space_catalog
 from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
+                     scan_element_joins,
                      scan_composition_series, scan_is_abelian,
                      scan_maximal_proper_normal_subgroups,
                      scan_proper_normal_subgroups, scan_subgroups,
@@ -409,7 +410,7 @@ def test_cyclic_extension_finds_exactly_the_closed_sets(g, data):
             if all(mul[(a, b)] in cand for a in cand for b in cand):
                 expected.add(frozenset(cand))
     mask = sum(1 << g.index(e) for e in within)
-    found = _closed_subsets(g._ints[0], mask, g._associative)
+    found = _closed_subsets(g._ints[0], mask, g._generators is not None)
     assert len(found) == len(expected)
     assert {frozenset(g.carrier[i] for i in _bits(m)) for m in found} == expected
 
@@ -526,6 +527,41 @@ def _associative_tables(draw):
     return FiniteGroup("*", carrier, table, draw(st.sampled_from(carrier)))
 
 
+@st.composite
+def _monoids(draw):
+    """The multiplicative monoid of Z_n, n <= 8, on its residues: associative
+    with an identity, but only the units have inverses."""
+    n = draw(st.integers(2, 8))
+    return FiniteGroup.from_function("*", map(str, range(n)),
+                                     lambda a, b: str(int(a) * int(b) % n), "1")
+
+
+def _semigroups(n):
+    """Every associative table on range(n): cells filled in row-major order,
+    a partial table dropped once a triple with all four products filled in
+    breaks the law. A triple reads the cell (a, b) only if x = a or z = b."""
+    t, span = [[None] * n for _ in range(n)], range(n)
+
+    def breaks(x, y, z):
+        xy, yz = t[x][y], t[y][z]
+        if xy is None or yz is None:
+            return False
+        left, right = t[xy][z], t[x][yz]
+        return None not in (left, right) and left != right
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(tuple(map(str, row)) for row in t)
+            return
+        a, b = divmod(cell, n)
+        for t[a][b] in span:
+            if not any(breaks(a, y, z) or breaks(y, z, b) for y in span for z in span):
+                yield from fill(cell + 1)
+        t[a][b] = None
+
+    return fill(0)
+
+
 def _first_associativity_witness(t):
     n = len(t)
     return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
@@ -539,7 +575,7 @@ def test_lights_test_matches_the_full_associativity_scan(g):
     # first witness of the full scan
     t = g._ints[0]
     witness = _first_associativity_witness(t)
-    assert _light_associative(t) == (witness is None)
+    assert (_light_generators(t) is not None) == (witness is None)
     assert validate_group(g).to_dict() == scan_validate_group(_fresh(g)).to_dict()
     reported = [v.witness for v in validate_group(g).violations
                 if v.kind == "associativity"]
@@ -569,26 +605,35 @@ def _alternating_5():
 
 ABOVE_BOUND = Limits(max_group_order=64)
 Z2_5 = reduce(_direct_product, [catalog.cyclic(2)] * 5)
+Z2_6 = reduce(_direct_product, [catalog.cyclic(2)] * 6)
 
 
 @settings(max_examples=200)
-@given(st.one_of(_tables(outside=("x",)), _tables(paired=True),
-                 st.sampled_from([CORPUS[n] for n in CORPUS_NAMES])),
+@given(st.one_of(_tables(outside=("x",)), _tables(paired=True), _associative_tables(),
+                 _monoids(), st.sampled_from([CORPUS[n] for n in CORPUS_NAMES])),
        st.data())
 def test_element_joins_find_the_closed_sets_of_pairwise_joins(g, data):
+    """The same dict as joining with every element closure, insertion order
+    and generators included; the coset rule is on for groups only."""
     within = data.draw(st.sets(st.sampled_from(g.carrier)))
     mask = sum(1 << g.index(e) for e in within)
-    found = _closed_subsets(g._ints[0], mask, g._associative)
+    found = _closed_subsets(g._ints[0], mask, g._generators is not None)
     assert sorted(found) == sorted(scan_closed_subsets(g._ints[0], mask)[0])
+    assert list(found.items()) == \
+        list(scan_element_joins(g._ints[0], mask, g._light is not None).items())
 
 
 @pytest.mark.parametrize("g", [_symmetric_4(), _alternating_5(),
-                               _direct_product(_symmetric_4(), catalog.cyclic(2))],
-                         ids=["S4", "A5", "S4xZ2"])
+                               _direct_product(_symmetric_4(), catalog.cyclic(2))] +
+                         [CORPUS[n] for n in CORPUS_NAMES],
+                         ids=["S4", "A5", "S4xZ2"] + CORPUS_NAMES)
 def test_element_joins_find_every_closed_set_of_larger_groups(g):
-    full = (1 << g.order) - 1
-    assert sorted(_closed_subsets(g._ints[0], full, g._associative)) == \
-        sorted(scan_closed_subsets(g._ints[0], full)[0])
+    # A5 is not solvable; every group here takes the coset rule
+    full, t = (1 << g.order) - 1, g._ints[0]
+    found = _closed_subsets(t, full, g._generators is not None)
+    assert g._generators is not None
+    assert list(found.items()) == list(scan_element_joins(t, full, True).items())
+    assert sorted(found) == sorted(scan_closed_subsets(t, full)[0])
 
 
 @st.composite
@@ -610,7 +655,7 @@ def _closed_part(draw, g):
     _associative_tables()), st.data())
 def test_word_closure_equals_the_semi_naive_closure(g, data):
     # associative tables closed on their carrier, with and without inverses
-    assert g._associative
+    assert g._light is not None
     gens, closed, x = data.draw(_closed_part(g))
     t, mask = g._ints[0], closed | 1 << x
     full = _close((t,), closed, mask)
@@ -623,21 +668,46 @@ def test_word_closure_equals_the_semi_naive_closure(g, data):
         assert stopped == full or stopped & ~within
 
 
+def _lattice_outcome(g):
+    try:
+        return list(g._lattice.items())
+    except DomainError as exc:  # a member of a closed set has no inverse
+        return str(exc)
+
+
+def test_the_lattice_joins_every_element_closure_on_semigroups(monkeypatch):
+    """Every associative table of order <= 4 under each declared identity:
+    the coset rule is on for groups only, so the lattice, or the element it
+    names as having no inverse, is what joining every element closure gives."""
+    cases = [FiniteGroup("*", tuple(map(str, range(n))), table, str(e))
+             for n in range(1, 5) for table in _semigroups(n) for e in range(n)]
+    assert len(cases) == 1 + 2 * 8 + 3 * 113 + 4 * 3492
+    outcomes = list(map(_lattice_outcome, cases))
+    monkeypatch.setattr(groups, "_closed_subsets", scan_element_joins)
+    assert outcomes == [_lattice_outcome(_fresh(g)) for g in cases]
+
+
 def test_lattices_above_the_default_bound():
     subs = subgroups(_fresh(Z2_5), ABOVE_BOUND)
     assert len(subs) == 374
     assert [n for _, n in sorted(Counter(map(len, subs)).items())] == \
         [1, 31, 155, 155, 31, 1]
+    subs = subgroups(_fresh(Z2_6), ABOVE_BOUND)
+    assert len(subs) == 2825
+    assert [n for _, n in sorted(Counter(map(len, subs)).items())] == \
+        [1, 63, 651, 1395, 651, 63, 1]
     assert len(subgroups(_alternating_5(), ABOVE_BOUND)) == 59
     assert len(subgroups(_direct_product(_symmetric_4(), catalog.cyclic(2)),
                          ABOVE_BOUND)) == 98
 
 
-@pytest.mark.parametrize("g, closures", [(_symmetric_4(), 284), (Z2_5, 9059)],
-                         ids=["S4", "Z2^5"])
+@pytest.mark.parametrize("g, closures", [(_symmetric_4(), 160), (Z2_5, 1929),
+                                         (Z2_6, 22919)],
+                         ids=["S4", "Z2^5", "Z2^6"])
 def test_lattice_closure_count(monkeypatch, g, closures):
-    """Element joins with Light's test included; joining every two closed
-    sets took 339 closures on S4 and 64,388 on Z2^5."""
+    """One join per coset with Light's test included; joining with every
+    element closure took 284 closures on S4, 9,059 on Z2^5 and 152,468 on
+    Z2^6, and joining every two closed sets 339 on S4 and 64,388 on Z2^5."""
     calls = []
     kernel = groups._close
 

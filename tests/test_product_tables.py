@@ -7,8 +7,11 @@ string-keyed code it replaced (tests/oracles.py): the same result, or the
 same exception type and text, on every shipped instance, the overlapping
 pair family, the small catalog spaces, invalid spaces where distribution
 fails and tests/golden/escape.mgs, where a product leaves its carrier. The distribution scan is also checked on random
-partial tables, down to one-element universes, and where both directions
-fail often enough to stop its witness search early.
+partial tables, down to one-element universes, where both directions
+fail often enough to stop its witness search early, on every layout of
+the chain family, on GF(p) for p <= 23 and on a near-field, whose
+multiplication distributes on one side only; the rows it reads show
+where Light's generators decide a direction.
 """
 
 from itertools import combinations, permutations, product
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multigroup import catalog, series as series_module
+from multigroup import catalog, series as series_module, spaces
 from multigroup.config import Limits
 from multigroup.errors import DomainError
 from multigroup.generation import GeneratingSet, span_closure, span_once
@@ -29,7 +32,8 @@ from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
 from multigroup.subspaces import (SubsetRef, coset, is_subspace,
                                   is_subspace_by_intersection, subspace_decomposition)
 
-from conftest import INSTANCE_DIR, overlapping_pair_family, small_space_catalog
+from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family,
+                      small_space_catalog)
 from test_groups import _tables
 from test_subspaces import _escaping_groups
 from oracles import (scan_check_one_direction, scan_coset, scan_is_complete,
@@ -251,6 +255,100 @@ def test_the_witness_search_stops_early_and_the_count_stays_exact(ms):
         assert len(check.witnesses) == MAX_DISTRIBUTION_WITNESSES
 
 
+def test_distribution_scan_matches_the_string_scan_on_every_chain_layout():
+    """Every layout of the chain family, valid or not, in all six directions:
+    the family keeps the spaces this scan calls valid, so its valid spaces
+    alone could hide a wrong "holds". 151 directions have a group inside the
+    other carrier and hold on Light's generators alone."""
+    layouts, decided = list(chain_layouts()), 0
+    for ms in layouts:
+        _same_distribution_scan(ms)
+        decided += sum(_check_one_direction(ms, times, circ).holds
+                       for times, circ in permutations(ms.op_set, 2)
+                       if not ms._carrier(times) & ~ms._carrier(circ))
+    assert (len(layouts), decided) == (1350, 151)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_distribution_scan_matches_the_string_scan_on_prime_fields(p):
+    _same_distribution_scan(catalog.prime_field(p))
+
+
+def _near_field(opposite):
+    """Dickson's near-field of order 9: GF(9) = Z3[i] with i^2 = -1 under +,
+    and x * y = x y where y is a square in GF(9), x^3 y elsewhere, a group
+    (Q8) on the nonzero elements. * is distributive on one side only;
+    `opposite` multiplies the other way round, which swaps the sides."""
+    def gf9(u, v):
+        (a, b), (c, d) = map(int, u), map(int, v)
+        return f"{(a * c - b * d) % 3}{(a * d + b * c) % 3}"
+
+    def times(u, v):
+        u, v = (v, u) if opposite else (u, v)
+        return gf9(u, v) if v in squares else gf9(gf9(gf9(u, u), u), v)
+
+    names = [f"{a}{b}" for a in range(3) for b in range(3)]
+    squares = {gf9(u, u) for u in names[1:]}
+    plus = FiniteGroup.from_function(
+        "+", names, lambda u, v: "".join(str((int(a) + int(b)) % 3) for a, b in zip(u, v)), "00")
+    return MultiGroupSpace(tuple(names), (plus, FiniteGroup.from_function(
+        "*", names[1:], times, "10")))
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["left-fails", "right-fails"])
+def test_the_generator_pass_checks_both_laws(opposite):
+    # one law holds everywhere, so Light's generators must fail on the other
+    ms = _near_field(opposite)
+    assert ms.group_of("*")._generators is not None
+    check = _check_one_direction(ms, "*", "+")
+    assert check == scan_check_one_direction(ms, "*", "+") and not check.holds
+
+
+def _rows_read(monkeypatch, ms, times, circ):
+    """One direction's check, and how many rows of the * table the scan
+    reads: two for each law it compares at an (x, y)."""
+    reads, getter = [], spaces._getter
+
+    def counting(indices):
+        get = getter(indices)
+        return lambda row: reads.append(row) or get(row)
+
+    monkeypatch.setattr(spaces, "_getter", counting)
+    return _check_one_direction(ms, times, circ), len(reads)
+
+
+def test_light_generators_decide_a_group_inside_the_other_carrier(monkeypatch):
+    # both laws at each of the 22 y, for the generators of * only
+    gf23 = catalog.prime_field(23)
+    check, reads = _rows_read(monkeypatch, gf23, "*", "+")
+    assert check == scan_check_one_direction(gf23, "*", "+") and check.holds
+    gens = gf23.group_of("*")._generators
+    assert len(gens) <= 3 and reads == 2 * 2 * 22 * len(gens)
+
+
+def _z5_monoid():
+    """Z5 with + and the whole multiplicative monoid: T = C, * associative
+    and distributive, but 0 has no inverse, so * is not a group."""
+    ms = catalog.prime_field(5)
+    times = FiniteGroup.from_function("*", ms.universe,
+                                      lambda a, b: str(int(a) * int(b) % 5), "1")
+    return MultiGroupSpace(ms.universe, (ms.groups[0], times))
+
+
+@pytest.mark.parametrize("ms, times, circ, reads", [
+    # x = 0 holds at all 22 y; x = 1 fails ten times at y = 1, and from
+    # then on no row is read
+    (catalog.prime_field(23), "+", "*", 2 * 2 * (22 + 1)),
+    # both laws at each y for every x
+    (_z5_monoid(), "*", "+", 2 * 2 * 5 * 5)],
+    ids=["carrier-outside", "not-a-group"])
+def test_the_generator_pass_needs_a_group_inside_the_other_carrier(
+        monkeypatch, ms, times, circ, reads):
+    check, read = _rows_read(monkeypatch, ms, times, circ)
+    assert check == scan_check_one_direction(ms, times, circ)
+    assert read == reads
+
+
 def test_a_one_element_space_tests_both_laws_once():
     g = FiniteGroup("+", ("e",), (("e",),), "e")
     ms = MultiGroupSpace(("e",), (g, FiniteGroup("*", ("e",), (("e",),), "e")))
@@ -273,7 +371,7 @@ def test_subspace_routes_match_the_string_routes_on_escaping_tables(g, data):
     verdict cached or not, gets the same decomposition, evidence or error."""
     ms = MultiGroupSpace(g.carrier + g._ints[1], (g,))
     if data.draw(st.booleans()):
-        g._associative  # cached Light's verdict: word closures where it holds
+        g._light  # cached Light's verdict: word closures where it holds
     s = SubsetRef.of(ms, data.draw(st.sets(st.sampled_from(ms.universe))))
     assert _outcome(subspace_decomposition, ms, s) == \
         _outcome(scan_subspace_decomposition, ms, s)

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,10 +381,23 @@ def test_closed_part_candidates_match_the_string_closure(g, data):
     allowed = frozenset(data.draw(st.sets(st.sampled_from(g.carrier))))
     g = FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
     if data.draw(st.booleans()):
-        g._associative  # cached Light's verdict: word closures where it holds
+        g._light  # cached Light's verdict: word closures where it holds
     outcome = _candidates_outcome(_space_candidates, g, allowed)
     assert outcome == _candidates_outcome(scan_closed_parts, g, allowed)
     assert outcome == _candidates_outcome(_pairwise_candidates, g, allowed)
+
+
+def test_closed_part_candidates_join_every_element_closure_off_groups():
+    """An associative table of order 5 that is not a group, with Light's
+    verdict cached: joining once per coset would lose the maximal closed
+    set {3, 4} of {1, 2, 3, 4}."""
+    rows = ("00033", "01033", "22244", "00033", "22244")
+    g = FiniteGroup("*", tuple("01234"), tuple(map(tuple, rows)), "1")
+    assert g._light is not None and g._generators is None
+    for r in range(1, 6):
+        for allowed in map(frozenset, combinations(g.carrier, r)):
+            assert _candidates_outcome(_space_candidates, g, allowed) == \
+                _candidates_outcome(scan_closed_parts, g, allowed), allowed
 
 
 @st.composite
