@@ -68,10 +68,19 @@ class FiniteGroup:
 
     @cached_property
     def _inverses(self) -> list[int | None]:
-        """The first two-sided inverse of each carrier index, or None."""
+        """The first two-sided inverse of each carrier index, or None: the
+        first right inverse in the row, or when that one is one-sided the
+        first b after it with a b = e = b a."""
         t, e, n = self._ints[0], self.index(self.identity), self.order
-        return [next((b for b in range(n) if t[a][b] == e and t[b][a] == e), None)
-                for a in range(n)]
+        out: list[int | None] = []
+        for a in range(n):
+            row = t[a]
+            b = row.index(e) if e in row else None  # e < n: never an escape column
+            if b is not None and t[b][a] != e:
+                b = next((c for c in range(b + 1, n) if row[c] == e and t[c][a] == e),
+                         None)
+            out.append(b)
+        return out
 
     def _inverse_of(self, a: int) -> int:
         b = self._inverses[a]
@@ -93,10 +102,16 @@ class FiniteGroup:
         carries the escaped bits along.
         """
         n, index = self.order, dict(self._index)
-        t = [[index.setdefault(p, len(index)) for p in row] for row in self.table]
+        t = []
+        for row in self.table:
+            try:
+                t.append(list(map(index.__getitem__, row)))
+            except KeyError:  # a product outside the carrier gets its index
+                t.append([index.setdefault(p, len(index)) for p in row])
         size = len(index)
-        t = [row + list(range(n, size)) for row in t] + \
-            [[k] * size for k in range(n, size)]
+        if size > n:
+            t = [row + list(range(n, size)) for row in t] + \
+                [[k] * size for k in range(n, size)]
         return t, tuple(index)[n:]
 
     @cached_property
@@ -350,13 +365,18 @@ def _closed_subsets(t: list[list[int]], within: int,
     S. With `group` (the table is a group) a closure is built as words over
     the elements its set was joined from, and a closed set a is joined once
     per coset x a: a is a subgroup, so <a, x h> = <a, x> for h in a, and
-    that join is found already or leaves `within`.
+    that join is found already or leaves `within`. On a group, `within`
+    is cyclic when an element closure fills it, and then every closed set
+    in it is a subgroup of a cyclic group, so an element closure: no join
+    can find a new one, and none is made.
     """
     gens: dict[int, list[int]] = {}  # each closed set found: the elements joined into it
     for x in _bits(within):
         c = _close((t,), 0, 1 << x, [x] if group else None, within)
         if not c & ~within:
             gens.setdefault(c, [x])
+    if group and within in gens:
+        return gens
     cyclic = list(gens.items())
     found = list(gens)
     tried: set[int] = set()  # the closure of a union depends on nothing else

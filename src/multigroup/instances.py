@@ -29,7 +29,7 @@ def _tokens(line: str) -> list[str]:
 
 
 def _check_token(token: str, lineno: int) -> str:
-    if any(c in _RESERVED for c in token):
+    if not _RESERVED.isdisjoint(token):
         raise ParseError(f"invalid element token {token!r} "
                          f"(':', ',' and '#' are reserved)", lineno)
     return token
@@ -73,13 +73,12 @@ def parse_instance(text: str) -> MultiGroupSpace:
         raise ParseError("expected 'elements:' declaration", lineno)
     if not universe_tokens:
         raise ParseError("universe is empty", lineno)
-    universe = []
+    known: set[str] = set()
     for tok in universe_tokens:
         _check_token(tok, lineno)
-        if tok in universe:
+        if tok in known:
             raise ParseError(f"duplicate element {tok!r} in universe", lineno)
-        universe.append(tok)
-    known = set(universe)
+        known.add(tok)
 
     groups = []
     while True:
@@ -94,7 +93,7 @@ def parse_instance(text: str) -> MultiGroupSpace:
             raise ParseError("empty operation id", lineno)
         groups.append(_parse_group(lines, op_id, known, lineno))
 
-    return MultiGroupSpace(tuple(universe), tuple(groups))
+    return MultiGroupSpace(tuple(universe_tokens), tuple(groups))
 
 
 def _parse_group(lines: _Lines, op_id: str, universe: set[str],
@@ -105,14 +104,15 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
         raise ParseError(f"group {op_id!r} missing 'carrier:' line",
                          item[0] if item else header_line)
     lineno = item[0]
-    carrier = []
+    members: set[str] = set()
     for tok in carrier_tokens:
         _check_token(tok, lineno)
         if tok not in universe:
             raise ParseError(f"carrier element {tok!r} not in universe", lineno)
-        if tok in carrier:
+        if tok in members:
             raise ParseError(f"duplicate element {tok!r} in carrier", lineno)
-        carrier.append(tok)
+        members.add(tok)
+    carrier = tuple(carrier_tokens)
 
     item = lines.take()
     identity_tokens = item and _keyword_line(item[1], "identity")
@@ -122,7 +122,7 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
     if len(identity_tokens) != 1:
         raise ParseError("identity line must name exactly one element", item[0])
     identity = identity_tokens[0]
-    if identity not in carrier:
+    if identity not in members:
         raise ParseError(f"identity {identity!r} not in carrier", item[0])
 
     item = lines.take()
@@ -142,7 +142,7 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
         if not tokens[0].endswith(":"):
             raise ParseError("expected a table row '<element>: <entries>'", lineno)
         label = tokens[0][:-1]
-        if label not in carrier:
+        if label not in members:
             raise ParseError(f"row label {label!r} not in carrier", lineno)
         if label in rows:
             raise ParseError(f"duplicate table row for {label!r}", lineno)
@@ -151,13 +151,13 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
             raise ParseError(
                 f"row {label!r} has {len(entries)} entries, expected {len(carrier)}",
                 lineno)
-        for tok in entries:
-            if tok not in universe:
-                raise ParseError(f"unknown element {tok!r} in table", lineno)
+        if not universe.issuperset(entries):
+            unknown = next(tok for tok in entries if tok not in universe)
+            raise ParseError(f"unknown element {unknown!r} in table", lineno)
         rows[label] = tuple(entries)
 
     table = tuple(rows[label] for label in carrier)
-    return FiniteGroup(op_id, tuple(carrier), table, identity)
+    return FiniteGroup(op_id, carrier, table, identity)
 
 
 def serialize_instance(ms: MultiGroupSpace) -> str:

@@ -92,7 +92,7 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
     u, n, members = ms.universe, len(ms.universe), ms._mask(h.elements)
     ok = members | 1 << n
     for op in h.retained_ops:
-        k = ms.groups.index(ms.group_of(op))
+        k = ms._position(op)
         g, t = ms.groups[k], ms._tables[k]
         inside = _bits(members & ms._carriers[k])
         for x in g.carrier:

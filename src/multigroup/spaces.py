@@ -6,15 +6,17 @@ operations, that at least one of the two distributes over the other on
 every triple whose intermediate products are all defined; a law with no
 fully defined triple holds vacuously. Where the distributor is a group on
 a carrier inside the other's, the laws are decided on Light's generators
-of that group alone. Every product lookup of the space layer reads that
-rule from one place, the int tables MultiGroupSpace._tables.
+of that group alone, and validation scans that direction first: the other
+is scanned only when the first fails or holds vacuously. Every product
+lookup of the space layer reads the partial-product rule from one place,
+the int tables MultiGroupSpace._tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
@@ -39,12 +41,19 @@ class MultiGroupSpace:
         return tuple(g.op_id for g in self.groups)
 
     @cached_property
-    def _by_op(self) -> dict[str, FiniteGroup]:
+    def _positions(self) -> dict[str, int]:
         # first wins on duplicate ids; validate_multigroup flags the duplicate
-        out: dict[str, FiniteGroup] = {}
-        for g in self.groups:
-            out.setdefault(g.op_id, g)
+        out: dict[str, int] = {}
+        for k, g in enumerate(self.groups):
+            out.setdefault(g.op_id, k)
         return out
+
+    def _position(self, op_id: str) -> int:
+        """The index in groups of the operation's group."""
+        try:
+            return self._positions[op_id]
+        except KeyError:
+            raise DomainError(f"unknown operation {op_id!r}") from None
 
     @cached_property
     def _index(self) -> dict[Element, int]:
@@ -65,19 +74,34 @@ class MultiGroupSpace:
         product on the way is. The distribution scan, the raw reading, cosets,
         the one-step span, the conjugation scan and the completeness route
         read it, and so does the series walk inside every induced space.
+        Each row is gathered from the group's own int table (_ints): its
+        columns in universe order, then each entry mapped to its universe
+        position.
         Precondition: every carrier element and product lies in the
         universe. The parser and the catalog ensure it, and validation
         scans distribution only without structural violations; a product
-        outside the universe makes building the tables raise DomainError.
+        outside the universe makes building the tables raise DomainError,
+        naming the first one in universe order.
         """
-        n, u = len(self.universe), self.universe
-        cols = [[g._index.get(b) for b in u] for g in self.groups]  # None: not in g
-        return tuple([[n if i is None or k is None else self.index(g.table[i][k])
-                       for k in c] + [n] for i in c] + [[n] * (n + 1)]
-                     for g, c in zip(self.groups, cols))
+        n, u, index = len(self.universe), self.universe, self._index
+        tables = []
+        for g in self.groups:
+            t, escaped = g._ints
+            size = len(t)  # the column index that stands for "not in g"
+            at = [index.get(e) for e in g.carrier + escaped] + [n]  # None: outside u
+            cols = itemgetter(*[g._index.get(b, size) for b in u], size)
+            rows = [[n] * (n + 1) if i is None else
+                    list(map(at.__getitem__, cols(t[i] + [size])))
+                    for i in map(g._index.get, u)]
+            if None in at:  # a carrier element or product outside the universe
+                for i, row in zip(map(g._index.get, u), rows):
+                    if None in row:
+                        self.index(g.table[i][g._index[u[row.index(None)]]])  # raises
+            tables.append(rows + [[n] * (n + 1)])
+        return tuple(tables)
 
     def _table(self, op_id: str) -> list[list[int]]:
-        return self._tables[self.groups.index(self.group_of(op_id))]
+        return self._tables[self._position(op_id)]
 
     @cached_property
     def _carriers(self) -> tuple[int, ...]:
@@ -88,7 +112,7 @@ class MultiGroupSpace:
                      for g in self.groups)
 
     def _carrier(self, op_id: str) -> int:
-        return self._carriers[self.groups.index(self.group_of(op_id))]
+        return self._carriers[self._position(op_id)]
 
     def _mask(self, elements) -> int:
         return sum(1 << i for i in {self.index(e) for e in elements})
@@ -137,10 +161,7 @@ class MultiGroupSpace:
         return _validate(self)
 
     def group_of(self, op_id: str) -> FiniteGroup:
-        try:
-            return self._by_op[op_id]
-        except KeyError:
-            raise DomainError(f"unknown operation {op_id!r}") from None
+        return self.groups[self._position(op_id)]
 
     def defined(self, op_id: str, a: Element, b: Element) -> bool:
         g = self.group_of(op_id)
@@ -190,6 +211,17 @@ def _getter(indices):
         itemgetter(indices[0], indices[0])
 
 
+def _generator_pass(ms: MultiGroupSpace, times: str, circ: str) -> list[int] | None:
+    """The universe indices of Light's generators of *, less its identity,
+    when they decide whether * distributes over o: * is a group on a
+    carrier inside the o carrier. None otherwise."""
+    g = ms.group_of(times)
+    if ms._carrier(times) & ~ms._carrier(circ) or g._generators is None:
+        return None
+    e = g.index(g.identity)
+    return [ms.index(g.carrier[i]) for i in g._generators if i != e]
+
+
 def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck:
     """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror.
 
@@ -202,39 +234,44 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
     builds both sides of each law for every z at once, as tuples over rows
     of the space's int tables, and only an (x, y) whose tuples differ is
     walked z by z. Witnesses come in (x, y, z) order, and the walk stops
-    once MAX_DISTRIBUTION_WITNESSES are found; the count does not.
+    once MAX_DISTRIBUTION_WITNESSES are found; the count does not. When no
+    y has a z, no law is defined and no row of * is read.
 
     When the * carrier T lies inside the o carrier and * is a group, every
     law with y, z and y o z in T is tested, and the x passing both laws
     are closed under *: (x1 x2)(y o z) = x1((x2 y) o (x2 z)) =
-    ((x1 x2) y) o ((x1 x2) z), each product defined as T is closed. So
-    Light's generators are scanned first; if they all pass, the direction
-    holds with tested = 2 |T| times the z counted per y. Otherwise the
-    full scan runs and names the same witnesses.
+    ((x1 x2) y) o ((x1 x2) z), each product defined as T is closed. The
+    identity passes both laws, and Light's generators generate T. So the
+    generators other than the identity are scanned first; if they all
+    pass, the direction holds with tested = 2 |T| times the z counted per
+    y. Otherwise the full scan runs and names the same witnesses.
     """
     t, c, u = ms._table(times), ms._table(circ), ms.universe
     n = len(u)
     t_mask, in_c = ms._carrier(times), ms._carrier(circ)
-    in_t = _bits(t_mask)
-    g = ms.group_of(times)
-    gens = None if t_mask & ~in_c else g._generators
-    passes = [in_t] if gens is None else [[ms.index(g.carrier[i]) for i in gens], in_t]
-    both = [i for i in in_t if in_c >> i & 1]
-    cols = [list(col) for col in zip(*t)]  # cols[x][y] = t[y][x]
+    both = _bits(t_mask & in_c)
+    is_t = [t_mask >> i & 1 for i in range(n + 1)]  # index n: undefined
+    bits = [1 << z for z in both]
     # per y: the z where y o z is defined and lies in the * carrier
     per_y = []
     for y in both:
-        zs = [z for z in both if t_mask >> c[y][z] & 1]
-        if zs:
-            per_y.append((y, zs, sum(1 << z for z in zs),
-                          _getter(zs), _getter([c[y][z] for z in zs])))
-    for xs in passes:
+        yz = list(map(c[y].__getitem__, both))
+        keep = list(map(is_t.__getitem__, yz))
+        if any(keep):
+            zs = list(compress(both, keep))
+            per_y.append((y, zs, sum(compress(bits, keep)),
+                          _getter(zs), _getter(list(compress(yz, keep)))))
+    if not per_y:
+        return LawCheck(times, circ, holds=True, vacuous=True, tested=0, witnesses=())
+    in_t, is_c = _bits(t_mask), [in_c >> i & 1 for i in range(n + 1)]
+    gens = _generator_pass(ms, times, circ)
+    for xs in [in_t] if gens is None else [gens, in_t]:
         tested = 0
         witnesses: list[tuple[Element, Element, Element]] = []
         for x in xs:
-            tx, cx = t[x], cols[x]
-            x_left = sum(1 << z for z in both if in_c >> tx[z] & 1)    # x*z in o
-            x_right = sum(1 << z for z in both if in_c >> cx[z] & 1)  # z*x in o
+            tx, cx = t[x], list(map(itemgetter(x), t))  # cx[y] = t[y][x]
+            x_left = sum(compress(bits, map(is_c.__getitem__, map(tx.__getitem__, both))))
+            x_right = sum(compress(bits, map(is_c.__getitem__, map(cx.__getitem__, both))))
             for y, zs, z_mask, at_z, at_yz in per_y:
                 xy, yx = tx[y], cx[y]
                 left = in_c >> xy & 1
@@ -257,7 +294,7 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
                     witnesses.append((u[x], u[y], u[z]))
         if not witnesses:
             break
-    if xs is not in_t:
+    if xs is gens:
         tested = 2 * len(in_t) * sum(len(zs) for _, zs, *_ in per_y)
     return LawCheck(times, circ, holds=not witnesses, vacuous=tested == 0,
                     tested=tested, witnesses=tuple(witnesses))
@@ -288,6 +325,23 @@ def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> Distributio
     return DistributionCheck(op_a, op_b,
                              _check_one_direction(ms, op_a, op_b),
                              _check_one_direction(ms, op_b, op_a))
+
+
+def _pair_check(ms: MultiGroupSpace, op_a: str, op_b: str) -> DistributionCheck | None:
+    """check_distribution with only the scans the pair's verdict needs:
+    None when the first direction scanned holds on at least one tested
+    law, since the pair then distributes and is not vacuous. That first
+    direction is the one Light's generators can decide, b over a when only
+    it can, else a over b. Witnesses are reported only when neither
+    direction holds, so both are then scanned, as check_distribution
+    would."""
+    first = (op_b, op_a) if _generator_pass(ms, op_b, op_a) is not None and \
+        _generator_pass(ms, op_a, op_b) is None else (op_a, op_b)
+    one = _check_one_direction(ms, *first)
+    if one.holds and one.tested:
+        return None
+    other = _check_one_direction(ms, *reversed(first))
+    return DistributionCheck(op_a, op_b, *((one, other) if first[0] == op_a else (other, one)))
 
 
 def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
@@ -334,7 +388,9 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
 
     if not report.structural():
         for ga, gb in combinations(ms.groups, 2):
-            check = check_distribution(ms, ga.op_id, gb.op_id)
+            check = _pair_check(ms, ga.op_id, gb.op_id)
+            if check is None:
+                continue  # one direction holds on a tested law
             if check.vacuous:
                 report.note(
                     f"distribution for ({ga.op_id}, {gb.op_id}) holds vacuously: "

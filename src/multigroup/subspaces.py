@@ -104,7 +104,7 @@ def _lattice_part_candidates(ms: MultiGroupSpace, op: str, allowed: int,
                              limits: Limits) -> list[int]:
     """Maximal subgroups of op's group inside `allowed` (the intersection
     route), as universe bitmasks, read off the lattice cached on the space."""
-    lattice = ms._lattice(ms.groups.index(ms.group_of(op)), limits)
+    lattice = ms._lattice(ms._position(op), limits)
     return _maximal([m for m in lattice if not m & ~allowed])
 
 
@@ -126,7 +126,7 @@ def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...],
         return None
     candidates: dict[str, list[int]] = {}
     for op in ops:
-        carrier = carriers[ms.groups.index(ms.group_of(op))]
+        carrier = carriers[ms._position(op)]
         cands = part_candidates(ms, op, target & carrier)
         if not cands:
             return None  # the op cannot contribute a nonempty group

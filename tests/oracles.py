@@ -44,6 +44,12 @@ scan_is_complete, scan_span_once, scan_coset and scan_is_normal_subspace
 test carrier membership and multiply with FiniteGroup.mul, as the
 distribution scan, the raw reading, the one-step span, cosets and the
 conjugation scan did before they read MultiGroupSpace._tables.
+scan_validate scans both distribution directions of every operation pair
+through check_distribution, as validation did before it scanned the second
+direction only when the first does not settle the pair. scan_ints,
+scan_inverses and scan_tables build the int tables entry by entry, as
+FiniteGroup._ints, FiniteGroup._inverses and MultiGroupSpace._tables did
+before they gathered whole rows.
 
 subset_op_combinations is the one enumerator of (subset, retained ops)
 pairs, shared by the tests and scripts/subspace_census.py.
@@ -56,14 +62,15 @@ from multigroup.errors import (DomainError, InternalConsistencyError,
                                PreconditionError)
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
-                               is_subgroup,
+                               is_subgroup, validate_group,
                                maximal_proper_normal_subgroups, subgroups)
-from multigroup.report import AXIOM, STRUCTURAL, ValidationReport
+from multigroup.report import AXIOM, DISTRIBUTION, STRUCTURAL, ValidationReport
 from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
                                ANOMALY_TERMINAL_MISMATCH, MaximalSeriesResult,
                                NormalityEvidence, NormalSeries, _check_preconditions,
                                is_normal_subspace)
-from multigroup.spaces import MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace
+from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace,
+                               check_distribution)
 from multigroup.subspaces import (SubspaceEvidence, SubsetRef, induced_space,
                                   is_subspace, subspace_decomposition)
 
@@ -516,6 +523,83 @@ def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawC
                         witness(x, y, z)
     return LawCheck(times, circ, holds=not failed, vacuous=tested == 0,
                     tested=tested, witnesses=tuple(witnesses))
+
+
+def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
+    """Structure, per-group axioms, then both distribution directions of
+    every operation pair."""
+    report = ValidationReport()
+    universe = set(ms.universe)
+
+    seen_ops: set[str] = set()
+    for g in ms.groups:
+        if g.op_id in seen_ops:
+            report.add(STRUCTURAL, "duplicate-op",
+                       f"operation id {g.op_id!r} declared twice", (g.op_id,))
+        seen_ops.add(g.op_id)
+        outside = [e for e in g.carrier if e not in universe]
+        if outside:
+            report.add(STRUCTURAL, "carrier-outside-universe",
+                       f"carrier of {g.op_id!r} contains {outside[0]!r} "
+                       f"which is not in the universe",
+                       (g.op_id,), (outside[0],))
+
+    covered = set()
+    for g in ms.groups:
+        covered.update(g.carrier)
+    orphans = [e for e in ms.universe if e not in covered]
+    if orphans:
+        report.add(STRUCTURAL, "orphan-element",
+                   f"universe element {orphans[0]!r} belongs to no carrier",
+                   (), tuple(orphans))
+
+    for g in ms.groups:
+        report.merge(validate_group(g, universe))
+
+    if not report.structural():
+        for ga, gb in combinations(ms.groups, 2):
+            check = check_distribution(ms, ga.op_id, gb.op_id)
+            if check.vacuous:
+                report.note(
+                    f"distribution for ({ga.op_id}, {gb.op_id}) holds vacuously: "
+                    f"no fully defined mixed triple")
+            if not check.ok:
+                merged = list(dict.fromkeys(check.a_over_b.witnesses
+                                            + check.b_over_a.witnesses))
+                for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
+                    report.add(DISTRIBUTION, "distribution",
+                               f"neither {ga.op_id!r} nor {gb.op_id!r} distributes "
+                               f"over the other at ({', '.join(w)})",
+                               (ga.op_id, gb.op_id), w)
+    return report
+
+
+def scan_ints(g: FiniteGroup) -> tuple[list[list[int]], tuple[Element, ...]]:
+    """g's table over carrier indices, each product outside the carrier
+    given the next index past it in row-major order, absorbing."""
+    n, index = g.order, dict(g._index)
+    t = [[index.setdefault(p, len(index)) for p in row] for row in g.table]
+    size = len(index)
+    t = [row + list(range(n, size)) for row in t] + \
+        [[k] * size for k in range(n, size)]
+    return t, tuple(index)[n:]
+
+
+def scan_inverses(g: FiniteGroup) -> list[int | None]:
+    """The first two-sided inverse of each carrier index, or None."""
+    t, e, n = scan_ints(g)[0], g.index(g.identity), g.order
+    return [next((b for b in range(n) if t[a][b] == e and t[b][a] == e), None)
+            for a in range(n)]
+
+
+def scan_tables(ms: MultiGroupSpace) -> tuple[list[list[int]], ...]:
+    """One int table per operation over universe indices, index
+    len(universe) for an undefined product, each entry looked up by name."""
+    n, u = len(ms.universe), ms.universe
+    cols = [[g._index.get(b) for b in u] for g in ms.groups]  # None: not in g
+    return tuple([[n if i is None or k is None else ms.index(g.table[i][k])
+                   for k in c] + [n] for i in c] + [[n] * (n + 1)]
+                 for g, c in zip(ms.groups, cols))
 
 
 def scan_is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import multigroup
-from multigroup import catalog, groups
+from multigroup import catalog, groups, subspaces
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
@@ -20,6 +20,7 @@ from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
                                proper_normal_subgroups, quotient_group,
                                subgroups, validate_group)
 from multigroup.instances import parse_instance
+from multigroup.spaces import MultiGroupSpace
 
 from conftest import INSTANCE_DIR, small_space_catalog
 from oracles import (brute_composition_chains, brute_subgroups,
@@ -707,16 +708,61 @@ def test_lattice_closure_count(monkeypatch, g, closures):
     """One join per coset with Light's test included; joining with every
     element closure took 284 closures on S4, 9,059 on Z2^5 and 152,468 on
     Z2^6, and joining every two closed sets 339 on S4 and 64,388 on Z2^5."""
-    calls = []
-    kernel = groups._close
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(groups, "_close", counted)
+    calls = _counted_closures(monkeypatch, groups)
     subgroups(_fresh(g), ABOVE_BOUND)
     assert len(calls) == closures
+
+
+def _units(p):
+    """The multiplicative group of GF(p), cyclic of order p - 1."""
+    return catalog.prime_field(p).group_of("*")
+
+
+def _counted_closures(monkeypatch, module):
+    calls, kernel = [], module._close
+    monkeypatch.setattr(module, "_close", lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("g", [catalog.cyclic(n) for n in range(1, 25)] +
+                         [_units(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)],
+                         ids=[f"Z{n}" for n in range(1, 25)] +
+                         [f"GF{p}x" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)])
+def test_cyclic_lattices_are_the_element_closures(monkeypatch, g):
+    """An element closure fills a cyclic group, so the lattice closes each
+    element once and joins nothing, and gets the dict of joining."""
+    full, t = (1 << g.order) - 1, g._ints[0]
+    assert g._generators is not None
+    calls = _counted_closures(monkeypatch, groups)
+    found = _closed_subsets(t, full, True)
+    assert len(calls) == g.order
+    assert list(found.items()) == list(scan_element_joins(t, full, True).items())
+
+
+def test_a_cyclic_part_of_s4_is_joined_from_nothing_in_the_completeness_route(monkeypatch):
+    """Every cyclic subgroup of S4 as the allowed part of a one-operation
+    space, with Light's verdict cached: the route gets the dict of joining
+    every element closure, closing each allowed element once, and the
+    maximal closed set is the part itself."""
+    g = _symmetric_4()
+    g._light  # cached Light's verdict: the route takes word closures
+    ms = MultiGroupSpace(g.carrier, (g,))
+    t = ms._table("*")
+    cyclic = {ms._mask(s) for s in subgroups(g)
+              if any(set(s) == set(g._names(_close((g._ints[0],), 0, 1 << x)))
+                     for x in map(g.index, s))}
+    assert len(cyclic) == 1 + 9 + 4 + 3  # the trivial group, and orders 2, 3 and 4
+    kernel, seen = subspaces._closed_subsets, []
+    monkeypatch.setattr(subspaces, "_closed_subsets",
+                        lambda *args: seen.append((args, kernel(*args))) or seen[-1][1])
+    calls = _counted_closures(monkeypatch, groups)
+    for within in sorted(cyclic):
+        seen.clear()
+        calls.clear()
+        assert subspaces._closed_part_candidates(ms, "*", within) == [within]
+        [((_, _, group), found)] = seen
+        assert group and len(calls) == within.bit_count()
+        assert list(found.items()) == list(scan_element_joins(t, within, True).items())
 
 
 NORMALITY_ESCAPE = """

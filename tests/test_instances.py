@@ -169,6 +169,75 @@ def test_rows_in_any_order():
     assert parse_instance(shuffled) == catalog.gf3()
 
 
+_GROUP_HEAD = "elements: 0 1\ngroup +:\n  carrier: 0 1\n  identity: 0\n  table:\n"
+
+# every ParseError the parser raises: the text, its exact message and line
+PARSE_ERRORS = {
+    "empty": ("", "no universe declared", None),
+    "no-elements-line": ("group +:\n", "expected 'elements:' declaration", 1),
+    "empty-universe": ("# c\nelements:\n", "universe is empty", 2),
+    "reserved-in-universe": (
+        "elements: a b a:b c,d # e#f\n",
+        "invalid element token 'a:b' (':', ',' and '#' are reserved)", 1),
+    "duplicate-in-universe": ("elements: 0 1 2 1 0\n", "duplicate element '1' in universe", 1),
+    "group-header": ("elements: 0\nwhatever:\n", "expected 'group <op>:'", 2),
+    "empty-op-id": ("elements: 0\ngroup :\n", "empty operation id", 2),
+    "missing-carrier-at-end": ("elements: 0\n\ngroup +:\n",
+                               "group '+' missing 'carrier:' line", 3),
+    "missing-carrier": ("elements: 0\ngroup +:\n  identity: 0\n",
+                        "group '+' missing 'carrier:' line", 3),
+    "empty-carrier": ("elements: 0\ngroup +:\n  carrier:\n",
+                      "group '+' missing 'carrier:' line", 3),
+    "reserved-in-carrier": ("elements: 0\ngroup +:\n  carrier: 0 a,b\n",
+                            "invalid element token 'a,b' (':', ',' and '#' are reserved)", 3),
+    "carrier-outside-universe": ("elements: 0 1\ngroup +:\n  carrier: 1 9 8 1\n",
+                                 "carrier element '9' not in universe", 3),
+    "duplicate-in-carrier": ("elements: 0 1 2\ngroup +:\n  carrier: 0 1 0 1 9\n",
+                             "duplicate element '0' in carrier", 3),
+    "missing-identity-at-end": ("elements: 0\ngroup +:\n  carrier: 0\n",
+                                "group '+' missing 'identity:' line", 3),
+    "missing-identity": ("elements: 0\ngroup +:\n  carrier: 0\n  table:\n",
+                         "group '+' missing 'identity:' line", 4),
+    "identity-arity": ("elements: 0 1\ngroup +:\n  carrier: 0 1\n  identity: 0 1\n",
+                       "identity line must name exactly one element", 4),
+    "empty-identity": ("elements: 0 1\ngroup +:\n  carrier: 0 1\n  identity:\n",
+                       "identity line must name exactly one element", 4),
+    "identity-outside-carrier": ("elements: 0 1\ngroup +:\n  carrier: 1\n  identity: 0\n",
+                                 "identity '0' not in carrier", 4),
+    "missing-table-at-end": ("elements: 0\ngroup +:\n  carrier: 0\n  identity: 0\n",
+                             "group '+' missing 'table:' line", 3),
+    "missing-table": ("elements: 0\ngroup +:\n  carrier: 0\n  identity: 0\n  0: 0\n",
+                      "group '+' missing 'table:' line", 5),
+    "inline-table": ("elements: 0\ngroup +:\n  carrier: 0\n  identity: 0\n  table: 0\n",
+                     "'table:' line takes no inline entries", 5),
+    "too-few-rows": (_GROUP_HEAD + "    0: 0 1\n", "table of '+' has 1 rows, expected 2", None),
+    "row-without-label": (_GROUP_HEAD + "    0: 0 1\n    1 1 0\n",
+                          "expected a table row '<element>: <entries>'", 7),
+    "unknown-row-label": (_GROUP_HEAD + "    0: 0 1\n    9: 1 0\n",
+                          "row label '9' not in carrier", 7),
+    "duplicate-row": (_GROUP_HEAD + "    0: 0 1\n    0: 1 0\n",
+                      "duplicate table row for '0'", 7),
+    "row-arity": (_GROUP_HEAD + "    0: 0 1 0\n", "row '0' has 3 entries, expected 2", 6),
+    "unknown-entry": (_GROUP_HEAD + "    0: 0 1\n    1: 1 9 # 8\n",
+                      "unknown element '9' in table", 7),
+    "first-unknown-entry": (_GROUP_HEAD + "    0: 8 9\n",
+                            "unknown element '8' in table", 6),
+    "second-group": (_GROUP_HEAD + "    0: 0 1\n    1: 1 0\ngroup *:\n  carrier: 1 1\n",
+                     "duplicate element '1' in carrier", 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_each_parse_error_names_its_line_and_first_culprit(case):
+    """The message and line of every error path, and the first offending
+    token in input order where a line holds several."""
+    text, message, line = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (str(err.value), err.value.line) == \
+        (message if line is None else f"line {line}: {message}", line)
+
+
 # lines built from the format's own keywords, so that drawn texts get deep
 # into the parser instead of failing on the first line
 _NAMES = ["0", "1", "2", "e", "a"]

@@ -11,7 +11,10 @@ partial tables, down to one-element universes, where both directions
 fail often enough to stop its witness search early, on every layout of
 the chain family, on GF(p) for p <= 23 and on a near-field, whose
 multiplication distributes on one side only; the rows it reads show
-where Light's generators decide a direction.
+where Light's generators decide a direction. Validation, which scans a
+pair's second direction only when the first does not settle it, must give
+the report of scanning both on all of these, and the int tables, built a
+row at a time, must equal the entry-by-entry builders they replaced.
 """
 
 from itertools import combinations, permutations, product
@@ -28,17 +31,19 @@ from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
 from multigroup.series import is_normal_subspace
 from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
-                               _check_one_direction, is_complete, validate_multigroup)
+                               _check_one_direction, _validate, is_complete,
+                               validate_multigroup)
 from multigroup.subspaces import (SubsetRef, coset, is_subspace,
                                   is_subspace_by_intersection, subspace_decomposition)
 
-from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family,
+from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family, relabel,
                       small_space_catalog)
-from test_groups import _tables
+from test_groups import _semigroups, _tables
 from test_subspaces import _escaping_groups
-from oracles import (scan_check_one_direction, scan_coset, scan_is_complete,
-                     scan_is_normal_subspace, scan_is_subspace_by_intersection,
-                     scan_span_once, scan_subspace_decomposition,
+from oracles import (scan_check_one_direction, scan_coset, scan_inverses, scan_ints,
+                     scan_is_complete, scan_is_normal_subspace,
+                     scan_is_subspace_by_intersection, scan_span_once,
+                     scan_subspace_decomposition, scan_tables, scan_validate,
                      subset_op_combinations)
 
 
@@ -73,6 +78,10 @@ def _same_distribution_scan(ms):
     for times, circ in permutations(ms.op_set, 2):
         assert _outcome(_check_one_direction, ms, times, circ) == \
             _outcome(scan_check_one_direction, ms, times, circ), (times, circ)
+
+
+def _same_validation(ms):
+    assert _validate(ms).to_dict() == scan_validate(ms).to_dict()
 
 
 def _same_raw_reading(ms):
@@ -172,6 +181,7 @@ def perturbed_spaces(draw):
 
 @given(perturbed_spaces())
 def test_perturbed_tables_match_the_string_scans(ms):
+    _same_validation(ms)
     _same_distribution_scan(ms)
     _same_raw_reading(ms)
     _same_span_once(ms)
@@ -223,6 +233,7 @@ def partial_spaces(draw, sizes=st.integers(1, 6), full=False):
 @given(partial_spaces())
 def test_distribution_scan_matches_the_string_scan_on_partial_tables(ms):
     _same_distribution_scan(ms)
+    _same_validation(ms)
 
 
 def _failing_triples(ms, times, circ):
@@ -318,12 +329,15 @@ def _rows_read(monkeypatch, ms, times, circ):
 
 
 def test_light_generators_decide_a_group_inside_the_other_carrier(monkeypatch):
-    # both laws at each of the 22 y, for the generators of * only
+    # both laws at each of the 22 y, for the generators of * other than
+    # its identity 1, which is among them and passes both laws unread
     gf23 = catalog.prime_field(23)
     check, reads = _rows_read(monkeypatch, gf23, "*", "+")
     assert check == scan_check_one_direction(gf23, "*", "+") and check.holds
-    gens = gf23.group_of("*")._generators
-    assert len(gens) <= 3 and reads == 2 * 2 * 22 * len(gens)
+    g = gf23.group_of("*")
+    gens = g._generators
+    assert g.index(g.identity) in gens
+    assert len(gens) <= 3 and reads == 2 * 2 * 22 * (len(gens) - 1)
 
 
 def _z5_monoid():
@@ -377,3 +391,114 @@ def test_subspace_routes_match_the_string_routes_on_escaping_tables(g, data):
         _outcome(scan_subspace_decomposition, ms, s)
     assert _outcome(is_subspace_by_intersection, ms, s) == \
         _outcome(scan_is_subspace_by_intersection, ms, s)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_validation_matches_the_scan_of_both_directions(ms):
+    _same_validation(ms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_validation_matches_the_scan_of_both_directions_on_prime_fields(p):
+    _same_validation(catalog.prime_field(p))
+
+
+@pytest.mark.parametrize("ms", [_near_field(False), _near_field(True), _z5_monoid()],
+                         ids=["near-field-left-fails", "near-field-right-fails",
+                              "z5-monoid"])
+def test_validation_matches_the_scan_of_both_directions_one_sided(ms):
+    _same_validation(ms)
+
+
+def test_validation_matches_the_scan_of_both_directions_on_every_chain_layout(monkeypatch):
+    """Every layout of the chain family, valid or not. 355 are valid, and
+    of the 4,050 operation pairs, 958 are settled by the first direction
+    scanned."""
+    scans, check = [], spaces._check_one_direction
+    monkeypatch.setattr(spaces, "_check_one_direction",
+                        lambda ms, times, circ: scans.append(1) or check(ms, times, circ))
+    layouts = list(chain_layouts())
+    valid = settled = 0
+    for ms in layouts:
+        scans.clear()
+        report = _validate(ms)
+        settled += 2 * 3 - len(scans)
+        assert report.to_dict() == scan_validate(ms).to_dict()
+        valid += report.ok
+    assert (len(layouts), valid, settled) == (1350, 355, 958)
+
+
+def test_disjoint_carriers_read_no_row(monkeypatch):
+    """Six Z2s on disjoint carriers: all 15 pairs hold vacuously, so both
+    directions of each are scanned, and neither reads a row."""
+    names = [f"{k}{i}" for k in "abcdef" for i in "01"]
+    ms = MultiGroupSpace(tuple(names), tuple(
+        relabel(catalog.cyclic(2), names[2 * k:2 * k + 2], f"o{k}") for k in range(6)))
+    scans, check = [], spaces._check_one_direction
+    monkeypatch.setattr(spaces, "_check_one_direction",
+                        lambda ms, times, circ: scans.append(1) or check(ms, times, circ))
+    reads = []
+    monkeypatch.setattr(spaces, "_getter", lambda indices: reads.append(indices))
+    report = validate_multigroup(ms)
+    assert report.ok and len(report.notes) == 15
+    assert (len(scans), reads) == (30, [])
+
+
+def _same_int_tables(ms):
+    """The space's tables, or the error of building them, and each group's
+    int table and inverses, on fresh copies with nothing cached."""
+    def fresh(g):
+        return FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
+
+    space = MultiGroupSpace(ms.universe, tuple(map(fresh, ms.groups)))
+    assert _outcome(lambda: space._tables) == _outcome(scan_tables, ms)
+    for g in map(fresh, ms.groups):
+        assert g._ints == scan_ints(g)
+        assert _outcome(lambda: g._inverses) == _outcome(scan_inverses, g)
+
+
+@pytest.mark.parametrize("ms", SPACES)
+def test_int_tables_match_the_entry_by_entry_builders(ms):
+    _same_int_tables(ms)
+
+
+def test_int_tables_match_the_entry_by_entry_builders_on_the_corpus():
+    for g in catalog.corpus_groups().values():
+        _same_int_tables(MultiGroupSpace(g.carrier, (g,)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_tables(outside=("x", "y", "z")), _escaping_groups()), st.data())
+def test_int_tables_match_the_entry_by_entry_builders_on_escaping_tables(g, data):
+    """Products leave the carrier; the universe holds any of the carrier and
+    the escaped names, in any order, so a carrier element or a product may
+    lie outside it, and the first such product in universe order is named."""
+    names = list(g.carrier + g._ints[1])
+    universe = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    _same_int_tables(MultiGroupSpace(tuple(universe), (g,)))
+
+
+def test_the_first_product_outside_the_universe_is_named_in_universe_order():
+    # in carrier order a * a = p comes first, in universe order e * e = q
+    g = FiniteGroup("*", ("a", "e"), (("p", "a"), ("a", "q")), "e")
+    ms = MultiGroupSpace(("e", "a"), (g,))
+    assert g._ints[1] == ("p", "q")
+    with pytest.raises(DomainError, match="'q' is not in the universe"):
+        ms._tables
+    _same_int_tables(ms)
+
+
+def test_inverses_match_the_scan_on_semigroups():
+    """Every associative table of order <= 4 under each declared identity,
+    where a row often holds the identity several times and the first one
+    is often a one-sided inverse."""
+    one_sided = 0
+    for n in range(1, 5):
+        for table in _semigroups(n):
+            for e in range(n):
+                g = FiniteGroup("*", tuple(map(str, range(n))), table, str(e))
+                assert g._inverses == scan_inverses(g)
+                t = g._ints[0]
+                one_sided += any(e in t[a] and t[t[a].index(e)][a] != e
+                                 for a in range(n))
+    assert one_sided > 0
