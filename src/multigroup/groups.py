@@ -409,11 +409,14 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Ele
     group.
     Refuses groups larger than the configured bound instead of truncating.
     """
-    if g.order > limits.max_group_order:
-        raise BoundExceeded(
-            f"subgroup enumeration bounded at order {limits.max_group_order}, "
-            f"got {g.order}", limits.max_group_order)
+    _check_order(g, limits, "subgroup enumeration")
     return list(g._subgroups)
+
+
+def _check_order(g: FiniteGroup, limits: Limits, what: str) -> None:
+    if g.order > limits.max_group_order:
+        raise BoundExceeded(f"{what} bounded at order {limits.max_group_order}, "
+                            f"got {g.order}", limits.max_group_order)
 
 
 def _normalises(t: list[list[int]], x: int, members: list[int]) -> bool:
@@ -436,7 +439,7 @@ def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:
 
 def _normal_masks(g: FiniteGroup, limits: Limits, within) -> list[int]:
     # the core over every member of `within` as conjugator, so none need generate it
-    subgroups(g, limits)
+    _check_order(g, limits, "subgroup enumeration")
     top = (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
     return _proper_normal(g._ints[0], g._lattice, top, _bits(top))
 
@@ -500,20 +503,19 @@ def composition_series(g: FiniteGroup,
 
     Each step descends to a maximal proper normal subgroup of the previous
     link, so every returned chain ends at the trivial subgroup and cannot
-    be refined. The maximal normal subgroups of every link come from g's
-    own lattice, filtered to the link, so g's lattice is the only one
-    enumerated.
+    be refined. The links are bitmasks of g's own lattice, the only one
+    enumerated, filtered to each link with every member as a conjugator,
+    and they are named at the end.
     """
-    if g.order > limits.max_group_order:
-        raise BoundExceeded(
-            f"composition series bounded at order {limits.max_group_order}, "
-            f"got {g.order}", limits.max_group_order)
+    _check_order(g, limits, "composition series")
+    t, lattice = g._ints[0], g._lattice
 
     def descend(link):
-        if len(link) == 1:
+        if not link & link - 1:
             return [(link,)]
         return [(link,) + tail
-                for n in maximal_proper_normal_subgroups(g, limits, within=link)
+                for n in _maximal(_proper_normal(t, lattice, link, _bits(link)))
                 for tail in descend(n)]
 
-    return [CompositionChain(links) for links in descend(g.carrier)]
+    return [CompositionChain(tuple(map(g._names, links)))
+            for links in descend((1 << g.order) - 1)]

@@ -17,6 +17,8 @@ round trips are byte stable on canonical files.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .errors import ParseError
 from .groups import FiniteGroup
 from .spaces import MultiGroupSpace
@@ -35,23 +37,11 @@ def _check_token(token: str, lineno: int) -> str:
     return token
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.items = [(i + 1, _tokens(raw)) for i, raw in enumerate(text.splitlines())]
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.items) and not self.items[self.pos][1]:
-            self.pos += 1
-        if self.pos >= len(self.items):
-            return None
-        return self.items[self.pos]
-
-    def take(self):
-        item = self.peek()
-        if item is not None:
-            self.pos += 1
-        return item
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that holds a token."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if tokens := _tokens(raw):
+            yield lineno, tokens
 
 
 def _keyword_line(tokens: list[str], keyword: str) -> list[str] | None:
@@ -62,9 +52,9 @@ def _keyword_line(tokens: list[str], keyword: str) -> list[str] | None:
 
 def parse_instance(text: str) -> MultiGroupSpace:
     """Parse instance text, enforcing structural invariants with line numbers."""
-    lines = _Lines(text)
+    lines = _lines(text)
 
-    first = lines.take()
+    first = next(lines, None)
     if first is None:
         raise ParseError("no universe declared")
     lineno, tokens = first
@@ -82,7 +72,7 @@ def parse_instance(text: str) -> MultiGroupSpace:
 
     groups = []
     while True:
-        item = lines.take()
+        item = next(lines, None)
         if item is None:
             break
         lineno, tokens = item
@@ -96,9 +86,9 @@ def parse_instance(text: str) -> MultiGroupSpace:
     return MultiGroupSpace(tuple(universe_tokens), tuple(groups))
 
 
-def _parse_group(lines: _Lines, op_id: str, universe: set[str],
-                 header_line: int) -> FiniteGroup:
-    item = lines.take()
+def _parse_group(lines: Iterator[tuple[int, list[str]]], op_id: str,
+                 universe: set[str], header_line: int) -> FiniteGroup:
+    item = next(lines, None)
     carrier_tokens = item and _keyword_line(item[1], "carrier")
     if not carrier_tokens:
         raise ParseError(f"group {op_id!r} missing 'carrier:' line",
@@ -114,7 +104,7 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
         members.add(tok)
     carrier = tuple(carrier_tokens)
 
-    item = lines.take()
+    item = next(lines, None)
     identity_tokens = item and _keyword_line(item[1], "identity")
     if identity_tokens is None:
         raise ParseError(f"group {op_id!r} missing 'identity:' line",
@@ -125,7 +115,7 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
     if identity not in members:
         raise ParseError(f"identity {identity!r} not in carrier", item[0])
 
-    item = lines.take()
+    item = next(lines, None)
     if item is None or _keyword_line(item[1], "table") is None:
         raise ParseError(f"group {op_id!r} missing 'table:' line",
                          item[0] if item else lineno)
@@ -134,7 +124,7 @@ def _parse_group(lines: _Lines, op_id: str, universe: set[str],
 
     rows: dict[str, tuple[str, ...]] = {}
     for _ in carrier:
-        item = lines.take()
+        item = next(lines, None)
         if item is None:
             raise ParseError(
                 f"table of {op_id!r} has {len(rows)} rows, expected {len(carrier)}")

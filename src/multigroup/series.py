@@ -31,7 +31,7 @@ from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
 from .groups import (Element, _bits, _maximal, _normalises, _proper_normal,
                      is_normal_subgroup)
-from .spaces import MultiGroupSpace
+from .spaces import MultiGroupSpace, validate_multigroup
 from .subspaces import (SubsetRef, _decomposition, _lattice_part_candidates,
                         is_subspace, subspace_decomposition)
 
@@ -72,12 +72,13 @@ class NormalityEvidence:
 
 
 def _normalised(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
-                carriers: tuple[int, ...]) -> bool:
+                carriers: tuple[int, ...], limits: Limits) -> bool:
     """Whether each op's carrier conjugates the members inside it onto
     themselves. The space is valid, so the elements that do form a group,
     and the generators its lattice keeps for the carrier suffice."""
     return all(_normalises(ms._tables[k], x, _bits(members & carriers[k]))
-               for k in map(ms.op_set.index, ops) for x in ms._lattices[k][carriers[k]])
+               for k in map(ms._position, ops)
+               for x in ms._lattice(k, limits)[carriers[k]])
 
 
 def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
@@ -138,7 +139,7 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
         raise BoundExceeded(
             f"series construction bounded at group order {limits.max_group_order}, "
             f"got {worst}", limits.max_group_order)
-    if not ms._validation.ok:
+    if not validate_multigroup(ms).ok:
         raise PreconditionError(
             "series construction requires a valid multi-group space")
 
@@ -150,14 +151,14 @@ def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int,
     operation), or None if mask is no subspace there, or no normal one. It
     retains the operations whose carrier meets mask, as SubsetRef.of does.
     The space is valid, so the closed sets subspaces._parts would cover mask
-    with are lattice members: the same parts, cached under a key of their own."""
+    with are lattice members: the same parts, kept under a key of their own."""
     ops = tuple(op for op, carrier in zip(ms.op_set, carriers) if mask & carrier)
-    key = "lattice", mask, ops, carriers
-    if key not in ms._decompositions:
-        ms._decompositions[key] = _decomposition(
+    key = "covers", mask, carriers
+    if key not in ms._memo:
+        ms._memo[key] = _decomposition(
             ms, mask, ops, carriers, partial(_lattice_part_candidates, limits=limits))
-    parts = ms._decompositions[key]
-    if parts is None or normal and not _normalised(ms, mask, ops, carriers):
+    parts = ms._memo[key]
+    if parts is None or normal and not _normalised(ms, mask, ops, carriers, limits):
         return None
     return tuple(parts.get(op, 0) for op in ms.op_set)
 
@@ -174,60 +175,48 @@ def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
 
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
-                   limits: Limits, branch: bool):
+                   limits: Limits):
     """Generate (chain, step_ops, anomalies, spaces) from the staged programming,
     where chain holds universe bitmasks and spaces[i] is the carrier tuple of
     the space induced on chain[i].
 
-    With branch=False only the canonically smallest maximal proper normal
-    subgroup is taken at each step (the single-witness mode); with
-    branch=True every choice is explored.
+    Every maximal proper normal subgroup of a part is a choice, taken on
+    demand and canonically smallest first, so the first result is the
+    single witness. After a step of op k, op k's part spaces[-1][k] is the
+    choice taken: the one lattice member inside the new link and the part.
     """
-    whole = (1 << len(ms.universe)) - 1
-    if _induced(ms, ms._carriers, whole, limits, normal=False) is None:
-        raise PreconditionError("the whole space must validate as a subspace")
-
-    def stages(spaces, current, chain, steps, anomalies, op_index):
-        if op_index == len(seq.order):
+    def walk(i, chain, spaces, steps, anomalies):
+        if i == len(seq.order):
             yield chain, steps, anomalies, spaces
             return
-        op = seq.order[op_index]
-        k = ms.op_set.index(op)
-        part = spaces[-1][k]  # op's carrier in the space induced on current
-        if not part:
-            note = f"{ANOMALY_CARRIER_LOST}:{op}"
-            yield from stages(spaces, current, chain,
-                              steps, anomalies + [note], op_index + 1)
+        op = seq.order[i]
+        k = ms._position(op)
+        part = spaces[-1][k]
+        if not part & part - 1:  # one element, or none (a lost carrier): next stage
+            if not part:
+                anomalies = anomalies + [f"{ANOMALY_CARRIER_LOST}:{op}"]
+            yield from walk(i + 1, chain, spaces, steps, anomalies)
             return
-
-        def descend(spaces, current, part, chain, steps, anomalies):
-            if part.bit_count() == 1:
-                yield from stages(spaces, current, chain, steps,
-                                  anomalies, op_index + 1)
-                return
+        if ("choices", k, part) not in ms._memo:  # normality by generators of part
             lattice = ms._lattice(k, limits)
-            if ("choices", k, part) not in ms._walk:  # normality by generators of part
-                ms._walk["choices", k, part] = sorted(_maximal(_proper_normal(
-                    ms._tables[k], lattice, part, lattice[part])), key=_bits)
-            choices = ms._walk["choices", k, part]
-            if not branch:
-                choices = choices[:1]
-            for nxt in choices:
-                link = current & ~part | nxt
-                yield from descend(spaces + [_link_carriers(ms, spaces[-1], link, limits)],
-                                   link, nxt, chain + [link], steps + [op], anomalies)
+            ms._memo["choices", k, part] = sorted(_maximal(_proper_normal(
+                ms._tables[k], lattice, part, lattice[part])), key=_bits)
+        for nxt in ms._memo["choices", k, part]:
+            link = chain[-1] & ~part | nxt
+            yield from walk(i, chain + [link],
+                            spaces + [_link_carriers(ms, spaces[-1], link, limits)],
+                            steps + [op], anomalies)
 
-        yield from descend(spaces, current, part, chain, steps, anomalies)
-
-    yield from stages([ms._carriers], whole, [whole], [], [], 0)
+    yield from walk(0, [(1 << len(ms.universe)) - 1], [ms._carriers], [], [])
 
 
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    chain, steps, anomalies) -> NormalSeries:
-    for m in chain:  # each distinct link is named once per space
-        if ("ref", m) not in ms._walk:
-            ms._walk["ref", m] = SubsetRef.of(ms, ms._elements(m))
-    chain = [ms._walk["ref", m] for m in chain]
+    for m in chain:  # each distinct link is named once per space, as SubsetRef.of would
+        if ("ref", m) not in ms._memo:
+            ms._memo["ref", m] = SubsetRef(ms._elements(m), tuple(
+                op for op, carrier in zip(ms.op_set, ms._carriers) if m & carrier))
+    chain = [ms._memo["ref", m] for m in chain]
     last_identity = ms.group_of(seq.order[-1]).identity
     terminal = chain[-1].elements
     if set(terminal) != {last_identity}:
@@ -246,7 +235,7 @@ def build_series(ms: MultiGroupSpace, seq: OrientedOperationSequence | None = No
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
     _check_preconditions(ms, limits)
-    chain, steps, anomalies, _ = next(_series_stages(ms, seq, limits, branch=False))
+    chain, steps, anomalies, _ = next(_series_stages(ms, seq, limits))
     return _finish_series(ms, seq, chain, steps, anomalies)
 
 
@@ -276,12 +265,12 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     scan over all 2^|gap| subsets, so the witness is the one it finds.
     The verdict depends on the edge (carriers, lower) alone: kept per space.
     """
-    if ("edge", carriers, lower) not in ms._walk:
-        ms._walk["edge", carriers, lower] = next(
+    if ("edge", carriers, lower) not in ms._memo:
+        ms._memo["edge", carriers, lower] = next(
             (mid for mid in _candidates_between(ms, carriers, lower, limits)
              if (inner := _induced(ms, carriers, mid, limits)) is not None
              and _induced(ms, inner, lower, limits) is not None), None)
-    return ms._walk["edge", carriers, lower]
+    return ms._memo["edge", carriers, lower]
 
 
 @dataclass(frozen=True)
@@ -316,10 +305,10 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
             f"{limits.max_exhaustive_universe}, got {len(ms.universe)}; "
             f"use build_series for a single witness", limits.max_exhaustive_universe)
     _check_preconditions(ms, limits)
-    key = (seq.order, limits)
-    if key not in ms._maximal_series:
-        ms._maximal_series[key] = _enumerate_maximal_series(ms, seq, limits)
-    return ms._maximal_series[key]
+    key = "maximal", seq.order, limits
+    if key not in ms._memo:
+        ms._memo[key] = _enumerate_maximal_series(ms, seq, limits)
+    return ms._memo[key]
 
 
 def _enumerate_maximal_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
@@ -327,7 +316,7 @@ def _enumerate_maximal_series(ms: MultiGroupSpace, seq: OrientedOperationSequenc
     accepted: list[NormalSeries] = []
     rejected: list[tuple[NormalSeries, str]] = []
     seen: set[tuple] = set()
-    for chain, steps, anomalies, spaces in _series_stages(ms, seq, limits, branch=True):
+    for chain, steps, anomalies, spaces in _series_stages(ms, seq, limits):
         if tuple(chain) in seen:
             continue
         seen.add(tuple(chain))
@@ -369,8 +358,7 @@ class LengthInvariance:
 
 def length_invariance_check(ms: MultiGroupSpace,
                             seq: OrientedOperationSequence | None = None,
-                            limits: Limits = DEFAULT_LIMITS,
-                            across_sequences: bool = True) -> LengthInvariance:
+                            limits: Limits = DEFAULT_LIMITS) -> LengthInvariance:
     """Empirical length-invariance verdict for one or all oriented sequences.
 
     Within a fixed sequence all maximal series must share one length; the
@@ -378,17 +366,11 @@ def length_invariance_check(ms: MultiGroupSpace,
     its status is exactly what the construction leaves open. Comparing all
     sequences is refused above MAX_CROSS_SEQUENCE_OPS operations.
     """
-    orders: list[tuple[str, ...]]
-    if seq is not None:
-        orders = [seq.order]
-    elif across_sequences:
-        if len(ms.op_set) > MAX_CROSS_SEQUENCE_OPS:
-            raise BoundExceeded(
-                f"cross-sequence comparison bounded at {MAX_CROSS_SEQUENCE_OPS} "
-                f"operations, got {len(ms.op_set)}", MAX_CROSS_SEQUENCE_OPS)
-        orders = [tuple(p) for p in permutations(ms.op_set)]
-    else:
-        orders = [ms.op_set]
+    if seq is None and len(ms.op_set) > MAX_CROSS_SEQUENCE_OPS:
+        raise BoundExceeded(
+            f"cross-sequence comparison bounded at {MAX_CROSS_SEQUENCE_OPS} "
+            f"operations, got {len(ms.op_set)}", MAX_CROSS_SEQUENCE_OPS)
+    orders = permutations(ms.op_set) if seq is None else [seq.order]
 
     stats: list[SequenceLengths] = []
     counterexample = None

@@ -20,7 +20,7 @@ from itertools import combinations, compress
 from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
-from .groups import Element, FiniteGroup, _bits, subgroups, validate_group
+from .groups import Element, FiniteGroup, _bits, _check_order, validate_group
 from .report import DISTRIBUTION, STRUCTURAL, ValidationReport
 
 # at most this many witness triples are kept per operation pair
@@ -36,7 +36,7 @@ class MultiGroupSpace:
         if len(set(self.universe)) != len(self.universe):
             raise ValueError("duplicate element in universe")
 
-    @property
+    @cached_property
     def op_set(self) -> tuple[str, ...]:
         return tuple(g.op_id for g in self.groups)
 
@@ -124,36 +124,21 @@ class MultiGroupSpace:
         return tuple(self.universe[i] for i in _bits(mask) if i < n)
 
     @cached_property
-    def _decompositions(self) -> dict:
-        # subspaces._parts results by (universe bitmask, retained ops, carriers)
-        return {}
-
-    @cached_property
-    def _lattices(self) -> dict:
-        # by group index: _lattice
+    def _memo(self) -> dict:
+        # results derived from this frozen space, by keys tagged with their
+        # kind, so they are freed with it
         return {}
 
     def _lattice(self, k: int, limits) -> dict[int, list[int]]:
         """groups[k]'s lattice over universe indices: each subgroup as a
         bitmask, in lattice order, with the indices of its generators."""
-        subgroups(self.groups[k], limits)  # refuses a group above the bound
-        if k not in self._lattices:
-            at = [self.index(e) for e in self.groups[k].carrier]
-            self._lattices[k] = {sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
-                                 for m, gens in self.groups[k]._lattice.items()}
-        return self._lattices[k]
-
-    @cached_property
-    def _walk(self) -> dict:
-        # series memo, by tagged key: descend's ("choices", group index, part),
-        # interposition verdicts by ("edge", parent carriers, link), SubsetRefs
-        # by ("ref", link bitmask)
-        return {}
-
-    @cached_property
-    def _maximal_series(self) -> dict:
-        # series.enumerate_maximal_series results by (order, limits)
-        return {}
+        g = self.groups[k]
+        _check_order(g, limits, "subgroup enumeration")
+        if ("lattice", k) not in self._memo:
+            at = [self.index(e) for e in g.carrier]
+            self._memo["lattice", k] = {sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
+                                        for m, gens in g._lattice.items()}
+        return self._memo["lattice", k]
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -427,7 +412,7 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
     multiplicative group of a field); commutativity of both groups upgrades
     a body to a field. Everything else is tagged general.
     """
-    if not ms._validation.ok:
+    if not validate_multigroup(ms).ok:
         raise PreconditionError("classification requires a valid multi-group space")
     if len(ms.groups) == 1:
         return Classification("group")

@@ -25,9 +25,9 @@ table in the space, each allowed element is closed, each closed set found
 is joined with each element closure not inside it (on a table already
 known to be a group, as words over its generators and once per coset),
 and the maximal closures inside the allowed set are kept. Decompositions
-are cached on the space by (bitmask, retained ops, carriers), so the cache
-is freed with it; the series walk covers inside induced spaces with
-lattice members instead.
+are kept in the space's memo by (bitmask, retained ops), so they are freed
+with it; the series walk covers inside induced spaces with lattice members
+instead.
 """
 
 from __future__ import annotations
@@ -136,12 +136,11 @@ def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...],
 
 def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...]):
     """subspace_decomposition over universe bitmasks: one part per retained
-    operation, or None. Cached on the space by (mask, ops, carriers), so the
-    cache is freed with it."""
-    key = mask, ops, ms._carriers
-    if key not in ms._decompositions:
-        ms._decompositions[key] = _decomposition(ms, *key)
-    return ms._decompositions[key]
+    operation, or None. Kept in the space's memo."""
+    key = "closed", mask, ops
+    if key not in ms._memo:
+        ms._memo[key] = _decomposition(ms, mask, ops, ms._carriers)
+    return ms._memo[key]
 
 
 def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):
@@ -252,6 +251,17 @@ def induced_space(ms: MultiGroupSpace, s: SubsetRef) -> MultiGroupSpace:
     return MultiGroupSpace(s.elements, groups)
 
 
+def _coset(ms: MultiGroupSpace, parts: dict[str, int], x: int) -> int:
+    """coset over universe bitmasks: the defined products of the element at
+    index x with the parts, or that element alone."""
+    out = 0
+    for op, part in parts.items():
+        row = ms._table(op)[x]  # all undefined when x is outside the carrier
+        for member in _bits(part):
+            out |= 1 << row[member]
+    return out & ~(1 << len(ms.universe)) or 1 << x
+
+
 def coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
     """All defined products g * h' over the subspace's decomposition parts.
 
@@ -262,12 +272,7 @@ def coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
     parts = _parts(ms, ms._mask(h.elements), h.retained_ops)
     if parts is None:
         raise PreconditionError("coset requires a subspace")
-    out = 0
-    for op, part in parts.items():
-        row = ms._table(op)[x]  # all undefined when g is outside the carrier
-        for member in _bits(part):
-            out |= 1 << row[member]
-    return ms._elements(out) or (g,)
+    return ms._elements(_coset(ms, parts, x))
 
 
 @dataclass(frozen=True)
@@ -284,25 +289,25 @@ def coset_decomposition(ms: MultiGroupSpace, h: SubsetRef) -> CosetDecomposition
     failure surfaces as DecompositionFailure with the offending pair
     instead of a silently wrong partition.
     """
-    if not is_subspace(ms, h):
+    parts = _parts(ms, ms._mask(h.elements), h.retained_ops)
+    if parts is None:
         raise PreconditionError("coset decomposition requires a subspace")
-    covered: set[Element] = set()
-    transversal: list[Element] = []
-    cosets: list[tuple[Element, ...]] = []
-    for x in ms.universe:
-        if x in covered:
-            continue
-        c = coset(ms, h, x)
-        transversal.append(x)
-        cosets.append(c)
-        covered.update(c)
-    for i in range(len(cosets)):
+    covered = 0
+    transversal: list[int] = []
+    cosets: list[int] = []
+    for x in range(len(ms.universe)):
+        if not covered >> x & 1:
+            transversal.append(x)
+            cosets.append(_coset(ms, parts, x))
+            covered |= cosets[-1]
+    for i, a in enumerate(cosets):
         for j in range(i + 1, len(cosets)):
-            overlap = ms._mask(cosets[i]) & ms._mask(cosets[j])
-            if overlap:
-                raise DecompositionFailure(transversal[i], transversal[j],
+            if overlap := a & cosets[j]:
+                raise DecompositionFailure(ms.universe[transversal[i]],
+                                           ms.universe[transversal[j]],
                                            ms._elements(overlap))
-    return CosetDecomposition(h, tuple(transversal), tuple(cosets))
+    return CosetDecomposition(h, tuple(ms.universe[x] for x in transversal),
+                              tuple(map(ms._elements, cosets)))
 
 
 def lagrange_check(g: FiniteGroup,

@@ -12,7 +12,8 @@ from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace
 
-from conftest import INSTANCE_DIR, overlapping_pair_family, relabel, small_space_catalog
+from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family, relabel,
+                      small_space_catalog)
 from oracles import brute_span_closure, scan_is_finitely_generated
 
 SPACES = {
@@ -163,6 +164,15 @@ def _outcome(search, ms):
 def test_component_search_matches_the_subset_scan(ms):
     assert _outcome(is_finitely_generated, ms) == \
         _outcome(scan_is_finitely_generated, ms)
+
+
+def test_component_search_matches_the_subset_scan_on_every_chain_layout():
+    """Every three-operation chain layout, valid or not."""
+    layouts = list(chain_layouts())
+    assert len(layouts) == 1350
+    for ms in layouts:
+        assert _outcome(is_finitely_generated, ms) == \
+            _outcome(scan_is_finitely_generated, ms), ms.universe
 
 
 @st.composite
