@@ -9,10 +9,11 @@ opt-in --timing field is the one exception and is off by default.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from errno import EBADF, ELOOP, ENOENT, ENOTDIR
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .config import DEFAULT_LIMITS, Limits
@@ -72,9 +73,56 @@ def _scalar(value) -> str:
     return str(value)
 
 
+def _json(value, pad: str, out: list[str]) -> None:
+    """Append the pieces of `value` as json.dumps(indent=2, sort_keys=True)
+    writes it, its nested lines indented from `pad`."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+
+
 def render_report(payload: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _json(payload, "", out)
+        out.append("\n")
+        return "".join(out)
     lines: list[str] = []
     for key, value in payload.items():
         _render(key, value, 0, lines)
@@ -291,6 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the errors on which Path.exists() answers False: the file is not there
+_ABSENT = (ENOENT, ENOTDIR, EBADF, ELOOP)
+
+
+def _read(instance: str) -> str:
+    """The text of the instance file, or the ParseError that reports it."""
+    try:
+        # Path normalises '' to '.' and drops a trailing '/'
+        with open(Path(instance), encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:   # a ValueError, but the file is there
+        raise ParseError(f"cannot read {instance}: {exc}") from None
+    except OSError as exc:
+        if exc.errno in _ABSENT:
+            raise ParseError(f"no such file: {instance}") from None
+        raise ParseError(f"cannot read {instance}: {exc.strerror or exc}") from None
+    except ValueError:                  # a NUL or an unencodable character in the path
+        raise ParseError(f"no such file: {instance}") from None
+
+
 def run_command(args: argparse.Namespace) -> tuple[dict, int]:
     """Execute one parsed command and return (report payload, exit code)."""
     payload: dict = {"command": args.command, "instance": args.instance}
@@ -303,15 +371,7 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
                                   f"got {args.exhaustive_bound}")
             limits = Limits(max_group_order=args.exhaustive_bound,
                             max_exhaustive_universe=args.exhaustive_bound)
-        path = Path(args.instance)
-        try:
-            if not path.exists():
-                raise ParseError(f"no such file: {args.instance}")
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {args.instance}: "
-                             f"{getattr(exc, 'strerror', None) or exc}") from None
-        ms = parse_instance(text)
+        ms = parse_instance(_read(args.instance))
         handler = _COMMANDS[args.command][0]
         body, code = handler(ms, args, limits)
         payload.update(body)
@@ -340,8 +400,52 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the option strings of each command after its instance, each with the
+# attribute it sets; _FLAGS take no value
+_FLAGS = {"--json": "json", "--timing": "timing"}
+_OPTIONS = {
+    name: {**_FLAGS, "--exhaustive-bound": "exhaustive_bound",
+           **({"--set": "set", "--ops": "ops"} if takes_set else {}),
+           **({"--order": "order"} if takes_order else {})}
+    for name, (_, takes_set, takes_order) in _COMMANDS.items()}
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The Namespace the parser gives for an argv of the plain form
+    `<command> <instance> (--flag | --option value)*`, or None for any
+    other argv. In the plain form every option is spelled out in full and
+    neither the instance nor a value starts with '-'; help, abbreviations,
+    `--option=value`, options before the instance and every usage error
+    are left to argparse."""
+    if len(argv) < 2 or argv[0] not in _OPTIONS or argv[1][:1] == "-":
+        return None
+    options = _OPTIONS[argv[0]]
+    found = dict.fromkeys(options.values())
+    found.update(command=argv[0], instance=argv[1], json=False, timing=False)
+    rest = iter(argv[2:])
+    for option in rest:
+        dest = options.get(option)
+        if dest is None:
+            return None
+        if option in _FLAGS:
+            found[dest] = True
+            continue
+        value = next(rest, "-")    # a missing value fails as one starting with -
+        if value[:1] == "-":
+            return None
+        if dest == "exhaustive_bound":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        found[dest] = value
+    return argparse.Namespace(**found)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or _parser().parse_args(argv)
     payload, code = run_command(args)
     sys.stdout.write(render_report(payload, args.json))
     return code

@@ -4,10 +4,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multigroup import cli
+from multigroup.instances import parse_instance
 
 from conftest import INSTANCE_DIR, run_cli
+from test_golden import EXTRA, INSTANCES, _invocations
 
 
 def path(name):
@@ -148,6 +151,35 @@ def test_unreadable_instance_path_exits_two(tmp_path, kind):
     assert data["error"].startswith(f"cannot read {target}:")
 
 
+@pytest.mark.parametrize("instance, expected", [
+    ("missing.mgs", (2, "parse", "no such file: missing.mgs")),
+    (".", (2, "parse", "cannot read .: Is a directory")),
+    ("", (2, "parse", "cannot read : Is a directory")),
+    ("plain.mgs/x", (2, "parse", "no such file: plain.mgs/x")),
+    ("dangling.mgs", (2, "parse", "no such file: dangling.mgs")),
+    ("loop.mgs", (2, "parse", "no such file: loop.mgs")),
+    ("a\0b", (2, "parse", "no such file: a\0b")),
+    ("bad.mgs", (2, "parse", "cannot read bad.mgs: 'utf-8' codec can't decode "
+                             "byte 0xff in position 0: invalid start byte")),
+    ("plain.mgs/", (0, None, None)),
+    (".//plain.mgs", (0, None, None)),
+], ids=["missing", "dot", "empty", "under-a-file", "dangling", "loop", "nul",
+        "undecodable", "trailing-slash", "double-slash"])
+def test_instance_read_errors_follow_path_semantics(tmp_path, monkeypatch,
+                                                     instance, expected):
+    """A path answers 'no such file' exactly where Path.exists() is false
+    (ENOENT, ENOTDIR, ELOOP, a NUL) and 'cannot read' on every other
+    failure; Path's normalisation of '' and a trailing '/' is kept."""
+    (tmp_path / "plain.mgs").write_text((INSTANCE_DIR / "gf5.mgs").read_text())
+    (tmp_path / "bad.mgs").write_bytes(b"\xffelements: a\n")
+    (tmp_path / "dangling.mgs").symlink_to("nowhere")
+    (tmp_path / "loop.mgs").symlink_to("loop.mgs")
+    monkeypatch.chdir(tmp_path)
+    out, code = run_cli(["validate", instance, "--json"])
+    data = json.loads(out)
+    assert (code, data.get("error_kind"), data.get("error")) == expected
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_exhaustive_bound_below_one_exits_two(bound):
     out, code = run_cli(["maximal-series", path("z12"),
@@ -264,3 +296,128 @@ def test_error_reports_do_not_depend_on_the_hash_seed(tmp_path, text, argv, mess
         outputs.add(run.stdout)
     assert len(outputs) == 1
     assert message in outputs.pop()
+
+
+# ------------------------------------------------ the direct argv reader
+
+OPTION_STRINGS = ["--set", "--ops", "--order", "--json", "--timing",
+                  "--exhaustive-bound", "-h", "--help"]
+VALUE_OPTIONS = ["--set", "--ops", "--order", "--exhaustive-bound"]
+ORDINARY = ["", "0", "0,1", "a,b", "+,*", "3", " 7 ", "12", "x y", "validate",
+            "gf5.mgs"]
+TOKENS = OPTION_STRINGS + ORDINARY + [
+    "--js", "--ti", "--exh", "--se", "--or", "--op", "--set=0,1",
+    "--exhaustive-bound=3", "--json=1", "--nope", "--", "-", "-1", "-1,1"]
+# any token alone, or a flag, or a value option with an ordinary value, as
+# most argvs are
+CHUNKS = st.one_of(
+    st.sampled_from(TOKENS).map(lambda token: [token]),
+    st.sampled_from(["--json", "--timing"]).map(lambda flag: [flag]),
+    st.tuples(st.sampled_from(VALUE_OPTIONS), st.sampled_from(ORDINARY)).map(list))
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from([*cli._COMMANDS, "nope", "--help"]),
+       st.sampled_from(["gf5.mgs", "", "a b", "validate", "-1", "--json"]),
+       st.lists(CHUNKS, max_size=4).map(lambda chunks: sum(chunks, [])),
+       st.sampled_from([True, True, False]))
+def test_the_direct_reader_agrees_with_argparse(command, instance, rest,
+                                               instance_first):
+    argv = [command, instance, *rest] if instance_first else [command, *rest, instance]
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._parser().parse_args(argv))
+
+
+def golden_argvs():
+    """The argv of every golden invocation, without --json."""
+    for file in INSTANCES:
+        ms = parse_instance(file.read_text(encoding="utf-8"))
+        for command, *rest in [*_invocations(ms), *EXTRA.get(file.stem, [])]:
+            yield [command, str(file), *rest]
+
+
+def test_the_golden_invocations_are_read_directly():
+    for golden in golden_argvs():
+        for argv in (golden, [*golden, "--json", "--timing", "--exhaustive-bound",
+                              "9", "--exhaustive-bound", "24"]):
+            args = cli._plain_args(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(cli._parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "gf5.mgs", "--js"], {"json": True}),
+    (["subspace", "gf3.mgs", "--set=0,1"], {"set": "0,1"}),
+    (["validate", "--json", "gf5.mgs"], {"json": True}),
+    (["maximal-series", "z12.mgs", "--exhaustive-bound", "-1"],
+     {"exhaustive_bound": -1}),
+    (["validate", "gf5.mgs", "--exh", "3"], {"exhaustive_bound": 3}),
+], ids=["abbreviation", "equals", "option-first", "negative",
+        "abbreviated-value"])
+def test_argvs_outside_the_plain_form_go_to_argparse(argv, expected):
+    assert cli._plain_args(argv) is None
+    read = vars(cli._parser().parse_args(argv))
+    assert read == {**read, **expected}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["validate", "gf5.mgs", "-h"], 0),
+    (["validate", "gf5.mgs", "--help"], 0),
+    (["validate", "gf5.mgs", "--nope"], 2),
+    (["validate", "gf5.mgs", "extra"], 2),
+    (["validate", "gf5.mgs", "--set", "0"], 2),
+    (["subspace", "gf3.mgs", "--set"], 2),
+    (["subspace", "gf3.mgs", "--set", "--json"], 2),
+    (["span", "gf3.mgs", "--set", "-1,1"], 2),
+    (["validate", "gf5.mgs", "--exhaustive-bound", "x"], 2),
+    (["validate", "gf5.mgs", "--exhaustive-bound", "x",
+      "--exhaustive-bound", "3"], 2),
+], ids=["top-help", "short-help", "help", "unknown", "extra-positional",
+        "foreign-option", "missing-value", "option-as-value", "dash-value",
+        "not-an-int", "not-an-int-then-an-int"])
+def test_argparse_answers_help_and_usage_errors(argv, code, capsys):
+    assert cli._plain_args(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert ("usage: mgs" in out) if code == 0 else ("usage: mgs" in err)
+
+
+@pytest.mark.parametrize("argv", [["validate", path("gf5"), "--json"],
+                                  ["validate", path("gf5"), "--js"]],
+                         ids=["plain", "abbreviated"])
+def test_main_reads_sys_argv_when_given_none(monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["mgs", *argv])
+    out, code = run_cli(None)
+    assert code == 0 and json.loads(out)["verdict"] == "valid"
+
+
+# ------------------------------------------------------ the JSON writer
+
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€𝄞'),
+                         st.characters()), max_size=8)
+SCALARS = st.one_of(TEXT, st.integers(), st.integers(-2 ** 100, 2 ** 100),
+                    st.booleans(), st.none(),
+                    st.floats(allow_nan=False, allow_infinity=False))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                     st.lists(inner, max_size=4).map(tuple),
+                                     st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(TEXT, VALUES, max_size=5))
+def test_the_json_writer_matches_json_dumps(payload):
+    assert cli.render_report(payload, True) == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_json_writer_matches_json_dumps_on_the_golden_reports():
+    for argv in golden_argvs():
+        payload, _ = cli.run_command(cli._plain_args([*argv, "--json", "--timing"]))
+        assert cli.render_report(payload, True) == \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
