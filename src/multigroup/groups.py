@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundExceeded, DomainError, PreconditionError
@@ -131,15 +132,14 @@ class FiniteGroup:
     @cached_property
     def _lattice(self) -> dict[int, list[int]]:
         # the subgroups as carrier-index bitmasks in subgroups() order, each
-        # with the elements it was joined from, which generate it
-        found = _closed_subsets(self._ints[0], (1 << self.order) - 1,
-                                self._generators is not None)
-        e = 1 << self.index(self.identity)
-        masks = sorted((m for m in found
-                        if m & e and self.order % m.bit_count() == 0),
-                       key=lambda m: (m.bit_count(), _bits(m)))
-        return {m: found[m] for m in masks
-                if all(m >> self._inverse_of(a) & 1 for a in _bits(m))}
+        # with the elements it was joined from, which generate it; on a group
+        # every closed set is one, as a member's powers hold its inverse
+        group = self._generators is not None
+        found = _closed_subsets(self._ints[0], (1 << self.order) - 1, group)
+        e, inverse = 1 << self.index(self.identity), self._inverse_of
+        bits = {m: _bits(m) for m in found if m & e and self.order % m.bit_count() == 0}
+        return {m: found[m] for m in sorted(bits, key=lambda m: (len(bits[m]), bits[m]))
+                if group or all(m >> inverse(a) & 1 for a in bits[m])}
 
     @cached_property
     def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
@@ -250,13 +250,15 @@ def _light_generators(t: list[list[int]]) -> list[int] | None:
     yet a right word over those before it (_close with gens); on any table
     a word lies in their closure.
     """
-    closed, gens = 0, []
+    closed, gens, identity = 0, [], list(range(len(t)))
     for s in range(len(t)):
         if closed >> s & 1:
             continue
         gens.append(s)
         closed = _close((t,), closed, closed | 1 << s, gens)
         ts = t[s]
+        if ts == identity and [row[s] for row in t] == identity:
+            continue  # a two-sided identity: (x s) y = x y = x (s y)
         if any(t[row[s]] != list(map(row.__getitem__, ts)) for row in t):
             return None
     return gens
@@ -362,41 +364,118 @@ def _closed_subsets(t: list[list[int]], within: int,
     it, memoised on their union; a closure stops at its first bit outside
     `within` and is dropped. Exact on any table: a closed set S is the join
     of its elements' closures added one at a time, each partial join inside
-    S. With `group` (the table is a group) a closure is built as words over
-    the elements its set was joined from, and a closed set a is joined once
-    per coset x a: a is a subgroup, so <a, x h> = <a, x> for h in a, and
-    that join is found already or leaves `within`. On a group, `within`
-    is cyclic when an element closure fills it, and then every closed set
-    in it is a subgroup of a cyclic group, so an element closure: no join
-    can find a new one, and none is made.
+    S. With `group` (the table is a group, `within` inside its carrier) an
+    element closure is the element's powers, and a closed set a is a
+    subgroup: it is joined once per coset x a, as <a, x h> = <a, x> for h
+    in a and that join is found already or leaves `within`, and the join is
+    walked over a's left cosets (_coset_join). When an element closure
+    fills `within`, `within` is cyclic: every closed set in it is a later
+    element's closure, read off that generator's powers, and no join can
+    find a new one.
     """
     gens: dict[int, list[int]] = {}  # each closed set found: the elements joined into it
-    for x in _bits(within):
-        c = _close((t,), 0, 1 << x, [x] if group else None, within)
+    elements = _bits(within)
+    for i, x in enumerate(elements):
+        c = _power_closure(t[x], x, within) if group else _close((t,), 0, 1 << x, None, within)
         if not c & ~within:
             gens.setdefault(c, [x])
-    if group and within in gens:
-        return gens
-    cyclic = list(gens.items())
-    found = list(gens)
+        if group and c == within:
+            later = elements[i + 1:]
+            for y, s in zip(later, _cyclic_closures(t[x], x, c.bit_count(), later)):
+                gens.setdefault(s, [y])
+            return gens
+    firsts = {x: c for c, (x,) in gens.items()}  # each element closure, by its first x
+    heads, found = sum(1 << x for x in firsts), list(gens)
+    bit = [1 << p for p in range(len(t))] if group else []
     tried: set[int] = set()  # the closure of a union depends on nothing else
     for a in found:  # also visits the sets appended meanwhile
-        joined, members = a, _bits(a)  # the x whose join with a is known
-        for c, (x,) in cyclic:
-            if joined >> x & 1:
-                continue
+        members, cosets = _bits(a), {}  # on a group: each element met, its coset z a
+        rest = heads & ~a  # the x still to join with a, lowest first
+        while rest:
+            x = (rest & -rest).bit_length() - 1
             if group:
-                joined |= sum({1 << p for p in map(t[x].__getitem__, members)})
-            union = a | c
+                xa = cosets.get(x) or _coset(t[x], members, cosets, bit)
+                rest &= ~xa
+            else:
+                rest ^= 1 << x
+            union = a | firsts[x]
             if union in tried or union in gens:
                 continue
             tried.add(union)
             g = gens[a] + [x]
-            j = _close((t,), a, a | 1 << x, g if group else None, within)
+            if group:
+                j = _coset_join(t, a | xa, x, g, members, cosets, bit, within)
+            else:
+                j = _close((t,), a, a | 1 << x, None, within)
             if not j & ~within and j not in gens:
                 gens[j] = g
                 found.append(j)
     return gens
+
+
+def _power_closure(row: list[int], x: int, within: int) -> int:
+    """<x> in a group, given x's row: the powers x, x^2, ... up to the first
+    one met again. Stops at the first power outside `within`, returning a
+    mask that holds it."""
+    mask, p = 0, x
+    while not mask >> p & 1:
+        if not within >> p & 1:
+            return mask | 1 << p
+        mask |= 1 << p
+        p = row[p]
+    return mask
+
+
+def _cyclic_closures(row: list[int], x: int, m: int, ys: list[int]):
+    """The closure of each y in ys, all powers of x, of order m, in a group,
+    given x's row: for y = x^k, <y> = <x^d> with d = gcd(k, m)."""
+    powers = [x]  # x, x^2, ..., x^m = e
+    for _ in range(m - 1):
+        powers.append(row[powers[-1]])
+    exponent, spans = {p: k for k, p in enumerate(powers, 1)}, {}
+    for y in ys:
+        d = gcd(exponent[y], m)
+        if d not in spans:
+            spans[d] = sum(1 << p for p in powers[d - 1::d])
+        yield spans[d]
+
+
+def _coset(row: list[int], members: list[int], cosets: dict[int, int],
+           bit: list[int]) -> int:
+    """The left coset z a of a subgroup a of a group, given z's row, as a
+    bitmask, kept in `cosets` under each of its elements."""
+    zs = list(map(row.__getitem__, members))
+    mask = sum(map(bit.__getitem__, zs))  # distinct: a row of a group permutes its carrier
+    cosets.update(dict.fromkeys(zs, mask))
+    return mask
+
+
+def _coset_join(t: list[list[int]], mask: int, x: int, gens: list[int],
+                members: list[int], cosets: dict[int, int], bit: list[int],
+                within: int) -> int:
+    """<a, x> on a group, where a is a subgroup (`members`), gens generate
+    <a, x> and mask is a together with x a.
+
+    The join is a union of left cosets z a, so it is walked over their
+    representatives: each one met is multiplied on the left by every gen,
+    and a product outside mask adds its whole coset. The union holds e and
+    is closed under left products with the gens, so it is <a, x>. Stops at
+    the first coset that leaves `within`, returning a mask that holds it.
+    """
+    rows, reps = [t[g] for g in gens], [x]
+    while reps:
+        y = reps.pop()
+        for row in rows:
+            z = row[y]
+            if not mask >> z & 1:
+                if not within >> z & 1:
+                    return mask | bit[z]
+                coset = cosets.get(z) or _coset(t[z], members, cosets, bit)
+                if coset & ~within:
+                    return mask | coset
+                mask |= coset
+                reps.append(z)
+    return mask
 
 
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:

@@ -131,13 +131,16 @@ class MultiGroupSpace:
 
     def _lattice(self, k: int, limits) -> dict[int, list[int]]:
         """groups[k]'s lattice over universe indices: each subgroup as a
-        bitmask, in lattice order, with the indices of its generators."""
+        bitmask, in lattice order, with the indices of its generators. The
+        group's own dict when carrier index i is universe index i, as in a
+        single-group space; consumers only read it."""
         g = self.groups[k]
         _check_order(g, limits, "subgroup enumeration")
         if ("lattice", k) not in self._memo:
             at = [self.index(e) for e in g.carrier]
-            self._memo["lattice", k] = {sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
-                                        for m, gens in g._lattice.items()}
+            self._memo["lattice", k] = g._lattice if at == list(range(len(at))) else {
+                sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
+                for m, gens in g._lattice.items()}
         return self._memo["lattice", k]
 
     @cached_property

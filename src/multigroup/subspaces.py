@@ -81,10 +81,11 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
     Raises DomainError naming the first product outside the carrier, in
     row-major table order, that the closure of an allowed element or of two
     maximal closed sets reaches: exactly what joining every two closed sets
-    reaches, as each such join lies inside one of the latter. Closures are
-    words, one join per coset, only if validation or the lattice already
-    cached Light's verdict and the table is a group: on a small allowed set
-    the test costs more than the closures it saves.
+    reaches, as each such join lies inside one of the latter. Element
+    closures are powers and joins are walked over cosets, one per coset,
+    only if validation or the lattice already cached Light's verdict and
+    the table is a group: on a small allowed set the test costs more than
+    it saves.
     """
     g, t = ms.group_of(op), ms._table(op)
     group = "_light" in vars(g) and g._generators is not None

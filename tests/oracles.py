@@ -7,7 +7,7 @@ are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
 scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_element_joins,
-scan_validate_group, scan_interposable, scan_is_finitely_generated,
+scan_word_joins, scan_validate_group, scan_interposable, scan_is_finitely_generated,
 scan_composition_series, scan_is_abelian, scan_proper_normal_subgroups,
 scan_maximal_proper_normal_subgroups, the staged series walk (scan_series_stages,
 scan_build_series, scan_maximal_series) and the five string-keyed product
@@ -22,6 +22,11 @@ the completeness route did before they joined closed sets with element
 closures only, and returns the union of the closures it dropped;
 scan_element_joins joins each closed set with every element closure, as
 they did before a group's closed set was joined once per coset;
+scan_word_joins joins a group's closed set once per coset, builds each
+join as the closure of words over its generators and closes every element
+of a cyclic group, as _closed_subsets did before it walked each join over
+cosets and read a cyclic group's element closures off one generator's
+powers;
 scan_validate_group checks the group axioms with string-keyed products, as
 validate_group did before it read the int table; scan_interposable tries
 every subset between a series link and its parent, as the interposition
@@ -254,6 +259,53 @@ def scan_element_joins(t: list[list[int]], within: int,
             tried.add(union)
             g = gens[a] + [x]
             j = _close((t,), a, a | 1 << x, g if words else None, within)
+            if not j & ~within and j not in gens:
+                gens[j] = g
+                found.append(j)
+    return gens
+
+
+def scan_word_joins(t: list[list[int]], within: int,
+                    group: bool = False) -> dict[int, list[int]]:
+    """Every nonempty product-closed subset of `within`, as bitmasks in the
+    order found, each with the elements it was joined from, which generate it.
+
+    True cyclic extension (Neubüser 1960): closes each element of `within`,
+    then joins each closed set found with each element closure not inside
+    it, memoised on their union; a closure stops at its first bit outside
+    `within` and is dropped. Exact on any table: a closed set S is the join
+    of its elements' closures added one at a time, each partial join inside
+    S. With `group` (the table is a group) a closure is built as words over
+    the elements its set was joined from, and a closed set a is joined once
+    per coset x a: a is a subgroup, so <a, x h> = <a, x> for h in a, and
+    that join is found already or leaves `within`. On a group, `within`
+    is cyclic when an element closure fills it, and then every closed set
+    in it is a subgroup of a cyclic group, so an element closure: no join
+    can find a new one, and none is made.
+    """
+    gens: dict[int, list[int]] = {}  # each closed set found: the elements joined into it
+    for x in _bits(within):
+        c = _close((t,), 0, 1 << x, [x] if group else None, within)
+        if not c & ~within:
+            gens.setdefault(c, [x])
+    if group and within in gens:
+        return gens
+    cyclic = list(gens.items())
+    found = list(gens)
+    tried: set[int] = set()  # the closure of a union depends on nothing else
+    for a in found:  # also visits the sets appended meanwhile
+        joined, members = a, _bits(a)  # the x whose join with a is known
+        for c, (x,) in cyclic:
+            if joined >> x & 1:
+                continue
+            if group:
+                joined |= sum({1 << p for p in map(t[x].__getitem__, members)})
+            union = a | c
+            if union in tried or union in gens:
+                continue
+            tried.add(union)
+            g = gens[a] + [x]
+            j = _close((t,), a, a | 1 << x, g if group else None, within)
             if not j & ~within and j not in gens:
                 gens[j] = g
                 found.append(j)

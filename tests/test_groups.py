@@ -22,13 +22,13 @@ from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace
 
-from conftest import INSTANCE_DIR, small_space_catalog
+from conftest import INSTANCE_DIR, overlapping_chain_family, small_space_catalog
 from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
                      scan_composition_series, scan_element_joins, scan_is_abelian,
                      scan_maximal_proper_normal_subgroups,
                      scan_proper_normal_subgroups, scan_subgroups,
-                     scan_validate_group)
+                     scan_validate_group, scan_word_joins)
 
 CORPUS = catalog.corpus_groups()
 CORPUS_NAMES = sorted(CORPUS)
@@ -636,6 +636,61 @@ def test_element_joins_find_every_closed_set_of_larger_groups(g):
     assert sorted(found) == sorted(scan_closed_subsets(t, full)[0])
 
 
+@pytest.mark.parametrize("g", [_symmetric_4(), _alternating_5(),
+                               _direct_product(_symmetric_4(), catalog.cyclic(2)),
+                               Z2_5, Z2_6] + [CORPUS[n] for n in CORPUS_NAMES],
+                         ids=["S4", "A5", "S4xZ2", "Z2^5", "Z2^6"] + CORPUS_NAMES)
+def test_coset_joins_give_the_dict_of_word_closures(g):
+    """The same dict as building each join as a closure of words and closing
+    every element, insertion order and generators included."""
+    full, t = (1 << g.order) - 1, g._ints[0]
+    assert g._generators is not None
+    assert list(_closed_subsets(t, full, True).items()) == \
+        list(scan_word_joins(t, full, True).items())
+
+
+WORD_JOIN_GROUPS = [CORPUS[n] for n in CORPUS_NAMES] + [
+    _direct_product(CORPUS["S3"], catalog.cyclic(2)),
+    _direct_product(CORPUS["V4"], catalog.cyclic(3)),
+    _direct_product(CORPUS["Q8"], catalog.cyclic(2)),
+    _direct_product(CORPUS["D4"], catalog.cyclic(2))]
+
+
+@st.composite
+def _group_within(draw):
+    """A group and an allowed set: a subgroup, cyclic ones included, with
+    elements added or taken away, or any subset of the carrier."""
+    g = draw(st.sampled_from(WORD_JOIN_GROUPS))
+    if draw(st.booleans()):
+        return g, draw(st.integers(0, (1 << g.order) - 1))
+    sub = draw(st.sampled_from(list(g._lattice)))
+    flip = sum(1 << x for x in draw(st.sets(st.integers(0, g.order - 1), max_size=2)))
+    return g, sub ^ flip
+
+
+@settings(max_examples=300)
+@given(_group_within())
+def test_coset_joins_give_the_dict_of_word_closures_on_any_allowed_set(case):
+    g, within = case
+    t = g._ints[0]
+    assert list(_closed_subsets(t, within, True).items()) == \
+        list(scan_word_joins(t, within, True).items())
+
+
+def test_coset_joins_give_the_dict_of_word_closures_on_the_chain_family():
+    """Every group of every valid chain-family space, on the space's table
+    of universe indices, allowed its carrier or one of its subgroups."""
+    cases = 0
+    for ms in overlapping_chain_family():
+        for k, carrier in enumerate(ms._carriers):
+            t = ms._tables[k]
+            for within in [carrier, *ms._lattice(k, Limits())]:
+                assert list(_closed_subsets(t, within, True).items()) == \
+                    list(scan_word_joins(t, within, True).items())
+                cases += 1
+    assert cases > 1000
+
+
 @st.composite
 def _closed_part(draw, g):
     """A closed part of g given by its generators, and one element outside it."""
@@ -701,16 +756,22 @@ def test_lattices_above_the_default_bound():
                          ABOVE_BOUND)) == 98
 
 
-@pytest.mark.parametrize("g, closures", [(_symmetric_4(), 160), (Z2_5, 1929),
-                                         (Z2_6, 22919)],
+@pytest.mark.parametrize("g, light, elements, joins",
+                         [(_symmetric_4(), 4, 24, 132), (Z2_5, 6, 32, 1891),
+                          (Z2_6, 7, 64, 22848)],
                          ids=["S4", "Z2^5", "Z2^6"])
-def test_lattice_closure_count(monkeypatch, g, closures):
-    """One join per coset with Light's test included; joining with every
+def test_lattice_closure_count(monkeypatch, g, light, elements, joins):
+    """One join per coset with Light's test included: Light's test closes
+    each of its generators, the lattice each element, and each join is
+    walked over cosets. Building each join as a closure of words took the
+    same joins, 160, 1,929 and 22,919 closures in all; joining with every
     element closure took 284 closures on S4, 9,059 on Z2^5 and 152,468 on
     Z2^6, and joining every two closed sets 339 on S4 and 64,388 on Z2^5."""
-    calls = _counted_closures(monkeypatch, groups)
+    calls = _counted(monkeypatch, groups, "_close")
+    powers = _counted(monkeypatch, groups, "_power_closure")
+    walks = _counted(monkeypatch, groups, "_coset_join")
     subgroups(_fresh(g), ABOVE_BOUND)
-    assert len(calls) == closures
+    assert (len(calls), len(powers), len(walks)) == (light, elements, joins)
 
 
 def _units(p):
@@ -718,34 +779,45 @@ def _units(p):
     return catalog.prime_field(p).group_of("*")
 
 
-def _counted_closures(monkeypatch, module):
-    calls, kernel = [], module._close
-    monkeypatch.setattr(module, "_close", lambda *args: calls.append(args) or kernel(*args))
+def _counted(monkeypatch, module, name):
+    calls, kernel = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or kernel(*args))
     return calls
 
 
-@pytest.mark.parametrize("g", [catalog.cyclic(n) for n in range(1, 25)] +
-                         [_units(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)],
+# the elements GF(p)'s units close, 1, 2, ... up to the least primitive
+# root of p; Z_n closes 0 and then 1
+UNITS_FIRST_GENERATOR = {2: 1, 3: 2, 5: 2, 7: 3, 11: 2, 13: 2, 17: 3, 19: 2, 23: 5}
+
+
+@pytest.mark.parametrize("g, closures",
+                         [(catalog.cyclic(n), min(n, 2)) for n in range(1, 25)] +
+                         [(_units(p), k) for p, k in UNITS_FIRST_GENERATOR.items()],
                          ids=[f"Z{n}" for n in range(1, 25)] +
-                         [f"GF{p}x" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)])
-def test_cyclic_lattices_are_the_element_closures(monkeypatch, g):
-    """An element closure fills a cyclic group, so the lattice closes each
-    element once and joins nothing, and gets the dict of joining."""
+                         [f"GF{p}x" for p in UNITS_FIRST_GENERATOR])
+def test_cyclic_lattices_are_the_element_closures(monkeypatch, g, closures):
+    """An element closure fills a cyclic group, so the lattice closes the
+    elements up to its first generator, reads every later element's closure
+    off that generator's powers and joins nothing, and gets the dict of
+    joining. Closing every element took g.order closures."""
     full, t = (1 << g.order) - 1, g._ints[0]
     assert g._generators is not None
-    calls = _counted_closures(monkeypatch, groups)
+    calls = _counted(monkeypatch, groups, "_close")
+    powers = _counted(monkeypatch, groups, "_power_closure")
+    walks = _counted(monkeypatch, groups, "_coset_join")
     found = _closed_subsets(t, full, True)
-    assert len(calls) == g.order
+    assert (len(calls), len(powers), len(walks)) == (0, closures, 0)
     assert list(found.items()) == list(scan_element_joins(t, full, True).items())
 
 
 def test_a_cyclic_part_of_s4_is_joined_from_nothing_in_the_completeness_route(monkeypatch):
     """Every cyclic subgroup of S4 as the allowed part of a one-operation
     space, with Light's verdict cached: the route gets the dict of joining
-    every element closure, closing each allowed element once, and the
-    maximal closed set is the part itself."""
+    every element closure, closing the allowed elements up to the first
+    that generates the part and joining nothing, and the maximal closed
+    set is the part itself. Closing every allowed element took 43 closures."""
     g = _symmetric_4()
-    g._light  # cached Light's verdict: the route takes word closures
+    g._light  # cached Light's verdict: the route takes the group path
     ms = MultiGroupSpace(g.carrier, (g,))
     t = ms._table("*")
     cyclic = {ms._mask(s) for s in subgroups(g)
@@ -755,14 +827,21 @@ def test_a_cyclic_part_of_s4_is_joined_from_nothing_in_the_completeness_route(mo
     kernel, seen = subspaces._closed_subsets, []
     monkeypatch.setattr(subspaces, "_closed_subsets",
                         lambda *args: seen.append((args, kernel(*args))) or seen[-1][1])
-    calls = _counted_closures(monkeypatch, groups)
+    calls = _counted(monkeypatch, groups, "_close")
+    powers = _counted(monkeypatch, groups, "_power_closure")
+    walks = _counted(monkeypatch, groups, "_coset_join")
+    counts = []
     for within in sorted(cyclic):
         seen.clear()
-        calls.clear()
+        powers.clear()
         assert subspaces._closed_part_candidates(ms, "*", within) == [within]
         [((_, _, group), found)] = seen
-        assert group and len(calls) == within.bit_count()
+        first = next(i for i, x in enumerate(_bits(within), 1)
+                     if _close((t,), 0, 1 << x) == within)
+        assert group and len(powers) == first
         assert list(found.items()) == list(scan_element_joins(t, within, True).items())
+        counts.append(len(powers))
+    assert (len(calls), sum(counts), len(walks)) == (0, 34, 0)
 
 
 NORMALITY_ESCAPE = """
