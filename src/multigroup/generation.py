@@ -85,13 +85,12 @@ class GenerationWitness:
 def _components(ms: MultiGroupSpace) -> list[int]:
     """The connected components of the universe, as bitmasks ordered by
     their least element. A table's defined products join its carrier and
-    every product of it at once, so one merge per operation suffices."""
+    every product of it at once, so one merge per operation suffices; none
+    is empty, as every carrier holds its identity."""
     n = len(ms.universe)
     components = [1 << i for i in range(n)]
     for t, carrier in zip(ms._tables, ms._carriers):
         merged = carrier | (sum(1 << x for x in set().union(*t)) & ~(1 << n))
-        if not merged:
-            continue
         rest = []
         for c in components:
             if c & merged:

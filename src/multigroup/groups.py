@@ -504,7 +504,12 @@ def _normalises(t: list[list[int]], x: int, members: list[int]) -> bool:
 
 
 def _maximal(masks: list[int]) -> list[int]:
-    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+    """The masks no other mask strictly contains, in input order."""
+    kept: set[int] = set()
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & k != m for k in kept):
+            kept.add(m)
+    return [m for m in masks if m in kept]
 
 
 def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:

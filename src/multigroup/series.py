@@ -22,7 +22,7 @@ maximal normal subgroups and a link's SubsetRef are kept on the space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import permutations
 from operator import or_
 
@@ -71,14 +71,13 @@ class NormalityEvidence:
         return self.ok
 
 
-def _normalised(ms: MultiGroupSpace, members: int, ops: tuple[str, ...],
-                carriers: tuple[int, ...], limits: Limits) -> bool:
-    """Whether each op's carrier conjugates the members inside it onto
-    themselves. The space is valid, so the elements that do form a group,
-    and the generators its lattice keeps for the carrier suffice."""
-    return all(_normalises(ms._tables[k], x, _bits(members & carriers[k]))
-               for k in map(ms._position, ops)
-               for x in ms._lattice(k, limits)[carriers[k]])
+def _normalised(ms: MultiGroupSpace, members: int, carriers: tuple[int, ...]) -> bool:
+    """Whether each carrier conjugates the members inside it onto themselves.
+    The space is valid, so the elements that do form a group, and the
+    generators its lattice keeps for the carrier suffice."""
+    return all(_normalises(ms._tables[k], x, _bits(members & carrier))
+               for k, carrier in enumerate(carriers) if members & carrier
+               for x in ms._lattice(k)[carrier])
 
 
 def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
@@ -144,38 +143,33 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
             "series construction requires a valid multi-group space")
 
 
-def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int,
-             limits: Limits, normal=True):
+def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int):
     """The carriers of the space induced on mask inside the space with the
     given carriers (mask's decomposition parts there, 0 for a lost
-    operation), or None if mask is no subspace there, or no normal one. It
-    retains the operations whose carrier meets mask, as SubsetRef.of does.
-    The space is valid, so the closed sets subspaces._parts would cover mask
-    with are lattice members: the same parts, kept under a key of their own."""
-    ops = tuple(op for op, carrier in zip(ms.op_set, carriers) if mask & carrier)
+    operation), or None if mask is no subspace there. It retains the
+    operations whose carrier meets mask, as SubsetRef.of does. The space is
+    valid, so the closed sets subspaces._parts would cover mask with are
+    lattice members: the same parts, kept under a key of their own."""
     key = "covers", mask, carriers
     if key not in ms._memo:
         ms._memo[key] = _decomposition(
-            ms, mask, ops, carriers, partial(_lattice_part_candidates, limits=limits))
-    parts = ms._memo[key]
-    if parts is None or normal and not _normalised(ms, mask, ops, carriers, limits):
-        return None
-    return tuple(parts.get(op, 0) for op in ms.op_set)
+            ms, mask, [k for k, carrier in enumerate(carriers) if mask & carrier],
+            carriers, _lattice_part_candidates)
+    return ms._memo[key]
 
 
-def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
-                   limits: Limits):
+def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int):
     """The carriers of the space induced on a link, which must be a normal
     subspace of its parent, the space with the given carriers."""
-    for normal, relation in (False, "a subspace of"), (True, "normal in"):
-        if (inner := _induced(ms, carriers, link, limits, normal)) is None:
-            raise InternalConsistencyError(
-                f"constructed link {ms._elements(link)!r} is not {relation} its parent")
+    inner = _induced(ms, carriers, link)
+    if inner is None or not _normalised(ms, link, carriers):
+        relation = "a subspace of" if inner is None else "normal in"
+        raise InternalConsistencyError(
+            f"constructed link {ms._elements(link)!r} is not {relation} its parent")
     return inner
 
 
-def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
-                   limits: Limits):
+def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
     """Generate (chain, step_ops, anomalies, spaces) from the staged programming,
     where chain holds universe bitmasks and spaces[i] is the carrier tuple of
     the space induced on chain[i].
@@ -198,13 +192,13 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence,
             yield from walk(i + 1, chain, spaces, steps, anomalies)
             return
         if ("choices", k, part) not in ms._memo:  # normality by generators of part
-            lattice = ms._lattice(k, limits)
+            lattice = ms._lattice(k)
             ms._memo["choices", k, part] = sorted(_maximal(_proper_normal(
                 ms._tables[k], lattice, part, lattice[part])), key=_bits)
         for nxt in ms._memo["choices", k, part]:
             link = chain[-1] & ~part | nxt
             yield from walk(i, chain + [link],
-                            spaces + [_link_carriers(ms, spaces[-1], link, limits)],
+                            spaces + [_link_carriers(ms, spaces[-1], link)],
                             steps + [op], anomalies)
 
     yield from walk(0, [(1 << len(ms.universe)) - 1], [ms._carriers], [], [])
@@ -235,19 +229,19 @@ def build_series(ms: MultiGroupSpace, seq: OrientedOperationSequence | None = No
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
     _check_preconditions(ms, limits)
-    chain, steps, anomalies, _ = next(_series_stages(ms, seq, limits))
+    chain, steps, anomalies, _ = next(_series_stages(ms, seq))
     return _finish_series(ms, seq, chain, steps, anomalies)
 
 
 def _candidates_between(ms: MultiGroupSpace, carriers: tuple[int, ...],
-                        low: int, limits: Limits) -> list[int]:
+                        low: int) -> list[int]:
     """The unions of one subgroup (or nothing) per operation strictly between
     low and the space with the given carriers, by size and then by the gap
     positions taken. Each carrier is a subgroup of a group of ms, so its
     subgroups are the lattice members of ms inside it."""
     unions = {0}
     for k, carrier in enumerate(carriers):
-        parts = [m for m in ms._lattice(k, limits) if not m & ~carrier]
+        parts = [m for m in ms._lattice(k) if not m & ~carrier]
         unions |= {u | p for u in unions for p in parts}
     whole = reduce(or_, carriers)
     between = [m for m in unions if m & low == low and m not in (low, whole)]
@@ -255,7 +249,7 @@ def _candidates_between(ms: MultiGroupSpace, carriers: tuple[int, ...],
 
 
 def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
-                  lower: int, limits: Limits) -> int | None:
+                  lower: int) -> int | None:
     """The first normal subspace strictly between a link and its parent, the
     space with the given carriers, in which the link is normal, or None.
 
@@ -267,9 +261,11 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     """
     if ("edge", carriers, lower) not in ms._memo:
         ms._memo["edge", carriers, lower] = next(
-            (mid for mid in _candidates_between(ms, carriers, lower, limits)
-             if (inner := _induced(ms, carriers, mid, limits)) is not None
-             and _induced(ms, inner, lower, limits) is not None), None)
+            (mid for mid in _candidates_between(ms, carriers, lower)
+             if (inner := _induced(ms, carriers, mid)) is not None
+             and _normalised(ms, mid, carriers)
+             and _induced(ms, inner, lower) is not None
+             and _normalised(ms, lower, inner)), None)
     return ms._memo["edge", carriers, lower]
 
 
@@ -295,7 +291,7 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
     of subgroups: every subspace between two links is such a union (see
     _interposable). Chains that fail it are returned separately, never
     silently dropped or silently kept. Results are cached on the space per
-    (order, limits), so mgs maximal-series enumerates each ordering once; a
+    order, so mgs maximal-series enumerates each ordering once; a
     construction that raises is not cached.
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
@@ -305,25 +301,21 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
             f"{limits.max_exhaustive_universe}, got {len(ms.universe)}; "
             f"use build_series for a single witness", limits.max_exhaustive_universe)
     _check_preconditions(ms, limits)
-    key = "maximal", seq.order, limits
+    key = "maximal", seq.order
     if key not in ms._memo:
-        ms._memo[key] = _enumerate_maximal_series(ms, seq, limits)
+        ms._memo[key] = _enumerate_maximal_series(ms, seq)
     return ms._memo[key]
 
 
-def _enumerate_maximal_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
-                              limits: Limits) -> MaximalSeriesResult:
+def _enumerate_maximal_series(ms: MultiGroupSpace,
+                              seq: OrientedOperationSequence) -> MaximalSeriesResult:
     accepted: list[NormalSeries] = []
     rejected: list[tuple[NormalSeries, str]] = []
-    seen: set[tuple] = set()
-    for chain, steps, anomalies, spaces in _series_stages(ms, seq, limits):
-        if tuple(chain) in seen:
-            continue
-        seen.add(tuple(chain))
+    for chain, steps, anomalies, spaces in _series_stages(ms, seq):
         series = _finish_series(ms, seq, chain, steps, anomalies)
         reason = None
         for upper, lower, carriers in zip(series.chain, chain[1:], spaces):
-            witness = _interposable(ms, carriers, lower, limits)
+            witness = _interposable(ms, carriers, lower)
             if witness is not None:
                 reason = (f"{ANOMALY_REJECTED_STEP}: {{{', '.join(ms._elements(witness))}}} "
                           f"interposes below {{{', '.join(upper.elements)}}}")

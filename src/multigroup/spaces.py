@@ -20,7 +20,7 @@ from itertools import combinations, compress
 from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
-from .groups import Element, FiniteGroup, _bits, _check_order, validate_group
+from .groups import Element, FiniteGroup, _bits, validate_group
 from .report import DISTRIBUTION, STRUCTURAL, ValidationReport
 
 # at most this many witness triples are kept per operation pair
@@ -129,14 +129,13 @@ class MultiGroupSpace:
         # kind, so they are freed with it
         return {}
 
-    def _lattice(self, k: int, limits) -> dict[int, list[int]]:
+    def _lattice(self, k: int) -> dict[int, list[int]]:
         """groups[k]'s lattice over universe indices: each subgroup as a
         bitmask, in lattice order, with the indices of its generators. The
         group's own dict when carrier index i is universe index i, as in a
-        single-group space; consumers only read it."""
-        g = self.groups[k]
-        _check_order(g, limits, "subgroup enumeration")
+        single-group space. Callers check the order bound and only read it."""
         if ("lattice", k) not in self._memo:
+            g = self.groups[k]
             at = [self.index(e) for e in g.carrier]
             self._memo["lattice", k] = g._lattice if at == list(range(len(at))) else {
                 sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]

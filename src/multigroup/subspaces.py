@@ -19,15 +19,15 @@ subspace (parts {0} and {1}) while raw closure fails on 1+1=2.
 
 Both routes, the cover search and cosets work on universe bitmasks over
 the space's tables; element names appear only in the results. The
-completeness route's candidates come from the bitmask closure kernel that
-also builds the subgroup lattice and span_closure: on the operation's
-table in the space, each allowed element is closed, each closed set found
-is joined with each element closure not inside it (on a table already
-known to be a group, as words over its generators and once per coset),
-and the maximal closures inside the allowed set are kept. Decompositions
-are kept in the space's memo by (bitmask, retained ops), so they are freed
-with it; the series walk covers inside induced spaces with lattice members
-instead.
+completeness route's candidates come from the kernel that also builds
+the subgroup lattice: on the operation's table in the space, each allowed
+element is closed, each closed set found is joined with each element
+closure not inside it (on a table already known to be a group, walked
+over cosets, once per coset), and the maximal closures inside the allowed
+set are kept. Below the public functions an operation is its position and
+parts are a tuple shaped like the carriers. Decompositions are kept in
+the space's memo by (bitmask, retained ops), so they are freed with it;
+the series walk covers inside induced spaces with lattice members instead.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DecompositionFailure, DomainError, PreconditionError
-from .groups import (Element, FiniteGroup, _bits, _close, _closed_subsets,
-                     _maximal, subgroups)
+from .groups import (Element, FiniteGroup, _bits, _check_order, _close,
+                     _closed_subsets, _maximal, subgroups)
 from .spaces import MultiGroupSpace, is_complete
 
 
@@ -74,9 +74,9 @@ class SubsetRef:
         return SubsetRef(ms._elements(mask), tuple(ops))
 
 
-def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[int]:
-    """Maximal nonempty product-closed subsets of within, a part of op's
-    carrier, as universe bitmasks (completeness route).
+def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[int]:
+    """Maximal nonempty product-closed subsets of within, a part of the
+    carrier of groups[k], as universe bitmasks (completeness route).
 
     Raises DomainError naming the first product outside the carrier, in
     row-major table order, that the closure of an allowed element or of two
@@ -87,7 +87,7 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
     the table is a group: on a small allowed set the test costs more than
     it saves.
     """
-    g, t = ms.group_of(op), ms._table(op)
+    g, t = ms.groups[k], ms._tables[k]
     group = "_light" in vars(g) and g._generators is not None
     maximal = _maximal(_closed_subsets(t, within, group))
     if g._ints[1]:
@@ -101,46 +101,42 @@ def _closed_part_candidates(ms: MultiGroupSpace, op: str, within: int) -> list[i
     return maximal
 
 
-def _lattice_part_candidates(ms: MultiGroupSpace, op: str, allowed: int,
-                             limits: Limits) -> list[int]:
-    """Maximal subgroups of op's group inside `allowed` (the intersection
+def _lattice_part_candidates(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:
+    """Maximal subgroups of groups[k] inside `allowed` (the intersection
     route), as universe bitmasks, read off the lattice cached on the space."""
-    lattice = ms._lattice(ms._position(op), limits)
-    return _maximal([m for m in lattice if not m & ~allowed])
+    return _maximal([m for m in ms._lattice(k) if not m & ~allowed])
 
 
-def _select_cover(target: int, candidates_by_op: dict[str, list[int]]):
-    """First per-op assignment (candidates in canonical order) whose parts
-    cover the target, in product order."""
-    # cheap necessary condition: every element must lie in some candidate
-    if target & ~reduce(or_, chain.from_iterable(candidates_by_op.values()), 0):
+def _decomposition(ms: MultiGroupSpace, target: int, ks, carriers: tuple[int, ...],
+                   part_candidates=_closed_part_candidates):
+    """The first assignment of one candidate part inside the given carriers
+    per position in ks (candidates in canonical order, in product order over
+    ks) whose parts cover the target, shaped like carriers; or None."""
+    if not target or not ks:
         return None
-    for choice in product(*candidates_by_op.values()):
+    candidates = []
+    for k in ks:
+        cands = part_candidates(ms, k, target & carriers[k])
+        if not cands:
+            return None  # the op cannot contribute a nonempty group
+        candidates.append(sorted(cands, key=_bits))
+    # cheap necessary condition: every element must lie in some candidate
+    if target & ~reduce(or_, chain.from_iterable(candidates), 0):
+        return None
+    for choice in product(*candidates):
         if reduce(or_, choice) == target:
-            return dict(zip(candidates_by_op, choice))
+            parts = dict(zip(ks, choice))
+            return tuple(parts.get(k, 0) for k in range(len(carriers)))
     return None
 
 
-def _decomposition(ms: MultiGroupSpace, target: int, ops: tuple[str, ...],
-                   carriers: tuple[int, ...], part_candidates=_closed_part_candidates):
-    if not target or not ops:
-        return None
-    candidates: dict[str, list[int]] = {}
-    for op in ops:
-        carrier = carriers[ms._position(op)]
-        cands = part_candidates(ms, op, target & carrier)
-        if not cands:
-            return None  # the op cannot contribute a nonempty group
-        candidates[op] = sorted(cands, key=_bits)
-    return _select_cover(target, candidates)
-
-
 def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...]):
-    """subspace_decomposition over universe bitmasks: one part per retained
-    operation, or None. Kept in the space's memo."""
+    """subspace_decomposition over universe bitmasks: the parts shaped like
+    the space's carriers, or None. Kept in the space's memo."""
     key = "closed", mask, ops
     if key not in ms._memo:
-        ms._memo[key] = _decomposition(ms, mask, ops, ms._carriers)
+        ks = tuple(dict.fromkeys(map(ms._position, ops)))
+        ms._memo[key] = _decomposition(ms, mask, ks, ms._carriers)
     return ms._memo[key]
 
 
@@ -152,7 +148,7 @@ def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):
     """
     parts = _parts(ms, ms._mask(s.elements), s.retained_ops)
     return None if parts is None else \
-        {op: ms._elements(part) for op, part in parts.items()}
+        {op: ms._elements(parts[ms._position(op)]) for op in s.retained_ops}
 
 
 def is_subspace(ms: MultiGroupSpace, s: SubsetRef) -> bool:
@@ -195,7 +191,9 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
 
     candidates: dict[str, list[int]] = {}
     for op in s.retained_ops:
-        cands = _lattice_part_candidates(ms, op, target, limits)
+        k = ms._position(op)
+        _check_order(ms.groups[k], limits, "subgroup enumeration")
+        cands = _lattice_part_candidates(ms, k, target)
         if not cands:
             return SubspaceEvidence(
                 False, intersections, None,
@@ -252,12 +250,12 @@ def induced_space(ms: MultiGroupSpace, s: SubsetRef) -> MultiGroupSpace:
     return MultiGroupSpace(s.elements, groups)
 
 
-def _coset(ms: MultiGroupSpace, parts: dict[str, int], x: int) -> int:
+def _coset(ms: MultiGroupSpace, parts: tuple[int, ...], x: int) -> int:
     """coset over universe bitmasks: the defined products of the element at
     index x with the parts, or that element alone."""
     out = 0
-    for op, part in parts.items():
-        row = ms._table(op)[x]  # all undefined when x is outside the carrier
+    for t, part in zip(ms._tables, parts):
+        row = t[x]  # all undefined when x is outside the carrier
         for member in _bits(part):
             out |= 1 << row[member]
     return out & ~(1 << len(ms.universe)) or 1 << x

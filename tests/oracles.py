@@ -9,10 +9,10 @@ out every per-operation candidate assignment.
 scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_element_joins,
 scan_word_joins, scan_validate_group, scan_interposable, scan_is_finitely_generated,
 scan_composition_series, scan_is_abelian, scan_proper_normal_subgroups,
-scan_maximal_proper_normal_subgroups, the staged series walk (scan_series_stages,
-scan_build_series, scan_maximal_series) and the five string-keyed product
-scans are the exceptions: they are code the engine replaced, kept verbatim
-as oracles for their replacements.
+scan_maximal_proper_normal_subgroups, scan_maximal, the staged series walk
+(scan_series_stages, scan_build_series, scan_maximal_series) and the five
+string-keyed product scans are the exceptions: they are code the engine
+replaced, kept verbatim as oracles for their replacements.
 scan_subgroups is the divisor-filtered subset scan used before cyclic
 extension (the engine's is_subgroup on every identity-holding subset of
 divisor size); scan_closed_parts is the string-keyed closure and join loop
@@ -41,10 +41,12 @@ components; scan_composition_series recurses on the restricted group of
 every maximal normal subgroup, as composition_series did before it
 filtered the top-level lattice to each link; scan_is_abelian compares
 string-keyed products, as FiniteGroup.is_abelian did before it compared
-the int table with its transpose; scan_proper_normal_subgroups and
-scan_maximal_proper_normal_subgroups filter the named lattice with a
-conjugation scan over every element of the carrier or of `within`, as
-their engine namesakes did before they ran on lattice bitmasks. scan_check_one_direction,
+the int table with its transpose; scan_maximal compares every mask with
+every other, as groups._maximal did before it kept masks largest first;
+scan_proper_normal_subgroups and scan_maximal_proper_normal_subgroups
+filter the named lattice with a conjugation scan over every element of
+the carrier or of `within`, as their engine namesakes did before they ran
+on lattice bitmasks. scan_check_one_direction,
 scan_is_complete, scan_span_once, scan_coset and scan_is_normal_subspace
 test carrier membership and multiply with FiniteGroup.mul, as the
 distribution scan, the raw reading, the one-step span, cosets and the
@@ -376,6 +378,10 @@ def scan_maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAUL
     sets = [set(s) for s in normals]
     return [s for s, ss in zip(normals, sets)
             if not any(ss < other for other in sets)]
+
+
+def scan_maximal(masks: list[int]) -> list[int]:
+    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
 
 
 def scan_is_abelian(g) -> bool:

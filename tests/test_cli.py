@@ -277,6 +277,50 @@ group *:
 """
 
 
+ONE_ELEMENT_TWO_OPS = """elements: e
+group +:
+  carrier: e
+  identity: e
+  table:
+    e: e
+group *:
+  carrier: e
+  identity: e
+  table:
+    e: e
+"""
+
+ORPHAN = """elements: e a x
+group *:
+  carrier: e a
+  identity: e
+  table:
+    e: e a
+    a: a e
+"""
+
+
+@pytest.mark.parametrize("text, argv, code, lines", [
+    (ONE_ELEMENT_TWO_OPS, ["validate"], 0,
+     ["verdict: valid", "classification: field", "carrier_convention: exact"]),
+    (ONE_ELEMENT_TWO_OPS, ["classify"], 0,
+     ["classification: field", "carrier_convention: exact"]),
+    ((INSTANCE_DIR / "gf5.mgs").read_text(encoding="utf-8"), ["span"], 2,
+     ["error: --set is required for this command", "error_kind: input"]),
+    (ORPHAN, ["subspace", "--set", "x"], 1,
+     ["retained_ops: []", "  intersections: {}", "  parts: none"]),
+], ids=["exact-field-validate", "exact-field-classify", "span-without-set",
+        "orphan-subset"])
+def test_reports_no_golden_file_holds(tmp_path, text, argv, code, lines):
+    """Both carriers fill a one-element universe exactly; span needs --set;
+    an element in no carrier gives a subset that retains no operation, so
+    the intersection route has no intersections to print."""
+    fp = tmp_path / "space.mgs"
+    fp.write_text(text, encoding="utf-8")
+    out, got = run_cli([argv[0], str(fp), *argv[1:]])
+    assert got == code and set(lines) <= set(out.splitlines()), out
+
+
 @pytest.mark.parametrize("text, argv, message", [
     (MULTI_ESCAPE, ["--set", "e,a"], "error: 'b' is not in the carrier of '*'"),
     (MISSING_INVERSES, ["--set", "e,a", "--ops", "*"],

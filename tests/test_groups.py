@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import multigroup
 from multigroup import catalog, groups, subspaces
@@ -26,7 +26,7 @@ from conftest import INSTANCE_DIR, overlapping_chain_family, small_space_catalog
 from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
                      scan_composition_series, scan_element_joins, scan_is_abelian,
-                     scan_maximal_proper_normal_subgroups,
+                     scan_maximal, scan_maximal_proper_normal_subgroups,
                      scan_proper_normal_subgroups, scan_subgroups,
                      scan_validate_group, scan_word_joins)
 
@@ -155,6 +155,10 @@ def test_normality_examples():
     assert not is_normal_subgroup(s3, ("e", "(12)"))
     with pytest.raises(PreconditionError):
         is_normal_subgroup(s3, ("e", "(12)", "(13)"))
+    rows = ("e a b c", "a e c b", "p q a e", "c b e a")  # b * e = p leaves the carrier
+    g = FiniteGroup("*", tuple("eabc"), tuple(tuple(r.split()) for r in rows), "e")
+    with pytest.raises(DomainError, match=r"^'p' is not in the carrier of '\*'$"):
+        is_normal_subgroup(g, {"e", "a"})
 
 
 @pytest.mark.parametrize("name", ["Z6", "Z8", "V4", "Z12"])
@@ -232,7 +236,7 @@ def test_normal_subgroups_match_the_string_scan(ms):
     name wrappers, conjugating with every member, find the subgroups the
     string scan over every conjugator finds, in the same order."""
     for k, g in enumerate(ms.groups):
-        lattice = ms._lattice(k, Limits())
+        lattice = ms._lattice(k)
         assert proper_normal_subgroups(g) == scan_proper_normal_subgroups(g)
         assert maximal_proper_normal_subgroups(g) == scan_maximal_proper_normal_subgroups(g)
         for part, gens in lattice.items():
@@ -243,6 +247,17 @@ def test_normal_subgroups_match_the_string_scan(ms):
             assert maximal_proper_normal_subgroups(g, within=within) == expected
             assert proper_normal_subgroups(g, within=within) == \
                 scan_proper_normal_subgroups(g, within=within)
+
+
+@given(st.lists(st.integers(0, 63), max_size=12))
+@example([])
+@example([0, 0])
+@example([3, 1, 3, 2, 4, 3])
+def test_maximal_matches_the_pairwise_scan(masks):
+    """Kept largest first, the maximal masks are the ones no other mask
+    strictly contains, in input order with their repeats, as the scan of
+    every pair finds them."""
+    assert _maximal(masks) == scan_maximal(masks)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -684,7 +699,7 @@ def test_coset_joins_give_the_dict_of_word_closures_on_the_chain_family():
     for ms in overlapping_chain_family():
         for k, carrier in enumerate(ms._carriers):
             t = ms._tables[k]
-            for within in [carrier, *ms._lattice(k, Limits())]:
+            for within in [carrier, *ms._lattice(k)]:
                 assert list(_closed_subsets(t, within, True).items()) == \
                     list(scan_word_joins(t, within, True).items())
                 cases += 1
@@ -834,7 +849,7 @@ def test_a_cyclic_part_of_s4_is_joined_from_nothing_in_the_completeness_route(mo
     for within in sorted(cyclic):
         seen.clear()
         powers.clear()
-        assert subspaces._closed_part_candidates(ms, "*", within) == [within]
+        assert subspaces._closed_part_candidates(ms, 0, within) == [within]
         [((_, _, group), found)] = seen
         first = next(i for i, x in enumerate(_bits(within), 1)
                      if _close((t,), 0, 1 << x) == within)

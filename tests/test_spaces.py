@@ -167,8 +167,9 @@ def test_exact_carrier_body_convention():
     g1 = catalog.cyclic(2, op_id="p")
     g2 = FiniteGroup("q", g1.carrier, g1.table, g1.identity)
     ms = MultiGroupSpace(g1.carrier, (g1, g2))
-    # distribution fails here, so classification refuses; the convention
-    # detection itself is exercised through the valid gf3 case
+    # distribution fails here, so classification refuses; the exact
+    # convention is reached on one element under two operations, in
+    # test_cli.py::test_reports_no_golden_file_holds
     assert not validate_multigroup(ms).ok
 
 

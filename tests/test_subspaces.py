@@ -11,7 +11,6 @@ from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, subgroups
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup import series as series_module
-from multigroup.config import DEFAULT_LIMITS
 from multigroup.series import enumerate_maximal_series
 from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _decomposition,
                                   _parts, coset,
@@ -298,16 +297,15 @@ def _decomposes_alike_inside(ms, s):
     (series._induced, on the operations SubsetRef.of retains), agrees with
     decomposing in induced_space(ms, s) itself."""
     inner = induced_space(ms, s)
-    parts = _parts(ms, ms._mask(s.elements), s.retained_ops)
-    carriers = tuple(parts.get(op, 0) for op in ms.op_set)
+    carriers = _parts(ms, ms._mask(s.elements), s.retained_ops)
     for t in subset_op_combinations(inner):
         mask = ms._mask(t.elements)
-        got = _decomposition(ms, mask, t.retained_ops, carriers)
+        got = _decomposition(ms, mask, tuple(map(ms._position, t.retained_ops)), carriers)
         expected = subspace_decomposition(inner, t)
-        assert (None if got is None else
-                {op: ms._elements(part) for op, part in got.items()}) == expected, (s, t)
+        assert (None if got is None else {op: ms._elements(got[ms._position(op)])
+                                          for op in t.retained_ops}) == expected, (s, t)
         if t.retained_ops == SubsetRef.of(inner, t.elements).retained_ops:
-            lattice = series_module._induced(ms, carriers, mask, DEFAULT_LIMITS, False)
+            lattice = series_module._induced(ms, carriers, mask)
             assert lattice == (None if expected is None else tuple(
                 ms._mask(expected.get(op, ())) for op in ms.op_set)), (s, t)
 
@@ -346,7 +344,7 @@ def _space_candidates(g, allowed):
     is g's carrier followed by the products outside it."""
     ms = MultiGroupSpace(g.carrier + g._ints[1], (g,))
     return [frozenset(ms._elements(m))
-            for m in _closed_part_candidates(ms, g.op_id, ms._mask(allowed))]
+            for m in _closed_part_candidates(ms, 0, ms._mask(allowed))]
 
 
 def _candidates_outcome(find, g, allowed):
