@@ -156,10 +156,7 @@ def _cmd_validate(ms: MultiGroupSpace, args, limits: Limits):
         "notes": list(report.notes),
     }
     if report.ok:
-        c = classify_special_case(ms)
-        payload["classification"] = c.tag
-        if c.convention:
-            payload["carrier_convention"] = c.convention
+        payload.update(_cmd_classify(ms, args, limits)[0])
         return payload, EXIT_PASS
     if report.structural():
         return payload, EXIT_INPUT

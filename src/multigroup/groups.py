@@ -547,27 +547,25 @@ def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:
     """The group on left cosets of a normal subgroup.
 
     Cosets are named by their canonically smallest member, so the quotient
-    is again a plain FiniteGroup over string tokens.
+    is again a plain FiniteGroup over string tokens. The carrier is visited
+    in order, and an x in no coset yet is the smallest member of x N: every
+    product x h is mapped to x, and the table is read off the
+    representatives' rows through that map.
     """
     sub = set(normal_subset)
     if not is_normal_subgroup(g, sub):
         raise PreconditionError("quotient requires a normal subgroup")
-    coset_of: dict[Element, frozenset] = {}
-    reps = []
-    for x in g.carrier:
-        if x in coset_of:
-            continue
-        coset = frozenset(g.mul(x, h) for h in sub)
-        rep = min(coset, key=g.index)
-        reps.append(rep)
-        for y in coset:
-            coset_of[y] = coset
-    rep_of = {coset_of[r]: r for r in reps}
-    carrier = tuple(sorted(reps, key=g.index))
-    table = tuple(tuple(rep_of[coset_of[g.mul(a, b)]] for b in carrier)
-                  for a in carrier)
-    identity = rep_of[coset_of[g.identity]]
-    return FiniteGroup(g.op_id, carrier, table, identity)
+    hs = [g.index(h) for h in sub]
+    reps: list[int] = []
+    rep: dict[Element, Element] = {}  # by element: a product outside raises KeyError
+    for i, x in enumerate(g.carrier):
+        if x not in rep:
+            reps.append(i)
+            for h in hs:
+                rep[g.table[i][h]] = x
+    carrier = tuple(g.carrier[i] for i in reps)
+    table = tuple(tuple(rep[g.table[a][b]] for b in reps) for a in reps)
+    return FiniteGroup(g.op_id, carrier, table, rep[g.identity])
 
 
 @dataclass(frozen=True)

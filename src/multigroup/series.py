@@ -179,12 +179,13 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
     single witness. After a step of op k, op k's part spaces[-1][k] is the
     choice taken: the one lattice member inside the new link and the part.
     """
+    ks = [ms._position(op) for op in seq.order]
+
     def walk(i, chain, spaces, steps, anomalies):
-        if i == len(seq.order):
+        if i == len(ks):
             yield chain, steps, anomalies, spaces
             return
-        op = seq.order[i]
-        k = ms._position(op)
+        op, k = seq.order[i], ks[i]
         part = spaces[-1][k]
         if not part & part - 1:  # one element, or none (a lost carrier): next stage
             if not part:

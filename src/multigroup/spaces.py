@@ -100,9 +100,6 @@ class MultiGroupSpace:
             tables.append(rows + [[n] * (n + 1)])
         return tuple(tables)
 
-    def _table(self, op_id: str) -> list[list[int]]:
-        return self._tables[self._position(op_id)]
-
     @cached_property
     def _carriers(self) -> tuple[int, ...]:
         """One universe bitmask per operation, read from its carrier through
@@ -110,9 +107,6 @@ class MultiGroupSpace:
         outside the universe is left out."""
         return tuple(sum(1 << self._index[e] for e in g.carrier if e in self._index)
                      for g in self.groups)
-
-    def _carrier(self, op_id: str) -> int:
-        return self._carriers[self._position(op_id)]
 
     def _mask(self, elements) -> int:
         return sum(1 << i for i in {self.index(e) for e in elements})
@@ -174,7 +168,8 @@ def is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:
     True iff every defined product of two subset members lands back in the
     subset. Members outside the universe lie in no carrier and are ignored.
     """
-    t, sub = ms._table(op_id), ms._mask(e for e in subset if e in ms._index)
+    t = ms._tables[ms._position(op_id)]
+    sub = ms._mask(e for e in subset if e in ms._index)
     ok, members = sub | 1 << len(ms.universe), _bits(sub)  # undefined is fine
     return all(ok >> t[a][b] & 1 for a in members for b in members)
 
@@ -198,19 +193,20 @@ def _getter(indices):
         itemgetter(indices[0], indices[0])
 
 
-def _generator_pass(ms: MultiGroupSpace, times: str, circ: str) -> list[int] | None:
+def _generator_pass(ms: MultiGroupSpace, times: int, circ: int) -> list[int] | None:
     """The universe indices of Light's generators of *, less its identity,
     when they decide whether * distributes over o: * is a group on a
-    carrier inside the o carrier. None otherwise."""
-    g = ms.group_of(times)
-    if ms._carrier(times) & ~ms._carrier(circ) or g._generators is None:
+    carrier inside the o carrier. None otherwise. * and o are positions."""
+    g = ms.groups[times]
+    if ms._carriers[times] & ~ms._carriers[circ] or g._generators is None:
         return None
     e = g.index(g.identity)
     return [ms.index(g.carrier[i]) for i in g._generators if i != e]
 
 
-def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck:
-    """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror.
+def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck:
+    """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror, where * and
+    o are the operations at positions times and circ.
 
     Only triples with every intermediate product defined count; a triple
     with any undefined product is skipped entirely. A law is tested exactly
@@ -233,9 +229,10 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
     pass, the direction holds with tested = 2 |T| times the z counted per
     y. Otherwise the full scan runs and names the same witnesses.
     """
-    t, c, u = ms._table(times), ms._table(circ), ms.universe
+    t, c, u = ms._tables[times], ms._tables[circ], ms.universe
     n = len(u)
-    t_mask, in_c = ms._carrier(times), ms._carrier(circ)
+    t_mask, in_c = ms._carriers[times], ms._carriers[circ]
+    ids = ms.groups[times].op_id, ms.groups[circ].op_id
     both = _bits(t_mask & in_c)
     is_t = [t_mask >> i & 1 for i in range(n + 1)]  # index n: undefined
     bits = [1 << z for z in both]
@@ -249,7 +246,7 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
             per_y.append((y, zs, sum(compress(bits, keep)),
                           _getter(zs), _getter(list(compress(yz, keep)))))
     if not per_y:
-        return LawCheck(times, circ, holds=True, vacuous=True, tested=0, witnesses=())
+        return LawCheck(*ids, holds=True, vacuous=True, tested=0, witnesses=())
     in_t, is_c = _bits(t_mask), [in_c >> i & 1 for i in range(n + 1)]
     gens = _generator_pass(ms, times, circ)
     for xs in [in_t] if gens is None else [gens, in_t]:
@@ -283,7 +280,7 @@ def _check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck
             break
     if xs is gens:
         tested = 2 * len(in_t) * sum(len(zs) for _, zs, *_ in per_y)
-    return LawCheck(times, circ, holds=not witnesses, vacuous=tested == 0,
+    return LawCheck(*ids, holds=not witnesses, vacuous=tested == 0,
                     tested=tested, witnesses=tuple(witnesses))
 
 
@@ -309,26 +306,27 @@ def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> Distributio
     the other, in both the left and right law, wherever products exist."""
     if op_a == op_b:
         raise DomainError("distribution check needs two distinct operations")
-    return DistributionCheck(op_a, op_b,
-                             _check_one_direction(ms, op_a, op_b),
-                             _check_one_direction(ms, op_b, op_a))
+    a, b = ms._position(op_a), ms._position(op_b)
+    return DistributionCheck(op_a, op_b, _check_one_direction(ms, a, b),
+                             _check_one_direction(ms, b, a))
 
 
-def _pair_check(ms: MultiGroupSpace, op_a: str, op_b: str) -> DistributionCheck | None:
+def _pair_check(ms: MultiGroupSpace, a: int, b: int) -> DistributionCheck | None:
     """check_distribution with only the scans the pair's verdict needs:
     None when the first direction scanned holds on at least one tested
     law, since the pair then distributes and is not vacuous. That first
     direction is the one Light's generators can decide, b over a when only
     it can, else a over b. Witnesses are reported only when neither
     direction holds, so both are then scanned, as check_distribution
-    would."""
-    first = (op_b, op_a) if _generator_pass(ms, op_b, op_a) is not None and \
-        _generator_pass(ms, op_a, op_b) is None else (op_a, op_b)
+    would. a and b are positions."""
+    first = (b, a) if _generator_pass(ms, b, a) is not None and \
+        _generator_pass(ms, a, b) is None else (a, b)
     one = _check_one_direction(ms, *first)
     if one.holds and one.tested:
         return None
     other = _check_one_direction(ms, *reversed(first))
-    return DistributionCheck(op_a, op_b, *((one, other) if first[0] == op_a else (other, one)))
+    return DistributionCheck(ms.groups[a].op_id, ms.groups[b].op_id,
+                             *((one, other) if first[0] == a else (other, one)))
 
 
 def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
@@ -374,8 +372,8 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
         report.merge(validate_group(g, universe))
 
     if not report.structural():
-        for ga, gb in combinations(ms.groups, 2):
-            check = _pair_check(ms, ga.op_id, gb.op_id)
+        for (a, ga), (b, gb) in combinations(enumerate(ms.groups), 2):
+            check = _pair_check(ms, a, b)
             if check is None:
                 continue  # one direction holds on a tested law
             if check.vacuous:

@@ -22,8 +22,8 @@ the space's tables; element names appear only in the results. The
 completeness route's candidates come from the kernel that also builds
 the subgroup lattice: on the operation's table in the space, each allowed
 element is closed, each closed set found is joined with each element
-closure not inside it (on a table already known to be a group, walked
-over cosets, once per coset), and the maximal closures inside the allowed
+closure not inside it (on a table that is a group, walked over
+cosets, once per coset), and the maximal closures inside the allowed
 set are kept. Below the public functions an operation is its position and
 parts are a tuple shaped like the carriers. Decompositions are kept in
 the space's memo by (bitmask, retained ops), so they are freed with it;
@@ -61,14 +61,14 @@ class SubsetRef:
         """
         mask = ms._mask(elements)
         if ops is None:
-            ops = [op for op in ms.op_set if mask & ms._carrier(op)]
+            ops = [op for op in ms.op_set if mask & ms._carriers[ms._position(op)]]
         else:
             ops = list(dict.fromkeys(ops))
             for op in ops:
                 ms.group_of(op)  # raises DomainError on unknown ids
             ops = [op for op in ms.op_set if op in ops]
             for op in ops:
-                if not mask & ms._carrier(op):
+                if not mask & ms._carriers[ms._position(op)]:
                     raise ValueError(
                         f"retained operation {op!r} acts on no element of the subset")
         return SubsetRef(ms._elements(mask), tuple(ops))
@@ -81,15 +81,13 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
     Raises DomainError naming the first product outside the carrier, in
     row-major table order, that the closure of an allowed element or of two
     maximal closed sets reaches: exactly what joining every two closed sets
-    reaches, as each such join lies inside one of the latter. Element
-    closures are powers and joins are walked over cosets, one per coset,
-    only if validation or the lattice already cached Light's verdict and
-    the table is a group: on a small allowed set the test costs more than
-    it saves.
+    reaches, as each such join lies inside one of the latter. When the
+    table is a group, element closures are powers and joins are walked
+    over cosets, one per coset; Light's verdict is then computed if no
+    earlier call cached it.
     """
     g, t = ms.groups[k], ms._tables[k]
-    group = "_light" in vars(g) and g._generators is not None
-    maximal = _maximal(_closed_subsets(t, within, group))
+    maximal = _maximal(_closed_subsets(t, within, g._generators is not None))
     if g._ints[1]:
         escaped = 0
         for closed, union in [(0, 1 << x) for x in _bits(within)] + \
@@ -174,6 +172,24 @@ class SubspaceEvidence:
         return self.ok
 
 
+def _cover(target: int, candidates: dict[int, list[int]], covered: int = 0):
+    """The intersection route's search: one candidate per position, from
+    its sorted list, such that the candidates cover the target, as a dict
+    by position; or None. It satisfies the smallest uncovered element
+    first, trying the positions in order; positions left over once the
+    target is covered take their first candidate."""
+    if covered == target:
+        return {k: cands[0] for k, cands in candidates.items()}
+    left = target & ~covered
+    for k, cands in candidates.items():
+        for cand in cands:
+            if cand & left & -left:
+                rest = {j: c for j, c in candidates.items() if j != k}
+                if (cover := _cover(target, rest, covered | cand)) is not None:
+                    return {k: cand, **cover}
+    return None
+
+
 def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
                                 limits: Limits = DEFAULT_LIMITS) -> SubspaceEvidence:
     """Subspace test on the subgroup lattice of each retained operation.
@@ -183,48 +199,28 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
     uncovered elements instead of operations.
     """
     target = ms._mask(s.elements)
-    intersections = tuple((op, ms._elements(target & ms._carrier(op)))
-                          for op in s.retained_ops)
-    if not target or not s.retained_ops:
+    ks = [ms._position(op) for op in s.retained_ops]
+    intersections = tuple((op, ms._elements(target & ms._carriers[k]))
+                          for op, k in zip(s.retained_ops, ks))
+    if not target or not ks:
         return SubspaceEvidence(False, intersections, None,
                                 "a subspace needs elements and a retained operation")
 
-    candidates: dict[str, list[int]] = {}
-    for op in s.retained_ops:
-        k = ms._position(op)
+    candidates: dict[int, list[int]] = {}
+    for op, k in zip(s.retained_ops, ks):
         _check_order(ms.groups[k], limits, "subgroup enumeration")
         cands = _lattice_part_candidates(ms, k, target)
         if not cands:
             return SubspaceEvidence(
                 False, intersections, None,
                 f"no subgroup of {op!r} lies inside the subset")
-        candidates[op] = sorted(cands, key=_bits)
+        candidates[k] = sorted(cands, key=_bits)
 
-    # element-driven search: repeatedly satisfy the smallest uncovered element
-    def assign(remaining_ops: tuple[str, ...], covered: int, chosen: dict[str, int]):
-        if covered == target:
-            # unassigned ops still need a part; any candidate will do
-            for op in remaining_ops:
-                chosen[op] = candidates[op][0]
-            return dict(chosen)
-        left = target & ~covered
-        uncovered = left & -left
-        for op in remaining_ops:
-            for cand in candidates[op]:
-                if cand & uncovered:
-                    chosen[op] = cand
-                    rest = tuple(o for o in remaining_ops if o != op)
-                    result = assign(rest, covered | cand, chosen)
-                    if result is not None:
-                        return result
-                    chosen.pop(op, None)
-        return None
-
-    cover = assign(s.retained_ops, 0, {})
+    cover = _cover(target, candidates)
     if cover is None:
         return SubspaceEvidence(False, intersections, None,
                                 "no per-operation assignment of subgroups covers the subset")
-    parts = tuple((op, ms._elements(cover[op])) for op in s.retained_ops)
+    parts = tuple((op, ms._elements(cover[k])) for op, k in zip(s.retained_ops, ks))
     return SubspaceEvidence(True, intersections, parts)
 
 

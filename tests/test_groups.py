@@ -27,8 +27,8 @@ from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
                      scan_composition_series, scan_element_joins, scan_is_abelian,
                      scan_maximal, scan_maximal_proper_normal_subgroups,
-                     scan_proper_normal_subgroups, scan_subgroups,
-                     scan_validate_group, scan_word_joins)
+                     scan_proper_normal_subgroups, scan_quotient_group,
+                     scan_subgroups, scan_validate_group, scan_word_joins)
 
 CORPUS = catalog.corpus_groups()
 CORPUS_NAMES = sorted(CORPUS)
@@ -188,6 +188,29 @@ def test_quotients_validate(name):
             q = quotient_group(g, n)
             assert validate_group(q).ok
             assert q.order == g.order // len(n)
+
+
+def _quotient_outcome(quotient, g, n):
+    try:
+        q = quotient(g, n)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc), exc.args
+    return q.carrier, q.table, q.identity
+
+
+def test_quotient_matches_the_coset_scan():
+    """Every corpus group over each proper normal subgroup and itself, 57
+    pairs; and a table whose inverses are all two-sided but where a * a
+    leaves the carrier, so {e} is normal and reading the quotient's table
+    raises KeyError('p')."""
+    pairs = [(g, n) for g in CORPUS.values()
+             for n in proper_normal_subgroups(g) + [g.carrier]]
+    escaping = FiniteGroup("*", tuple("eab"), (tuple("eab"), tuple("ape"), tuple("bea")), "e")
+    assert len(pairs) == 57
+    for g, n in pairs + [(escaping, ("e",))]:
+        assert _quotient_outcome(quotient_group, g, n) == \
+            _quotient_outcome(scan_quotient_group, g, n)
+    assert _quotient_outcome(quotient_group, escaping, ("e",)) == (KeyError, ("p",))
 
 
 @pytest.mark.parametrize("name", [n for n in CORPUS_NAMES if CORPUS[n].order <= 12])
@@ -827,14 +850,14 @@ def test_cyclic_lattices_are_the_element_closures(monkeypatch, g, closures):
 
 def test_a_cyclic_part_of_s4_is_joined_from_nothing_in_the_completeness_route(monkeypatch):
     """Every cyclic subgroup of S4 as the allowed part of a one-operation
-    space, with Light's verdict cached: the route gets the dict of joining
+    space. S4 is a group, so the route gets the dict of joining
     every element closure, closing the allowed elements up to the first
     that generates the part and joining nothing, and the maximal closed
     set is the part itself. Closing every allowed element took 43 closures."""
     g = _symmetric_4()
-    g._light  # cached Light's verdict: the route takes the group path
+    g._light  # Light's test closes words: run it before _close is counted
     ms = MultiGroupSpace(g.carrier, (g,))
-    t = ms._table("*")
+    t = ms._tables[0]
     cyclic = {ms._mask(s) for s in subgroups(g)
               if any(set(s) == set(g._names(_close((g._ints[0],), 0, 1 << x)))
                      for x in map(g.index, s))}

@@ -73,9 +73,15 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _direction(ms, times, circ):
+    """_check_one_direction on the operations with these ids, which the
+    string scan takes; the engine takes their positions."""
+    return _check_one_direction(ms, ms._position(times), ms._position(circ))
+
+
 def _same_distribution_scan(ms):
     for times, circ in permutations(ms.op_set, 2):
-        assert _outcome(_check_one_direction, ms, times, circ) == \
+        assert _outcome(_direction, ms, times, circ) == \
             _outcome(scan_check_one_direction, ms, times, circ), (times, circ)
 
 
@@ -203,7 +209,7 @@ def test_a_product_outside_the_universe_raises_when_the_tables_are_built():
     a = GeneratingSet.of(ms, ("e",))
     for read in (lambda: span_closure(ms, a), lambda: span_once(ms, a),
                  lambda: is_complete(ms, ("e",), "*"),
-                 lambda: _check_one_direction(ms, "*", "+"),
+                 lambda: _direction(ms, "*", "+"),
                  lambda: subspace_decomposition(ms, SubsetRef.of(ms, ("e",)))):
         with pytest.raises(DomainError, match="'q' is not in the universe"):
             read()
@@ -260,7 +266,7 @@ def test_the_witness_search_stops_early_and_the_count_stays_exact(ms):
     assume(all(_failing_triples(ms, *pair) > MAX_DISTRIBUTION_WITNESSES
                for pair in pairs))
     for times, circ in pairs:
-        check = _check_one_direction(ms, times, circ)
+        check = _direction(ms, times, circ)
         assert check == scan_check_one_direction(ms, times, circ)
         assert len(check.witnesses) == MAX_DISTRIBUTION_WITNESSES
 
@@ -273,9 +279,9 @@ def test_distribution_scan_matches_the_string_scan_on_every_chain_layout():
     layouts, decided = list(chain_layouts()), 0
     for ms in layouts:
         _same_distribution_scan(ms)
-        decided += sum(_check_one_direction(ms, times, circ).holds
-                       for times, circ in permutations(ms.op_set, 2)
-                       if not ms._carrier(times) & ~ms._carrier(circ))
+        decided += sum(_check_one_direction(ms, a, b).holds
+                       for a, b in permutations(range(len(ms.groups)), 2)
+                       if not ms._carriers[a] & ~ms._carriers[b])
     assert (len(layouts), decided) == (1350, 151)
 
 
@@ -310,7 +316,7 @@ def test_the_generator_pass_checks_both_laws(opposite):
     # one law holds everywhere, so Light's generators must fail on the other
     ms = _near_field(opposite)
     assert ms.group_of("*")._generators is not None
-    check = _check_one_direction(ms, "*", "+")
+    check = _direction(ms, "*", "+")
     assert check == scan_check_one_direction(ms, "*", "+") and not check.holds
 
 
@@ -324,7 +330,7 @@ def _rows_read(monkeypatch, ms, times, circ):
         return lambda row: reads.append(row) or get(row)
 
     monkeypatch.setattr(spaces, "_getter", counting)
-    return _check_one_direction(ms, times, circ), len(reads)
+    return _direction(ms, times, circ), len(reads)
 
 
 def test_light_generators_decide_a_group_inside_the_other_carrier(monkeypatch):
@@ -366,7 +372,7 @@ def test_a_one_element_space_tests_both_laws_once():
     g = FiniteGroup("+", ("e",), (("e",),), "e")
     ms = MultiGroupSpace(("e",), (g, FiniteGroup("*", ("e",), (("e",),), "e")))
     for times, circ in (("+", "*"), ("*", "+")):
-        check = _check_one_direction(ms, times, circ)
+        check = _direction(ms, times, circ)
         assert check == scan_check_one_direction(ms, times, circ)
         assert check.holds and check.tested == 2
 
@@ -384,7 +390,7 @@ def test_subspace_routes_match_the_string_routes_on_escaping_tables(g, data):
     verdict cached or not, gets the same decomposition, evidence or error."""
     ms = MultiGroupSpace(g.carrier + g._ints[1], (g,))
     if data.draw(st.booleans()):
-        g._light  # cached Light's verdict: word closures where it holds
+        g._light  # cached or not: the kernel is chosen by the table alone
     s = SubsetRef.of(ms, data.draw(st.sets(st.sampled_from(ms.universe))))
     assert _outcome(subspace_decomposition, ms, s) == \
         _outcome(scan_subspace_decomposition, ms, s)

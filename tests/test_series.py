@@ -437,6 +437,23 @@ def test_cross_sequence_comparison_refuses_too_many_operations():
     assert [s.order for s in single.per_sequence] == [ms.op_set]
 
 
+def test_a_sequence_with_two_lengths_names_the_last_series_of_each(monkeypatch, z2z3):
+    """No ordering of a pair-family or chain-family space accepts series of
+    two lengths, so the counterexample rule is pinned on an enumeration
+    that returns series of lengths 2, 3, 2, 3: the pair is the last series
+    of length 2 and the last of length 3."""
+    link = ref(z2z3, z2z3.universe)
+    made = [series_module.NormalSeries((link,) * (length + 1), ("a",) * length, (str(i),))
+            for i, length in enumerate((2, 3, 2, 3))]
+    monkeypatch.setattr(series_module, "enumerate_maximal_series",
+                        lambda ms, order, limits: MaximalSeriesResult(order, tuple(made)))
+    inv = length_invariance_check(z2z3, seq(z2z3))
+    first, second = inv.counterexample
+    assert first is made[2] and second is made[3]
+    assert inv.within_each_ok is False
+    assert inv.cross_sequence_constant is None
+
+
 # ------------------------------------------------ the walk vs the oracle walk
 
 WIDE = Limits(max_group_order=24, max_exhaustive_universe=24)

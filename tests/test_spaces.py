@@ -123,6 +123,8 @@ def test_duplicate_op_id_is_structural():
     ms = MultiGroupSpace(g.carrier, (g, g))
     report = validate_multigroup(ms)
     assert "duplicate-op" in {v.kind for v in report.structural()}
+    with pytest.raises(ValueError, match="duplicate element in universe"):
+        MultiGroupSpace(g.carrier * 2, (g,))
 
 
 def test_carrier_outside_universe_is_structural():
@@ -177,7 +179,8 @@ def test_exact_carrier_body_convention():
 def test_cli_validates_a_space_once(tmp_path, monkeypatch, command):
     """One distribution scan for the one operation pair, though
     maximal-series enumerates under both orderings and validate classifies:
-    * over + holds on Light's generators, so + over * is never scanned."""
+    * over + holds on Light's generators, so + over * is never scanned.
+    The scan takes positions: + is operation 0 and * operation 1."""
     path = tmp_path / "gf5.mgs"
     path.write_text(serialize_instance(catalog.prime_field(5)), encoding="utf-8")
     calls = []
@@ -187,7 +190,7 @@ def test_cli_validates_a_space_once(tmp_path, monkeypatch, command):
                         or check(ms, times, circ))
     _, code = run_cli([command, str(path)])
     assert code in (0, 1)
-    assert calls == [("*", "+")]
+    assert calls == [(1, 0)]
 
 
 def test_mutating_a_validation_report_changes_no_later_verdict(gf3):

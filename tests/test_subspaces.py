@@ -12,15 +12,17 @@ from multigroup.groups import FiniteGroup, _bits, subgroups
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup import series as series_module
 from multigroup.series import enumerate_maximal_series
-from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _decomposition,
-                                  _parts, coset,
+from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
+                                  _decomposition, _lattice_part_candidates, _parts, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
                                   is_subspace_by_intersection, lagrange_check,
                                   subspace_decomposition)
 
-from conftest import overlapping_pair_family, subset_op_combinations, subspaces_of
+from conftest import (chain_layouts, overlapping_pair_family, subset_op_combinations,
+                      subspaces_of)
 from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
+                     scan_is_subspace_by_intersection,
                      scan_subspace_decomposition)
 from test_groups import _tables
 
@@ -67,7 +69,14 @@ def test_intersection_route_on_the_pinned_subset(gf3):
 
 def test_intersection_route_with_addition_only(gf3):
     ev = is_subspace_by_intersection(gf3, ref(gf3, ["0", "1"], ["+"]))
-    assert not ev.ok  # 1+1 = 2 escapes, and nothing else can cover 1
+    assert not ev.ok and not ev  # 1+1 = 2 escapes, and nothing else can cover 1
+    # a repeated op is one part, so two subgroups of S3 may not cover the set
+    s3 = catalog.single(catalog.symmetric_3())
+    s = SubsetRef(("e", "(12)", "(123)", "(132)"), ("*", "*"))
+    ev = is_subspace_by_intersection(s3, s)
+    assert ev == scan_is_subspace_by_intersection(s3, s)
+    assert not ev and not is_subspace(s3, s)
+    assert ev.reason == "no per-operation assignment of subgroups covers the subset"
 
 
 def test_whole_universe_is_a_subspace(gf3, z2z3):
@@ -168,6 +177,32 @@ def test_routes_agree_on_random_large_subsets():
         elems = rng.sample(ms.universe, size)
         s = ref(ms, elems)
         assert is_subspace(ms, s) == is_subspace_by_intersection(ms, s).ok
+
+
+def test_both_route_cores_agree_on_the_whole_chain_family():
+    """The two-route gate: every valid chain-family space, every nonempty
+    universe mask and every nonempty set of positions whose carriers meet
+    it, with no SubsetRef and no sampling. The completeness core is _parts;
+    the intersection core reads the sorted lattice candidates, is False on
+    an empty list and otherwise runs _cover."""
+    spaces = pairs = 0
+    for ms in chain_layouts():
+        if not validate_multigroup(ms).ok:
+            continue
+        spaces += 1
+        for mask in range(1, 1 << len(ms.universe)):
+            meeting = [k for k, carrier in enumerate(ms._carriers) if mask & carrier]
+            lattice = {k: sorted(_lattice_part_candidates(ms, k, mask), key=_bits)
+                       for k in meeting}
+            for r in range(1, len(meeting) + 1):
+                for ks in combinations(meeting, r):
+                    candidates = {k: lattice[k] for k in ks}
+                    by_lattice = all(candidates.values()) and \
+                        _cover(mask, candidates) is not None
+                    by_closure = _parts(ms, mask, tuple(ms.op_set[k] for k in ks)) is not None
+                    assert by_lattice == by_closure, (ms.universe, ms.op_set, mask, ks)
+                    pairs += 1
+    assert (spaces, pairs) == (355, 582983)
 
 
 # ------------------------------------------------------- cosets
@@ -379,7 +414,7 @@ def test_closed_part_candidates_match_the_string_closure(g, data):
     allowed = frozenset(data.draw(st.sets(st.sampled_from(g.carrier))))
     g = FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
     if data.draw(st.booleans()):
-        g._light  # cached Light's verdict: word closures where it holds
+        g._light  # cached or not: the kernel is chosen by the table alone
     outcome = _candidates_outcome(_space_candidates, g, allowed)
     assert outcome == _candidates_outcome(scan_closed_parts, g, allowed)
     assert outcome == _candidates_outcome(_pairwise_candidates, g, allowed)
