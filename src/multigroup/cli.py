@@ -341,11 +341,13 @@ _ABSENT = (ENOENT, ENOTDIR, EBADF, ELOOP)
 
 
 def _read(instance: str) -> str:
-    """The text of the instance file, or the ParseError that reports it."""
+    """The text of the instance file, decoded once from its bytes, or the
+    ParseError that reports it. Line ends stay as written: the reader
+    splits LF, CRLF and CR alike."""
     try:
         # Path normalises '' to '.' and drops a trailing '/'
-        with open(Path(instance), encoding="utf-8") as file:
-            return file.read()
+        with open(Path(instance), "rb") as file:
+            return file.read().decode("utf-8")
     except UnicodeDecodeError as exc:   # a ValueError, but the file is there
         raise ParseError(f"cannot read {instance}: {exc}") from None
     except OSError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundExceeded, DomainError, PreconditionError
@@ -125,8 +126,8 @@ class FiniteGroup:
     def _generators(self) -> list[int] | None:
         """Light's generators when the table is a group: associative, with
         the declared identity and every inverse; None otherwise."""
-        t, e = self._ints[0], self.index(self.identity)
-        identity = all(t[e][a] == a == t[a][e] for a in range(self.order))
+        t, e, n = self._ints[0], self.index(self.identity), self.order
+        identity = t[e][:n] == list(range(n)) == [row[e] for row in t[:n]]
         return self._light if identity and None not in self._inverses else None
 
     @cached_property
@@ -150,9 +151,13 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        # distinct products outside the carrier have distinct indices
-        n = self.order
-        rows = [row[:n] for row in self._ints[0][:n]]
+        # a group is abelian iff its generators commute; any other table is
+        # compared with its transpose, where distinct products outside the
+        # carrier have distinct indices
+        t, n, gens = self._ints[0], self.order, self._generators
+        if gens is not None:
+            return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
+        rows = [row[:n] for row in t[:n]]
         return rows == [list(col) for col in zip(*rows)]
 
     def restrict(self, subset) -> "FiniteGroup":
@@ -246,20 +251,25 @@ def _light_generators(t: list[list[int]]) -> list[int] | None:
     set: for two of them, (x(sr))y = ((xs)r)y = (xs)(ry) = x(s(ry)) =
     x((sr)y). So the table is associative iff every member of a generating
     set is such a middle, and each is checked a row at a time: row (x s)
-    against x times row s. The generating set is greedy: every element not
-    yet a right word over those before it (_close with gens); on any table
-    a word lies in their closure.
+    against x times row s, every x at once as tuples. The generating set
+    is greedy: every element not yet a right word over those before it
+    (_close with gens); on any table a word lies in their closure.
     """
-    closed, gens, identity = 0, [], list(range(len(t)))
+    closed, gens, words, identity = 0, [], [], list(range(len(t)))
+    rows = list(map(tuple, t))
     for s in range(len(t)):
         if closed >> s & 1:
             continue
         gens.append(s)
-        closed = _close((t,), closed, closed | 1 << s, gens)
-        ts = t[s]
-        if ts == identity and [row[s] for row in t] == identity:
-            continue  # a two-sided identity: (x s) y = x y = x (s y)
-        if any(t[row[s]] != list(map(row.__getitem__, ts)) for row in t):
+        ts, column = t[s], list(map(itemgetter(s), t))
+        # a two-sided identity: (x s) y = x y = x (s y), and a word times s
+        # is the word, so no word is multiplied by it
+        unit = ts == identity and column == identity
+        if not unit:
+            words.append(s)
+        closed = _close((t,), closed, closed | 1 << s, words)
+        if not unit and \
+                list(map(rows.__getitem__, column)) != list(map(itemgetter(*ts), t)):
             return None
     return gens
 

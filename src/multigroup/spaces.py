@@ -7,9 +7,14 @@ every triple whose intermediate products are all defined; a law with no
 fully defined triple holds vacuously. Where the distributor is a group on
 a carrier inside the other's, the laws are decided on Light's generators
 of that group alone, and validation scans that direction first: the other
-is scanned only when the first fails or holds vacuously. Every product
-lookup of the space layer reads the partial-product rule from one place,
-the int tables MultiGroupSpace._tables.
+is scanned only when the first fails or holds vacuously. Where the other
+is a group too, on the distributor's carrier and its own identity (as in
+a field), the direction is decided on the generators of both: the
+multiplications by the distributor's generators are checked as
+endomorphisms of the other on its generators. Every product lookup of the
+space layer reads the partial-product rule from one place, the int tables
+MultiGroupSpace._tables, built from each group's int table, which the
+parser hands over as it reads the text.
 """
 
 from __future__ import annotations
@@ -74,9 +79,11 @@ class MultiGroupSpace:
         product on the way is. The distribution scan, the raw reading, cosets,
         the one-step span, the conjugation scan and the completeness route
         read it, and so does the series walk inside every induced space.
-        Each row is gathered from the group's own int table (_ints): its
-        columns in universe order, then each entry mapped to its universe
-        position.
+        Each row is gathered from the group's own int table (_ints), which
+        the parser hands over as it reads the text: its columns in universe
+        order, then each entry mapped to its universe position. Where
+        carrier index i is universe index i, a row is the group's row
+        padded with undefined columns.
         Precondition: every carrier element and product lies in the
         universe. The parser and the catalog ensure it, and validation
         scans distribution only without structural violations; a product
@@ -89,6 +96,11 @@ class MultiGroupSpace:
             t, escaped = g._ints
             size = len(t)  # the column index that stands for "not in g"
             at = [index.get(e) for e in g.carrier + escaped] + [n]  # None: outside u
+            if not escaped and at == [*range(size), n]:
+                pad = [n] * (n + 1 - size)
+                tables.append([row + pad for row in t] +
+                              [[n] * (n + 1) for _ in range(n + 1 - size)])
+                continue
             cols = itemgetter(*[g._index.get(b, size) for b in u], size)
             rows = [[n] * (n + 1) if i is None else
                     list(map(at.__getitem__, cols(t[i] + [size])))
@@ -204,6 +216,49 @@ def _generator_pass(ms: MultiGroupSpace, times: int, circ: int) -> list[int] | N
     return [ms.index(g.carrier[i]) for i in g._generators if i != e]
 
 
+def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None:
+    """Whether * distributes over o, decided on the generators of both: the
+    number of laws tested when it does; None when the pass does not apply
+    or does not decide. * and o are positions.
+
+    It applies when * is a group on T, o is a group on C, and C is T and
+    o's identity e (as in a field), or T = C = {e}. Multiplication by x in
+    T on the left or the right, with e -> e, maps C into C, and the maps of
+    a product are composites of its factors' maps. A map m of C into C
+    with m(z o y) = m(z) o m(y) for each y in C and each generator z != e
+    of o is an endomorphism of (C, o), by induction on words in the z. So
+    when the maps of Light's generators of * pass, every law with y, z and
+    y o z in T holds. Those are the tested laws, 2 |T| (|T|^2 - |T| [e not
+    in T]) of them: y o z = e for exactly |T| pairs when e is not in T.
+    When a map fails, the scans decide. With e in a larger T the pass
+    cannot decide, as an endomorphism fixes e and x * e = e only for *'s
+    identity x, so it is skipped.
+    """
+    g, h = ms.groups[times], ms.groups[circ]
+    t_mask, c_mask = ms._carriers[times], ms._carriers[circ]
+    if t_mask & ~c_mask or h._generators is None or \
+            (t_mask.bit_count(), c_mask.bit_count()) != (g.order, h.order):
+        return None  # T is not in C, o is no group, or a carrier leaves the universe
+    e = ms.index(h.identity)
+    if not (c_mask & ~t_mask == 1 << e or t_mask == c_mask == 1 << e) or \
+            (xs := _generator_pass(ms, times, circ)) is None:
+        return None
+    t, c, cs = ms._tables[times], ms._tables[circ], _bits(c_mask)
+    at_c = _getter(cs)
+    zs = [(z, _getter(list(map(c[z].__getitem__, cs))))  # z o y for y in C
+          for z in (ms.index(h.carrier[i]) for i in h._generators) if z != e]
+    outside = c_mask != t_mask  # e is not in T; else T = {e} and xs is empty
+    for x in xs:
+        for m in t[x][:], list(map(itemgetter(x), t)):  # y -> x*y, y -> y*x
+            m[e] = e
+            at_m = _getter(at_c(m))
+            for z, at_zy in zs:
+                if at_zy(m) != at_m(c[m[z]]):
+                    return None
+    size = t_mask.bit_count()
+    return 2 * size * (size * size - size * outside)
+
+
 def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck:
     """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror, where * and
     o are the operations at positions times and circ.
@@ -228,11 +283,20 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
     generators other than the identity are scanned first; if they all
     pass, the direction holds with tested = 2 |T| times the z counted per
     y. Otherwise the full scan runs and names the same witnesses.
+
+    Before either, when o is a group too, on T and its own identity,
+    _endomorphism_pass decides the direction on the generators of both
+    operations; the scans run only when it does not.
     """
     t, c, u = ms._tables[times], ms._tables[circ], ms.universe
     n = len(u)
     t_mask, in_c = ms._carriers[times], ms._carriers[circ]
     ids = ms.groups[times].op_id, ms.groups[circ].op_id
+    if not t_mask & in_c:  # no y lies in both carriers
+        return LawCheck(*ids, holds=True, vacuous=True, tested=0, witnesses=())
+    if (decided := _endomorphism_pass(ms, times, circ)) is not None:
+        return LawCheck(*ids, holds=True, vacuous=decided == 0, tested=decided,
+                        witnesses=())
     both = _bits(t_mask & in_c)
     is_t = [t_mask >> i & 1 for i in range(n + 1)]  # index n: undefined
     bits = [1 << z for z in both]

@@ -84,8 +84,12 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
     reaches, as each such join lies inside one of the latter. When the
     table is a group, element closures are powers and joins are walked
     over cosets, one per coset; Light's verdict is then computed if no
-    earlier call cached it.
+    earlier call cached it. Kept in the space's memo by (k, within), once
+    no escape is found: a raise is never kept, so every call raises alike.
     """
+    key = "candidates", k, within
+    if key in ms._memo:
+        return ms._memo[key]
     g, t = ms.groups[k], ms._tables[k]
     maximal = _maximal(_closed_subsets(t, within, g._generators is not None))
     if g._ints[1]:
@@ -96,6 +100,7 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
         for name in g._ints[1]:  # the products outside the carrier, in table order
             if escaped >> ms.index(name) & 1:
                 raise DomainError(f"{name!r} is not in the carrier of {g.op_id!r}")
+    ms._memo[key] = maximal
     return maximal
 
 

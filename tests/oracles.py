@@ -10,7 +10,7 @@ scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_element_joins,
 scan_word_joins, scan_validate_group, scan_interposable, scan_is_finitely_generated,
 scan_composition_series, scan_is_abelian, scan_proper_normal_subgroups,
 scan_maximal_proper_normal_subgroups, scan_maximal, scan_quotient_group,
-the staged series walk
+scan_parse_instance, the staged series walk
 (scan_series_stages, scan_build_series, scan_maximal_series) and the five
 string-keyed product scans are the exceptions: they are code the engine
 replaced, kept verbatim as oracles for their replacements.
@@ -61,16 +61,20 @@ through check_distribution, as validation did before it scanned the second
 direction only when the first does not settle the pair. scan_ints,
 scan_inverses and scan_tables build the int tables entry by entry, as
 FiniteGroup._ints, FiniteGroup._inverses and MultiGroupSpace._tables did
-before they gathered whole rows.
+before they gathered whole rows. scan_parse_instance reads the string
+tables a row at a time and checks each row's entries against the
+universe, as parse_instance did before it mapped each entry to its
+carrier index and handed each group its int table.
 
 subset_op_combinations is the one enumerator of (subset, retained ops)
 pairs, shared by the tests and scripts/subspace_census.py.
 """
 
+from collections.abc import Iterator
 from itertools import combinations, product
 
 from multigroup.config import DEFAULT_LIMITS, Limits
-from multigroup.errors import (DomainError, InternalConsistencyError,
+from multigroup.errors import (DomainError, InternalConsistencyError, ParseError,
                                PreconditionError)
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
@@ -1037,3 +1041,131 @@ def scan_maximal_series(ms: MultiGroupSpace, seq,
         else:
             rejected.append((series, reason))
     return MaximalSeriesResult(seq, tuple(accepted), tuple(rejected))
+
+
+_SCAN_RESERVED = set(":#,")
+
+
+def _scan_tokens(line: str) -> list[str]:
+    return line.split("#", 1)[0].split()
+
+
+def _scan_check_token(token: str, lineno: int) -> str:
+    if not _SCAN_RESERVED.isdisjoint(token):
+        raise ParseError(f"invalid element token {token!r} "
+                         f"(':', ',' and '#' are reserved)", lineno)
+    return token
+
+
+def _scan_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that holds a token."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if tokens := _scan_tokens(raw):
+            yield lineno, tokens
+
+
+def _scan_keyword_line(tokens: list[str], keyword: str) -> list[str] | None:
+    if tokens and tokens[0] == f"{keyword}:":
+        return tokens[1:]
+    return None
+
+
+def scan_parse_instance(text: str) -> MultiGroupSpace:
+    """Parse instance text, enforcing structural invariants with line numbers;
+    the string tables only, read a row at a time."""
+    lines = _scan_lines(text)
+
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("no universe declared")
+    lineno, tokens = first
+    universe_tokens = _scan_keyword_line(tokens, "elements")
+    if universe_tokens is None:
+        raise ParseError("expected 'elements:' declaration", lineno)
+    if not universe_tokens:
+        raise ParseError("universe is empty", lineno)
+    known: set[str] = set()
+    for tok in universe_tokens:
+        _scan_check_token(tok, lineno)
+        if tok in known:
+            raise ParseError(f"duplicate element {tok!r} in universe", lineno)
+        known.add(tok)
+
+    groups = []
+    while True:
+        item = next(lines, None)
+        if item is None:
+            break
+        lineno, tokens = item
+        if len(tokens) != 2 or tokens[0] != "group" or not tokens[1].endswith(":"):
+            raise ParseError("expected 'group <op>:'", lineno)
+        op_id = tokens[1][:-1]
+        if not op_id:
+            raise ParseError("empty operation id", lineno)
+        groups.append(_scan_parse_group(lines, op_id, known, lineno))
+
+    return MultiGroupSpace(tuple(universe_tokens), tuple(groups))
+
+
+def _scan_parse_group(lines: Iterator[tuple[int, list[str]]], op_id: str,
+                 universe: set[str], header_line: int) -> FiniteGroup:
+    item = next(lines, None)
+    carrier_tokens = item and _scan_keyword_line(item[1], "carrier")
+    if not carrier_tokens:
+        raise ParseError(f"group {op_id!r} missing 'carrier:' line",
+                         item[0] if item else header_line)
+    lineno = item[0]
+    members: set[str] = set()
+    for tok in carrier_tokens:
+        _scan_check_token(tok, lineno)
+        if tok not in universe:
+            raise ParseError(f"carrier element {tok!r} not in universe", lineno)
+        if tok in members:
+            raise ParseError(f"duplicate element {tok!r} in carrier", lineno)
+        members.add(tok)
+    carrier = tuple(carrier_tokens)
+
+    item = next(lines, None)
+    identity_tokens = item and _scan_keyword_line(item[1], "identity")
+    if identity_tokens is None:
+        raise ParseError(f"group {op_id!r} missing 'identity:' line",
+                         item[0] if item else lineno)
+    if len(identity_tokens) != 1:
+        raise ParseError("identity line must name exactly one element", item[0])
+    identity = identity_tokens[0]
+    if identity not in members:
+        raise ParseError(f"identity {identity!r} not in carrier", item[0])
+
+    item = next(lines, None)
+    if item is None or _scan_keyword_line(item[1], "table") is None:
+        raise ParseError(f"group {op_id!r} missing 'table:' line",
+                         item[0] if item else lineno)
+    if _scan_keyword_line(item[1], "table"):
+        raise ParseError("'table:' line takes no inline entries", item[0])
+
+    rows: dict[str, tuple[str, ...]] = {}
+    for _ in carrier:
+        item = next(lines, None)
+        if item is None:
+            raise ParseError(
+                f"table of {op_id!r} has {len(rows)} rows, expected {len(carrier)}")
+        lineno, tokens = item
+        if not tokens[0].endswith(":"):
+            raise ParseError("expected a table row '<element>: <entries>'", lineno)
+        label = tokens[0][:-1]
+        if label not in members:
+            raise ParseError(f"row label {label!r} not in carrier", lineno)
+        if label in rows:
+            raise ParseError(f"duplicate table row for {label!r}", lineno)
+        entries = tokens[1:]
+        if len(entries) != len(carrier):
+            raise ParseError(
+                f"row {label!r} has {len(entries)} entries, expected {len(carrier)}",
+                lineno)
+        if not universe.issuperset(entries):
+            unknown = next(tok for tok in entries if tok not in universe)
+            raise ParseError(f"unknown element {unknown!r} in table", lineno)
+        rows[label] = tuple(entries)
+
+    table = tuple(rows[label] for label in carrier)
+    return FiniteGroup(op_id, carrier, table, identity)

@@ -151,6 +151,20 @@ def test_unreadable_instance_path_exits_two(tmp_path, kind):
     assert data["error"].startswith(f"cannot read {target}:")
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_file_with_comments_and_other_line_ends_reads_as_the_plain_one(tmp_path, end):
+    """The file is read as bytes and decoded once; its line ends are the
+    reader's to split, so every report matches the plain file's."""
+    plain = INSTANCE_DIR / "gf5.mgs"
+    lines = [f"\t{line} # {i}: a, b" for i, line in enumerate(plain.read_text().splitlines())]
+    target = tmp_path / "gf5.mgs"
+    target.write_bytes(end.join(["# GF(5)", "", *lines, ""]).encode("utf-8"))
+    for command in ("validate", "classify", "series"):
+        out, code = run_cli([command, str(target), "--json"])
+        expected, expected_code = run_cli([command, str(plain), "--json"])
+        assert (out.replace(str(target), str(plain)), code) == (expected, expected_code)
+
+
 @pytest.mark.parametrize("instance, expected", [
     ("missing.mgs", (2, "parse", "no such file: missing.mgs")),
     (".", (2, "parse", "cannot read .: Is a directory")),

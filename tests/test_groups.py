@@ -538,6 +538,23 @@ def test_is_abelian_matches_the_string_products_on_arbitrary_tables(g):
     assert g.is_abelian == scan_is_abelian(_fresh(g))
 
 
+@settings(max_examples=200)
+@given(st.sampled_from(CORPUS_NAMES), st.data())
+def test_is_abelian_matches_the_string_products_on_perturbed_groups(name, data):
+    """A corpus group with its elements permuted, which keeps it a group
+    and decides it on its generators, then perhaps with one product
+    changed, which mostly leaves the transpose to decide."""
+    g = CORPUS[name]
+    sigma = data.draw(st.permutations(g.carrier))
+    to, back = dict(zip(g.carrier, sigma)), dict(zip(sigma, g.carrier))
+    table = [[to[g.mul(back[a], back[b])] for b in g.carrier] for a in g.carrier]
+    if data.draw(st.booleans()):
+        i, j = (data.draw(st.integers(0, g.order - 1)) for _ in "ij")
+        table[i][j] = data.draw(st.sampled_from(g.carrier))
+    h = FiniteGroup(g.op_id, g.carrier, tuple(map(tuple, table)), to[g.identity])
+    assert h.is_abelian == scan_is_abelian(_fresh(h))
+
+
 @st.composite
 def _conservative_tables(draw):
     """A table of order <= 6 with every product one of its two factors, so

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,10 @@ from multigroup import catalog
 from multigroup.errors import ParseError
 from multigroup.instances import parse_instance, serialize_instance
 
+from conftest import INSTANCE_DIR, overlapping_pair_family, small_space_catalog
+from oracles import scan_ints, scan_parse_instance, scan_tables
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURES = ("gf3", "gf3_corrupt", "gf5", "z6units", "z2link", "z2z3", "z2z2",
             "z4z4", "s3", "z6", "z12", "klein", "trivial")
 
@@ -294,3 +300,102 @@ def test_arbitrary_text_parses_or_raises_parse_error(text):
 @given(st.one_of(st.lists(_KEYWORD_LINES, max_size=14), _near_instances()))
 def test_keyword_line_soup_parses_or_raises_parse_error(lines):
     _parses_and_round_trips_or_rejects("\n".join(lines))
+
+
+def _reader_corpus():
+    """The lines of every catalog space, every corpus group alone, every
+    space of the pair family and a space whose products leave a carrier,
+    in canonical form."""
+    spaces = [*small_space_catalog().values(), catalog.gf3_corrupt(),
+              catalog.z4_twice(), catalog.prime_field(7),
+              *map(catalog.single, catalog.corpus_groups().values()),
+              *overlapping_pair_family(6),
+              parse_instance((GOLDEN_DIR / "escape.mgs").read_text(encoding="utf-8"))]
+    return [serialize_instance(ms).splitlines() for ms in spaces]
+
+
+_READER_LINES = _reader_corpus()
+# tokens a mutation may put in place of another
+_SWAPS = ["zz", "a:b", "x,y", "#", ":", "table:", "group", "carrier:", "0:"]
+
+
+@st.composite
+def _reshaped_texts(draw):
+    """A corpus text with each table's rows in a drawn order, lines indented
+    with tabs and spaces, comments at line ends and on lines of their own,
+    blank lines, LF or CRLF ends, and perhaps one token or line deleted or
+    doubled, or one token replaced."""
+    lines = list(draw(st.sampled_from(_READER_LINES)))
+    blocks: list[list[int]] = []  # the line numbers of each table's rows
+    for i, line in enumerate(lines):
+        if line.startswith("    "):
+            if blocks and blocks[-1][-1] == i - 1:
+                blocks[-1].append(i)
+            else:
+                blocks.append([i])
+    for block in blocks:
+        for i, line in zip(block, draw(st.permutations([lines[i] for i in block]))):
+            lines[i] = line
+    mutation = draw(st.sampled_from(["none", "replace", "delete", "double",
+                                     "delete line", "double line"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if mutation.endswith("line"):
+        lines[i:i + 1] = [] if mutation == "delete line" else [lines[i]] * 2
+    elif mutation != "none":
+        toks = lines[i].split()
+        j = draw(st.integers(0, len(toks) - 1))
+        universe = lines[0].split()[1:]
+        if mutation == "replace":
+            toks[j] = draw(st.sampled_from(universe) | st.sampled_from(_SWAPS))
+        else:
+            toks[j:j + 1] = [] if mutation == "delete" else [toks[j]] * 2
+        lines[i] = " ".join(toks)
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", "  ", "\t", "# note: a, b", " \t# x"])))
+        indent = draw(st.sampled_from(["", "  ", "\t", " \t "]))
+        comment = draw(st.sampled_from(["", "", " # c", "\t#: x,y", "# 0 1"]))
+        out.append(indent + line + comment)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + \
+        draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _reads_alike(text):
+    """The reader and the row-at-a-time oracle give the same space, or the
+    same ParseError text and line. Each group whose products stay in its
+    carrier is handed its int table as the oracle's space builds it entry
+    by entry, and the space's tables built from them match too."""
+    try:
+        expected = scan_parse_instance(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    ms = parse_instance(text)
+    assert ms == expected and ms._index == expected._index
+    for g, h in zip(ms.groups, expected.groups):
+        ints = scan_ints(h)
+        assert g._index == h._index and ("_ints" in g.__dict__) == (not ints[1])
+        assert g._ints == ints
+    assert ms._tables == scan_tables(expected)
+
+
+@settings(max_examples=300)
+@given(_reshaped_texts())
+def test_the_reader_matches_the_row_at_a_time_parser(text):
+    _reads_alike(text)
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_the_reader_matches_the_row_at_a_time_parser_on_every_error(case):
+    _reads_alike(PARSE_ERRORS[case][0])
+
+
+@pytest.mark.parametrize("path", [*sorted(INSTANCE_DIR.glob("*.mgs")),
+                                  *sorted(GOLDEN_DIR.glob("*.mgs"))],
+                         ids=lambda path: path.stem)
+def test_the_reader_matches_the_row_at_a_time_parser_on_every_file(path):
+    # golden/escape.mgs has a product outside its carrier
+    _reads_alike(path.read_text(encoding="utf-8"))

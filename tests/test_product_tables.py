@@ -35,8 +35,8 @@ from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
 from multigroup.subspaces import (SubsetRef, coset, is_subspace,
                                   is_subspace_by_intersection, subspace_decomposition)
 
-from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family, relabel,
-                      small_space_catalog)
+from conftest import (INSTANCE_DIR, chain_layouts, overlapping_chain_family,
+                      overlapping_pair_family, relabel, small_space_catalog)
 from test_groups import _semigroups, _tables
 from test_subspaces import _escaping_groups
 from oracles import (scan_check_one_direction, scan_coset, scan_inverses, scan_ints,
@@ -334,15 +334,106 @@ def _rows_read(monkeypatch, ms, times, circ):
 
 
 def test_light_generators_decide_a_group_inside_the_other_carrier(monkeypatch):
-    # both laws at each of the 22 y, for the generators of * other than
-    # its identity 1, which is among them and passes both laws unread
+    # for the generators of * other than its identity 1, which is among
+    # them and passes unread: each of its two maps, y -> x*y and y -> y*x,
+    # is read once over the + carrier, then both sides of m(z + y) =
+    # m(z) + m(y) at each generator z of + other than 0; no law is scanned
     gf23 = catalog.prime_field(23)
     check, reads = _rows_read(monkeypatch, gf23, "*", "+")
     assert check == scan_check_one_direction(gf23, "*", "+") and check.holds
-    g = gf23.group_of("*")
-    gens = g._generators
-    assert g.index(g.identity) in gens
-    assert len(gens) <= 3 and reads == 2 * 2 * 22 * (len(gens) - 1)
+    g, plus = gf23.group_of("*"), gf23.group_of("+")
+    gens, zs = g._generators, len(plus._generators) - 1
+    assert g.index(g.identity) in gens and zs == 1
+    assert len(gens) <= 3 and reads == 2 * (1 + 2 * zs) * (len(gens) - 1)
+
+
+def _decided_alike(ms):
+    """Every direction of every operation pair equals the string scan, and
+    where the endomorphism pass decides, the scan holds with its count.
+    The number of directions the pass decides."""
+    decided = 0
+    for a, b in permutations(range(len(ms.groups)), 2):
+        ids = ms.groups[a].op_id, ms.groups[b].op_id
+        expected = scan_check_one_direction(ms, *ids)
+        tested = spaces._endomorphism_pass(ms, a, b)
+        if tested is not None:
+            decided += 1
+            assert expected.holds and expected.tested == tested, ids
+        assert _check_one_direction(ms, a, b) == expected, ids
+    return decided
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_the_endomorphism_pass_decides_prime_fields(p):
+    # * over + only: + is no group inside the * carrier
+    assert _decided_alike(catalog.prime_field(p)) == 1
+
+
+def _twice(g):
+    """Two operations with g's table on one universe, both carriers the
+    whole universe."""
+    return MultiGroupSpace(g.carrier, (g, relabel(g, g.carrier, "o")))
+
+
+@pytest.mark.parametrize("ms, decided", [
+    # the one-element field: every map is the identity, both directions hold
+    (MultiGroupSpace(("e",), (FiniteGroup("+", ("e",), (("e",),), "e"),
+                              FiniteGroup("*", ("e",), (("e",),), "e"))), 2),
+    # the pass is skipped: an endomorphism fixes e, and x * e = e fails for
+    # x != e; the scan names the witnesses
+    (_twice(catalog.cyclic(3)), 0), (_twice(catalog.klein_four()), 0),
+    (_twice(catalog.symmetric_3()), 0),
+    # * on the nonzero elements: the pass applies, and the maps on the
+    # side whose law fails are no endomorphisms
+    (_near_field(False), 0), (_near_field(True), 0)],
+    ids=["trivial", "z3", "klein", "s3", "near-field-left-fails", "near-field-right-fails"])
+def test_the_endomorphism_pass_on_bodies_and_near_fields(ms, decided):
+    assert _decided_alike(ms) == decided
+
+
+def test_the_endomorphism_pass_matches_the_scan_on_the_chain_family():
+    """Every direction of every valid space of the chain family. The pass
+    decides 47: 23 where Z2 is * on Z3 less its identity, as in GF(3), and
+    24 where Z3 is * on the Klein group less its identity, as in GF(4)."""
+    family = overlapping_chain_family()
+    assert (len(family), sum(map(_decided_alike, family))) == (355, 47)
+
+
+def _conjugated(g, sigma):
+    """g with its elements renamed by sigma, a permutation of its carrier:
+    a group again on the same carrier, with identity sigma(e)."""
+    to, back = dict(zip(g.carrier, sigma)), dict(zip(sigma, g.carrier))
+    return FiniteGroup.from_function(g.op_id, g.carrier,
+                                     lambda a, b: to[g.mul(back[a], back[b])],
+                                     to[g.identity])
+
+
+def _perturbed_field(p, k, sigma):
+    ms = catalog.prime_field(p)
+    groups = list(ms.groups)
+    groups[k] = _conjugated(groups[k], sigma)
+    return MultiGroupSpace(ms.universe, tuple(groups))
+
+
+def test_a_failing_generator_leaves_the_witnesses_to_the_scan():
+    # GF(7) with 3 and 5 swapped in *: still a group on 1..6, but 2 * 3 = 5
+    # no longer distributes over +
+    ms = _perturbed_field(7, 1, ("1", "2", "5", "4", "3", "6"))
+    assert ms.groups[1]._generators is not None
+    assert spaces._endomorphism_pass(ms, 1, 0) is None
+    check = _direction(ms, "*", "+")
+    assert check == scan_check_one_direction(ms, "*", "+")
+    assert not check.holds and check.witnesses
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.sampled_from([0, 1]), st.data())
+def test_the_endomorphism_pass_matches_the_scan_on_perturbed_fields(p, k, data):
+    """GF(p) with the elements of one operation permuted: a group again,
+    distributive only for a permutation that respects the other. Where
+    a generator's map fails, the scan decides and names the witnesses."""
+    carrier = catalog.prime_field(p).groups[k].carrier
+    _decided_alike(_perturbed_field(p, k, data.draw(st.permutations(carrier))))
 
 
 def _z5_monoid():

@@ -468,16 +468,16 @@ def test_closed_part_candidates_name_an_escape_only_a_join_reaches():
 
 def test_decomposition_cache_is_freed_with_its_space():
     """So is everything else the space's one memo keeps: the lattices, the
-    walk's covers and choices, the edge verdicts, the link SubsetRefs and
-    the enumeration."""
+    completeness route's candidates, the walk's covers and choices, the
+    edge verdicts, the link SubsetRefs and the enumeration."""
     ms = catalog.gf3()
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
     assert ("closed", ms._mask(s.elements), s.retained_ops) in ms._memo
     enumerate_maximal_series(ms)
     assert {k for k in ms._memo if k[0] == "lattice"} == {("lattice", 0), ("lattice", 1)}
-    assert {k[0] for k in ms._memo} == {"closed", "covers", "lattice", "choices",
-                                        "edge", "ref", "maximal"}
+    assert {k[0] for k in ms._memo} == {"closed", "candidates", "covers", "lattice",
+                                        "choices", "edge", "ref", "maximal"}
     assert all(type(v) is SubsetRef for k, v in ms._memo.items() if k[0] == "ref")
     gone = weakref.ref(ms)
     del ms
