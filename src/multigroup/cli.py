@@ -8,13 +8,13 @@ opt-in --timing field is the one exception and is off by default.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
+from _json import encode_basestring_ascii as _quote  # what json.encoder uses on CPython
 from errno import EBADF, ELOOP, ENOENT, ENOTDIR
 from functools import cache
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from types import SimpleNamespace
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DecompositionFailure, DomainError,
@@ -313,7 +313,11 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command; argparse is imported here, as
+    only argvs outside the plain form need it (see _plain_args)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mgs", description="checks over multi-group space instance files")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -358,8 +362,10 @@ def _read(instance: str) -> str:
         raise ParseError(f"no such file: {instance}") from None
 
 
-def run_command(args: argparse.Namespace) -> tuple[dict, int]:
-    """Execute one parsed command and return (report payload, exit code)."""
+def run_command(args) -> tuple[dict, int]:
+    """Execute one parsed command and return (report payload, exit code).
+    args has the attributes the parser gives: command, instance, json,
+    timing, exhaustive_bound and the command's --set, --ops or --order."""
     payload: dict = {"command": args.command, "instance": args.instance}
     started = time.perf_counter()
     try:
@@ -393,7 +399,7 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     # built on the first call rather than at import, and kept: parse_args
     # leaves the parser as it found it, even when it exits on an error
     return build_parser()
@@ -409,8 +415,8 @@ _OPTIONS = {
     for name, (_, takes_set, takes_order) in _COMMANDS.items()}
 
 
-def _plain_args(argv) -> argparse.Namespace | None:
-    """The Namespace the parser gives for an argv of the plain form
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The attributes the parser gives for an argv of the plain form
     `<command> <instance> (--flag | --option value)*`, or None for any
     other argv. In the plain form every option is spelled out in full and
     neither the instance nor a value starts with '-'; help, abbreviations,
@@ -438,7 +444,7 @@ def _plain_args(argv) -> argparse.Namespace | None:
             except ValueError:
                 return None
         found[dest] = value
-    return argparse.Namespace(**found)
+    return SimpleNamespace(**found)
 
 
 def main(argv=None) -> int:

@@ -6,17 +6,18 @@ truncate when an input is larger than the relevant bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Limits:
-    # largest group order for subgroup-lattice enumeration
-    max_group_order: int = 24
-    # largest universe for exhaustive series / interposition search
-    max_exhaustive_universe: int = 12
-    # cap on candidate subsets examined by the generating-set search
-    max_generator_candidates: int = 200_000
+class Limits(namedtuple("Limits", [
+        # largest group order for subgroup-lattice enumeration
+        "max_group_order",
+        # largest universe for exhaustive series / interposition search
+        "max_exhaustive_universe",
+        # cap on candidate subsets examined by the generating-set search
+        "max_generator_candidates",
+], defaults=(24, 12, 200_000))):
+    __slots__ = ()
 
 
 DEFAULT_LIMITS = Limits()

@@ -30,7 +30,7 @@ combination order over the universe, but it never scans the whole universe:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .config import DEFAULT_LIMITS, Limits
@@ -39,9 +39,8 @@ from .groups import _bits, _close
 from .spaces import Element, MultiGroupSpace
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
-    seeds: tuple[Element, ...]
+class GeneratingSet(namedtuple("GeneratingSet", ["seeds"])):
+    __slots__ = ()
 
     @staticmethod
     def of(ms: MultiGroupSpace, seeds) -> "GeneratingSet":
@@ -72,10 +71,8 @@ def span_closure(ms: MultiGroupSpace, a: GeneratingSet) -> tuple[Element, ...]:
     return ms._elements(_close(ms._tables, 0, ms._mask(a.seeds)))
 
 
-@dataclass(frozen=True)
-class GenerationWitness:
-    generators: tuple[Element, ...]
-    minimal: bool
+class GenerationWitness(namedtuple("GenerationWitness", ["generators", "minimal"])):
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -9,7 +9,7 @@ first appearance in the carrier so reports and golden files are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
@@ -22,8 +22,38 @@ from .report import AXIOM, STRUCTURAL, ValidationReport
 Element = str
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class _Frozen:
+    """Equality, hash and repr by the fields named in _fields, and no
+    assignment: __init__ and the cached properties write the instance
+    __dict__ directly. Fields are plain instance attributes, the fastest
+    to read on the hot paths."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]  # set by each subclass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteGroup(_Frozen):
     """One operation: a carrier, its Cayley table and a declared identity.
 
     table[i][j] is the product carrier[i] * carrier[j]. The row label is the
@@ -32,20 +62,18 @@ class FiniteGroup:
     and reported on.
     """
 
-    op_id: str
-    carrier: tuple[Element, ...]
-    table: tuple[tuple[Element, ...], ...]
-    identity: Element
+    _fields = ("op_id", "carrier", "table", "identity")
 
-    def __post_init__(self):
-        n = len(self.carrier)
-        if len(set(self.carrier)) != n:
-            raise ValueError(f"duplicate element in carrier of {self.op_id!r}")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise ValueError(f"table of {self.op_id!r} is not {n}x{n}")
-        if self.identity not in self.carrier:
-            raise ValueError(
-                f"identity {self.identity!r} not in carrier of {self.op_id!r}")
+    def __init__(self, op_id: str, carrier: tuple[Element, ...],
+                 table: tuple[tuple[Element, ...], ...], identity: Element):
+        n = len(carrier)
+        if len(set(carrier)) != n:
+            raise ValueError(f"duplicate element in carrier of {op_id!r}")
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"table of {op_id!r} is not {n}x{n}")
+        if identity not in carrier:
+            raise ValueError(f"identity {identity!r} not in carrier of {op_id!r}")
+        self.__dict__.update(op_id=op_id, carrier=carrier, table=table, identity=identity)
 
     @cached_property
     def _index(self) -> dict[Element, int]:
@@ -578,11 +606,11 @@ def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:
     return FiniteGroup(g.op_id, carrier, table, rep[g.identity])
 
 
-@dataclass(frozen=True)
-class CompositionChain:
-    """A maximal descending chain of normal subgroups, down to the identity."""
+class CompositionChain(namedtuple("CompositionChain", ["links"])):
+    """A maximal descending chain of normal subgroups, down to the identity:
+    links is a tuple of element tuples."""
 
-    links: tuple[tuple[Element, ...], ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -7,7 +7,7 @@ hand against the Cayley tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 # violation categories
@@ -16,13 +16,14 @@ AXIOM = "axiom"
 DISTRIBUTION = "distribution"
 
 
-@dataclass(frozen=True)
-class Violation:
-    category: str          # structural | axiom | distribution
-    kind: str              # e.g. closure, associativity, identity, inverse
-    message: str
-    op_ids: tuple[str, ...] = ()
-    witness: tuple[str, ...] = ()
+class Violation(namedtuple("Violation", [
+        "category",         # structural | axiom | distribution
+        "kind",             # e.g. closure, associativity, identity, inverse
+        "message",
+        "op_ids",           # tuple[str, ...]
+        "witness",          # tuple[str, ...]
+], defaults=((), ()))):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -34,10 +35,22 @@ class Violation:
         }
 
 
-@dataclass
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """The violations found, in the order found, and the notes; it grows as
+    a validation runs and merges the reports of its parts."""
+
+    def __init__(self, violations: list[Violation] | None = None,
+                 notes: list[str] | None = None):
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.violations, self.notes) == (other.violations, other.notes)
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(violations={self.violations!r}, notes={self.notes!r})"
 
     @property
     def ok(self) -> bool:

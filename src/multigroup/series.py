@@ -21,7 +21,7 @@ maximal normal subgroups and a link's SubsetRef are kept on the space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import permutations
 from operator import or_
@@ -44,11 +44,10 @@ ANOMALY_REJECTED_STEP = "INTERPOSABLE_STEP"
 MAX_CROSS_SEQUENCE_OPS = 4
 
 
-@dataclass(frozen=True)
-class OrientedOperationSequence:
+class OrientedOperationSequence(namedtuple("OrientedOperationSequence", ["order"])):
     """A total order on the operation identifiers."""
 
-    order: tuple[str, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(ms: MultiGroupSpace, order=None) -> "OrientedOperationSequence":
@@ -62,10 +61,11 @@ class OrientedOperationSequence:
         return OrientedOperationSequence(order)
 
 
-@dataclass(frozen=True)
-class NormalityEvidence:
-    ok: bool
-    witness: tuple[str, Element, Element, Element] | None = None  # op, g, h, conjugate
+class NormalityEvidence(namedtuple("NormalityEvidence", [
+        "ok",
+        "witness",  # (op, g, h, conjugate) or None
+], defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -116,13 +116,11 @@ def normality_criterion(ms: MultiGroupSpace, h: SubsetRef) -> bool:
                for op, part in decomp.items())
 
 
-@dataclass(frozen=True)
-class NormalSeries:
+class NormalSeries(namedtuple("NormalSeries", ["chain", "step_ops", "anomalies"],
+                              defaults=((),))):
     """A descending chain of subspaces with the operation that drove each step."""
 
-    chain: tuple[SubsetRef, ...]
-    step_ops: tuple[str, ...]
-    anomalies: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -270,11 +268,12 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     return ms._memo["edge", carriers, lower]
 
 
-@dataclass(frozen=True)
-class MaximalSeriesResult:
-    sequence: OrientedOperationSequence
-    series: tuple[NormalSeries, ...]
-    rejected: tuple[tuple[NormalSeries, str], ...] = ()
+class MaximalSeriesResult(namedtuple("MaximalSeriesResult", [
+        "sequence",
+        "series",
+        "rejected",  # tuple[tuple[NormalSeries, str], ...]
+], defaults=((),))):
+    __slots__ = ()
 
     @property
     def lengths(self) -> tuple[int, ...]:
@@ -328,21 +327,23 @@ def _enumerate_maximal_series(ms: MultiGroupSpace,
     return MaximalSeriesResult(seq, tuple(accepted), tuple(rejected))
 
 
-@dataclass(frozen=True)
-class SequenceLengths:
-    order: tuple[str, ...]
-    lengths: tuple[int, ...]
-    constant: int | None            # the common length, when one exists
-    series_count: int
-    anomalies: tuple[str, ...]
+class SequenceLengths(namedtuple("SequenceLengths", [
+        "order",
+        "lengths",
+        "constant",  # the common length, when one exists, else None
+        "series_count",
+        "anomalies",
+])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LengthInvariance:
-    per_sequence: tuple[SequenceLengths, ...]
-    within_each_ok: bool
-    cross_sequence_constant: bool | None
-    counterexample: tuple[NormalSeries, NormalSeries] | None = None
+class LengthInvariance(namedtuple("LengthInvariance", [
+        "per_sequence",
+        "within_each_ok",
+        "cross_sequence_constant",  # bool | None
+        "counterexample",           # (NormalSeries, NormalSeries) | None
+], defaults=(None,))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

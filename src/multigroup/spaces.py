@@ -19,27 +19,28 @@ parser hands over as it reads the text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, compress
 from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
-from .groups import Element, FiniteGroup, _bits, validate_group
+from .groups import Element, FiniteGroup, _bits, _Frozen, validate_group
 from .report import DISTRIBUTION, STRUCTURAL, ValidationReport
 
 # at most this many witness triples are kept per operation pair
 MAX_DISTRIBUTION_WITNESSES = 10
 
 
-@dataclass(frozen=True)
-class MultiGroupSpace:
-    universe: tuple[Element, ...]
-    groups: tuple[FiniteGroup, ...]
+class MultiGroupSpace(_Frozen):
+    """A universe and one group per operation, in the file's order."""
 
-    def __post_init__(self):
-        if len(set(self.universe)) != len(self.universe):
+    _fields = ("universe", "groups")
+
+    def __init__(self, universe: tuple[Element, ...], groups: tuple[FiniteGroup, ...]):
+        if len(set(universe)) != len(universe):
             raise ValueError("duplicate element in universe")
+        self.__dict__.update(universe=universe, groups=groups)
 
     @cached_property
     def op_set(self) -> tuple[str, ...]:
@@ -186,16 +187,13 @@ def is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:
     return all(ok >> t[a][b] & 1 for a in members for b in members)
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(namedtuple("LawCheck", [
+        "distributor", "other", "holds", "vacuous", "tested",
+        "witnesses",  # tuple[tuple[Element, Element, Element], ...]
+])):
     """One direction of the distribution check: distributor over other."""
 
-    distributor: str
-    other: str
-    holds: bool
-    vacuous: bool
-    tested: int
-    witnesses: tuple[tuple[Element, Element, Element], ...]
+    __slots__ = ()
 
 
 def _getter(indices):
@@ -348,12 +346,11 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
                     tested=tested, witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class DistributionCheck:
-    op_a: str
-    op_b: str
-    a_over_b: LawCheck
-    b_over_a: LawCheck
+class DistributionCheck(namedtuple("DistributionCheck",
+                                   ["op_a", "op_b", "a_over_b", "b_over_a"])):
+    """Both directions of the distribution check of one operation pair."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -460,11 +457,12 @@ CONVENTION_EXACT = "exact"
 CONVENTION_IDENTITY_EXCLUDED = "identity-excluded"
 
 
-@dataclass(frozen=True)
-class Classification:
-    tag: str                      # group | body | field | general
-    convention: str | None = None
-    notes: tuple[str, ...] = ()
+class Classification(namedtuple("Classification", [
+        "tag",          # group | body | field | general
+        "convention",   # str | None
+        "notes",        # tuple[str, ...]
+], defaults=(None, ()))):
+    __slots__ = ()
 
 
 def classify_special_case(ms: MultiGroupSpace) -> Classification:

@@ -32,7 +32,7 @@ the series walk covers inside induced spaces with lattice members instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import chain, product
 from operator import or_
@@ -44,12 +44,10 @@ from .groups import (Element, FiniteGroup, _bits, _check_order, _close,
 from .spaces import MultiGroupSpace, is_complete
 
 
-@dataclass(frozen=True)
-class SubsetRef:
+class SubsetRef(namedtuple("SubsetRef", ["elements", "retained_ops"])):
     """A subset of the universe tagged with the operations it retains."""
 
-    elements: tuple[Element, ...]
-    retained_ops: tuple[str, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(ms: MultiGroupSpace, elements, ops=None) -> "SubsetRef":
@@ -164,14 +162,15 @@ def is_subspace(ms: MultiGroupSpace, s: SubsetRef) -> bool:
     return _parts(ms, ms._mask(s.elements), s.retained_ops) is not None
 
 
-@dataclass(frozen=True)
-class SubspaceEvidence:
+class SubspaceEvidence(namedtuple("SubspaceEvidence", [
+        "ok",
+        "intersections",  # tuple[tuple[str, tuple[Element, ...]], ...]
+        "parts",          # the same, or None
+        "reason",         # str | None
+], defaults=(None,))):
     """Per-operation evidence for the intersection-route subspace test."""
 
-    ok: bool
-    intersections: tuple[tuple[str, tuple[Element, ...]], ...]
-    parts: tuple[tuple[str, tuple[Element, ...]], ...] | None
-    reason: str | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -275,11 +274,9 @@ def coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
     return ms._elements(_coset(ms, parts, x))
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    subspace: SubsetRef
-    transversal: tuple[Element, ...]
-    cosets: tuple[tuple[Element, ...], ...]
+class CosetDecomposition(namedtuple("CosetDecomposition",
+                                    ["subspace", "transversal", "cosets"])):
+    __slots__ = ()
 
 
 def coset_decomposition(ms: MultiGroupSpace, h: SubsetRef) -> CosetDecomposition:

@@ -600,13 +600,13 @@ Z4A4 = Path(__file__).parent / "golden" / "above_bound" / "z4a4.mgs"
 
 def _count_spaces(monkeypatch):
     built = []
-    init = MultiGroupSpace.__post_init__
+    init = MultiGroupSpace.__init__
 
-    def counted(space):
+    def counted(space, *args, **kwargs):
         built.append(space)
-        init(space)
+        init(space, *args, **kwargs)
 
-    monkeypatch.setattr(MultiGroupSpace, "__post_init__", counted)
+    monkeypatch.setattr(MultiGroupSpace, "__init__", counted)
     return built
 
 
@@ -630,7 +630,7 @@ def test_the_walk_passes_only_bitmasks(monkeypatch, path):
     def refuse(*args, **kwargs):
         raise AssertionError("the walk left the top-level tables")
 
-    monkeypatch.setattr(MultiGroupSpace, "__post_init__", refuse)
+    monkeypatch.setattr(MultiGroupSpace, "__init__", refuse)
     monkeypatch.setattr(SubsetRef, "of", staticmethod(refuse))
     monkeypatch.setattr(subspaces_module, "induced_space", refuse)
     monkeypatch.setattr(FiniteGroup, "restrict", refuse)

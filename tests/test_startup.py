@@ -1,0 +1,42 @@
+"""What one `mgs` invocation pays before its query: the modules that
+`import multigroup.cli` loads, and the script that times the import."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def test_importing_the_cli_loads_no_code_generator_or_argparse():
+    """A fresh `import multigroup.cli` adds none of dataclasses, inspect,
+    argparse or json to the modules the interpreter already holds, so a
+    site that preloads one of them does not fail the test."""
+    code = ("import sys; before = set(sys.modules); import multigroup.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = set(subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": str(SRC),
+                                    "PYTHONDONTWRITEBYTECODE": "1"}).stdout.split())
+    assert "multigroup.cli" in added
+    assert not added & {"dataclasses", "inspect", "argparse", "json"}
+
+
+def test_the_startup_script_reports_every_field():
+    """scripts/startup.py with one run of each kind: the three rows of
+    median and quartiles and ten modules by self time. Its times are not
+    byte-stable, so only the fields are checked."""
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "startup.py"), "--runs", "1"],
+                         check=True, capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith("start-up of one mgs invocation, 1 run(s) of each kind, Python ")
+    assert out[1].split() == ["ms", "median", "q1", "q3"]
+    number = r"\d+\.\d"
+    for line, kind in zip(out[2:5], ["interpreter", "cold import", "warm import"]):
+        assert re.fullmatch(rf"{kind} +{number} +{number} +{number}", line), line
+    assert out[5] == "most self time in a cold import (-X importtime, us):"
+    modules = [line.split() for line in out[6:]]
+    assert len(modules) == 10 and all(len(m) == 2 and m[0].isdigit() for m in modules)
+    assert "multigroup.cli" in {name for _, name in modules}
