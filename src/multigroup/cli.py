@@ -133,10 +133,14 @@ def _violations_payload(report) -> list[dict]:
     return [v.to_dict() for v in report.violations]
 
 
-def _subset(ms: MultiGroupSpace, args) -> SubsetRef:
+def _set_elements(args) -> list[str]:
     if not args.set:
         raise DomainError("--set is required for this command")
-    elements = [e for e in args.set.split(",") if e]
+    return [e for e in args.set.split(",") if e]
+
+
+def _subset(ms: MultiGroupSpace, args) -> SubsetRef:
+    elements = _set_elements(args)
     ops = [o for o in args.ops.split(",") if o] if args.ops else None
     return SubsetRef.of(ms, elements, ops)
 
@@ -275,9 +279,7 @@ def _cmd_maximal_series(ms: MultiGroupSpace, args, limits: Limits):
 
 
 def _cmd_span(ms: MultiGroupSpace, args, limits: Limits):
-    if not args.set:
-        raise DomainError("--set is required for this command")
-    seeds = GeneratingSet.of(ms, [e for e in args.set.split(",") if e])
+    seeds = GeneratingSet.of(ms, _set_elements(args))
     once = span_once(ms, seeds)
     closure = span_closure(ms, seeds)
     payload = {

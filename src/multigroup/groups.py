@@ -170,10 +170,6 @@ class FiniteGroup(_Frozen):
         return {m: found[m] for m in sorted(bits, key=lambda m: (len(bits[m]), bits[m]))
                 if group or all(m >> inverse(a) & 1 for a in bits[m])}
 
-    @cached_property
-    def _subgroups(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(map(self._names, self._lattice))
-
     def _names(self, mask: int) -> tuple[Element, ...]:
         return tuple(self.carrier[i] for i in _bits(mask))
 
@@ -527,7 +523,7 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Ele
     Refuses groups larger than the configured bound instead of truncating.
     """
     _check_order(g, limits, "subgroup enumeration")
-    return list(g._subgroups)
+    return list(map(g._names, g._lattice))
 
 
 def _check_order(g: FiniteGroup, limits: Limits, what: str) -> None:

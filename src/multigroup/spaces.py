@@ -4,17 +4,18 @@ A product a *_i b is defined exactly when both operands lie in the carrier
 of operation i. The validation here checks, per unordered pair of distinct
 operations, that at least one of the two distributes over the other on
 every triple whose intermediate products are all defined; a law with no
-fully defined triple holds vacuously. Where the distributor is a group on
-a carrier inside the other's, the laws are decided on Light's generators
-of that group alone, and validation scans that direction first: the other
-is scanned only when the first fails or holds vacuously. Where the other
-is a group too, on the distributor's carrier and its own identity (as in
-a field), the direction is decided on the generators of both: the
+fully defined triple holds vacuously. Where the distributor is a group and
+the other is one too, on the distributor's carrier and its own identity
+(as in a field), the direction is decided on the generators of both: the
 multiplications by the distributor's generators are checked as
-endomorphisms of the other on its generators. Every product lookup of the
-space layer reads the partial-product rule from one place, the int tables
-MultiGroupSpace._tables, built from each group's int table, which the
-parser hands over as it reads the text.
+endomorphisms of the other on its generators; otherwise one scan over the
+distributor's carrier decides it. That check on generators needs the
+distributor to be a group on a carrier inside the other's, as
+multiplication over addition, so validation checks such a direction first:
+the other is checked only when the first fails or holds vacuously. Every
+product lookup of the space layer reads the partial-product rule from one
+place, the int tables MultiGroupSpace._tables, built from each group's int
+table, which the parser hands over as it reads the text.
 """
 
 from __future__ import annotations
@@ -203,15 +204,11 @@ def _getter(indices):
         itemgetter(indices[0], indices[0])
 
 
-def _generator_pass(ms: MultiGroupSpace, times: int, circ: int) -> list[int] | None:
-    """The universe indices of Light's generators of *, less its identity,
-    when they decide whether * distributes over o: * is a group on a
-    carrier inside the o carrier. None otherwise. * and o are positions."""
-    g = ms.groups[times]
-    if ms._carriers[times] & ~ms._carriers[circ] or g._generators is None:
-        return None
-    e = g.index(g.identity)
-    return [ms.index(g.carrier[i]) for i in g._generators if i != e]
+def _group_inside(ms: MultiGroupSpace, times: int, circ: int) -> bool:
+    """Whether * is a group on a carrier inside the o carrier, the shape
+    where _endomorphism_pass can decide. * and o are positions."""
+    return not ms._carriers[times] & ~ms._carriers[circ] and \
+        ms.groups[times]._generators is not None
 
 
 def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None:
@@ -228,7 +225,7 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
     when the maps of Light's generators of * pass, every law with y, z and
     y o z in T holds. Those are the tested laws, 2 |T| (|T|^2 - |T| [e not
     in T]) of them: y o z = e for exactly |T| pairs when e is not in T.
-    When a map fails, the scans decide. With e in a larger T the pass
+    When a map fails, the scan decides. With e in a larger T the pass
     cannot decide, as an endomorphism fixes e and x * e = e only for *'s
     identity x, so it is skipped.
     """
@@ -239,9 +236,10 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
         return None  # T is not in C, o is no group, or a carrier leaves the universe
     e = ms.index(h.identity)
     if not (c_mask & ~t_mask == 1 << e or t_mask == c_mask == 1 << e) or \
-            (xs := _generator_pass(ms, times, circ)) is None:
+            g._generators is None:
         return None
     t, c, cs = ms._tables[times], ms._tables[circ], _bits(c_mask)
+    xs = [ms.index(g.carrier[i]) for i in g._generators if g.carrier[i] != g.identity]
     at_c = _getter(cs)
     zs = [(z, _getter(list(map(c[z].__getitem__, cs))))  # z o y for y in C
           for z in (ms.index(h.carrier[i]) for i in h._generators) if z != e]
@@ -273,18 +271,9 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
     once MAX_DISTRIBUTION_WITNESSES are found; the count does not. When no
     y has a z, no law is defined and no row of * is read.
 
-    When the * carrier T lies inside the o carrier and * is a group, every
-    law with y, z and y o z in T is tested, and the x passing both laws
-    are closed under *: (x1 x2)(y o z) = x1((x2 y) o (x2 z)) =
-    ((x1 x2) y) o ((x1 x2) z), each product defined as T is closed. The
-    identity passes both laws, and Light's generators generate T. So the
-    generators other than the identity are scanned first; if they all
-    pass, the direction holds with tested = 2 |T| times the z counted per
-    y. Otherwise the full scan runs and names the same witnesses.
-
-    Before either, when o is a group too, on T and its own identity,
-    _endomorphism_pass decides the direction on the generators of both
-    operations; the scans run only when it does not.
+    Before the scan, when * is a group and o is one too, on the * carrier
+    and its own identity, _endomorphism_pass decides the direction on the
+    generators of both operations; the scan runs only when it does not.
     """
     t, c, u = ms._tables[times], ms._tables[circ], ms.universe
     n = len(u)
@@ -309,39 +298,33 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
                           _getter(zs), _getter(list(compress(yz, keep)))))
     if not per_y:
         return LawCheck(*ids, holds=True, vacuous=True, tested=0, witnesses=())
-    in_t, is_c = _bits(t_mask), [in_c >> i & 1 for i in range(n + 1)]
-    gens = _generator_pass(ms, times, circ)
-    for xs in [in_t] if gens is None else [gens, in_t]:
-        tested = 0
-        witnesses: list[tuple[Element, Element, Element]] = []
-        for x in xs:
-            tx, cx = t[x], list(map(itemgetter(x), t))  # cx[y] = t[y][x]
-            x_left = sum(compress(bits, map(is_c.__getitem__, map(tx.__getitem__, both))))
-            x_right = sum(compress(bits, map(is_c.__getitem__, map(cx.__getitem__, both))))
-            for y, zs, z_mask, at_z, at_yz in per_y:
-                xy, yx = tx[y], cx[y]
-                left = in_c >> xy & 1
-                right = in_c >> yx & 1
-                tested += left * (z_mask & x_left).bit_count() + \
-                    right * (z_mask & x_right).bit_count()
-                if len(witnesses) == MAX_DISTRIBUTION_WITNESSES:
+    is_c = [in_c >> i & 1 for i in range(n + 1)]
+    tested = 0
+    witnesses: list[tuple[Element, Element, Element]] = []
+    for x in _bits(t_mask):
+        tx, cx = t[x], list(map(itemgetter(x), t))  # cx[y] = t[y][x]
+        x_left = sum(compress(bits, map(is_c.__getitem__, map(tx.__getitem__, both))))
+        x_right = sum(compress(bits, map(is_c.__getitem__, map(cx.__getitem__, both))))
+        for y, zs, z_mask, at_z, at_yz in per_y:
+            xy, yx = tx[y], cx[y]
+            left = in_c >> xy & 1
+            right = in_c >> yx & 1
+            tested += left * (z_mask & x_left).bit_count() + \
+                right * (z_mask & x_right).bit_count()
+            if len(witnesses) == MAX_DISTRIBUTION_WITNESSES:
+                continue
+            failed = set()
+            # x*(y o z) against (x*y) o (x*z), then (y o z)*x against (y*x) o (z*x)
+            for ok, row, product in ((left, tx, xy), (right, cx, yx)):
+                if not ok:
                     continue
-                failed = set()
-                # x*(y o z) against (x*y) o (x*z), then (y o z)*x against (y*x) o (z*x)
-                for ok, row, product in ((left, tx, xy), (right, cx, yx)):
-                    if not ok:
-                        continue
-                    lhs = at_yz(row)
-                    rhs = itemgetter(*at_z(row))(c[product])
-                    if lhs != rhs:
-                        failed.update(z for z, a, b in zip(zs, lhs, rhs)
-                                      if b != n and a != b)
-                for z in sorted(failed)[:MAX_DISTRIBUTION_WITNESSES - len(witnesses)]:
-                    witnesses.append((u[x], u[y], u[z]))
-        if not witnesses:
-            break
-    if xs is gens:
-        tested = 2 * len(in_t) * sum(len(zs) for _, zs, *_ in per_y)
+                lhs = at_yz(row)
+                rhs = itemgetter(*at_z(row))(c[product])
+                if lhs != rhs:
+                    failed.update(z for z, a, b in zip(zs, lhs, rhs)
+                                  if b != n and a != b)
+            for z in sorted(failed)[:MAX_DISTRIBUTION_WITNESSES - len(witnesses)]:
+                witnesses.append((u[x], u[y], u[z]))
     return LawCheck(*ids, holds=not witnesses, vacuous=tested == 0,
                     tested=tested, witnesses=tuple(witnesses))
 
@@ -376,12 +359,13 @@ def _pair_check(ms: MultiGroupSpace, a: int, b: int) -> DistributionCheck | None
     """check_distribution with only the scans the pair's verdict needs:
     None when the first direction scanned holds on at least one tested
     law, since the pair then distributes and is not vacuous. That first
-    direction is the one Light's generators can decide, b over a when only
-    it can, else a over b. Witnesses are reported only when neither
-    direction holds, so both are then scanned, as check_distribution
-    would. a and b are positions."""
-    first = (b, a) if _generator_pass(ms, b, a) is not None and \
-        _generator_pass(ms, a, b) is None else (a, b)
+    direction is b over a when only b is a group on a carrier inside the
+    other's, as multiplication over addition, the shape where
+    _endomorphism_pass can decide; else a over b. Witnesses are reported
+    only when neither direction holds, so both are then scanned, as
+    check_distribution would. a and b are positions."""
+    first = (b, a) if _group_inside(ms, b, a) and not _group_inside(ms, a, b) \
+        else (a, b)
     one = _check_one_direction(ms, *first)
     if one.holds and one.tested:
         return None

@@ -410,8 +410,8 @@ def test_s4_lattice():
 def test_lattice_is_cached_on_the_group():
     g = _fresh(CORPUS["A4"])
     assert subgroups(g) == subgroups(g)
-    assert "_subgroups" in vars(g)
-    assert "_subgroups" not in vars(_fresh(g))
+    assert "_lattice" in vars(g)
+    assert "_lattice" not in vars(_fresh(g))
 
 
 @st.composite

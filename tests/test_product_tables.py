@@ -274,8 +274,8 @@ def test_the_witness_search_stops_early_and_the_count_stays_exact(ms):
 def test_distribution_scan_matches_the_string_scan_on_every_chain_layout():
     """Every layout of the chain family, valid or not, in all six directions:
     the family keeps the spaces this scan calls valid, so its valid spaces
-    alone could hide a wrong "holds". 151 directions have a group inside the
-    other carrier and hold on Light's generators alone."""
+    alone could hide a wrong "holds". In 151 directions the distributor's
+    carrier lies inside the other's and the direction holds."""
     layouts, decided = list(chain_layouts()), 0
     for ms in layouts:
         _same_distribution_scan(ms)
@@ -313,7 +313,7 @@ def _near_field(opposite):
 
 @pytest.mark.parametrize("opposite", [False, True], ids=["left-fails", "right-fails"])
 def test_the_generator_pass_checks_both_laws(opposite):
-    # one law holds everywhere, so Light's generators must fail on the other
+    # one law holds everywhere, so the generators' maps must fail on the other
     ms = _near_field(opposite)
     assert ms.group_of("*")._generators is not None
     check = _direction(ms, "*", "+")
@@ -450,9 +450,15 @@ def _z5_monoid():
     # then on no row is read
     (catalog.prime_field(23), "+", "*", 2 * 2 * (22 + 1)),
     # both laws at each y for every x
-    (_z5_monoid(), "*", "+", 2 * 2 * 5 * 5)],
-    ids=["carrier-outside", "not-a-group"])
-def test_the_generator_pass_needs_a_group_inside_the_other_carrier(
+    (_z5_monoid(), "*", "+", 2 * 2 * 5 * 5),
+    # a group on the whole other carrier, its identity inside, as in
+    # shipped/z4z4: the endomorphism pass is skipped, x = 0 holds at all
+    # 4 y, x = 1 fails at every z and has ten witnesses by y = 2, and from
+    # then on no row is read
+    (_twice(catalog.cyclic(4)), "+", "o", 2 * 2 * (4 + 3)),
+    (_twice(catalog.cyclic(4)), "o", "+", 2 * 2 * (4 + 3))],
+    ids=["carrier-outside", "not-a-group", "z4-twice", "z4-twice-reversed"])
+def test_the_scan_reads_only_the_rows_it_compares(
         monkeypatch, ms, times, circ, reads):
     check, read = _rows_read(monkeypatch, ms, times, circ)
     assert check == scan_check_one_direction(ms, times, circ)
