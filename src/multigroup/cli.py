@@ -13,7 +13,6 @@ import time
 from _json import encode_basestring_ascii as _quote  # what json.encoder uses on CPython
 from errno import EBADF, ELOOP, ENOENT, ENOTDIR
 from functools import cache
-from pathlib import Path
 from types import SimpleNamespace
 
 from .config import DEFAULT_LIMITS, Limits
@@ -346,13 +345,22 @@ def build_parser():
 _ABSENT = (ENOENT, ENOTDIR, EBADF, ELOOP)
 
 
+def _path(instance: str) -> str:
+    """The path that pathlib's Path(instance) names, without importing
+    pathlib: empty and '.' parts dropped, a leading '/' kept (two when
+    exactly two lead), and '.' when nothing is left. So '' reads '.' and
+    a trailing '/' is dropped."""
+    lead = len(instance) - len(instance.lstrip("/"))
+    root = "//" if lead == 2 else "/" * (lead > 0)
+    return root + "/".join(p for p in instance.split("/") if p not in ("", ".")) or "."
+
+
 def _read(instance: str) -> str:
     """The text of the instance file, decoded once from its bytes, or the
     ParseError that reports it. Line ends stay as written: the reader
     splits LF, CRLF and CR alike."""
     try:
-        # Path normalises '' to '.' and drops a trailing '/'
-        with open(Path(instance), "rb") as file:
+        with open(_path(instance), "rb") as file:
             return file.read().decode("utf-8")
     except UnicodeDecodeError as exc:   # a ValueError, but the file is there
         raise ParseError(f"cannot read {instance}: {exc}") from None

@@ -49,7 +49,8 @@ class MultiGroupSpace(_Frozen):
 
     @cached_property
     def _positions(self) -> dict[str, int]:
-        # first wins on duplicate ids; validate_multigroup flags the duplicate
+        # first wins on duplicate ids; validation flags each later group
+        # whose id maps to an earlier position
         out: dict[str, int] = {}
         for k, g in enumerate(self.groups):
             out.setdefault(g.op_id, k)
@@ -355,25 +356,6 @@ def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> Distributio
                              _check_one_direction(ms, b, a))
 
 
-def _pair_check(ms: MultiGroupSpace, a: int, b: int) -> DistributionCheck | None:
-    """check_distribution with only the scans the pair's verdict needs:
-    None when the first direction scanned holds on at least one tested
-    law, since the pair then distributes and is not vacuous. That first
-    direction is b over a when only b is a group on a carrier inside the
-    other's, as multiplication over addition, the shape where
-    _endomorphism_pass can decide; else a over b. Witnesses are reported
-    only when neither direction holds, so both are then scanned, as
-    check_distribution would. a and b are positions."""
-    first = (b, a) if _group_inside(ms, b, a) and not _group_inside(ms, a, b) \
-        else (a, b)
-    one = _check_one_direction(ms, *first)
-    if one.holds and one.tested:
-        return None
-    other = _check_one_direction(ms, *reversed(first))
-    return DistributionCheck(ms.groups[a].op_id, ms.groups[b].op_id,
-                             *((one, other) if first[0] == a else (other, one)))
-
-
 def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
     """Full validity check: structure, per-group axioms, pairwise distribution.
 
@@ -389,50 +371,53 @@ def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
 
 def _validate(ms: MultiGroupSpace) -> ValidationReport:
     report = ValidationReport()
-    universe = set(ms.universe)
+    positions, index = ms._positions, ms._index
 
-    seen_ops: set[str] = set()
-    for g in ms.groups:
-        if g.op_id in seen_ops:
+    covered = 0
+    for k, (g, carrier) in enumerate(zip(ms.groups, ms._carriers)):
+        if positions[g.op_id] != k:  # an earlier group holds the id
             report.add(STRUCTURAL, "duplicate-op",
                        f"operation id {g.op_id!r} declared twice", (g.op_id,))
-        seen_ops.add(g.op_id)
-        outside = [e for e in g.carrier if e not in universe]
-        if outside:
+        outside = next((e for e in g.carrier if e not in index), None)
+        if outside is not None:
             report.add(STRUCTURAL, "carrier-outside-universe",
-                       f"carrier of {g.op_id!r} contains {outside[0]!r} "
+                       f"carrier of {g.op_id!r} contains {outside!r} "
                        f"which is not in the universe",
-                       (g.op_id,), (outside[0],))
+                       (g.op_id,), (outside,))
+        covered |= carrier
 
-    covered = set()
-    for g in ms.groups:
-        covered.update(g.carrier)
-    orphans = [e for e in ms.universe if e not in covered]
+    orphans = ms._elements((1 << len(ms.universe)) - 1 & ~covered)
     if orphans:
         report.add(STRUCTURAL, "orphan-element",
                    f"universe element {orphans[0]!r} belongs to no carrier",
-                   (), tuple(orphans))
+                   (), orphans)
 
     for g in ms.groups:
-        report.merge(validate_group(g, universe))
+        report.merge(validate_group(g, index))
 
     if not report.structural():
-        for (a, ga), (b, gb) in combinations(enumerate(ms.groups), 2):
-            check = _pair_check(ms, a, b)
-            if check is None:
-                continue  # one direction holds on a tested law
-            if check.vacuous:
+        for a, b in combinations(range(len(ms.groups)), 2):
+            # b over a first when only b is a group on a carrier inside a's,
+            # the shape where _endomorphism_pass can decide
+            flip = _group_inside(ms, b, a) and not _group_inside(ms, a, b)
+            first = _check_one_direction(ms, *((b, a) if flip else (a, b)))
+            if first.holds and first.tested:
+                continue  # the pair distributes, and not vacuously
+            second = _check_one_direction(ms, *((a, b) if flip else (b, a)))
+            ida, idb = ms.groups[a].op_id, ms.groups[b].op_id
+            if first.vacuous and second.vacuous:
                 report.note(
-                    f"distribution for ({ga.op_id}, {gb.op_id}) holds vacuously: "
+                    f"distribution for ({ida}, {idb}) holds vacuously: "
                     f"no fully defined mixed triple")
-            if not check.ok:
-                merged = list(dict.fromkeys(check.a_over_b.witnesses
-                                            + check.b_over_a.witnesses))
+            if not (first.holds or second.holds):
+                # both were scanned and failed; witnesses of a over b first
+                a_over_b, b_over_a = (second, first) if flip else (first, second)
+                merged = list(dict.fromkeys(a_over_b.witnesses + b_over_a.witnesses))
                 for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
                     report.add(DISTRIBUTION, "distribution",
-                               f"neither {ga.op_id!r} nor {gb.op_id!r} distributes "
+                               f"neither {ida!r} nor {idb!r} distributes "
                                f"over the other at ({', '.join(w)})",
-                               (ga.op_id, gb.op_id), w)
+                               (ida, idb), w)
     return report
 
 
@@ -464,14 +449,14 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
         return Classification("group")
     if len(ms.groups) == 2:
         g1, g2 = ms.groups
-        u = set(ms.universe)
-        c1, c2 = set(g1.carrier), set(g2.carrier)
+        full = (1 << len(ms.universe)) - 1
+        c1, c2 = ms._carriers
         convention = None
-        if c1 == u and c2 == u:
+        if c1 == full and c2 == full:
             convention = CONVENTION_EXACT
-        elif c1 == u and c2 == u - {g1.identity}:
+        elif c1 == full and c2 == full & ~(1 << ms._index[g1.identity]):
             convention = CONVENTION_IDENTITY_EXCLUDED
-        elif c2 == u and c1 == u - {g2.identity}:
+        elif c2 == full and c1 == full & ~(1 << ms._index[g2.identity]):
             convention = CONVENTION_IDENTITY_EXCLUDED
         if convention is not None:
             if g1.is_abelian and g2.is_abelian:

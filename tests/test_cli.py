@@ -175,15 +175,20 @@ def test_a_file_with_comments_and_other_line_ends_reads_as_the_plain_one(tmp_pat
     ("a\0b", (2, "parse", "no such file: a\0b")),
     ("bad.mgs", (2, "parse", "cannot read bad.mgs: 'utf-8' codec can't decode "
                              "byte 0xff in position 0: invalid start byte")),
+    ("/", (2, "parse", "cannot read /: Is a directory")),
     ("plain.mgs/", (0, None, None)),
     (".//plain.mgs", (0, None, None)),
+    ("plain.mgs/.", (0, None, None)),
+    ("./plain.mgs", (0, None, None)),
 ], ids=["missing", "dot", "empty", "under-a-file", "dangling", "loop", "nul",
-        "undecodable", "trailing-slash", "double-slash"])
+        "undecodable", "root", "trailing-slash", "double-slash", "trailing-dot",
+        "leading-dot"])
 def test_instance_read_errors_follow_path_semantics(tmp_path, monkeypatch,
                                                      instance, expected):
     """A path answers 'no such file' exactly where Path.exists() is false
     (ENOENT, ENOTDIR, ELOOP, a NUL) and 'cannot read' on every other
-    failure; Path's normalisation of '' and a trailing '/' is kept."""
+    failure; Path's normalisation of '', '.' parts and a trailing '/' is
+    kept."""
     (tmp_path / "plain.mgs").write_text((INSTANCE_DIR / "gf5.mgs").read_text())
     (tmp_path / "bad.mgs").write_bytes(b"\xffelements: a\n")
     (tmp_path / "dangling.mgs").symlink_to("nowhere")

@@ -11,7 +11,8 @@ from multigroup.spaces import (MultiGroupSpace, check_distribution,
                                classify_special_case, is_complete,
                                ops_of_element, validate_multigroup)
 
-from conftest import run_cli
+from conftest import relabel, run_cli
+from oracles import scan_validate
 
 
 def test_gf3_distribution_passes(gf3):
@@ -132,6 +133,24 @@ def test_carrier_outside_universe_is_structural():
     ms = MultiGroupSpace(("0", "1"), (g,))
     report = validate_multigroup(ms)
     assert "carrier-outside-universe" in {v.kind for v in report.structural()}
+
+
+def test_every_structural_kind_at_once_matches_the_scan():
+    """One space with a duplicate id on a second carrier, a carrier element
+    outside the universe, two orphans and a group axiom failure: each kind,
+    text and witness, in the scan's order."""
+    z2 = catalog.cyclic(2)
+    first = relabel(z2, ("a0", "a1"), "+")
+    twice = relabel(z2, ("b0", "b1"), "+")
+    outside = relabel(catalog.cyclic(3), ("a0", "b0", "q"), "x")
+    no_identity = FiniteGroup("y", ("b0", "b1"), (("b1", "b0"), ("b0", "b1")), "b0")
+    ms = MultiGroupSpace(("a0", "a1", "z", "b0", "b1", "w"),
+                         (first, twice, outside, no_identity))
+    report = spaces._validate(ms)
+    assert [v.kind for v in report.violations] == [
+        "duplicate-op", "carrier-outside-universe", "orphan-element", "identity"]
+    assert report.structural()[2].witness == ("z", "w")
+    assert report.to_dict() == scan_validate(ms).to_dict()
 
 
 def test_ops_of_element(gf3, z2z3):

@@ -13,16 +13,19 @@ SRC = ROOT / "src"
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():
     """A fresh `import multigroup.cli` adds none of dataclasses, inspect,
-    argparse or json to the modules the interpreter already holds, so a
-    site that preloads one of them does not fail the test."""
+    argparse, json or pathlib to the modules the interpreter already
+    holds, so a site that preloads one of them does not fail the test.
+    It runs once with site and once under -S, where no site preloads
+    pathlib, as on an interpreter whose site does not import it."""
     code = ("import sys; before = set(sys.modules); import multigroup.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    added = set(subprocess.run([sys.executable, "-c", code], check=True,
-                               capture_output=True, text=True,
-                               env={**os.environ, "PYTHONPATH": str(SRC),
-                                    "PYTHONDONTWRITEBYTECODE": "1"}).stdout.split())
-    assert "multigroup.cli" in added
-    assert not added & {"dataclasses", "inspect", "argparse", "json"}
+    for flags in [], ["-S"]:
+        added = set(subprocess.run([sys.executable, *flags, "-c", code], check=True,
+                                   capture_output=True, text=True,
+                                   env={**os.environ, "PYTHONPATH": str(SRC),
+                                        "PYTHONDONTWRITEBYTECODE": "1"}).stdout.split())
+        assert "multigroup.cli" in added, flags
+        assert not added & {"dataclasses", "inspect", "argparse", "json", "pathlib"}, flags
 
 
 def test_the_startup_script_reports_every_field():
