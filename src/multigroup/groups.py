@@ -215,17 +215,17 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     records one.
     """
     report = ValidationReport()
-    members = set(g.carrier)
-    known = members if universe is None else set(universe) | members
-
     closure_witness = None
     structural_witness = None
-    for a, row in zip(g.carrier, g.table) if g._ints[1] else ():
-        for b, p in zip(g.carrier, row):
-            if p not in known:
-                structural_witness = structural_witness or (a, b, p)
-            elif p not in members:
-                closure_witness = closure_witness or (a, b, p)
+    if g._ints[1]:
+        members = set(g.carrier)
+        known = members if universe is None else set(universe) | members
+        for a, row in zip(g.carrier, g.table):
+            for b, p in zip(g.carrier, row):
+                if p not in known:
+                    structural_witness = structural_witness or (a, b, p)
+                elif p not in members:
+                    closure_witness = closure_witness or (a, b, p)
     if structural_witness:
         a, b, p = structural_witness
         report.add(STRUCTURAL, "malformed-table",

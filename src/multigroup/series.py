@@ -17,6 +17,20 @@ The space is valid, so a link's parts are covers by lattice members, and
 normality conjugates with generators only: the elements that conjugate a
 set onto itself form a subgroup. An edge's interposition verdict, a part's
 maximal normal subgroups and a link's SubsetRef are kept on the space.
+
+Three rules let the walk decide by the structure of a step, each exact:
+1. A step of op k from its part P to nxt removes P & ~nxt. A carrier that
+   misses those elements stays whole, a subgroup and normal in itself, and
+   op k's part becomes nxt, normal in P; so when no other carrier meets
+   them the link's carriers are the parent's with nxt at k, and otherwise
+   only the clipped carriers are conjugation-tested (_link_carriers).
+2. An abelian group conjugates every subset onto itself, so an abelian
+   operation's choices are all lattice members strictly inside its part,
+   and its carriers are never conjugation-tested (_choices, _normalised).
+3. When a parent's carriers are pairwise disjoint, a normal subspace M
+   strictly between it and a link would make M & P a normal subgroup of P
+   strictly between nxt and P, against the choice of nxt as maximal; so
+   such an edge is decided without a search (_interposable).
 """
 
 from __future__ import annotations
@@ -74,9 +88,12 @@ class NormalityEvidence(namedtuple("NormalityEvidence", [
 def _normalised(ms: MultiGroupSpace, members: int, carriers: tuple[int, ...]) -> bool:
     """Whether each carrier conjugates the members inside it onto themselves.
     The space is valid, so the elements that do form a group, and the
-    generators its lattice keeps for the carrier suffice."""
+    generators its lattice keeps for the carrier suffice. An abelian
+    operation conjugates every subset onto itself (rule 2), so its carriers
+    are skipped."""
     return all(_normalises(ms._tables[k], x, _bits(members & carrier))
-               for k, carrier in enumerate(carriers) if members & carrier
+               for k, carrier in enumerate(carriers)
+               if members & carrier and not ms.groups[k].is_abelian
                for x in ms._lattice(k)[carrier])
 
 
@@ -156,15 +173,47 @@ def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int):
     return ms._memo[key]
 
 
-def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int):
-    """The carriers of the space induced on a link, which must be a normal
-    subspace of its parent, the space with the given carriers."""
+def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
+                   k: int, nxt: int):
+    """The carriers of the space induced on a link, the step of op k from
+    its part carriers[k] to nxt, a maximal normal subgroup of that part;
+    the link must be a normal subspace of its parent, the space with the
+    given carriers.
+
+    Rule 1: the step removes carriers[k] & ~nxt. A carrier that misses
+    those elements lies whole in the link; it is a lattice member, so it is
+    the one candidate that covers its share of the link, and it conjugates
+    itself onto itself. Op k's share is nxt, also a lattice member, and
+    normal in the part. So when no other carrier meets the removed
+    elements, the link's carriers are the parent's with nxt at k, and
+    otherwise only the carriers they clip need the conjugation test.
+    """
+    removed = carriers[k] & ~nxt
+    clipped = tuple(0 if j == k or not carrier & removed else carrier
+                    for j, carrier in enumerate(carriers))
+    if not any(clipped):
+        return carriers[:k] + (nxt,) + carriers[k + 1:]
     inner = _induced(ms, carriers, link)
-    if inner is None or not _normalised(ms, link, carriers):
+    if inner is None or not _normalised(ms, link, clipped):
         relation = "a subspace of" if inner is None else "normal in"
         raise InternalConsistencyError(
             f"constructed link {ms._elements(link)!r} is not {relation} its parent")
     return inner
+
+
+def _choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
+    """The maximal proper normal subgroups of op k's part, a lattice member,
+    canonically smallest first, kept on the space. Normality is tested with
+    the part's generators; an abelian operation normalises every subset
+    (rule 2), so there every lattice member strictly inside the part is
+    normal in it."""
+    if ("choices", k, part) not in ms._memo:
+        lattice = ms._lattice(k)
+        normal = ([m for m in lattice if m != part and not m & ~part]
+                  if ms.groups[k].is_abelian else
+                  _proper_normal(ms._tables[k], lattice, part, lattice[part]))
+        ms._memo["choices", k, part] = sorted(_maximal(normal), key=_bits)
+    return ms._memo["choices", k, part]
 
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
@@ -190,14 +239,10 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
                 anomalies = anomalies + [f"{ANOMALY_CARRIER_LOST}:{op}"]
             yield from walk(i + 1, chain, spaces, steps, anomalies)
             return
-        if ("choices", k, part) not in ms._memo:  # normality by generators of part
-            lattice = ms._lattice(k)
-            ms._memo["choices", k, part] = sorted(_maximal(_proper_normal(
-                ms._tables[k], lattice, part, lattice[part])), key=_bits)
-        for nxt in ms._memo["choices", k, part]:
+        for nxt in _choices(ms, k, part):
             link = chain[-1] & ~part | nxt
             yield from walk(i, chain + [link],
-                            spaces + [_link_carriers(ms, spaces[-1], link)],
+                            spaces + [_link_carriers(ms, spaces[-1], link, k, nxt)],
                             steps + [op], anomalies)
 
     yield from walk(0, [(1 << len(ms.universe)) - 1], [ms._carriers], [], [])
@@ -249,17 +294,26 @@ def _candidates_between(ms: MultiGroupSpace, carriers: tuple[int, ...],
 
 def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
                   lower: int) -> int | None:
-    """The first normal subspace strictly between a link and its parent, the
-    space with the given carriers, in which the link is normal, or None.
+    """The first normal subspace strictly between a walk link and its
+    parent, the space with the given carriers, in which the link is normal,
+    or None.
 
     The candidates are the unions of lattice members between link and
     parent: every subspace between them is one, as a subspace is a union of
     one subgroup (or nothing) per operation. They come in the order of a
     scan over all 2^|gap| subsets, so the witness is the one it finds.
     The verdict depends on the edge (carriers, lower) alone: kept per space.
+
+    Rule 3: the link is a step of some op k from its part P to nxt, a
+    maximal normal subgroup of P. When the carriers are pairwise disjoint, a
+    normal subspace M strictly between would hold every other carrier
+    whole, and M & P would be its part for op k: a normal subgroup of P
+    strictly between nxt and P, which the choice of nxt rules out. So
+    nothing is searched.
     """
     if ("edge", carriers, lower) not in ms._memo:
-        ms._memo["edge", carriers, lower] = next(
+        disjoint = sum(map(int.bit_count, carriers)) == reduce(or_, carriers).bit_count()
+        ms._memo["edge", carriers, lower] = None if disjoint else next(
             (mid for mid in _candidates_between(ms, carriers, lower)
              if (inner := _induced(ms, carriers, mid)) is not None
              and _normalised(ms, mid, carriers)

@@ -7,7 +7,8 @@ are enumerated by direct recursion, and the subspace criterion multiplies
 out every per-operation candidate assignment.
 
 scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_element_joins,
-scan_word_joins, scan_validate_group, scan_interposable, scan_is_finitely_generated,
+scan_word_joins, scan_validate_group, scan_interposable, scan_link_carriers,
+scan_choices, scan_is_finitely_generated,
 scan_composition_series, scan_is_abelian, scan_proper_normal_subgroups,
 scan_maximal_proper_normal_subgroups, scan_maximal, scan_quotient_group,
 scan_parse_instance, the staged series walk
@@ -35,7 +36,10 @@ search did before it enumerated unions of subgroups; the staged series
 walk builds an induced space for every link and checks the link in it, as
 the series constructions did before they walked universe bitmasks and
 carrier tuples of the top-level space, and it decides interposition with
-scan_interposable;
+scan_interposable; scan_link_carriers decomposes every link in full and
+conjugation-tests it on every carrier, and scan_choices tests every
+lattice member inside a part for normality, abelian or not, as the walk's
+steps and choices did before they decided by the structure of the step;
 scan_is_finitely_generated scans every subset of the universe by size, as
 the generating-set search did before it split the universe into connected
 components; scan_composition_series recurses on the restricted group of
@@ -78,13 +82,14 @@ from multigroup.errors import (DomainError, InternalConsistencyError, ParseError
                                PreconditionError)
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
+                               _maximal, _normalises, _proper_normal,
                                is_normal_subgroup, is_subgroup, validate_group,
                                maximal_proper_normal_subgroups, subgroups)
 from multigroup.report import AXIOM, DISTRIBUTION, STRUCTURAL, ValidationReport
 from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
                                ANOMALY_TERMINAL_MISMATCH, MaximalSeriesResult,
                                NormalityEvidence, NormalSeries, _check_preconditions,
-                               is_normal_subspace)
+                               _induced, is_normal_subspace)
 from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace,
                                check_distribution)
 from multigroup.subspaces import (SubspaceEvidence, SubsetRef, induced_space,
@@ -575,6 +580,33 @@ def scan_interposable(ms, upper_space, lower):
                 is_normal_subspace(mid_space, low_in_mid):
             return tuple(sorted(elems, key=ms.index))
     return None
+
+
+def _scan_normalised(ms: MultiGroupSpace, members: int, carriers: tuple[int, ...]) -> bool:
+    """Whether each carrier conjugates the members inside it onto themselves,
+    by the generators the lattice keeps for the carrier, abelian or not."""
+    return all(_normalises(ms._tables[k], x, _bits(members & carrier))
+               for k, carrier in enumerate(carriers) if members & carrier
+               for x in ms._lattice(k)[carrier])
+
+
+def scan_link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int):
+    """The carriers of the space induced on a link, which must be a normal
+    subspace of its parent, the space with the given carriers."""
+    inner = _induced(ms, carriers, link)
+    if inner is None or not _scan_normalised(ms, link, carriers):
+        relation = "a subspace of" if inner is None else "normal in"
+        raise InternalConsistencyError(
+            f"constructed link {ms._elements(link)!r} is not {relation} its parent")
+    return inner
+
+
+def scan_choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
+    """The maximal proper normal subgroups of op k's part, canonically
+    smallest first, normality tested with the part's generators."""
+    lattice = ms._lattice(k)
+    return sorted(_maximal(_proper_normal(ms._tables[k], lattice, part, lattice[part])),
+                  key=_bits)
 
 
 def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck:

@@ -20,8 +20,9 @@ from multigroup.subspaces import SubsetRef, is_subspace
 
 from conftest import (INSTANCE_DIR, overlapping_chain_family, overlapping_pair_family,
                       relabel, run_cli, subspaces_of)
-from oracles import (_strict_subsets_between, scan_build_series, scan_interposable,
-                     scan_maximal_series, scan_series_stages)
+from oracles import (_strict_subsets_between, scan_build_series, scan_choices,
+                     scan_interposable, scan_link_carriers, scan_maximal_series,
+                     scan_series_stages)
 
 A3 = ("e", "(123)", "(132)")
 S3_SPACE = catalog.single(catalog.symmetric_3())
@@ -595,6 +596,65 @@ def test_interposition_search_matches_the_subset_scan(ms):
                     scan_interposable(ms, space, lower), (order, lower)
 
 
+def _link_outcome(link_carriers, *args):
+    try:
+        return link_carriers(*args)
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+def _steps_match_the_full_checks(ms, order):
+    """Walk every staged chain of the ordering over all choices, past the
+    steps that raise, on a fresh copy of the space: every part gets the
+    choices of the conjugation test on every lattice member inside it, and
+    every step the carrier tuple or the error text of the full
+    decomposition and the conjugation test on every carrier. Whether a
+    step raised."""
+    ms = MultiGroupSpace(ms.universe, ms.groups)
+    ks = [ms._position(op) for op in order]
+    raised = False
+
+    def walk(i, link, carriers):
+        nonlocal raised
+        while i < len(ks) and not carriers[ks[i]] & carriers[ks[i]] - 1:
+            i += 1
+        if i == len(ks):
+            return
+        k, part = ks[i], carriers[ks[i]]
+        choices = series_module._choices(ms, k, part)
+        assert choices == scan_choices(ms, k, part), (order, part)
+        for nxt in choices:
+            low = link & ~part | nxt
+            outcome = _link_outcome(series_module._link_carriers, ms, carriers, low, k, nxt)
+            expected = _link_outcome(scan_link_carriers, ms, carriers, low)
+            assert outcome == expected, (order, low)
+            if type(outcome) is str:
+                raised = True
+            else:
+                walk(i, low, outcome)
+
+    walk(0, (1 << len(ms.universe)) - 1, ms._carriers)
+    return raised
+
+
+@pytest.mark.parametrize("ms", _interposition_cases() + _chain_cases())
+def test_steps_and_choices_match_the_full_checks(ms):
+    """The walk's rules (a step that clips no other carrier keeps the
+    parent's carriers, only clipped carriers are conjugated, an abelian
+    operation's choices need no conjugation) decide every step and every
+    part of every ordering as the full checks do."""
+    for order in permutations(ms.op_set):
+        _steps_match_the_full_checks(ms, order)
+
+
+def test_the_chain_family_breaks_down_on_the_same_orderings():
+    """A step raises on 1,273 of the chain family's 2,130 orderings, with
+    the error text of the full checks."""
+    outcomes = [_steps_match_the_full_checks(ms, order)
+                for ms in overlapping_chain_family() for order in permutations(ms.op_set)]
+    assert (sum(outcomes), len(outcomes)) == (1273, 2130)
+
+
 Z4A4 = Path(__file__).parent / "golden" / "above_bound" / "z4a4.mgs"
 
 
@@ -677,17 +737,42 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _overlapping(carriers):
+    return any(a & b for a, b in combinations(carriers, 2))
+
+
 def test_each_edge_is_decided_once(monkeypatch):
     """Series share links, so they share (parent carriers, link) edges: the
     interposition search asks for the candidates between them once per
-    distinct edge, however many series cross it."""
-    ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
+    distinct edge whose parent carriers overlap, however many series cross
+    it, and never for an edge whose parent carriers are disjoint. GF(13)
+    has edges of both kinds."""
+    ms = catalog.prime_field(13)
     asked = _counted(monkeypatch, "_interposable")
     searched = _counted(monkeypatch, "_candidates_between")
     enumerate_maximal_series(ms, limits=WIDE)
     length_invariance_check(ms, limits=WIDE)
-    assert sorted(searched) == sorted(set(asked))
+    distinct = set(asked)
+    assert sorted(searched) == sorted(edge for edge in distinct if _overlapping(edge[0]))
     assert len(asked) > len(searched) > 0
+    assert len(distinct) > len(searched)
+
+
+def test_disjoint_carriers_need_no_interposition_search(monkeypatch):
+    """On Z4 + A4 every parent's carriers are disjoint: no candidates are
+    built, and every verdict is None, as the scan over every subset of the
+    gap says."""
+    ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
+    searched = _counted(monkeypatch, "_candidates_between")
+    verdicts = []
+    for order in permutations(ms.op_set):
+        for (chain, spaces), (links, carriers) in _staged_walks(ms, order):
+            for lower, low, space, parent in zip(chain[1:], links[1:], spaces, carriers):
+                assert not _overlapping(parent)
+                verdicts.append((series_module._interposable(ms, parent, low),
+                                 scan_interposable(ms, space, lower)))
+    assert searched == [] and verdicts
+    assert set(verdicts) == {(None, None)}
 
 
 def test_the_walk_masks_only_the_links_it_names(monkeypatch):
