@@ -555,11 +555,157 @@ def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:
             if all(_normalises(t, x, hs) for x in gens)]
 
 
-def _normal_masks(g: FiniteGroup, limits: Limits, within) -> list[int]:
-    # the core over every member of `within` as conjugator, so none need generate it
+def _top(g: FiniteGroup, limits: Limits, within) -> int:
     _check_order(g, limits, "subgroup enumeration")
-    top = (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
+    return (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
+
+
+def _normal_masks(g: FiniteGroup, top: int) -> list[int]:
+    # the core over every member of `top` as conjugator, so none need generate it
     return _proper_normal(g._ints[0], g._lattice, top, _bits(top))
+
+
+# every group of smaller order is solvable: A5, of order 60, is the
+# smallest that is not
+_SOLVABLE_BELOW = 60
+
+
+def _primes(n: int) -> list[int]:
+    out, q = [], 2  # the primes dividing n, smallest first
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+def _power(t: list[list[int]], x: int, p: int, e: int) -> int:
+    y = e  # x^p in a group with identity e, by repeated squaring
+    while True:
+        if p & 1:
+            y = t[y][x]
+        p >>= 1
+        if not p:
+            return y
+        x = t[x][x]
+
+
+def _derived(t: list[list[int]], members: list[int], e: int) -> int:
+    """The commutator subgroup of the subgroup with the given members, in a
+    group with identity e: the closure of the commutators
+    x^-1 y^-1 x y = (y x)^-1 (x y), one per pair, as [y, x] is the inverse
+    of [x, y]."""
+    inverse, out = {}, 1 << e
+    for i, x in enumerate(members):
+        row = t[x]
+        for y in members[:i]:
+            xy, yx = row[y], t[y][x]
+            if xy != yx:
+                if yx not in inverse:
+                    inverse[yx] = t[yx].index(e)
+                out |= 1 << t[inverse[yx]][xy]
+    return _close((t,), 0, out)
+
+
+def _hyperplanes(t: list[list[int]], members: list[int], low: int, p: int) -> list[int]:
+    """The preimages of the hyperplanes of P/low, where P (members) is a
+    group and low a normal subgroup with P/low elementary abelian of
+    exponent p, an F_p vector space. A basis of it is taken greedily in
+    member order: x is the next basis vector when it lies outside the span
+    so far, and x^j times each coset so far (j = 1 .. p-1) is the coset of
+    coordinates j times the new unit vector plus that coset's. So cosets[c]
+    is the coset whose coordinates are the base-p digits of c, and each
+    hyperplane is the kernel of one functional, the one whose leading
+    nonzero coefficient is 1."""
+    if len(members) == p * low.bit_count():
+        return [low]  # P/low has order p: its one hyperplane is 0
+    cosets, span, dim = [low], low, 0
+    for x in members:
+        if span >> x & 1:
+            continue
+        new, y = [], x
+        for _ in range(1, p):
+            row = t[y]
+            new += [sum(1 << row[z] for z in _bits(c)) for c in cosets]
+            y = t[y][x]
+        cosets += new
+        span |= sum(new)
+        dim += 1
+    planes = []
+    for f in range(1, len(cosets)):
+        lead = f
+        while lead >= p:
+            lead //= p
+        if lead != 1:
+            continue
+        values = [0]  # f applied to the coordinates of each coset
+        for _ in range(dim):
+            f, a = divmod(f, p)
+            values = [(v + j * a) % p for j in range(p) for v in values]
+        planes.append(sum(c for c, v in zip(cosets, values) if not v))
+    return planes
+
+
+def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
+                    lattice) -> list[int]:
+    """The maximal proper normal subgroups of the subgroup `part` of the
+    group with int table t and identity index e, canonically smallest
+    first (sorted by _bits). `abelian` says that the group is; lattice()
+    gives its lattice over t's indices, read only for a part that is not
+    solvable.
+
+    M is maximal normal in P exactly when P/M is simple. If P is solvable,
+    so is P/M, and a simple solvable group is cyclic of prime order p. Then
+    P/M is abelian of exponent p, so M holds every commutator and every
+    p-th power: M contains N_p = P'·P^p. P/N_p is abelian of exponent p,
+    an F_p vector space; each of its subgroups is normal in it, so its
+    preimage is normal in P, and the preimages of prime index are those of
+    the hyperplanes. So the maximal normal subgroups of P are the
+    preimages of the hyperplanes of P/N_p over the primes p dividing
+    |P : P'| (for any other p, N_p = P). P/P' is abelian, so N_p is the
+    union of the cosets of P' through the p-th powers. For an abelian
+    operation P' is the identity and N_p = {x^p}. A part of prime order
+    has only the identity below it. Every group of order below 60 is
+    solvable, so the derived series is walked only from there: where it
+    stalls above the identity, P is not solvable, and the lattice members
+    strictly inside P that P's generators normalise are filtered.
+    """
+    order = part.bit_count()
+    primes = _primes(order)
+    if primes == [order]:
+        return [1 << e]
+    members = _bits(part)
+    derived = 1 << e if abelian else _derived(t, members, e)
+    if not abelian and order >= _SOLVABLE_BELOW:
+        upper, lower = part, derived
+        while lower.bit_count() >= _SOLVABLE_BELOW:
+            if lower == upper:  # the derived series stalls: not solvable
+                lat = lattice()
+                return sorted(_maximal(_proper_normal(t, lat, part, lat[part])), key=_bits)
+            upper, lower = lower, _derived(t, _bits(lower), e)
+    out, coset = [], _bits(derived)
+    for p in primes if len(coset) == 1 else _primes(order // len(coset)):
+        low = derived
+        for x in members:
+            y = _power(t, x, p, e)
+            if not low >> y & 1:
+                row = t[y]
+                low |= sum(1 << row[d] for d in coset)
+        out += _hyperplanes(t, members, low, p)
+    return sorted(out, key=_bits)
+
+
+def _maximal_masks(g: FiniteGroup, top: int) -> list[int]:
+    """The maximal proper normal subgroups of g's subset top, by size and
+    then canonical order: from the prime-index quotients when g is a group
+    and top a subgroup of it, and otherwise by the lattice filter."""
+    if g._generators is None or _close((g._ints[0],), 0, top) != top:
+        return _maximal(_normal_masks(g, top))
+    masks = _maximal_normal(g._ints[0], top, g.index(g.identity), g.is_abelian,
+                            lambda: g._lattice)
+    return sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
 
 
 def proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
@@ -567,14 +713,16 @@ def proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
     """The proper normal subgroups of the group g, or of its subgroup
     `within`: the subgroups of a subgroup are the members of g's lattice
     inside it, so its own lattice is never enumerated."""
-    return list(map(g._names, _normal_masks(g, limits, within)))
+    return list(map(g._names, _normal_masks(g, _top(g, limits, within))))
 
 
 def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
                                     within=None) -> list[tuple[Element, ...]]:
     """Proper normal subgroups with no strictly larger proper normal subgroup
-    above them, of g or of its subgroup `within`."""
-    return list(map(g._names, _maximal(_normal_masks(g, limits, within))))
+    above them, of g or of its subgroup `within`, by size and then
+    canonical order. On a group they come from the prime-index quotients
+    (_maximal_normal), which need no lattice."""
+    return list(map(g._names, _maximal_masks(g, _top(g, limits, within))))
 
 
 def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:
@@ -619,19 +767,17 @@ def composition_series(g: FiniteGroup,
 
     Each step descends to a maximal proper normal subgroup of the previous
     link, so every returned chain ends at the trivial subgroup and cannot
-    be refined. The links are bitmasks of g's own lattice, the only one
-    enumerated, filtered to each link with every member as a conjugator,
-    and they are named at the end.
+    be refined. The links are bitmasks over g's own table, each link's
+    maximal normal subgroups taken from its prime-index quotients
+    (_maximal_normal), so a solvable group builds no lattice, and they are
+    named at the end.
     """
     _check_order(g, limits, "composition series")
-    t, lattice = g._ints[0], g._lattice
 
     def descend(link):
         if not link & link - 1:
             return [(link,)]
-        return [(link,) + tail
-                for n in _maximal(_proper_normal(t, lattice, link, _bits(link)))
-                for tail in descend(n)]
+        return [(link,) + tail for n in _maximal_masks(g, link) for tail in descend(n)]
 
     return [CompositionChain(tuple(map(g._names, links)))
             for links in descend((1 << g.order) - 1)]

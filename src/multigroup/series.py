@@ -20,13 +20,22 @@ maximal normal subgroups and a link's SubsetRef are kept on the space.
 
 Three rules let the walk decide by the structure of a step, each exact:
 1. A step of op k from its part P to nxt removes P & ~nxt. A carrier that
-   misses those elements stays whole, a subgroup and normal in itself, and
-   op k's part becomes nxt, normal in P; so when no other carrier meets
-   them the link's carriers are the parent's with nxt at k, and otherwise
-   only the clipped carriers are conjugation-tested (_link_carriers).
-2. An abelian group conjugates every subset onto itself, so an abelian
-   operation's choices are all lattice members strictly inside its part,
-   and its carriers are never conjugation-tested (_choices, _normalised).
+   misses those elements stays whole, a subgroup and normal in itself; a
+   clipped carrier that the link misses is lost, with nothing to cover or
+   conjugate; and op k's part becomes nxt, normal in P. So when the link
+   misses every other carrier that meets them, the link's carriers are
+   the parent's with nxt at k and those carriers lost, and otherwise only
+   the clipped carriers are conjugation-tested (_link_carriers).
+2. A part's choices come from its abelian quotients, not its lattice. If
+   P is solvable, every simple quotient of P is cyclic of prime order, so
+   the maximal normal subgroups of P are the preimages of the hyperplanes
+   of P/N_p, N_p = P'·P^p, for each prime p dividing |P : P'|; on an
+   abelian operation P' is the identity. A part of prime order has only
+   the identity below it, and a part that is not solvable (its derived
+   series stalls above the identity, which needs order 60 or more) keeps
+   the lattice filter (_choices, groups._maximal_normal). An abelian group
+   conjugates every subset onto itself, so its carriers are never
+   conjugation-tested (_normalised).
 3. When a parent's carriers are pairwise disjoint, a normal subspace M
    strictly between it and a link would make M & P a normal subgroup of P
    strictly between nxt and P, against the choice of nxt as maximal; so
@@ -43,8 +52,7 @@ from operator import or_
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
-from .groups import (Element, _bits, _maximal, _normalises, _proper_normal,
-                     is_normal_subgroup)
+from .groups import Element, _bits, _maximal_normal, _normalises, is_normal_subgroup
 from .spaces import MultiGroupSpace, validate_multigroup
 from .subspaces import (SubsetRef, _decomposition, _lattice_part_candidates,
                         is_subspace, subspace_decomposition)
@@ -180,19 +188,25 @@ def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
     the link must be a normal subspace of its parent, the space with the
     given carriers.
 
-    Rule 1: the step removes carriers[k] & ~nxt. A carrier that misses
-    those elements lies whole in the link; it is a lattice member, so it is
-    the one candidate that covers its share of the link, and it conjugates
-    itself onto itself. Op k's share is nxt, also a lattice member, and
-    normal in the part. So when no other carrier meets the removed
-    elements, the link's carriers are the parent's with nxt at k, and
-    otherwise only the carriers they clip need the conjugation test.
+    Rule 1: the step removes carriers[k] & ~nxt, and clips each other
+    carrier that meets those elements. A carrier it does not clip lies
+    whole in the link; it is a lattice member, so it is the one candidate
+    that covers its share of the link, and it conjugates itself onto
+    itself. A clipped carrier that the link misses is lost (0): it has
+    nothing to cover or conjugate. Op k's share is nxt, as any carrier
+    that meets carriers[k] & ~nxt is clipped; nxt is also a lattice member,
+    and normal in the part. So when the link misses every clipped carrier,
+    the link's carriers are the parent's with nxt at k and 0 at each
+    clipped one, and otherwise only the clipped carriers need the
+    conjugation test.
     """
     removed = carriers[k] & ~nxt
     clipped = tuple(0 if j == k or not carrier & removed else carrier
                     for j, carrier in enumerate(carriers))
-    if not any(clipped):
-        return carriers[:k] + (nxt,) + carriers[k + 1:]
+    if not any(clip & link for clip in clipped):
+        spliced = [0 if clip else carrier for carrier, clip in zip(carriers, clipped)]
+        spliced[k] = nxt
+        return tuple(spliced)
     inner = _induced(ms, carriers, link)
     if inner is None or not _normalised(ms, link, clipped):
         relation = "a subspace of" if inner is None else "normal in"
@@ -203,16 +217,13 @@ def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
 
 def _choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
     """The maximal proper normal subgroups of op k's part, a lattice member,
-    canonically smallest first, kept on the space. Normality is tested with
-    the part's generators; an abelian operation normalises every subset
-    (rule 2), so there every lattice member strictly inside the part is
-    normal in it."""
+    canonically smallest first, kept on the space. They come from the
+    part's prime-index quotients (rule 2, groups._maximal_normal), and
+    only a part that is not solvable reads op k's lattice."""
     if ("choices", k, part) not in ms._memo:
-        lattice = ms._lattice(k)
-        normal = ([m for m in lattice if m != part and not m & ~part]
-                  if ms.groups[k].is_abelian else
-                  _proper_normal(ms._tables[k], lattice, part, lattice[part]))
-        ms._memo["choices", k, part] = sorted(_maximal(normal), key=_bits)
+        g = ms.groups[k]
+        ms._memo["choices", k, part] = _maximal_normal(
+            ms._tables[k], part, ms.index(g.identity), g.is_abelian, lambda: ms._lattice(k))
     return ms._memo["choices", k, part]
 
 

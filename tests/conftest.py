@@ -1,6 +1,7 @@
 import io
 import sys
 from contextlib import redirect_stdout
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
@@ -15,6 +16,7 @@ settings.load_profile("suite")
 sys.path.insert(0, str(Path(__file__).parent))
 
 from multigroup import catalog, cli  # noqa: E402
+from multigroup.groups import FiniteGroup  # noqa: E402
 from multigroup.subspaces import is_subspace  # noqa: E402
 from oracles import subset_op_combinations  # noqa: E402
 
@@ -81,6 +83,33 @@ def run_cli(argv):
     with redirect_stdout(buffer):
         code = cli.main(argv)
     return buffer.getvalue(), code
+
+
+def count_lattices(monkeypatch):
+    """The groups whose lattice is evaluated from now on, one entry per
+    evaluation; a group's lattice is cached on it, so it is evaluated at
+    most once per group object."""
+    lattice = FiniteGroup.__dict__["_lattice"]
+    evaluations = []
+
+    def counted(group):
+        evaluations.append(group)
+        return lattice.func(group)
+
+    counting = cached_property(counted)
+    counting.__set_name__(FiniteGroup, "_lattice")
+    monkeypatch.setattr(FiniteGroup, "_lattice", counting)
+    return evaluations
+
+
+def instance_text(ms):
+    """The instance file text of a space."""
+    lines = ["elements: " + " ".join(ms.universe)]
+    for g in ms.groups:
+        lines += [f"group {g.op_id}:", "  carrier: " + " ".join(g.carrier),
+                  f"  identity: {g.identity}", "  table:"]
+        lines += [f"    {a}: " + " ".join(row) for a, row in zip(g.carrier, g.table)]
+    return "\n".join(lines) + "\n"
 
 
 def relabel(group, names, op_id):

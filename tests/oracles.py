@@ -39,12 +39,15 @@ carrier tuples of the top-level space, and it decides interposition with
 scan_interposable; scan_link_carriers decomposes every link in full and
 conjugation-tests it on every carrier, and scan_choices tests every
 lattice member inside a part for normality, abelian or not, as the walk's
-steps and choices did before they decided by the structure of the step;
+steps and choices did before they decided by the structure of the step
+and took a part's choices from its prime-index quotients;
 scan_is_finitely_generated scans every subset of the universe by size, as
 the generating-set search did before it split the universe into connected
 components; scan_composition_series recurses on the restricted group of
-every maximal normal subgroup, as composition_series did before it
-filtered the top-level lattice to each link; scan_is_abelian compares
+every maximal normal subgroup, found by the string scan, as
+composition_series did before it filtered the top-level lattice to each
+link and then took each link's maximal normal subgroups from its
+prime-index quotients; scan_is_abelian compares
 string-keyed products, as FiniteGroup.is_abelian did before it compared
 the int table with its transpose; scan_maximal compares every mask with
 every other, as groups._maximal did before it kept masks largest first;
@@ -55,7 +58,8 @@ pass;
 scan_proper_normal_subgroups and scan_maximal_proper_normal_subgroups
 filter the named lattice with a conjugation scan over every element of
 the carrier or of `within`, as their engine namesakes did before they ran
-on lattice bitmasks. scan_check_one_direction,
+on lattice bitmasks, and the maximal ones on a group before they came from
+the prime-index quotients. scan_check_one_direction,
 scan_is_complete, scan_span_once, scan_coset and scan_is_normal_subspace
 test carrier membership and multiply with FiniteGroup.mul, as the
 distribution scan, the raw reading, the one-step span, cosets and the
@@ -84,7 +88,7 @@ from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
                                _maximal, _normalises, _proper_normal,
                                is_normal_subgroup, is_subgroup, validate_group,
-                               maximal_proper_normal_subgroups, subgroups)
+                               subgroups)
 from multigroup.report import AXIOM, DISTRIBUTION, STRUCTURAL, ValidationReport
 from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
                                ANOMALY_TERMINAL_MISMATCH, MaximalSeriesResult,
@@ -357,7 +361,7 @@ def scan_composition_series(g, limits: Limits = DEFAULT_LIMITS):
     if g.order == 1:
         return [CompositionChain((whole,))]
     chains = []
-    for n in maximal_proper_normal_subgroups(g, limits):
+    for n in scan_maximal_proper_normal_subgroups(g, limits):
         for tail in scan_composition_series(g.restrict(n), limits):
             chains.append(CompositionChain((whole,) + tail.links))
     return chains

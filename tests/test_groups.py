@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import multigroup
-from multigroup import catalog, groups, subspaces
+from multigroup import catalog, groups, series, subspaces
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
@@ -22,10 +22,12 @@ from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace
 
-from conftest import INSTANCE_DIR, overlapping_chain_family, small_space_catalog
+from conftest import (INSTANCE_DIR, count_lattices, overlapping_chain_family,
+                      small_space_catalog)
 from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
-                     scan_composition_series, scan_element_joins, scan_is_abelian,
+                     scan_choices, scan_composition_series, scan_element_joins,
+                     scan_is_abelian,
                      scan_maximal, scan_maximal_proper_normal_subgroups,
                      scan_proper_normal_subgroups, scan_quotient_group,
                      scan_subgroups, scan_validate_group, scan_word_joins)
@@ -510,20 +512,13 @@ def test_composition_series_matches_the_restricting_recursion(name):
 
 @pytest.mark.parametrize("name", ["D4", "Q8", "Z12"])
 def test_composition_series_enumerates_one_lattice(monkeypatch, name):
-    """Every link's maximal normal subgroups come from the top-level lattice;
-    the recursion through restrict() evaluated 11, 7 and 6 lattices."""
-    lattice = FiniteGroup.__dict__["_lattice"]
-    evaluations = []
-
-    def counted(group):
-        evaluations.append(group)
-        return lattice.func(group)
-
-    counting = cached_property(counted)
-    counting.__set_name__(FiniteGroup, "_lattice")
-    monkeypatch.setattr(FiniteGroup, "_lattice", counting)
+    """At most the top-level lattice, and on a solvable group none: every
+    link's maximal normal subgroups come from its prime-index quotients.
+    The recursion through restrict() evaluated 11, 7 and 6 lattices, and
+    the filter of the top-level lattice one."""
+    evaluations = count_lattices(monkeypatch)
     composition_series(_fresh(CORPUS[name]))
-    assert len(evaluations) == 1
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -795,6 +790,74 @@ def test_the_lattice_joins_every_element_closure_on_semigroups(monkeypatch):
     outcomes = list(map(_lattice_outcome, cases))
     monkeypatch.setattr(groups, "_closed_subsets", scan_element_joins)
     assert outcomes == [_lattice_outcome(_fresh(g)) for g in cases]
+
+
+WIDE_ORDER = Limits(max_group_order=128)
+QUOTIENT_GROUPS = {
+    **{name: catalog.single(CORPUS[name]) for name in CORPUS_NAMES},
+    "S4": catalog.single(_symmetric_4()),
+    "S4xZ2": catalog.single(_direct_product(_symmetric_4(), catalog.cyclic(2))),
+    "Z2^5": catalog.single(Z2_5), "Z2^6": catalog.single(Z2_6),
+    "GF53": catalog.prime_field(53), "A5": catalog.single(_alternating_5()),
+    "A5xZ2": catalog.single(_direct_product(_alternating_5(), catalog.cyclic(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_GROUPS))
+def test_choices_from_the_quotients_match_the_conjugation_scan(name):
+    """At every lattice member with two or more elements, of every group of
+    the space, the maximal normal subgroups from the prime-index quotients
+    are those of the conjugation test on every lattice member inside it,
+    canonically smallest first; A5 and A5 x Z2 are not solvable, and their
+    parts of order 60 or more take the lattice filter."""
+    ms = QUOTIENT_GROUPS[name]
+    ms = MultiGroupSpace(ms.universe, tuple(map(_fresh, ms.groups)))
+    parts = 0
+    for k in range(len(ms.groups)):
+        for part in ms._lattice(k):
+            if part & part - 1:
+                assert series._choices(ms, k, part) == scan_choices(ms, k, part), \
+                    ms._elements(part)
+                parts += 1
+    assert parts == sum(len(ms._lattice(k)) - 1 for k in range(len(ms.groups)))
+
+
+def test_a5_x_z2_keeps_the_maximal_normal_subgroup_of_non_abelian_quotient():
+    """A5 x Z2 has two maximal normal subgroups: A5 x {0} of index 2, a
+    hyperplane preimage, and {e} x Z2 of index 60, whose quotient A5 no
+    hyperplane gives."""
+    ms = QUOTIENT_GROUPS["A5xZ2"]
+    top = (1 << len(ms.universe)) - 1
+    choices = [ms._elements(m) for m in series._choices(ms, 0, top)]
+    assert sorted(map(len, choices)) == [2, 60]
+    assert all(e.endswith("|0") for e in max(choices, key=len))
+    e = ms.groups[0].identity.rsplit("|", 1)[0]
+    assert set(min(choices, key=len)) == {f"{e}|0", f"{e}|1"}
+
+
+@pytest.mark.parametrize("name", ["S4", "S4xZ2", "A5", "A5xZ2"])
+def test_maximal_normal_subgroups_of_larger_groups_match_the_string_scan(name):
+    """The name wrappers on the group's own table, for the whole group and
+    every subgroup `within`, and every composition series, as the string
+    scan and the recursion through restrict() find them."""
+    g = _fresh(QUOTIENT_GROUPS[name].groups[0])
+    assert maximal_proper_normal_subgroups(g, WIDE_ORDER) == \
+        scan_maximal_proper_normal_subgroups(g, WIDE_ORDER)
+    for within in subgroups(g, WIDE_ORDER):
+        assert maximal_proper_normal_subgroups(g, WIDE_ORDER, within) == \
+            scan_maximal_proper_normal_subgroups(g, WIDE_ORDER, within)
+    assert composition_series(g, WIDE_ORDER) == scan_composition_series(g, WIDE_ORDER)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_maximal_normal_subgroups_within_any_subset(name):
+    """A `within` that is no subgroup, or empty, takes the lattice filter,
+    as the string scan over its members as conjugators does."""
+    g = CORPUS[name]
+    for size in range(g.order + 1):
+        for within in combinations(g.carrier, size):
+            assert maximal_proper_normal_subgroups(g, within=within) == \
+                scan_maximal_proper_normal_subgroups(g, within=within), within
 
 
 def test_lattices_above_the_default_bound():

@@ -1,5 +1,4 @@
 import sys
-from functools import cached_property
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -18,8 +17,9 @@ from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, MaximalSeriesResult,
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup.subspaces import SubsetRef, is_subspace
 
-from conftest import (INSTANCE_DIR, overlapping_chain_family, overlapping_pair_family,
-                      relabel, run_cli, subspaces_of)
+from conftest import (INSTANCE_DIR, count_lattices, instance_text,
+                      overlapping_chain_family, overlapping_pair_family, relabel,
+                      run_cli, subspaces_of)
 from oracles import (_strict_subsets_between, scan_build_series, scan_choices,
                      scan_interposable, scan_link_carriers, scan_maximal_series,
                      scan_series_stages)
@@ -706,24 +706,74 @@ def test_the_walk_passes_only_bitmasks(monkeypatch, path):
 
 
 def test_lattices_are_enumerated_once_per_operation(monkeypatch):
-    """The staged descent and the interposition search take the subgroups
-    of every part and of every induced carrier from the lattices of the
-    top-level groups instead of enumerating each restricted group again:
-    one evaluation for Z4, one for A4."""
-    lattice = FiniteGroup.__dict__["_lattice"]
-    evaluations = []
-
-    def counted(group):
-        evaluations.append(group)
-        return lattice.func(group)
-
-    counting = cached_property(counted)
-    counting.__set_name__(FiniteGroup, "_lattice")
-    monkeypatch.setattr(FiniteGroup, "_lattice", counting)
+    """At most once per operation, and none when every part is solvable and
+    the carriers are disjoint: the staged descent takes each part's choices
+    from its prime-index quotients, every step of Z4 + A4 keeps the other
+    carriers whole, and disjoint carriers need no interposition search. The
+    lattices of the top-level groups were read once each for Z4 and A4."""
+    evaluations = count_lattices(monkeypatch)
     ms = parse_instance(Z4A4.read_text(encoding="utf-8"))
     enumerate_maximal_series(ms, limits=WIDE)
     length_invariance_check(ms, limits=WIDE)
-    assert len(evaluations) == 2
+    assert evaluations == []
+
+
+def test_gf13_maximal_series_enumerates_each_lattice_at_most_once(monkeypatch):
+    """On GF(13) a step of * clips the + carrier, so the link is covered and
+    edges with overlapping carriers are searched, both by lattice members:
+    each operation's lattice is evaluated once at most, for all orderings."""
+    evaluations = count_lattices(monkeypatch)
+    ms = catalog.prime_field(13)
+    enumerate_maximal_series(ms, limits=WIDE)
+    length_invariance_check(ms, limits=WIDE)
+    evaluated = [id(g) for g in evaluations]
+    assert evaluated and len(set(evaluated)) == len(evaluated)
+    assert set(evaluated) <= set(map(id, ms.groups))
+
+
+GF13_SERIES = """command: series
+instance: <instance>
+order:
+  - +
+  - *
+chain:
+  -
+    elements: {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+    ops:
+      - +
+      - *
+  -
+    elements: {0}
+    ops:
+      - +
+step_ops:
+  - +
+length: 1
+anomalies:
+  - CARRIER_LOST:*
+  - TERMINAL_MISMATCH: terminal {0} != {1}
+exit_code: 0
+"""
+
+
+def test_a_step_that_loses_every_clipped_carrier_splices(monkeypatch, tmp_path):
+    """mgs series on GF(13) in file order: + steps to {0}, which clips the *
+    carrier and misses it, so * is lost with nothing to cover or conjugate;
+    the link is spliced with no cover search, and Z13 has prime order, so
+    no lattice is evaluated. The report is the one the full checks gave."""
+    path = tmp_path / "gf13.mgs"
+    path.write_text(instance_text(catalog.prime_field(13)), encoding="utf-8")
+    evaluations, covers = count_lattices(monkeypatch), []
+    induced = series_module._induced
+
+    def counted(*args):
+        covers.append(args[1:])
+        return induced(*args)
+
+    monkeypatch.setattr(series_module, "_induced", counted)
+    out, code = run_cli(["series", str(path)])
+    assert (out.replace(str(path), "<instance>"), code) == (GF13_SERIES, 0)
+    assert covers == [] and evaluations == []
 
 
 def _counted(monkeypatch, name):
