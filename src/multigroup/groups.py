@@ -619,8 +619,6 @@ def _hyperplanes(t: list[list[int]], members: list[int], low: int, p: int) -> li
     is the coset whose coordinates are the base-p digits of c, and each
     hyperplane is the kernel of one functional, the one whose leading
     nonzero coefficient is 1."""
-    if len(members) == p * low.bit_count():
-        return [low]  # P/low has order p: its one hyperplane is 0
     cosets, span, dim = [low], low, 0
     for x in members:
         if span >> x & 1:
@@ -697,11 +695,12 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
     return sorted(out, key=_bits)
 
 
-def _maximal_masks(g: FiniteGroup, top: int) -> list[int]:
+def _maximal_masks(g: FiniteGroup, top: int, group: bool) -> list[int]:
     """The maximal proper normal subgroups of g's subset top, by size and
-    then canonical order: from the prime-index quotients when g is a group
-    and top a subgroup of it, and otherwise by the lattice filter."""
-    if g._generators is None or _close((g._ints[0],), 0, top) != top:
+    then canonical order: from the prime-index quotients when group says
+    that g is a group and top a subgroup of it, and otherwise by the
+    lattice filter."""
+    if not group:
         return _maximal(_normal_masks(g, top))
     masks = _maximal_normal(g._ints[0], top, g.index(g.identity), g.is_abelian,
                             lambda: g._lattice)
@@ -722,7 +721,9 @@ def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIM
     above them, of g or of its subgroup `within`, by size and then
     canonical order. On a group they come from the prime-index quotients
     (_maximal_normal), which need no lattice."""
-    return list(map(g._names, _maximal_masks(g, _top(g, limits, within))))
+    top = _top(g, limits, within)
+    group = g._generators is not None and _close((g._ints[0],), 0, top) == top
+    return list(map(g._names, _maximal_masks(g, top, group)))
 
 
 def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:
@@ -769,15 +770,18 @@ def composition_series(g: FiniteGroup,
     link, so every returned chain ends at the trivial subgroup and cannot
     be refined. The links are bitmasks over g's own table, each link's
     maximal normal subgroups taken from its prime-index quotients
-    (_maximal_normal), so a solvable group builds no lattice, and they are
-    named at the end.
+    (_maximal_normal), so a solvable group builds no lattice. Each link's
+    chains down to the identity are listed once, however many paths reach
+    it, and they are named at the end.
     """
     _check_order(g, limits, "composition series")
+    group, tails = g._generators is not None, {}
 
     def descend(link):
-        if not link & link - 1:
-            return [(link,)]
-        return [(link,) + tail for n in _maximal_masks(g, link) for tail in descend(n)]
+        if link not in tails:
+            tails[link] = [(link,)] if not link & link - 1 else \
+                [(link,) + tail for n in _maximal_masks(g, link, group) for tail in descend(n)]
+        return tails[link]
 
     return [CompositionChain(tuple(map(g._names, links)))
             for links in descend((1 << g.order) - 1)]

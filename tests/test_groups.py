@@ -653,6 +653,18 @@ def _alternating_5():
         if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0])
 
 
+def _dihedral(n):
+    """The symmetries of the n-gon: rotations rk, and reflections sk = rk s,
+    with s rk = r(-k) s."""
+    def mul(x, y):
+        a, b = int(x[1:]), int(y[1:])
+        flip = (x[0] == "s") != (y[0] == "s")
+        return ("s" if flip else "r") + str((a - b if x[0] == "s" else a + b) % n)
+
+    return FiniteGroup.from_function("*", [f"{c}{k}" for c in "rs" for k in range(n)],
+                                     mul, "r0")
+
+
 ABOVE_BOUND = Limits(max_group_order=64)
 Z2_5 = reduce(_direct_product, [catalog.cyclic(2)] * 5)
 Z2_6 = reduce(_direct_product, [catalog.cyclic(2)] * 6)
@@ -800,6 +812,8 @@ QUOTIENT_GROUPS = {
     "Z2^5": catalog.single(Z2_5), "Z2^6": catalog.single(Z2_6),
     "GF53": catalog.prime_field(53), "A5": catalog.single(_alternating_5()),
     "A5xZ2": catalog.single(_direct_product(_alternating_5(), catalog.cyclic(2))),
+    "S4xZ3": catalog.single(_direct_product(_symmetric_4(), catalog.cyclic(3))),
+    "D61": catalog.single(_dihedral(61)),
 }
 
 
@@ -808,8 +822,11 @@ def test_choices_from_the_quotients_match_the_conjugation_scan(name):
     """At every lattice member with two or more elements, of every group of
     the space, the maximal normal subgroups from the prime-index quotients
     are those of the conjugation test on every lattice member inside it,
-    canonically smallest first; A5 and A5 x Z2 are not solvable, and their
-    parts of order 60 or more take the lattice filter."""
+    canonically smallest first. A5 and A5 x Z2 are not solvable, and their
+    parts of order 60 or more take the lattice filter; S4 x Z3, of order 72,
+    and D61, of order 122 with a derived subgroup of order 61, are solvable
+    and not abelian, so their whole parts walk the derived series to the
+    hyperplanes."""
     ms = QUOTIENT_GROUPS[name]
     ms = MultiGroupSpace(ms.universe, tuple(map(_fresh, ms.groups)))
     parts = 0
@@ -835,7 +852,22 @@ def test_a5_x_z2_keeps_the_maximal_normal_subgroup_of_non_abelian_quotient():
     assert set(min(choices, key=len)) == {f"{e}|0", f"{e}|1"}
 
 
-@pytest.mark.parametrize("name", ["S4", "S4xZ2", "A5", "A5xZ2"])
+@pytest.mark.parametrize("name", ["S4xZ3", "D61"])
+def test_solvable_parts_of_order_60_or_more_build_no_lattice(monkeypatch, name):
+    """The derived series of the whole part reaches the identity, so its
+    choices are the hyperplane preimages, with no lattice evaluated: for
+    S4 x Z3, A4 x Z3 of index 2 and S4 x {0} of index 3, and for D61 the
+    rotations."""
+    ms = QUOTIENT_GROUPS[name]
+    ms = MultiGroupSpace(ms.universe, tuple(map(_fresh, ms.groups)))
+    evaluations = count_lattices(monkeypatch)
+    choices = series._choices(ms, 0, (1 << len(ms.universe)) - 1)
+    assert evaluations == []
+    assert sorted(len(ms.universe) // m.bit_count() for m in choices) == \
+        {"S4xZ3": [2, 3], "D61": [2]}[name]
+
+
+@pytest.mark.parametrize("name", ["S4", "S4xZ2", "A5", "A5xZ2", "S4xZ3", "D61"])
 def test_maximal_normal_subgroups_of_larger_groups_match_the_string_scan(name):
     """The name wrappers on the group's own table, for the whole group and
     every subgroup `within`, and every composition series, as the string
