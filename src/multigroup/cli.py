@@ -257,14 +257,12 @@ def _cmd_series(ms: MultiGroupSpace, args, limits: Limits):
 def _cmd_maximal_series(ms: MultiGroupSpace, args, limits: Limits):
     seq = _sequence(ms, args)
     result = enumerate_maximal_series(ms, seq, limits)
-    lengths = sorted(set(result.lengths))
-    constant = lengths[0] if len(lengths) == 1 else None
     payload = {
         "order": list(seq.order),
         "series": [_series_payload(s) for s in result.series],
         "series_count": len(result.series),
         "lengths": list(result.lengths),
-        "constant_length": constant,
+        "constant_length": result.constant,
         "rejected": [{"reason": reason, **_series_payload(s)}
                      for s, reason in result.rejected],
     }
@@ -273,7 +271,7 @@ def _cmd_maximal_series(ms: MultiGroupSpace, args, limits: Limits):
         payload["cross_sequence"] = {
             ",".join(s.order): s.constant for s in invariance.per_sequence}
         payload["cross_sequence_constant"] = invariance.cross_sequence_constant
-    ok = bool(result.series) and constant is not None
+    ok = result.constant is not None
     return payload, EXIT_PASS if ok else EXIT_FAIL
 
 

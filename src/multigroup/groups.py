@@ -565,11 +565,6 @@ def _normal_masks(g: FiniteGroup, top: int) -> list[int]:
     return _proper_normal(g._ints[0], g._lattice, top, _bits(top))
 
 
-# every group of smaller order is solvable: A5, of order 60, is the
-# smallest that is not
-_SOLVABLE_BELOW = 60
-
-
 def _primes(n: int) -> list[int]:
     out, q = [], 2  # the primes dividing n, smallest first
     while q * q <= n:
@@ -665,10 +660,10 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
     |P : P'| (for any other p, N_p = P). P/P' is abelian, so N_p is the
     union of the cosets of P' through the p-th powers. For an abelian
     operation P' is the identity and N_p = {x^p}. A part of prime order
-    has only the identity below it. Every group of order below 60 is
-    solvable, so the derived series is walked only from there: where it
-    stalls above the identity, P is not solvable, and the lattice members
-    strictly inside P that P's generators normalise are filtered.
+    has only the identity below it. The derived series decides
+    solvability: it reaches the identity, or it stalls above it, and then
+    P is not solvable and the lattice members strictly inside P that P's
+    generators normalise are filtered.
     """
     order = part.bit_count()
     primes = _primes(order)
@@ -676,13 +671,12 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
         return [1 << e]
     members = _bits(part)
     derived = 1 << e if abelian else _derived(t, members, e)
-    if not abelian and order >= _SOLVABLE_BELOW:
-        upper, lower = part, derived
-        while lower.bit_count() >= _SOLVABLE_BELOW:
-            if lower == upper:  # the derived series stalls: not solvable
-                lat = lattice()
-                return sorted(_maximal(_proper_normal(t, lat, part, lat[part])), key=_bits)
-            upper, lower = lower, _derived(t, _bits(lower), e)
+    upper, lower = part, derived
+    while lower != 1 << e:
+        if lower == upper:  # the derived series stalls: not solvable
+            lat = lattice()
+            return sorted(_maximal(_proper_normal(t, lat, part, lat[part])), key=_bits)
+        upper, lower = lower, _derived(t, _bits(lower), e)
     out, coset = [], _bits(derived)
     for p in primes if len(coset) == 1 else _primes(order // len(coset)):
         low = derived

@@ -32,10 +32,9 @@ Three rules let the walk decide by the structure of a step, each exact:
    of P/N_p, N_p = P'·P^p, for each prime p dividing |P : P'|; on an
    abelian operation P' is the identity. A part of prime order has only
    the identity below it, and a part that is not solvable (its derived
-   series stalls above the identity, which needs order 60 or more) keeps
-   the lattice filter (_choices, groups._maximal_normal). An abelian group
-   conjugates every subset onto itself, so its carriers are never
-   conjugation-tested (_normalised).
+   series stalls above the identity) keeps the lattice filter (_choices,
+   groups._maximal_normal). An abelian group conjugates every subset onto
+   itself, so its carriers are never conjugation-tested (_normalised).
 3. When a parent's carriers are pairwise disjoint, a normal subspace M
    strictly between it and a link would make M & P a normal subgroup of P
    strictly between nxt and P, against the choice of nxt as maximal; so
@@ -344,6 +343,13 @@ class MaximalSeriesResult(namedtuple("MaximalSeriesResult", [
     def lengths(self) -> tuple[int, ...]:
         return tuple(s.length for s in self.series)
 
+    @property
+    def constant(self) -> int | None:
+        """The length every series shares, or None when they differ or
+        there is none."""
+        distinct = set(self.lengths)
+        return distinct.pop() if len(distinct) == 1 else None
+
 
 def enumerate_maximal_series(ms: MultiGroupSpace,
                              seq: OrientedOperationSequence | None = None,
@@ -443,15 +449,13 @@ def length_invariance_check(ms: MultiGroupSpace,
             stats.append(SequenceLengths(order, (), None, 0,
                                          (f"CONSTRUCTION_FAILED: {exc}",)))
             continue
-        lengths = result.lengths
-        distinct = sorted(set(lengths))
-        constant = distinct[0] if len(distinct) == 1 else None
+        constant = result.constant
         anomalies = tuple(dict.fromkeys(
             a for s in result.series for a in s.anomalies))
-        if constant is None and len(distinct) > 1 and counterexample is None:
+        if constant is None and result.series and counterexample is None:
             by_len = {s.length: s for s in result.series}
-            counterexample = (by_len[distinct[0]], by_len[distinct[-1]])
-        stats.append(SequenceLengths(order, lengths, constant,
+            counterexample = (by_len[min(by_len)], by_len[max(by_len)])
+        stats.append(SequenceLengths(order, result.lengths, constant,
                                      len(result.series), anomalies))
 
     within = all(s.constant is not None for s in stats if s.series_count > 0)

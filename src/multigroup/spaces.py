@@ -421,13 +421,13 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
     return report
 
 
-# carrier conventions recognised by the body/field classification
+# carrier conventions recognised by the field classification
 CONVENTION_EXACT = "exact"
 CONVENTION_IDENTITY_EXCLUDED = "identity-excluded"
 
 
 class Classification(namedtuple("Classification", [
-        "tag",          # group | body | field | general
+        "tag",          # group | field | general
         "convention",   # str | None
         "notes",        # tuple[str, ...]
 ], defaults=(None, ()))):
@@ -437,11 +437,26 @@ class Classification(namedtuple("Classification", [
 def classify_special_case(ms: MultiGroupSpace) -> Classification:
     """Name the classical structure a valid space degenerates to.
 
-    One operation is a plain group. With two operations the space is a body
-    when both carriers fill the universe, either exactly or up to the usual
-    convention that one carrier omits the other operation's identity (the
-    multiplicative group of a field); commutativity of both groups upgrades
-    a body to a field. Everything else is tagged general.
+    One operation is a plain group. With two operations the space is a
+    field when both carriers fill the universe, either exactly or up to the
+    usual convention that one carrier omits the other operation's identity
+    (the multiplicative group of a field). Everything else is tagged
+    general.
+
+    The carriers decide alone: in a valid finite space of either
+    convention both groups are abelian, so no skew field (a body) occurs.
+    Exact convention, with * distributing over o, whose identity is e:
+    x*(e o e) = (x*e) o (x*e) gives x*e = e for every x, so |U| = 1.
+    Identity-excluded convention, + on U and * on U without 0: at |U| <= 2
+    both groups are abelian outright. Otherwise "+ over *" fails: with
+    y = z = 1, the identity of *, and any x not 0 or -1 it reads
+    x+1 = (x+1)*(x+1), so x = 0. Under "* over +" each left and each right
+    multiplication L, with 0 -> 0, is additive: for y != 0 and w not 0 or
+    y, L(w) = L(y) + L(-y+w) and L(-y+w) = L(-y) + L(w) give
+    L(y) + L(-y) = 0. Then (1+1)*(a+b) expanded both ways makes + abelian,
+    so U is a finite division ring and, by Wedderburn's little theorem
+    (1905), a field. tests/test_spaces.py searches both conventions
+    exhaustively on small universes for a counterexample.
     """
     if not validate_multigroup(ms).ok:
         raise PreconditionError("classification requires a valid multi-group space")
@@ -451,15 +466,9 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
         g1, g2 = ms.groups
         full = (1 << len(ms.universe)) - 1
         c1, c2 = ms._carriers
-        convention = None
         if c1 == full and c2 == full:
-            convention = CONVENTION_EXACT
-        elif c1 == full and c2 == full & ~(1 << ms._index[g1.identity]):
-            convention = CONVENTION_IDENTITY_EXCLUDED
-        elif c2 == full and c1 == full & ~(1 << ms._index[g2.identity]):
-            convention = CONVENTION_IDENTITY_EXCLUDED
-        if convention is not None:
-            if g1.is_abelian and g2.is_abelian:
-                return Classification("field", convention)
-            return Classification("body", convention)
+            return Classification("field", CONVENTION_EXACT)
+        if (c1 == full and c2 == full & ~(1 << ms._index[g1.identity])
+                or c2 == full and c1 == full & ~(1 << ms._index[g2.identity])):
+            return Classification("field", CONVENTION_IDENTITY_EXCLUDED)
     return Classification("general")

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,7 +12,7 @@ from multigroup.spaces import (MultiGroupSpace, check_distribution,
                                ops_of_element, validate_multigroup)
 
 from conftest import relabel, run_cli
-from oracles import scan_validate
+from oracles import scan_is_abelian, scan_validate
 
 
 def test_gf3_distribution_passes(gf3):
@@ -228,3 +228,140 @@ def test_mutating_a_validation_report_changes_no_later_verdict(gf3):
     assert not validate_multigroup(broken).ok
     with pytest.raises(PreconditionError):
         classify_special_case(broken)
+
+
+# ------------------------------------------- the carrier conventions, exhaustively
+
+def _abelian(*orders):
+    """Z_n1 x ... x Z_nk as an int table over mixed-radix indices, identity 0."""
+    elems = list(product(*map(range, orders)))
+    index = {x: i for i, x in enumerate(elems)}
+    return [[index[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in elems]
+            for x in elems], 0
+
+
+def _int_table(g):
+    return [[g.index(g.mul(a, b)) for b in g.carrier] for a in g.carrier], g.index(g.identity)
+
+
+def _groups_of_order(n):
+    """One int table and identity per isomorphism type, for n <= 9."""
+    abelian = {1: [(1,)], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 5: [(5,)], 6: [(6,)],
+               7: [(7,)], 8: [(8,), (4, 2), (2, 2, 2)], 9: [(9,), (3, 3)]}
+    other = {6: [catalog.symmetric_3], 8: [catalog.dihedral_4, catalog.quaternion_8]}
+    return ([_abelian(*orders) for orders in abelian[n]]
+            + [_int_table(make()) for make in other.get(n, [])])
+
+
+def _reach(t, e, gens, images=None):
+    """The images of a map on the group generated by gens that sends each
+    generator to its image and is multiplicative, walking words from e;
+    None when two words disagree. Without images, the subgroup itself."""
+    images = gens if images is None else images
+    phi, frontier = {e: e}, [e]
+    while frontier:
+        x = frontier.pop()
+        for g, h in zip(gens, images):
+            y, z = t[x][g], t[phi[x]][h]
+            if y not in phi:
+                phi[y] = z
+                frontier.append(y)
+            elif phi[y] != z:
+                return None
+    return phi
+
+
+def _automorphisms(t, e):
+    """Every automorphism as a tuple of images, from the images of a
+    generating tuple taken greedily in index order."""
+    n, gens = len(t), []
+    for x in range(n):
+        if x not in _reach(t, e, gens):
+            gens.append(x)
+    out = []
+    for images in permutations(range(n), len(gens)):
+        phi = _reach(t, e, gens, images)
+        if (phi is not None and len(set(phi.values())) == n
+                and all(phi[t[a][b]] == t[phi[a]][phi[b]] for a in range(n) for b in range(n))):
+            out.append(tuple(phi[x] for x in range(n)))
+    return out
+
+
+def _placed(u, sigma, n):
+    # the table of u carried by sigma onto its points, as an n x n grid
+    flat = bytearray(n * n)
+    for i, row in enumerate(u):
+        at = sigma[i] * n
+        for j, k in enumerate(row):
+            flat[at + sigma[j]] = sigma[k]
+    return bytes(flat)
+
+
+def _placements(autos, u, points, n):
+    """Each placement of the group table u on points, as the image of each
+    of u's indices, one per orbit of the automorphisms autos of the full
+    group, which fix points as a set."""
+    seen = set()
+    for sigma in permutations(points):
+        if _placed(u, sigma, n) not in seen:
+            seen.update(_placed(u, [a[p] for p in sigma], n) for a in autos)
+            yield sigma
+
+
+def carrier_convention_search(n, exact):
+    """Every valid-or-not space of a full group on n elements and a second
+    group on all of them (exact) or on all but the full group's identity,
+    one per orbit of the full group's automorphisms, in both operation
+    orders. Validation must agree with the scan, and every valid space
+    must be a field with both groups abelian. Returns the number of spaces
+    and of valid ones, counted with the full group first."""
+    names = tuple(map(str, range(n)))
+    spaces = valid = 0
+    for t, e in _groups_of_order(n):
+        full = FiniteGroup("+", names, tuple(tuple(names[z] for z in row) for row in t),
+                           names[e])
+        points = [x for x in range(n) if exact or x != e]
+        for u, f in _groups_of_order(len(points)):
+            for sigma in _placements(_automorphisms(t, e), u, points, n):
+                where = {p: i for i, p in enumerate(sigma)}
+                table = tuple(tuple(names[sigma[u[where[p]][where[q]]]] for q in points)
+                              for p in points)
+                partial = FiniteGroup("*", tuple(names[p] for p in points), table,
+                                      names[sigma[f]])
+                oks = []
+                for groups in ((full, partial), (partial, full)):
+                    ms = MultiGroupSpace(names, groups)
+                    ok = validate_multigroup(ms).ok
+                    assert ok == scan_validate(ms).ok, (groups, ok)
+                    if ok:
+                        assert classify_special_case(ms).tag == "field"
+                        assert all(map(scan_is_abelian, groups))
+                    oks.append(ok)
+                assert oks[0] == oks[1]
+                spaces += 1
+                valid += oks[0]
+    return spaces, valid
+
+
+# spaces per |U| with the full group first, one per orbit of its automorphisms
+IDENTITY_EXCLUDED_SPACES = {2: 1, 3: 1, 4: 3, 5: 4, 6: 22, 7: 80, 8: 472}
+
+
+@pytest.mark.parametrize("n", sorted(IDENTITY_EXCLUDED_SPACES))
+def test_the_valid_identity_excluded_spaces_are_the_finite_fields(n):
+    """No skew field: the valid spaces are one GF(q) per prime power q, so
+    classify_special_case needs no commutativity test (Wedderburn)."""
+    spaces, valid = carrier_convention_search(n, exact=False)
+    prime_power = len([p for p in range(2, n + 1) if n % p == 0
+                       and all(p % d for d in range(2, p))]) == 1
+    assert (spaces, valid) == (IDENTITY_EXCLUDED_SPACES[n], int(prime_power))
+
+
+EXACT_SPACES = {1: 1, 2: 2, 3: 2, 4: 15, 5: 9, 6: 338}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_SPACES))
+def test_two_groups_on_one_carrier_are_valid_only_on_one_element(n):
+    """x*(e o e) = (x*e) o (x*e) forces x*e = e, so |U| = 1."""
+    spaces, valid = carrier_convention_search(n, exact=True)
+    assert (spaces, valid) == (EXACT_SPACES[n], int(n == 1))
