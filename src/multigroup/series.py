@@ -119,14 +119,15 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
         k = ms._position(op)
         g, t = ms.groups[k], ms._tables[k]
         inside = _bits(members & ms._carriers[k])
-        for x in g.carrier:
-            xi, row = ms.index(g.inverse(x)), t[ms.index(x)]
+        at = list(map(ms.index, g.carrier))
+        for i, x in enumerate(at):
+            xi, row = at[g._inverse_of(i)], t[x]
             for m in inside:
                 conjugate = t[row[m]][xi]
                 if conjugate == n and row[m] != n:
                     g.index(u[row[m]])  # x * m left the carrier: DomainError
                 if not ok >> conjugate & 1:
-                    return NormalityEvidence(False, (op, x, u[m], u[conjugate]))
+                    return NormalityEvidence(False, (op, g.carrier[i], u[m], u[conjugate]))
     return NormalityEvidence(True)
 
 
@@ -171,13 +172,10 @@ def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int):
     operation), or None if mask is no subspace there. It retains the
     operations whose carrier meets mask, as SubsetRef.of does. The space is
     valid, so the closed sets subspaces._parts would cover mask with are
-    lattice members: the same parts, kept under a key of their own."""
-    key = "covers", mask, carriers
-    if key not in ms._memo:
-        ms._memo[key] = _decomposition(
-            ms, mask, [k for k, carrier in enumerate(carriers) if mask & carrier],
-            carriers, _lattice_part_candidates)
-    return ms._memo[key]
+    lattice members: the same parts, computed on each call from the
+    lattices the space keeps."""
+    return _decomposition(ms, mask, [k for k, carrier in enumerate(carriers) if mask & carrier],
+                          carriers, _lattice_part_candidates)
 
 
 def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,

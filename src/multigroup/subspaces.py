@@ -25,9 +25,10 @@ element is closed, each closed set found is joined with each element
 closure not inside it (on a table that is a group, walked over
 cosets, once per coset), and the maximal closures inside the allowed
 set are kept. Below the public functions an operation is its position and
-parts are a tuple shaped like the carriers. Decompositions are kept in
-the space's memo by (bitmask, retained ops), so they are freed with it;
-the series walk covers inside induced spaces with lattice members instead.
+parts are a tuple shaped like the carriers. Decompositions are computed
+on each call; each operation's candidates are kept in the space's memo by
+(operation, allowed bitmask), so they are freed with it. The series walk
+covers inside induced spaces with lattice members instead.
 """
 
 from __future__ import annotations
@@ -133,12 +134,10 @@ def _decomposition(ms: MultiGroupSpace, target: int, ks, carriers: tuple[int, ..
 
 def _parts(ms: MultiGroupSpace, mask: int, ops: tuple[str, ...]):
     """subspace_decomposition over universe bitmasks: the parts shaped like
-    the space's carriers, or None. Kept in the space's memo."""
-    key = "closed", mask, ops
-    if key not in ms._memo:
-        ks = tuple(dict.fromkeys(map(ms._position, ops)))
-        ms._memo[key] = _decomposition(ms, mask, ks, ms._carriers)
-    return ms._memo[key]
+    the space's carriers, or None. Computed on each call, from the
+    candidates the space keeps per operation."""
+    return _decomposition(ms, mask, tuple(dict.fromkeys(map(ms._position, ops))),
+                          ms._carriers)
 
 
 def subspace_decomposition(ms: MultiGroupSpace, s: SubsetRef):

@@ -11,6 +11,7 @@ from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, subgroups
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup import series as series_module
+from multigroup import subspaces as subspaces_module
 from multigroup.series import enumerate_maximal_series
 from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
                                   _decomposition, _lattice_part_candidates, _parts, coset,
@@ -467,19 +468,40 @@ def test_closed_part_candidates_name_an_escape_only_a_join_reaches():
 
 
 def test_decomposition_cache_is_freed_with_its_space():
-    """So is everything else the space's one memo keeps: the lattices, the
-    completeness route's candidates, the walk's covers and choices, the
-    edge verdicts, the link SubsetRefs and the enumeration."""
+    """So is everything the space's one memo keeps: the completeness
+    route's candidates per operation, the lattices, the walk's choices,
+    the edge verdicts, the link SubsetRefs and the enumeration. The
+    decompositions themselves are computed on each call."""
     ms = catalog.gf3()
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
-    assert ("closed", ms._mask(s.elements), s.retained_ops) in ms._memo
+    assert ("candidates", 0, ms._mask(["0", "1"])) in ms._memo
+    assert ("candidates", 1, ms._mask(["1"])) in ms._memo
     enumerate_maximal_series(ms)
     assert {k for k in ms._memo if k[0] == "lattice"} == {("lattice", 0), ("lattice", 1)}
-    assert {k[0] for k in ms._memo} == {"closed", "candidates", "covers", "lattice",
+    assert {k[0] for k in ms._memo} == {"candidates", "lattice",
                                         "choices", "edge", "ref", "maximal"}
     assert all(type(v) is SubsetRef for k, v in ms._memo.items() if k[0] == "ref")
     gone = weakref.ref(ms)
     del ms
     gc.collect()
     assert gone() is None
+
+
+def test_a_normal_check_closes_each_operation_once(monkeypatch):
+    """mgs normal decides the subspace twice, by conjugation and by the
+    criterion; the second decomposition reads the candidates the first
+    one left on the space."""
+    calls = []
+
+    def counted(t, within, group):
+        calls.append(within)
+        return closed_subsets(t, within, group)
+
+    closed_subsets = subspaces_module._closed_subsets
+    monkeypatch.setattr(subspaces_module, "_closed_subsets", counted)
+    ms = catalog.gf3()
+    h = ref(ms, ["0", "1"], ["+", "*"])
+    assert series_module.is_normal_subspace(ms, h).ok
+    assert series_module.normality_criterion(ms, h)
+    assert calls == [ms._mask(["0", "1"]), ms._mask(["1"])]
