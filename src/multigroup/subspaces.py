@@ -6,8 +6,12 @@ must be a nonempty subgroup of that op's group lying inside the subset,
 and together the chosen parts must cover the subset exactly. Two
 independent routes decide this:
 
- * the intersection route finds candidate parts on the subgroup lattice of
-   each component group (the inverses of each closed set checked explicitly);
+ * the intersection route finds candidate parts among the subgroups of
+   each component group under the subset: on a group, the closed sets
+   inside the subset's share of its carrier, over the group's own table
+   and indices; on a table that is not a group, its whole subgroup
+   lattice, whose inverse checks name an element without an inverse
+   wherever it lies;
  * the completeness route finds candidate parts as product-closed subsets
    (closure only; finiteness makes a closed nonempty set a group).
 
@@ -17,16 +21,20 @@ kept as is_subspace_by_completeness because it genuinely differs: in the
 field-of-three space the subset {0,1} with both operations retained is a
 subspace (parts {0} and {1}) while raw closure fails on 1+1=2.
 
-Both routes, the cover search and cosets work on universe bitmasks over
-the space's tables; element names appear only in the results. The
-completeness route's candidates come from the kernel that also builds
-the subgroup lattice: on the operation's table in the space, each allowed
-element is closed, each closed set found is joined with each element
-closure not inside it (on a table that is a group, walked over
-cosets, once per coset), and the maximal closures inside the allowed
-set are kept. Below the public functions an operation is its position and
-parts are a tuple shaped like the carriers. Decompositions are computed
-on each call; each operation's candidates are kept in the space's memo by
+Both routes, the cover search and cosets work on universe bitmasks;
+element names appear only in the results. Both routes' candidates on a
+group come from the kernel that also builds the subgroup lattice, and
+both hand it the same subset, the target's share of the carrier: each
+allowed element is closed, each closed set found is joined with each
+element closure not inside it (on a table that is a group, walked over
+cosets, once per coset), and the maximal closures inside the allowed set
+are kept. The completeness route runs it on the operation's table in the
+space; the intersection route on the group's own table, mapping its
+carrier indices to universe bits, and the tests check its candidates
+against the whole-lattice filter (_lattice_part_candidates). Below the
+public functions an operation is its position and parts are a tuple
+shaped like the carriers. Decompositions are computed on each call; each
+operation's completeness candidates are kept in the space's memo by
 (operation, allowed bitmask), so they are freed with it. The series walk
 covers inside induced spaces with lattice members instead.
 """
@@ -107,6 +115,19 @@ def _lattice_part_candidates(ms: MultiGroupSpace, k: int, allowed: int) -> list[
     """Maximal subgroups of groups[k] inside `allowed` (the intersection
     route), as universe bitmasks, read off the lattice cached on the space."""
     return _maximal([m for m in ms._lattice(k) if not m & ~allowed])
+
+
+def _subgroups_under(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:
+    """Maximal subgroups of groups[k], a group, inside `allowed` (the
+    intersection route), as universe bitmasks: the maximal closed sets of
+    the group's own table inside allowed's share of its carrier, so only
+    the lattice's down-set under it is built. Exact, as every nonempty
+    closed set of a finite group is a subgroup."""
+    g = ms.groups[k]
+    at = [ms.index(e) for e in g.carrier]  # carrier index -> universe index
+    within = sum(1 << i for i, x in enumerate(at) if allowed >> x & 1)
+    return [sum(1 << at[i] for i in _bits(m))
+            for m in _maximal(list(_closed_subsets(g._ints[0], within, True)))]
 
 
 def _decomposition(ms: MultiGroupSpace, target: int, ks, carriers: tuple[int, ...],
@@ -195,11 +216,13 @@ def _cover(target: int, candidates: dict[int, list[int]], covered: int = 0):
 
 def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
                                 limits: Limits = DEFAULT_LIMITS) -> SubspaceEvidence:
-    """Subspace test on the subgroup lattice of each retained operation.
+    """Subspace test on the subgroups of each retained operation.
 
-    Independent of the completeness route: candidate parts come from full
-    subgroup enumeration with explicit inverse checks, and the search walks
-    uncovered elements instead of operations.
+    Independent of the completeness route: candidate parts are the maximal
+    subgroups under the subset, on a group found over its own table and
+    indices, and otherwise read off the whole subgroup lattice with its
+    explicit inverse checks; the search walks uncovered elements instead
+    of operations.
     """
     target = ms._mask(s.elements)
     ks = [ms._position(op) for op in s.retained_ops]
@@ -211,8 +234,12 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
 
     candidates: dict[int, list[int]] = {}
     for op, k in zip(s.retained_ops, ks):
-        _check_order(ms.groups[k], limits, "subgroup enumeration")
-        cands = _lattice_part_candidates(ms, k, target)
+        g = ms.groups[k]
+        _check_order(g, limits, "subgroup enumeration")
+        # a table that is not a group reads its whole lattice, whose inverse
+        # checks name an element without an inverse wherever it lies
+        cands = (_subgroups_under if g._generators is not None
+                 else _lattice_part_candidates)(ms, k, target)
         if not cands:
             return SubspaceEvidence(
                 False, intersections, None,

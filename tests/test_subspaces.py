@@ -9,19 +9,21 @@ from hypothesis import given, settings, strategies as st
 from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, subgroups
+from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup import series as series_module
 from multigroup import subspaces as subspaces_module
 from multigroup.series import enumerate_maximal_series
 from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
-                                  _decomposition, _lattice_part_candidates, _parts, coset,
+                                  _decomposition, _lattice_part_candidates, _parts,
+                                  _subgroups_under, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
                                   is_subspace_by_intersection, lagrange_check,
                                   subspace_decomposition)
 
-from conftest import (chain_layouts, overlapping_pair_family, subset_op_combinations,
-                      subspaces_of)
+from conftest import (INSTANCE_DIR, chain_layouts, count_lattices,
+                      overlapping_pair_family, subset_op_combinations, subspaces_of)
 from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
                      scan_is_subspace_by_intersection,
                      scan_subspace_decomposition)
@@ -184,8 +186,11 @@ def test_both_route_cores_agree_on_the_whole_chain_family():
     """The two-route gate: every valid chain-family space, every nonempty
     universe mask and every nonempty set of positions whose carriers meet
     it, with no SubsetRef and no sampling. The completeness core is _parts;
-    the intersection core reads the sorted lattice candidates, is False on
-    an empty list and otherwise runs _cover."""
+    the intersection core reads the sorted whole-lattice filter
+    (_lattice_part_candidates), is False on an empty list and otherwise
+    runs _cover. On a group the intersection route reads the down-set
+    (_subgroups_under) instead, which down_sets_match_the_lattice checks
+    equal to that filter."""
     spaces = pairs = 0
     for ms in chain_layouts():
         if not validate_multigroup(ms).ok:
@@ -204,6 +209,70 @@ def test_both_route_cores_agree_on_the_whole_chain_family():
                     assert by_lattice == by_closure, (ms.universe, ms.op_set, mask, ks)
                     pairs += 1
     assert (spaces, pairs) == (355, 582983)
+
+
+def down_sets_match_the_lattice(spaces):
+    """The intersection route's candidates on each operation that is a
+    group, read off the down-set under the target, equal the whole-lattice
+    filter for every universe mask meeting its carrier. Returns the number
+    of spaces and of masks checked."""
+    count = checks = 0
+    for ms in spaces:
+        count += 1
+        for k, carrier in enumerate(ms._carriers):
+            if ms.groups[k]._generators is None:
+                continue
+            for mask in range(1, 1 << len(ms.universe)):
+                if mask & carrier:
+                    assert sorted(_subgroups_under(ms, k, mask), key=_bits) == \
+                        sorted(_lattice_part_candidates(ms, k, mask), key=_bits), \
+                        (ms.universe, ms.op_set, k, mask)
+                    checks += 1
+    return count, checks
+
+
+def test_down_sets_match_the_lattice_filter(monkeypatch):
+    """On the pair family, every shipped instance and the corpus groups;
+    CI runs the chain family, (355, 270723). The kernel is exact on any
+    table, so only the flag it is handed shows that a group's closures are
+    walked as powers and cosets."""
+    flags, kernel = [], subspaces_module._closed_subsets
+    monkeypatch.setattr(subspaces_module, "_closed_subsets",
+                        lambda t, within, group=False:
+                        flags.append(group) or kernel(t, within, group))
+    assert down_sets_match_the_lattice(overlapping_pair_family()) == (51, 10052)
+    shipped = [parse_instance(p.read_text()) for p in sorted(INSTANCE_DIR.glob("*.mgs"))]
+    assert down_sets_match_the_lattice(shipped) == (13, 4547)
+    corpus = [catalog.single(g) for g in catalog.corpus_groups().values()]
+    assert down_sets_match_the_lattice(corpus) == (16, 12860)
+    assert flags == [True] * (10052 + 4547 + 12860)
+
+
+@pytest.mark.parametrize("group", [catalog.alternating_4, catalog.dihedral_4,
+                                   catalog.quaternion_8, catalog.symmetric_3,
+                                   catalog.klein_four])
+def test_the_intersection_route_builds_no_lattice_on_a_group(monkeypatch, group):
+    """The route reads the subgroups under the target: a cyclic subgroup
+    of a fresh group, whose lattice the whole-lattice filter would build."""
+    ms = catalog.single(group())
+    g, x = ms.groups[0], ms.universe[-1]
+    powers = [x]
+    while powers[-1] != g.identity:
+        powers.append(g.mul(powers[-1], x))
+    evaluations = count_lattices(monkeypatch)
+    evidence = is_subspace_by_intersection(ms, ref(ms, powers))
+    assert evidence.ok and dict(evidence.parts) == {"*": ms._elements(ms._mask(powers))}
+    assert evaluations == []
+
+
+def test_the_intersection_route_reads_a_lattice_where_a_table_is_no_group(monkeypatch):
+    """gf3_corrupt's * names 2 as having no inverse although 2 lies outside
+    {0, 1}: only that table's lattice is evaluated, and it raises."""
+    ms = catalog.gf3_corrupt()
+    evaluations = count_lattices(monkeypatch)
+    with pytest.raises(DomainError, match=r"^'2' has no inverse under '\*'$"):
+        is_subspace_by_intersection(ms, ref(ms, ["0", "1"]))
+    assert [g.op_id for g in evaluations] == ["*"]
 
 
 # ------------------------------------------------------- cosets
