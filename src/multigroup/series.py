@@ -13,10 +13,13 @@ such anomalies are recorded on the series instead of being papered over,
 and the series may legitimately terminate away from the last operation's
 identity (flagged TERMINAL_MISMATCH). The walk stays in the top-level tables:
 a link is a universe bitmask, the space induced on it a tuple of carriers.
-The space is valid, so a link's parts are covers by lattice members, and
-normality conjugates with generators only: the elements that conjugate a
-set onto itself form a subgroup. An edge's interposition verdict, a part's
-maximal normal subgroups and a link's SubsetRef are kept on the space.
+The space is valid, so every closed set is a subgroup: a link's parts are
+covered by the completeness route's candidates, a carrier's subgroups are
+the closed sets the closure kernel finds inside it (_subgroups), and
+normality conjugates with the generators it keeps: the elements that
+conjugate a set onto itself form a subgroup. An edge's interposition
+verdict, a part's maximal normal subgroups, a carrier's subgroups and a
+link's SubsetRef are kept on the space.
 
 Three rules let the walk decide by the structure of a step, each exact:
 1. A step of op k from its part P to nxt removes P & ~nxt. A carrier that
@@ -32,9 +35,10 @@ Three rules let the walk decide by the structure of a step, each exact:
    of P/N_p, N_p = P'·P^p, for each prime p dividing |P : P'|; on an
    abelian operation P' is the identity. A part of prime order has only
    the identity below it, and a part that is not solvable (its derived
-   series stalls above the identity) keeps the lattice filter (_choices,
-   groups._maximal_normal). An abelian group conjugates every subset onto
-   itself, so its carriers are never conjugation-tested (_normalised).
+   series stalls above the identity) filters the subgroups of op k's
+   carrier (_choices, groups._maximal_normal). An abelian group
+   conjugates every subset onto itself, so its carriers are never
+   conjugation-tested (_normalised).
 3. When a parent's carriers are pairwise disjoint, a normal subspace M
    strictly between it and a link would make M & P a normal subgroup of P
    strictly between nxt and P, against the choice of nxt as maximal; so
@@ -51,10 +55,10 @@ from operator import or_
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
-from .groups import Element, _bits, _maximal_normal, _normalises, is_normal_subgroup
+from .groups import (Element, _bits, _closed_subsets, _maximal_normal, _normalises,
+                     is_normal_subgroup)
 from .spaces import MultiGroupSpace, validate_multigroup
-from .subspaces import (SubsetRef, _decomposition, _lattice_part_candidates,
-                        is_subspace, subspace_decomposition)
+from .subspaces import SubsetRef, _decomposition, is_subspace, subspace_decomposition
 
 ANOMALY_TERMINAL_MISMATCH = "TERMINAL_MISMATCH"
 ANOMALY_CARRIER_LOST = "CARRIER_LOST"
@@ -92,16 +96,26 @@ class NormalityEvidence(namedtuple("NormalityEvidence", [
         return self.ok
 
 
+def _subgroups(ms: MultiGroupSpace, k: int, carrier: int) -> dict[int, list[int]]:
+    """The subgroups of op k's group inside carrier, a subgroup of it, as
+    universe bitmasks, each with the elements it was joined from, which
+    generate it: the closure kernel run on carrier, kept on the space. The
+    space is valid, so each closed set it finds is a subgroup."""
+    if ("subgroups", k, carrier) not in ms._memo:
+        ms._memo["subgroups", k, carrier] = _closed_subsets(ms._tables[k], carrier, True)
+    return ms._memo["subgroups", k, carrier]
+
+
 def _normalised(ms: MultiGroupSpace, members: int, carriers: tuple[int, ...]) -> bool:
     """Whether each carrier conjugates the members inside it onto themselves.
     The space is valid, so the elements that do form a group, and the
-    generators its lattice keeps for the carrier suffice. An abelian
-    operation conjugates every subset onto itself (rule 2), so its carriers
-    are skipped."""
+    elements the carrier was joined from, which generate it, suffice. An
+    abelian operation conjugates every subset onto itself (rule 2), so its
+    carriers are skipped."""
     return all(_normalises(ms._tables[k], x, _bits(members & carrier))
                for k, carrier in enumerate(carriers)
                if members & carrier and not ms.groups[k].is_abelian
-               for x in ms._lattice(k)[carrier])
+               for x in _subgroups(ms, k, carrier)[carrier])
 
 
 def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
@@ -170,12 +184,12 @@ def _induced(ms: MultiGroupSpace, carriers: tuple[int, ...], mask: int):
     """The carriers of the space induced on mask inside the space with the
     given carriers (mask's decomposition parts there, 0 for a lost
     operation), or None if mask is no subspace there. It retains the
-    operations whose carrier meets mask, as SubsetRef.of does. The space is
-    valid, so the closed sets subspaces._parts would cover mask with are
-    lattice members: the same parts, computed on each call from the
-    lattices the space keeps."""
+    operations whose carrier meets mask, as SubsetRef.of does. The cover
+    is subspaces._parts' own, over the parts of the given carriers: the
+    completeness candidates the space keeps per (operation, allowed set),
+    each a subgroup, as the space is valid."""
     return _decomposition(ms, mask, [k for k, carrier in enumerate(carriers) if mask & carrier],
-                          carriers, _lattice_part_candidates)
+                          carriers)
 
 
 def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
@@ -213,14 +227,16 @@ def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
 
 
 def _choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
-    """The maximal proper normal subgroups of op k's part, a lattice member,
+    """The maximal proper normal subgroups of op k's part, a subgroup,
     canonically smallest first, kept on the space. They come from the
     part's prime-index quotients (rule 2, groups._maximal_normal), and
-    only a part that is not solvable reads op k's lattice."""
+    only a part that is not solvable reads the subgroups of op k's
+    carrier, found once per operation."""
     if ("choices", k, part) not in ms._memo:
         g = ms.groups[k]
         ms._memo["choices", k, part] = _maximal_normal(
-            ms._tables[k], part, ms.index(g.identity), g.is_abelian, lambda: ms._lattice(k))
+            ms._tables[k], part, ms.index(g.identity), g.is_abelian,
+            lambda: _subgroups(ms, k, ms._carriers[k]))
     return ms._memo["choices", k, part]
 
 
@@ -290,11 +306,10 @@ def _candidates_between(ms: MultiGroupSpace, carriers: tuple[int, ...],
     """The unions of one subgroup (or nothing) per operation strictly between
     low and the space with the given carriers, by size and then by the gap
     positions taken. Each carrier is a subgroup of a group of ms, so its
-    subgroups are the lattice members of ms inside it."""
+    subgroups are the closed sets inside it (_subgroups)."""
     unions = {0}
     for k, carrier in enumerate(carriers):
-        parts = [m for m in ms._lattice(k) if not m & ~carrier]
-        unions |= {u | p for u in unions for p in parts}
+        unions |= {u | p for u in unions for p in _subgroups(ms, k, carrier)}
     whole = reduce(or_, carriers)
     between = [m for m in unions if m & low == low and m not in (low, whole)]
     return sorted(between, key=lambda m: (m.bit_count(), _bits(m & ~low)))
@@ -306,10 +321,11 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     parent, the space with the given carriers, in which the link is normal,
     or None.
 
-    The candidates are the unions of lattice members between link and
-    parent: every subspace between them is one, as a subspace is a union of
-    one subgroup (or nothing) per operation. They come in the order of a
-    scan over all 2^|gap| subsets, so the witness is the one it finds.
+    The candidates are the unions of the carriers' subgroups between link
+    and parent: every subspace between them is one, as a subspace is a
+    union of one subgroup (or nothing) per operation. They come in the
+    order of a scan over all 2^|gap| subsets, so the witness is the one it
+    finds.
     The verdict depends on the edge (carriers, lower) alone: kept per space.
 
     Rule 3: the link is a step of some op k from its part P to nxt, a

@@ -138,19 +138,6 @@ class MultiGroupSpace(_Frozen):
         # kind, so they are freed with it
         return {}
 
-    def _lattice(self, k: int) -> dict[int, list[int]]:
-        """groups[k]'s lattice over universe indices: each subgroup as a
-        bitmask, in lattice order, with the indices of its generators. The
-        group's own dict when carrier index i is universe index i, as in a
-        single-group space. Callers check the order bound and only read it."""
-        if ("lattice", k) not in self._memo:
-            g = self.groups[k]
-            at = [self.index(e) for e in g.carrier]
-            self._memo["lattice", k] = g._lattice if at == list(range(len(at))) else {
-                sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
-                for m, gens in g._lattice.items()}
-        return self._memo["lattice", k]
-
     @cached_property
     def _validation(self) -> ValidationReport:
         # the space is frozen, so it is validated once; callers get copies

@@ -30,13 +30,14 @@ element closure not inside it (on a table that is a group, walked over
 cosets, once per coset), and the maximal closures inside the allowed set
 are kept. The completeness route runs it on the operation's table in the
 space; the intersection route on the group's own table, mapping its
-carrier indices to universe bits, and the tests check its candidates
-against the whole-lattice filter (_lattice_part_candidates). Below the
-public functions an operation is its position and parts are a tuple
-shaped like the carriers. Decompositions are computed on each call; each
-operation's completeness candidates are kept in the space's memo by
-(operation, allowed bitmask), so they are freed with it. The series walk
-covers inside induced spaces with lattice members instead.
+carrier indices to universe bits, and the tests check both against the
+whole-lattice filter, kept as an oracle. Below the public functions an
+operation is its position and parts are a tuple shaped like the
+carriers. Decompositions are computed on each call; each operation's
+completeness candidates are kept in the space's memo by (operation,
+allowed bitmask), so they are freed with it. The series walk covers
+inside induced spaces with the same candidates, and its interposition
+candidates also come from the kernel, run on each carrier.
 """
 
 from __future__ import annotations
@@ -111,27 +112,23 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
     return maximal
 
 
-def _lattice_part_candidates(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:
-    """Maximal subgroups of groups[k] inside `allowed` (the intersection
-    route), as universe bitmasks, read off the lattice cached on the space."""
-    return _maximal([m for m in ms._lattice(k) if not m & ~allowed])
-
-
 def _subgroups_under(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:
-    """Maximal subgroups of groups[k], a group, inside `allowed` (the
-    intersection route), as universe bitmasks: the maximal closed sets of
-    the group's own table inside allowed's share of its carrier, so only
-    the lattice's down-set under it is built. Exact, as every nonempty
-    closed set of a finite group is a subgroup."""
+    """Maximal subgroups of groups[k] inside `allowed` (the intersection
+    route), as universe bitmasks. On a group they are the maximal closed
+    sets of the group's own table inside allowed's share of its carrier, so
+    only the lattice's down-set under it is built: exact, as every nonempty
+    closed set of a finite group is a subgroup. A table that is not a group
+    filters its whole lattice, whose inverse checks name an element without
+    an inverse wherever it lies."""
     g = ms.groups[k]
     at = [ms.index(e) for e in g.carrier]  # carrier index -> universe index
     within = sum(1 << i for i, x in enumerate(at) if allowed >> x & 1)
-    return [sum(1 << at[i] for i in _bits(m))
-            for m in _maximal(list(_closed_subsets(g._ints[0], within, True)))]
+    found = _closed_subsets(g._ints[0], within, True) if g._generators is not None \
+        else [m for m in g._lattice if not m & ~within]
+    return [sum(1 << at[i] for i in _bits(m)) for m in _maximal(list(found))]
 
 
-def _decomposition(ms: MultiGroupSpace, target: int, ks, carriers: tuple[int, ...],
-                   part_candidates=_closed_part_candidates):
+def _decomposition(ms: MultiGroupSpace, target: int, ks, carriers: tuple[int, ...]):
     """The first assignment of one candidate part inside the given carriers
     per position in ks (candidates in canonical order, in product order over
     ks) whose parts cover the target, shaped like carriers; or None."""
@@ -139,7 +136,7 @@ def _decomposition(ms: MultiGroupSpace, target: int, ks, carriers: tuple[int, ..
         return None
     candidates = []
     for k in ks:
-        cands = part_candidates(ms, k, target & carriers[k])
+        cands = _closed_part_candidates(ms, k, target & carriers[k])
         if not cands:
             return None  # the op cannot contribute a nonempty group
         candidates.append(sorted(cands, key=_bits))
@@ -234,12 +231,8 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
 
     candidates: dict[int, list[int]] = {}
     for op, k in zip(s.retained_ops, ks):
-        g = ms.groups[k]
-        _check_order(g, limits, "subgroup enumeration")
-        # a table that is not a group reads its whole lattice, whose inverse
-        # checks name an element without an inverse wherever it lies
-        cands = (_subgroups_under if g._generators is not None
-                 else _lattice_part_candidates)(ms, k, target)
+        _check_order(ms.groups[k], limits, "subgroup enumeration")
+        cands = _subgroups_under(ms, k, target)
         if not cands:
             return SubspaceEvidence(
                 False, intersections, None,

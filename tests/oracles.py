@@ -8,10 +8,10 @@ out every per-operation candidate assignment.
 
 scan_subgroups, scan_closed_parts, scan_closed_subsets, scan_element_joins,
 scan_word_joins, scan_validate_group, scan_interposable, scan_link_carriers,
-scan_choices, scan_is_finitely_generated,
-scan_composition_series, scan_is_abelian, scan_proper_normal_subgroups,
-scan_maximal_proper_normal_subgroups, scan_maximal, scan_quotient_group,
-scan_parse_instance, the staged series walk
+scan_choices, scan_space_lattice, scan_lattice_filter,
+scan_is_finitely_generated, scan_composition_series, scan_is_abelian,
+scan_proper_normal_subgroups, scan_maximal_proper_normal_subgroups,
+scan_maximal, scan_quotient_group, scan_parse_instance, the staged series walk
 (scan_series_stages, scan_build_series, scan_maximal_series) and the five
 string-keyed product scans are the exceptions: they are code the engine
 replaced, kept verbatim as oracles for their replacements.
@@ -41,6 +41,11 @@ conjugation-tests it on every carrier, and scan_choices tests every
 lattice member inside a part for normality, abelian or not, as the walk's
 steps and choices did before they decided by the structure of the step
 and took a part's choices from its prime-index quotients;
+scan_space_lattice remaps a group's whole lattice into universe indices,
+once per operation in the space's memo, and scan_lattice_filter keeps its
+maximal members inside a set, as MultiGroupSpace._lattice and
+subspaces._lattice_part_candidates did before the series walk and the
+intersection route ran the closure kernel on the set asked about;
 scan_is_finitely_generated scans every subset of the universe by size, as
 the generating-set search did before it split the universe into connected
 components; scan_composition_series recurses on the restricted group of
@@ -586,12 +591,32 @@ def scan_interposable(ms, upper_space, lower):
     return None
 
 
+def scan_space_lattice(ms: MultiGroupSpace, k: int) -> dict[int, list[int]]:
+    """groups[k]'s lattice over universe indices: each subgroup as a
+    bitmask, in lattice order, with the indices of its generators. The
+    group's own dict when carrier index i is universe index i, as in a
+    single-group space. Callers check the order bound and only read it."""
+    if ("lattice", k) not in ms._memo:
+        g = ms.groups[k]
+        at = [ms.index(e) for e in g.carrier]
+        ms._memo["lattice", k] = g._lattice if at == list(range(len(at))) else {
+            sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
+            for m, gens in g._lattice.items()}
+    return ms._memo["lattice", k]
+
+
+def scan_lattice_filter(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:
+    """Maximal subgroups of groups[k] inside `allowed` (the intersection
+    route), as universe bitmasks, read off the lattice cached on the space."""
+    return _maximal([m for m in scan_space_lattice(ms, k) if not m & ~allowed])
+
+
 def _scan_normalised(ms: MultiGroupSpace, members: int, carriers: tuple[int, ...]) -> bool:
     """Whether each carrier conjugates the members inside it onto themselves,
     by the generators the lattice keeps for the carrier, abelian or not."""
     return all(_normalises(ms._tables[k], x, _bits(members & carrier))
                for k, carrier in enumerate(carriers) if members & carrier
-               for x in ms._lattice(k)[carrier])
+               for x in scan_space_lattice(ms, k)[carrier])
 
 
 def scan_link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int):
@@ -608,7 +633,7 @@ def scan_link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int
 def scan_choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
     """The maximal proper normal subgroups of op k's part, canonically
     smallest first, normality tested with the part's generators."""
-    lattice = ms._lattice(k)
+    lattice = scan_space_lattice(ms, k)
     return sorted(_maximal(_proper_normal(ms._tables[k], lattice, part, lattice[part])),
                   key=_bits)
 

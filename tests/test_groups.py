@@ -30,7 +30,8 @@ from oracles import (brute_composition_chains, brute_subgroups,
                      scan_is_abelian,
                      scan_maximal, scan_maximal_proper_normal_subgroups,
                      scan_proper_normal_subgroups, scan_quotient_group,
-                     scan_subgroups, scan_validate_group, scan_word_joins)
+                     scan_space_lattice, scan_subgroups, scan_validate_group,
+                     scan_word_joins)
 
 CORPUS = catalog.corpus_groups()
 CORPUS_NAMES = sorted(CORPUS)
@@ -257,11 +258,11 @@ def test_maximal_proper_normal_subgroups_of_s3():
 def test_normal_subgroups_match_the_string_scan(ms):
     """For every group of the corpus and of the catalog spaces, in its
     universe, and every subgroup `within` of it: the int core, conjugating
-    with the generators the space's lattice keeps for `within`, and the
+    with the generators the remapped lattice keeps for `within`, and the
     name wrappers, conjugating with every member, find the subgroups the
     string scan over every conjugator finds, in the same order."""
     for k, g in enumerate(ms.groups):
-        lattice = ms._lattice(k)
+        lattice = scan_space_lattice(ms, k)
         assert proper_normal_subgroups(g) == scan_proper_normal_subgroups(g)
         assert maximal_proper_normal_subgroups(g) == scan_maximal_proper_normal_subgroups(g)
         for part, gens in lattice.items():
@@ -746,7 +747,7 @@ def test_coset_joins_give_the_dict_of_word_closures_on_the_chain_family():
     for ms in overlapping_chain_family():
         for k, carrier in enumerate(ms._carriers):
             t = ms._tables[k]
-            for within in [carrier, *ms._lattice(k)]:
+            for within in [carrier, *scan_space_lattice(ms, k)]:
                 assert list(_closed_subsets(t, within, True).items()) == \
                     list(scan_word_joins(t, within, True).items())
                 cases += 1
@@ -823,20 +824,20 @@ def test_choices_from_the_quotients_match_the_conjugation_scan(name):
     the space, the maximal normal subgroups from the prime-index quotients
     are those of the conjugation test on every lattice member inside it,
     canonically smallest first. A5 and A5 x Z2 are not solvable, and their
-    parts of order 60 or more take the lattice filter; S4 x Z3, of order 72,
-    and D61, of order 122 with a derived subgroup of order 61, are solvable
-    and not abelian, so their whole parts walk the derived series to the
-    hyperplanes."""
+    parts of order 60 or more filter the subgroups of the carrier; S4 x Z3,
+    of order 72, and D61, of order 122 with a derived subgroup of order 61,
+    are solvable and not abelian, so their whole parts walk the derived
+    series to the hyperplanes."""
     ms = QUOTIENT_GROUPS[name]
     ms = MultiGroupSpace(ms.universe, tuple(map(_fresh, ms.groups)))
     parts = 0
     for k in range(len(ms.groups)):
-        for part in ms._lattice(k):
+        for part in scan_space_lattice(ms, k):
             if part & part - 1:
                 assert series._choices(ms, k, part) == scan_choices(ms, k, part), \
                     ms._elements(part)
                 parts += 1
-    assert parts == sum(len(ms._lattice(k)) - 1 for k in range(len(ms.groups)))
+    assert parts == sum(len(scan_space_lattice(ms, k)) - 1 for k in range(len(ms.groups)))
 
 
 def test_a5_x_z2_keeps_the_maximal_normal_subgroup_of_non_abelian_quotient():

@@ -718,17 +718,30 @@ def test_lattices_are_enumerated_once_per_operation(monkeypatch):
     assert evaluations == []
 
 
-def test_gf13_maximal_series_enumerates_each_lattice_at_most_once(monkeypatch):
-    """On GF(13) a step of * clips the + carrier, so the link is covered and
-    edges with overlapping carriers are searched, both by lattice members:
-    each operation's lattice is evaluated once at most, for all orderings."""
+def test_the_series_commands_evaluate_no_lattice(monkeypatch):
+    """The walk covers links with the completeness candidates and reads
+    each carrier's subgroups off the closure kernel run on that carrier,
+    so on every shipped instance, every corpus group and GF(13), in every
+    ordering, the series constructions evaluate no group's lattice; a
+    space they refuse or break down on is passed over. Reading the whole
+    lattices, they evaluated 10: on gf3, gf5, z2link, z6units and GF(13),
+    one per operation."""
+    spaces = [parse_instance(p.read_text(encoding="utf-8"))
+              for p in sorted(INSTANCE_DIR.glob("*.mgs"))]
+    spaces += [catalog.single(g) for g in catalog.corpus_groups().values()]
+    spaces.append(catalog.prime_field(13))
     evaluations = count_lattices(monkeypatch)
-    ms = catalog.prime_field(13)
-    enumerate_maximal_series(ms, limits=WIDE)
-    length_invariance_check(ms, limits=WIDE)
-    evaluated = [id(g) for g in evaluations]
-    assert evaluated and len(set(evaluated)) == len(evaluated)
-    assert set(evaluated) <= set(map(id, ms.groups))
+    for ms in spaces:
+        calls = [lambda: length_invariance_check(ms, limits=WIDE)]
+        for order in permutations(ms.op_set):
+            calls += [lambda o=order: build_series(ms, seq(ms, o), WIDE),
+                      lambda o=order: enumerate_maximal_series(ms, seq(ms, o), WIDE)]
+        for call in calls:
+            try:
+                call()
+            except MultigroupError:
+                pass
+    assert evaluations == []
 
 
 GF13_SERIES = """command: series

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
-from multigroup.groups import FiniteGroup, _bits, subgroups
+from multigroup.groups import FiniteGroup, _bits, _close, subgroups
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup import series as series_module
 from multigroup import subspaces as subspaces_module
 from multigroup.series import enumerate_maximal_series
 from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
-                                  _decomposition, _lattice_part_candidates, _parts,
+                                  _decomposition, _parts,
                                   _subgroups_under, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
@@ -25,8 +25,8 @@ from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
 from conftest import (INSTANCE_DIR, chain_layouts, count_lattices,
                       overlapping_pair_family, subset_op_combinations, subspaces_of)
 from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
-                     scan_is_subspace_by_intersection,
-                     scan_subspace_decomposition)
+                     scan_is_subspace_by_intersection, scan_lattice_filter,
+                     scan_space_lattice, scan_subspace_decomposition)
 from test_groups import _tables
 
 A3 = ("e", "(123)", "(132)")
@@ -187,7 +187,7 @@ def test_both_route_cores_agree_on_the_whole_chain_family():
     universe mask and every nonempty set of positions whose carriers meet
     it, with no SubsetRef and no sampling. The completeness core is _parts;
     the intersection core reads the sorted whole-lattice filter
-    (_lattice_part_candidates), is False on an empty list and otherwise
+    (oracles.scan_lattice_filter), is False on an empty list and otherwise
     runs _cover. On a group the intersection route reads the down-set
     (_subgroups_under) instead, which down_sets_match_the_lattice checks
     equal to that filter."""
@@ -198,7 +198,7 @@ def test_both_route_cores_agree_on_the_whole_chain_family():
         spaces += 1
         for mask in range(1, 1 << len(ms.universe)):
             meeting = [k for k, carrier in enumerate(ms._carriers) if mask & carrier]
-            lattice = {k: sorted(_lattice_part_candidates(ms, k, mask), key=_bits)
+            lattice = {k: sorted(scan_lattice_filter(ms, k, mask), key=_bits)
                        for k in meeting}
             for r in range(1, len(meeting) + 1):
                 for ks in combinations(meeting, r):
@@ -212,40 +212,63 @@ def test_both_route_cores_agree_on_the_whole_chain_family():
 
 
 def down_sets_match_the_lattice(spaces):
-    """The intersection route's candidates on each operation that is a
-    group, read off the down-set under the target, equal the whole-lattice
-    filter for every universe mask meeting its carrier. Returns the number
-    of spaces and of masks checked."""
-    count = checks = 0
+    """The subgroups the closure kernel finds under a set equal the
+    whole-lattice filter (oracles.scan_lattice_filter), on each operation
+    that is a group. For every universe mask meeting its carrier, the
+    intersection route's candidates, read off the down-set under the
+    target, and on a valid space the completeness candidates of the mask's
+    share of the carrier, which the series walk covers with. On a valid
+    space, for every subgroup of the carrier, each a carrier the walk may
+    meet, the subgroups it reads there (series._subgroups), the carrier
+    generated by the elements kept for it. Returns the number of spaces,
+    of masks, of masks on valid spaces and of subgroups checked."""
+    count = checks = covers = carriers = 0
     for ms in spaces:
         count += 1
+        valid = validate_multigroup(ms).ok
         for k, carrier in enumerate(ms._carriers):
             if ms.groups[k]._generators is None:
                 continue
             for mask in range(1, 1 << len(ms.universe)):
                 if mask & carrier:
-                    assert sorted(_subgroups_under(ms, k, mask), key=_bits) == \
-                        sorted(_lattice_part_candidates(ms, k, mask), key=_bits), \
-                        (ms.universe, ms.op_set, k, mask)
+                    expected = sorted(scan_lattice_filter(ms, k, mask), key=_bits)
+                    where = (ms.universe, ms.op_set, k, mask)
+                    assert sorted(_subgroups_under(ms, k, mask), key=_bits) == expected, where
                     checks += 1
-    return count, checks
+                    if valid:
+                        assert sorted(_closed_part_candidates(ms, k, mask & carrier),
+                                      key=_bits) == expected, where
+                        covers += 1
+            if valid:
+                for sub in scan_space_lattice(ms, k):
+                    found, where = series_module._subgroups(ms, k, sub), (ms.universe, k, sub)
+                    assert sorted(found, key=_bits) == \
+                        sorted((m for m in scan_space_lattice(ms, k) if not m & ~sub),
+                               key=_bits), where
+                    gens = sum(1 << x for x in found[sub])
+                    assert _close((ms._tables[k],), 0, gens) == sub, where
+                    carriers += 1
+    return count, checks, covers, carriers
 
 
 def test_down_sets_match_the_lattice_filter(monkeypatch):
     """On the pair family, every shipped instance and the corpus groups;
-    CI runs the chain family, (355, 270723). The kernel is exact on any
-    table, so only the flag it is handed shows that a group's closures are
-    walked as powers and cosets."""
-    flags, kernel = [], subspaces_module._closed_subsets
-    monkeypatch.setattr(subspaces_module, "_closed_subsets",
-                        lambda t, within, group=False:
-                        flags.append(group) or kernel(t, within, group))
-    assert down_sets_match_the_lattice(overlapping_pair_family()) == (51, 10052)
+    CI runs the chain family, (355, 270723, 270723, 3314). The kernel is
+    exact on any table, so only the flag it is handed shows that a group's
+    closures are walked as powers and cosets: it is run once per down-set,
+    once per distinct (operation, share) of the completeness candidates,
+    which the space keeps, and once per subgroup read by the walk."""
+    flags = []
+    for module in (subspaces_module, series_module):
+        monkeypatch.setattr(module, "_closed_subsets",
+                            lambda t, within, group=False, kernel=module._closed_subsets:
+                            flags.append(group) or kernel(t, within, group))
+    assert down_sets_match_the_lattice(overlapping_pair_family()) == (51, 10052, 10052, 345)
     shipped = [parse_instance(p.read_text()) for p in sorted(INSTANCE_DIR.glob("*.mgs"))]
-    assert down_sets_match_the_lattice(shipped) == (13, 4547)
+    assert down_sets_match_the_lattice(shipped) == (13, 4547, 4510, 49)
     corpus = [catalog.single(g) for g in catalog.corpus_groups().values()]
-    assert down_sets_match_the_lattice(corpus) == (16, 12860)
-    assert flags == [True] * (10052 + 4547 + 12860)
+    assert down_sets_match_the_lattice(corpus) == (16, 12860, 12860, 71)
+    assert flags == [True] * (10052 + 4547 + 12860 + 18879 + 345 + 49 + 71)
 
 
 @pytest.mark.parametrize("group", [catalog.alternating_4, catalog.dihedral_4,
@@ -398,7 +421,7 @@ def test_induced_space_is_valid(gf3, small_spaces):
 
 def _decomposes_alike_inside(ms, s):
     """Decomposing inside the space induced on s by passing its carriers,
-    by closures (_decomposition) and by the series walk's lattice route
+    by closures (_decomposition) and by the series walk's cover
     (series._induced, on the operations SubsetRef.of retains), agrees with
     decomposing in induced_space(ms, s) itself."""
     inner = induced_space(ms, s)
@@ -410,8 +433,8 @@ def _decomposes_alike_inside(ms, s):
         assert (None if got is None else {op: ms._elements(got[ms._position(op)])
                                           for op in t.retained_ops}) == expected, (s, t)
         if t.retained_ops == SubsetRef.of(inner, t.elements).retained_ops:
-            lattice = series_module._induced(ms, carriers, mask)
-            assert lattice == (None if expected is None else tuple(
+            walk = series_module._induced(ms, carriers, mask)
+            assert walk == (None if expected is None else tuple(
                 ms._mask(expected.get(op, ())) for op in ms.op_set)), (s, t)
 
 
@@ -538,17 +561,17 @@ def test_closed_part_candidates_name_an_escape_only_a_join_reaches():
 
 def test_decomposition_cache_is_freed_with_its_space():
     """So is everything the space's one memo keeps: the completeness
-    route's candidates per operation, the lattices, the walk's choices,
-    the edge verdicts, the link SubsetRefs and the enumeration. The
-    decompositions themselves are computed on each call."""
+    route's candidates per operation, which the walk also covers with, the
+    subgroups of each carrier the walk meets, its choices, the edge
+    verdicts, the link SubsetRefs and the enumeration. The decompositions
+    themselves are computed on each call, and no lattice is kept."""
     ms = catalog.gf3()
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
     assert ("candidates", 0, ms._mask(["0", "1"])) in ms._memo
     assert ("candidates", 1, ms._mask(["1"])) in ms._memo
     enumerate_maximal_series(ms)
-    assert {k for k in ms._memo if k[0] == "lattice"} == {("lattice", 0), ("lattice", 1)}
-    assert {k[0] for k in ms._memo} == {"candidates", "lattice",
+    assert {k[0] for k in ms._memo} == {"candidates", "subgroups",
                                         "choices", "edge", "ref", "maximal"}
     assert all(type(v) is SubsetRef for k, v in ms._memo.items() if k[0] == "ref")
     gone = weakref.ref(ms)
