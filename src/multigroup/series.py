@@ -19,7 +19,7 @@ the closed sets the closure kernel finds inside it (_subgroups), and
 normality conjugates with the generators it keeps: the elements that
 conjugate a set onto itself form a subgroup. An edge's interposition
 verdict, a part's maximal normal subgroups, a carrier's subgroups and a
-link's SubsetRef are kept on the space.
+link's SubsetRef are kept through MultiGroupSpace._kept.
 
 Three rules let the walk decide by the structure of a step, each exact:
 1. A step of op k from its part P to nxt removes P & ~nxt. A carrier that
@@ -57,7 +57,7 @@ from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
 from .groups import (Element, _bits, _closed_subsets, _maximal_normal, _normalises,
                      is_normal_subgroup)
-from .spaces import MultiGroupSpace, validate_multigroup
+from .spaces import MultiGroupSpace
 from .subspaces import SubsetRef, _decomposition, is_subspace, subspace_decomposition
 
 ANOMALY_TERMINAL_MISMATCH = "TERMINAL_MISMATCH"
@@ -99,11 +99,10 @@ class NormalityEvidence(namedtuple("NormalityEvidence", [
 def _subgroups(ms: MultiGroupSpace, k: int, carrier: int) -> dict[int, list[int]]:
     """The subgroups of op k's group inside carrier, a subgroup of it, as
     universe bitmasks, each with the elements it was joined from, which
-    generate it: the closure kernel run on carrier, kept on the space. The
+    generate it: the closure kernel run on carrier, kept through _kept. The
     space is valid, so each closed set it finds is a subgroup."""
-    if ("subgroups", k, carrier) not in ms._memo:
-        ms._memo["subgroups", k, carrier] = _closed_subsets(ms._tables[k], carrier, True)
-    return ms._memo["subgroups", k, carrier]
+    return ms._kept(("subgroups", k, carrier),
+                    lambda: _closed_subsets(ms._tables[k], carrier, True))
 
 
 def _normalised(ms: MultiGroupSpace, members: int, carriers: tuple[int, ...]) -> bool:
@@ -175,7 +174,7 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
         raise BoundExceeded(
             f"series construction bounded at group order {limits.max_group_order}, "
             f"got {worst}", limits.max_group_order)
-    if not validate_multigroup(ms).ok:
+    if not ms._validation.ok:
         raise PreconditionError(
             "series construction requires a valid multi-group space")
 
@@ -228,16 +227,14 @@ def _link_carriers(ms: MultiGroupSpace, carriers: tuple[int, ...], link: int,
 
 def _choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
     """The maximal proper normal subgroups of op k's part, a subgroup,
-    canonically smallest first, kept on the space. They come from the
+    canonically smallest first, kept through _kept. They come from the
     part's prime-index quotients (rule 2, groups._maximal_normal), and
     only a part that is not solvable reads the subgroups of op k's
     carrier, found once per operation."""
-    if ("choices", k, part) not in ms._memo:
-        g = ms.groups[k]
-        ms._memo["choices", k, part] = _maximal_normal(
-            ms._tables[k], part, ms.index(g.identity), g.is_abelian,
-            lambda: _subgroups(ms, k, ms._carriers[k]))
-    return ms._memo["choices", k, part]
+    g = ms.groups[k]
+    return ms._kept(("choices", k, part), lambda: _maximal_normal(
+        ms._tables[k], part, ms.index(g.identity), g.is_abelian,
+        lambda: _subgroups(ms, k, ms._carriers[k])))
 
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
@@ -274,11 +271,10 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
 
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    chain, steps, anomalies) -> NormalSeries:
-    for m in chain:  # each distinct link is named once per space, as SubsetRef.of would
-        if ("ref", m) not in ms._memo:
-            ms._memo["ref", m] = SubsetRef(ms._elements(m), tuple(
-                op for op, carrier in zip(ms.op_set, ms._carriers) if m & carrier))
-    chain = [ms._memo["ref", m] for m in chain]
+    # each distinct link is named once per space, as SubsetRef.of would
+    chain = [ms._kept(("ref", m), lambda: SubsetRef(ms._elements(m), tuple(
+        op for op, carrier in zip(ms.op_set, ms._carriers) if m & carrier)))
+        for m in chain]
     last_identity = ms.group_of(seq.order[-1]).identity
     terminal = chain[-1].elements
     if set(terminal) != {last_identity}:
@@ -326,7 +322,18 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     union of one subgroup (or nothing) per operation. They come in the
     order of a scan over all 2^|gap| subsets, so the witness is the one it
     finds.
-    The verdict depends on the edge (carriers, lower) alone: kept per space.
+    The verdict depends on the edge (carriers, lower) alone: kept through
+    _kept.
+
+    The link is normal in every subspace M between, so only M is
+    conjugation-tested. The link is normal in its parent under each parent
+    carrier C_j: an unclipped carrier lies whole in the link, op k's share
+    is nxt, normal in the part, and a clipped carrier is either missed by
+    the link (rule 1) or conjugation-tested in _link_carriers. Each
+    carrier D_j of M is a subgroup inside C_j, so conjugating link & D_j
+    by any x in D_j stays inside the link, as x is in C_j, and inside
+    D_j: inside link & D_j. tests/oracles.scan_interposable keeps the
+    full check.
 
     Rule 3: the link is a step of some op k from its part P to nxt, a
     maximal normal subgroup of P. When the carriers are pairwise disjoint, a
@@ -335,15 +342,15 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
     strictly between nxt and P, which the choice of nxt rules out. So
     nothing is searched.
     """
-    if ("edge", carriers, lower) not in ms._memo:
+    def search():
         disjoint = sum(map(int.bit_count, carriers)) == reduce(or_, carriers).bit_count()
-        ms._memo["edge", carriers, lower] = None if disjoint else next(
+        return None if disjoint else next(
             (mid for mid in _candidates_between(ms, carriers, lower)
              if (inner := _induced(ms, carriers, mid)) is not None
              and _normalised(ms, mid, carriers)
-             and _induced(ms, inner, lower) is not None
-             and _normalised(ms, lower, inner)), None)
-    return ms._memo["edge", carriers, lower]
+             and _induced(ms, inner, lower) is not None), None)
+
+    return ms._kept(("edge", carriers, lower), search)
 
 
 class MaximalSeriesResult(namedtuple("MaximalSeriesResult", [
@@ -375,9 +382,9 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
     interposition search, which is exhaustive although it tries only unions
     of subgroups: every subspace between two links is such a union (see
     _interposable). Chains that fail it are returned separately, never
-    silently dropped or silently kept. Results are cached on the space per
+    silently dropped or silently kept. Results are kept through _kept per
     order, so mgs maximal-series enumerates each ordering once; a
-    construction that raises is not cached.
+    construction that raises keeps nothing.
     """
     seq = seq if seq is not None else OrientedOperationSequence.of(ms)
     if len(ms.universe) > limits.max_exhaustive_universe:
@@ -386,10 +393,7 @@ def enumerate_maximal_series(ms: MultiGroupSpace,
             f"{limits.max_exhaustive_universe}, got {len(ms.universe)}; "
             f"use build_series for a single witness", limits.max_exhaustive_universe)
     _check_preconditions(ms, limits)
-    key = "maximal", seq.order
-    if key not in ms._memo:
-        ms._memo[key] = _enumerate_maximal_series(ms, seq)
-    return ms._memo[key]
+    return ms._kept(("maximal", seq.order), lambda: _enumerate_maximal_series(ms, seq))
 
 
 def _enumerate_maximal_series(ms: MultiGroupSpace,

@@ -135,12 +135,21 @@ class MultiGroupSpace(_Frozen):
     @cached_property
     def _memo(self) -> dict:
         # results derived from this frozen space, by keys tagged with their
-        # kind, so they are freed with it
+        # kind, so they are freed with it; written only by _kept
         return {}
+
+    def _kept(self, key: tuple, compute):
+        """The result kept under key, a tuple whose first entry names its
+        kind: compute() on the first call, stored only once it returns, so
+        a compute that raises keeps nothing and every call raises alike."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @cached_property
     def _validation(self) -> ValidationReport:
-        # the space is frozen, so it is validated once; callers get copies
+        # the space is frozen, so it is validated once; the engine reads
+        # this report, and validate_multigroup hands out copies
         return _validate(self)
 
     def group_of(self, op_id: str) -> FiniteGroup:
@@ -445,7 +454,7 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
     (1905), a field. tests/test_spaces.py searches both conventions
     exhaustively on small universes for a counterexample.
     """
-    if not validate_multigroup(ms).ok:
+    if not ms._validation.ok:
         raise PreconditionError("classification requires a valid multi-group space")
     if len(ms.groups) == 1:
         return Classification("group")

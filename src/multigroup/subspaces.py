@@ -34,10 +34,11 @@ carrier indices to universe bits, and the tests check both against the
 whole-lattice filter, kept as an oracle. Below the public functions an
 operation is its position and parts are a tuple shaped like the
 carriers. Decompositions are computed on each call; each operation's
-completeness candidates are kept in the space's memo by (operation,
-allowed bitmask), so they are freed with it. The series walk covers
-inside induced spaces with the same candidates, and its interposition
-candidates also come from the kernel, run on each carrier.
+completeness candidates are kept through MultiGroupSpace._kept by
+(operation, allowed bitmask), so they are freed with the space. The
+series walk covers inside induced spaces with the same candidates, and
+its interposition candidates also come from the kernel, run on each
+carrier.
 """
 
 from __future__ import annotations
@@ -92,24 +93,23 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
     reaches, as each such join lies inside one of the latter. When the
     table is a group, element closures are powers and joins are walked
     over cosets, one per coset; Light's verdict is then computed if no
-    earlier call cached it. Kept in the space's memo by (k, within), once
-    no escape is found: a raise is never kept, so every call raises alike.
+    earlier call cached it. Kept through _kept by (k, within), once no
+    escape is found: a raise is never kept, so every call raises alike.
     """
-    key = "candidates", k, within
-    if key in ms._memo:
-        return ms._memo[key]
-    g, t = ms.groups[k], ms._tables[k]
-    maximal = _maximal(_closed_subsets(t, within, g._generators is not None))
-    if g._ints[1]:
-        escaped = 0
-        for closed, union in [(0, 1 << x) for x in _bits(within)] + \
-                [(a, a | b) for i, a in enumerate(maximal) for b in maximal[:i]]:
-            escaped |= _close((t,), closed, union)
-        for name in g._ints[1]:  # the products outside the carrier, in table order
-            if escaped >> ms.index(name) & 1:
-                raise DomainError(f"{name!r} is not in the carrier of {g.op_id!r}")
-    ms._memo[key] = maximal
-    return maximal
+    def compute():
+        g, t = ms.groups[k], ms._tables[k]
+        maximal = _maximal(_closed_subsets(t, within, g._generators is not None))
+        if g._ints[1]:
+            escaped = 0
+            for closed, union in [(0, 1 << x) for x in _bits(within)] + \
+                    [(a, a | b) for i, a in enumerate(maximal) for b in maximal[:i]]:
+                escaped |= _close((t,), closed, union)
+            for name in g._ints[1]:  # the products outside the carrier, in table order
+                if escaped >> ms.index(name) & 1:
+                    raise DomainError(f"{name!r} is not in the carrier of {g.op_id!r}")
+        return maximal
+
+    return ms._kept(("candidates", k, within), compute)
 
 
 def _subgroups_under(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:

@@ -595,14 +595,16 @@ def scan_space_lattice(ms: MultiGroupSpace, k: int) -> dict[int, list[int]]:
     """groups[k]'s lattice over universe indices: each subgroup as a
     bitmask, in lattice order, with the indices of its generators. The
     group's own dict when carrier index i is universe index i, as in a
-    single-group space. Callers check the order bound and only read it."""
-    if ("lattice", k) not in ms._memo:
+    single-group space, kept on the space through _kept. Callers check the
+    order bound and only read it."""
+    def remap():
         g = ms.groups[k]
         at = [ms.index(e) for e in g.carrier]
-        ms._memo["lattice", k] = g._lattice if at == list(range(len(at))) else {
+        return g._lattice if at == list(range(len(at))) else {
             sum(1 << at[i] for i in _bits(m)): [at[i] for i in gens]
             for m, gens in g._lattice.items()}
-    return ms._memo["lattice", k]
+
+    return ms._kept(("lattice", k), remap)
 
 
 def scan_lattice_filter(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:

@@ -1,3 +1,4 @@
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 import pytest
@@ -10,9 +11,11 @@ from multigroup.report import DISTRIBUTION
 from multigroup.spaces import (MultiGroupSpace, check_distribution,
                                classify_special_case, is_complete,
                                ops_of_element, validate_multigroup)
+from multigroup.subspaces import _closed_part_candidates
 
 from conftest import relabel, run_cli
 from oracles import scan_is_abelian, scan_validate
+from test_golden import INSTANCES, render_golden
 
 
 def test_gf3_distribution_passes(gf3):
@@ -365,3 +368,60 @@ def test_two_groups_on_one_carrier_are_valid_only_on_one_element(n):
     """x*(e o e) = (x*e) o (x*e) forces x*e = e, so |U| = 1."""
     spaces, valid = carrier_convention_search(n, exact=True)
     assert (spaces, valid) == (EXACT_SPACES[n], int(n == 1))
+
+
+def _a4_pair():
+    """Two A4 that share only their identity: overlapping non-abelian
+    carriers, whose interposition search reads every memo kind."""
+    a4 = catalog.alternating_4()
+
+    def named(op):
+        return relabel(a4, [x if x == a4.identity else op + x for x in a4.carrier], op)
+    a, b = named("a"), named("b")
+    return MultiGroupSpace(tuple(dict.fromkeys(a.carrier + b.carrier)), (a, b))
+
+
+def test_every_memo_entry_went_through_kept(tmp_path, monkeypatch):
+    """Each space's memo holds exactly the keys whose _kept call returned,
+    over every golden invocation and maximal-series on the A4 pair; and an
+    escaping table raises alike on two calls and keeps no candidates key."""
+    memo, kept = MultiGroupSpace.__dict__["_memo"], MultiGroupSpace._kept
+    spaces_made, keys = [], {}
+
+    def made(ms):
+        spaces_made.append(ms)  # held, so no two spaces share an id
+        return memo.func(ms)
+
+    def recorded(ms, key, compute):
+        value = kept(ms, key, compute)
+        keys.setdefault(id(ms), set()).add(key)
+        return value
+
+    recording = cached_property(made)
+    recording.__set_name__(MultiGroupSpace, "_memo")
+    monkeypatch.setattr(MultiGroupSpace, "_memo", recording)
+    monkeypatch.setattr(MultiGroupSpace, "_kept", recorded)
+    pair = tmp_path / "a4pair.mgs"
+    pair.write_text(serialize_instance(_a4_pair()), encoding="utf-8")
+    kinds = set()
+    runs = [(render_golden, path) for path in INSTANCES] + \
+        [(run_cli, ["maximal-series", str(pair), "--exhaustive-bound", "64"])]
+    for run, argument in runs:
+        run(argument)
+        for ms in spaces_made:
+            assert set(ms._memo) == keys.get(id(ms), set())
+            kinds |= {key[0] for key in ms._memo}
+        spaces_made.clear()
+        keys.clear()
+    assert kinds == {"candidates", "subgroups", "choices", "edge", "ref", "maximal"}
+
+    rows = ("e a b c", "a a x a", "b y b b", "c c c z")
+    g = FiniteGroup("*", tuple("eabc"), tuple(tuple(r.split()) for r in rows), "e")
+    ms = MultiGroupSpace(g.carrier + g._ints[1], (g,))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(DomainError) as exc:
+            _closed_part_candidates(ms, 0, ms._mask("abc"))
+        raised.append(str(exc.value))
+    assert raised == ["'x' is not in the carrier of '*'"] * 2
+    assert not any(key[0] == "candidates" for key in ms._memo)
