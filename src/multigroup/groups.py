@@ -641,13 +641,10 @@ def _hyperplanes(t: list[list[int]], members: list[int], low: int, p: int) -> li
     return planes
 
 
-def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
-                    lattice) -> list[int]:
+def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool) -> list[int]:
     """The maximal proper normal subgroups of the subgroup `part` of the
     group with int table t and identity index e, canonically smallest
-    first (sorted by _bits). `abelian` says that the group is; lattice()
-    gives its lattice over t's indices, read only for a part that is not
-    solvable.
+    first (sorted by _bits). `abelian` says that the group is.
 
     M is maximal normal in P exactly when P/M is simple. If P is solvable,
     so is P/M, and a simple solvable group is cyclic of prime order p. Then
@@ -662,8 +659,9 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
     operation P' is the identity and N_p = {x^p}. A part of prime order
     has only the identity below it. The derived series decides
     solvability: it reaches the identity, or it stalls above it, and then
-    P is not solvable and the lattice members strictly inside P that P's
-    generators normalise are filtered.
+    P is not solvable: the closure kernel finds the subgroups under P
+    (_closed_subsets), and those strictly inside it that P's generators
+    normalise are filtered.
     """
     order = part.bit_count()
     primes = _primes(order)
@@ -674,7 +672,7 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool,
     upper, lower = part, derived
     while lower != 1 << e:
         if lower == upper:  # the derived series stalls: not solvable
-            lat = lattice()
+            lat = _closed_subsets(t, part, True)
             return sorted(_maximal(_proper_normal(t, lat, part, lat[part])), key=_bits)
         upper, lower = lower, _derived(t, _bits(lower), e)
     out, coset = [], _bits(derived)
@@ -696,8 +694,7 @@ def _maximal_masks(g: FiniteGroup, top: int, group: bool) -> list[int]:
     lattice filter."""
     if not group:
         return _maximal(_normal_masks(g, top))
-    masks = _maximal_normal(g._ints[0], top, g.index(g.identity), g.is_abelian,
-                            lambda: g._lattice)
+    masks = _maximal_normal(g._ints[0], top, g.index(g.identity), g.is_abelian)
     return sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
 
 
@@ -714,7 +711,7 @@ def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIM
     """Proper normal subgroups with no strictly larger proper normal subgroup
     above them, of g or of its subgroup `within`, by size and then
     canonical order. On a group they come from the prime-index quotients
-    (_maximal_normal), which need no lattice."""
+    (_maximal_normal), which read no lattice of g."""
     top = _top(g, limits, within)
     group = g._generators is not None and _close((g._ints[0],), 0, top) == top
     return list(map(g._names, _maximal_masks(g, top, group)))
@@ -764,7 +761,8 @@ def composition_series(g: FiniteGroup,
     link, so every returned chain ends at the trivial subgroup and cannot
     be refined. The links are bitmasks over g's own table, each link's
     maximal normal subgroups taken from its prime-index quotients
-    (_maximal_normal), so a solvable group builds no lattice. Each link's
+    (_maximal_normal), so a solvable link builds no lattice and any other
+    link only the subgroups under itself. Each link's
     chains down to the identity are listed once, however many paths reach
     it, and they are named at the end.
     """

@@ -29,14 +29,14 @@ Three rules let the walk decide by the structure of a step, each exact:
    misses every other carrier that meets them, the link's carriers are
    the parent's with nxt at k and those carriers lost, and otherwise only
    the clipped carriers are conjugation-tested (_link_carriers).
-2. A part's choices come from its abelian quotients, not its lattice. If
-   P is solvable, every simple quotient of P is cyclic of prime order, so
-   the maximal normal subgroups of P are the preimages of the hyperplanes
-   of P/N_p, N_p = P'·P^p, for each prime p dividing |P : P'|; on an
-   abelian operation P' is the identity. A part of prime order has only
-   the identity below it, and a part that is not solvable (its derived
-   series stalls above the identity) filters the subgroups of op k's
-   carrier (_choices, groups._maximal_normal). An abelian group
+2. A solvable part's choices come from its abelian quotients, not its
+   lattice. If P is solvable, every simple quotient of P is cyclic of
+   prime order, so the maximal normal subgroups of P are the preimages of
+   the hyperplanes of P/N_p, N_p = P'·P^p, for each prime p dividing
+   |P : P'|; on an abelian operation P' is the identity. A part of prime
+   order has only the identity below it, and a part that is not solvable
+   (its derived series stalls above the identity) filters the subgroups
+   under itself (_choices, groups._maximal_normal). An abelian group
    conjugates every subset onto itself, so its carriers are never
    conjugation-tested (_normalised).
 3. When a parent's carriers are pairwise disjoint, a normal subspace M
@@ -229,12 +229,10 @@ def _choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
     """The maximal proper normal subgroups of op k's part, a subgroup,
     canonically smallest first, kept through _kept. They come from the
     part's prime-index quotients (rule 2, groups._maximal_normal), and
-    only a part that is not solvable reads the subgroups of op k's
-    carrier, found once per operation."""
+    only a part that is not solvable reads the subgroups under itself."""
     g = ms.groups[k]
     return ms._kept(("choices", k, part), lambda: _maximal_normal(
-        ms._tables[k], part, ms.index(g.identity), g.is_abelian,
-        lambda: _subgroups(ms, k, ms._carriers[k])))
+        ms._tables[k], part, ms.index(g.identity), g.is_abelian))
 
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):

@@ -882,6 +882,32 @@ def test_maximal_normal_subgroups_of_larger_groups_match_the_string_scan(name):
     assert composition_series(g, WIDE_ORDER) == scan_composition_series(g, WIDE_ORDER)
 
 
+@pytest.mark.parametrize("name", ["A5", "A5xZ2", "S5"])
+def test_non_solvable_parts_read_only_the_subgroups_under_themselves(monkeypatch, name):
+    """Where the derived series stalls, the subgroups filtered are those the
+    closure kernel finds under the part: the group API evaluates no
+    FiniteGroup._lattice, and the walk's choice keeps no carrier's
+    subgroups. S5, whose only proper normal subgroups are A5 and the
+    identity, is checked against the string scans as well."""
+    if name == "S5":
+        ms = catalog.single(catalog._permutation_group("*", list(permutations(range(5)))))
+    else:
+        ms = QUOTIENT_GROUPS[name]
+    ms = MultiGroupSpace(ms.universe, tuple(map(_fresh, ms.groups)))
+    g = ms.groups[0]
+    evaluations = count_lattices(monkeypatch)
+    maximal = maximal_proper_normal_subgroups(g, WIDE_ORDER)
+    chains = composition_series(g, WIDE_ORDER)
+    assert evaluations == []
+    top = (1 << len(ms.universe)) - 1
+    choices = series._choices(ms, 0, top)
+    assert [key for key in ms._memo if key[0] == "subgroups"] == []
+    if name == "S5":
+        assert maximal == scan_maximal_proper_normal_subgroups(_fresh(g), WIDE_ORDER)
+        assert chains == scan_composition_series(_fresh(g), WIDE_ORDER)
+        assert choices == scan_choices(ms, 0, top)
+
+
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
 def test_maximal_normal_subgroups_within_any_subset(name):
     """A `within` that is no subgroup, or empty, takes the lattice filter,
