@@ -88,7 +88,7 @@ class MultiGroupSpace(_Frozen):
         carrier index i is universe index i, a row is the group's row
         padded with undefined columns.
         Precondition: every carrier element and product lies in the
-        universe. The parser and the catalog ensure it, and validation
+        universe. The parser ensures it, and validation
         scans distribution only without structural violations; a product
         outside the universe makes building the tables raise DomainError,
         naming the first one in universe order.

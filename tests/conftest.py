@@ -15,12 +15,13 @@ settings.load_profile("suite")
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from multigroup import catalog, cli  # noqa: E402
+import catalog  # noqa: E402
+from catalog import INSTANCE_DIR, relabel  # noqa: E402
+from multigroup import cli  # noqa: E402
 from multigroup.groups import FiniteGroup  # noqa: E402
+from multigroup.spaces import MultiGroupSpace, validate_multigroup  # noqa: E402
 from multigroup.subspaces import is_subspace  # noqa: E402
 from oracles import subset_op_combinations  # noqa: E402
-
-INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 # fixtures small enough for exhaustive subset scans
 SMALL_FIXTURE_NAMES = ("gf3", "gf5", "z6units", "z2link", "z2z3", "z2z2",
@@ -34,38 +35,27 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def gf3():
-    return catalog.gf3()
+    return catalog.shipped("gf3")
 
 
 @pytest.fixture(scope="session")
 def z2z3():
-    return catalog.z2_z3()
+    return catalog.shipped("z2z3")
 
 
 @pytest.fixture(scope="session")
 def z2z2():
-    return catalog.z2_z2()
+    return catalog.shipped("z2z2")
 
 
 @pytest.fixture(scope="session")
 def small_spaces():
     """Valid multi-space fixtures with universe size at most 8, by name."""
-    return dict(small_space_catalog())
+    return small_space_catalog()
 
 
 def small_space_catalog():
-    return {
-        "gf3": catalog.gf3(),
-        "gf5": catalog.prime_field(5),
-        "z6units": catalog.z6_with_units(),
-        "z2link": catalog.linked_z2s(),
-        "z2z3": catalog.z2_z3(),
-        "z2z2": catalog.z2_z2(),
-        "s3": catalog.single(catalog.symmetric_3()),
-        "z6": catalog.single(catalog.cyclic(6)),
-        "klein": catalog.single(catalog.klein_four()),
-        "trivial": catalog.trivial_space(),
-    }
+    return {name: catalog.shipped(name) for name in SMALL_FIXTURE_NAMES}
 
 
 @pytest.fixture(scope="session")
@@ -112,24 +102,17 @@ def instance_text(ms):
     return "\n".join(lines) + "\n"
 
 
-def relabel(group, names, op_id):
-    """The same group structure over fresh element names."""
-    from multigroup.groups import FiniteGroup
-    mapping = dict(zip(group.carrier, names))
-    table = tuple(tuple(mapping[x] for x in row) for row in group.table)
-    return FiniteGroup(op_id, tuple(mapping[e] for e in group.carrier), table,
-                       mapping[group.identity])
+# the pieces of the pair and chain families
+PIECES = (catalog.cyclic(2), catalog.cyclic(3), catalog.cyclic(4), catalog.klein_four(),
+          catalog.symmetric_3())
 
 
 def overlapping_pair_family(max_universe=8):
     """All valid two-group spaces from small pieces over every tail/head
     carrier overlap, a search space nobody hand-picked."""
-    from multigroup.spaces import MultiGroupSpace, validate_multigroup
-    pieces = [catalog.cyclic(2), catalog.cyclic(3), catalog.cyclic(4),
-              catalog.klein_four(), catalog.symmetric_3()]
     spaces = []
-    for g1 in pieces:
-        for g2 in pieces:
+    for g1 in PIECES:
+        for g2 in PIECES:
             for overlap in range(0, min(g1.order, g2.order) + 1):
                 total = g1.order + g2.order - overlap
                 if total > max_universe:
@@ -149,10 +132,7 @@ def chain_layouts(max_universe=9):
     """Every three-group space p, q, r from the pair family's pieces, valid
     or not, each overlapping the tail of the one before it by any amount up
     to the smaller of the two (r may then reach into p as well)."""
-    from multigroup.spaces import MultiGroupSpace
-    pieces = [catalog.cyclic(2), catalog.cyclic(3), catalog.cyclic(4),
-              catalog.klein_four(), catalog.symmetric_3()]
-    for g1, g2, g3 in product(pieces, repeat=3):
+    for g1, g2, g3 in product(PIECES, repeat=3):
         for o1 in range(min(g1.order, g2.order) + 1):
             for o2 in range(min(g2.order, g3.order) + 1):
                 start2 = g1.order - o1
@@ -169,5 +149,4 @@ def chain_layouts(max_universe=9):
 
 def overlapping_chain_family(max_universe=9):
     """The valid spaces among chain_layouts."""
-    from multigroup.spaces import validate_multigroup
     return [ms for ms in chain_layouts(max_universe) if validate_multigroup(ms).ok]

@@ -11,7 +11,6 @@ import random
 import subprocess
 import sys
 
-from multigroup import catalog
 from multigroup.generation import GeneratingSet, is_finitely_generated, span_closure
 from multigroup.groups import composition_series, subgroups
 from multigroup.series import (is_normal_subspace, length_invariance_check,
@@ -21,6 +20,7 @@ from multigroup.subspaces import (SubsetRef, coset_decomposition, is_subspace,
                                   is_subspace_by_completeness,
                                   is_subspace_by_intersection, lagrange_check)
 
+import catalog
 from conftest import (INSTANCE_DIR, run_cli, small_space_catalog,
                       subset_op_combinations, subspaces_of)
 from oracles import brute_composition_chains, brute_subgroups, raw_group
@@ -147,7 +147,7 @@ def test_c7_validation_and_classification():
     report_obj = validate_multigroup(gf3)
     assert report_obj.ok
     assert classify_special_case(gf3).tag == "field"
-    broken = validate_multigroup(catalog.gf3_corrupt())
+    broken = validate_multigroup(catalog.shipped("gf3_corrupt"))
     assert not broken.ok
     inverse = [v for v in broken.violations if v.kind == "inverse"]
     assert inverse and inverse[0].witness == ("2",)

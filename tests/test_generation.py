@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from multigroup import catalog, generation
+from multigroup import generation
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError
 from multigroup.generation import (GeneratingSet, is_finitely_generated,
@@ -12,17 +12,12 @@ from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace
 
-from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family, relabel,
+import catalog
+from conftest import (INSTANCE_DIR, chain_layouts, overlapping_pair_family,
                       small_space_catalog)
 from oracles import brute_span_closure, scan_is_finitely_generated
 
-SPACES = {
-    "gf3": catalog.gf3(),
-    "z2z3": catalog.z2_z3(),
-    "z2z2": catalog.z2_z2(),
-    "trivial": catalog.trivial_space(),
-    "s3": catalog.single(catalog.symmetric_3()),
-}
+SPACES = {name: catalog.shipped(name) for name in ("gf3", "z2z3", "z2z2", "trivial", "s3")}
 
 
 def seeds(ms, elements):
@@ -127,13 +122,6 @@ def test_span_closure_is_complete_per_carrier(name, data):
 ESCAPE = Path(__file__).parent / "golden" / "escape.mgs"
 
 
-def _union(*groups):
-    """The disjoint union of groups, renamed apart."""
-    renamed = [relabel(g, [f"{chr(97 + k)}{i}" for i in range(g.order)], chr(97 + k))
-               for k, g in enumerate(groups)]
-    return MultiGroupSpace(tuple(e for g in renamed for e in g.carrier), tuple(renamed))
-
-
 def _generation_cases():
     cases = []
     for path in sorted(INSTANCE_DIR.glob("*.mgs")) + [ESCAPE]:
@@ -141,15 +129,16 @@ def _generation_cases():
                                   id=path.stem))
     for name, ms in small_space_catalog().items():
         cases.append(pytest.param(ms, id=f"catalog-{name}"))
-    cases.append(pytest.param(catalog.z4_twice(), id="catalog-z4z4"))
-    cases.append(pytest.param(catalog.gf3_corrupt(), id="catalog-gf3_corrupt"))
+    cases.append(pytest.param(catalog.shipped("z4z4"), id="catalog-z4z4"))
+    cases.append(pytest.param(catalog.shipped("gf3_corrupt"), id="catalog-gf3_corrupt"))
     for i, ms in enumerate(overlapping_pair_family()):
         cases.append(pytest.param(ms, id=f"overlap{i}"))
     for k in range(1, 6):
-        cases.append(pytest.param(_union(*[catalog.cyclic(2)] * k), id=f"{k}xz2"))
+        cases.append(pytest.param(catalog.disjoint_union(*[catalog.cyclic(2)] * k),
+                                  id=f"{k}xz2"))
     for m in range(1, 5):
-        cases.append(pytest.param(_union(catalog.cyclic(m), catalog.symmetric_3()),
-                                  id=f"z{m}+s3"))
+        cases.append(pytest.param(
+            catalog.disjoint_union(catalog.cyclic(m), catalog.symmetric_3()), id=f"z{m}+s3"))
     return cases
 
 
@@ -182,7 +171,7 @@ def perturbed_unions(draw):
     other group's component, on the loose element, or back inside."""
     pieces = [catalog.cyclic(2), catalog.cyclic(3), catalog.klein_four(),
               catalog.symmetric_3()]
-    ms = _union(draw(st.sampled_from(pieces)), draw(st.sampled_from(pieces)))
+    ms = catalog.disjoint_union(draw(st.sampled_from(pieces)), draw(st.sampled_from(pieces)))
     universe = ms.universe + ("z",)
     groups = list(ms.groups)
     for _ in range(draw(st.integers(1, 3))):
@@ -223,7 +212,7 @@ def _closures(monkeypatch):
 
 def test_twelve_copies_of_z2_take_two_closures_each(monkeypatch):
     """The subset scan would try every set of up to 12 of 24 elements."""
-    ms = _union(*[catalog.cyclic(2)] * 12)
+    ms = catalog.disjoint_union(*[catalog.cyclic(2)] * 12)
     calls = _closures(monkeypatch)
     w = is_finitely_generated(ms)
     assert w.minimal and w.generators == tuple(f"{chr(97 + k)}1" for k in range(12))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import multigroup
-from multigroup import catalog, groups, series, subspaces
+from multigroup import groups, series, subspaces
 from multigroup.config import Limits
 from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
@@ -22,6 +22,7 @@ from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace
 
+import catalog
 from conftest import (INSTANCE_DIR, count_lattices, overlapping_chain_family,
                       small_space_catalog)
 from oracles import (brute_composition_chains, brute_subgroups,
@@ -338,13 +339,11 @@ def test_composition_series_bound_refusal():
 
 
 def _lattice_groups():
-    """Every corpus group, every group of a catalog space, every shipped file's group."""
+    """Every corpus group and every shipped file's group; nine of the files
+    are also read under their bare names, the ids these groups have had."""
     groups = {f"corpus/{name}": g for name, g in CORPUS.items()}
-    spaces = {"gf3": catalog.gf3(), "gf5": catalog.prime_field(5),
-              "gf3_corrupt": catalog.gf3_corrupt(), "z2z3": catalog.z2_z3(),
-              "z2z2": catalog.z2_z2(), "z4z4": catalog.z4_twice(),
-              "z6units": catalog.z6_with_units(), "z2link": catalog.linked_z2s(),
-              "trivial": catalog.trivial_space()}
+    spaces = {name: catalog.shipped(name) for name in (
+        "gf3", "gf5", "gf3_corrupt", "z2z3", "z2z2", "z4z4", "z6units", "z2link", "trivial")}
     spaces.update({f"shipped/{path.stem}": parse_instance(path.read_text())
                    for path in sorted(INSTANCE_DIR.glob("*.mgs"))})
     for key, ms in spaces.items():
@@ -387,23 +386,14 @@ def test_every_lattice_member_passes_is_subgroup(name):
 
 
 def test_lattice_of_corrupt_multiplication_names_the_missing_inverse():
-    g = catalog.gf3_corrupt().group_of("*")
+    g = catalog.shipped("gf3_corrupt").group_of("*")
     with pytest.raises(DomainError, match="'2' has no inverse under '\\*'"):
         subgroups(g)
 
 
-def _symmetric_4():
-    perms = list(permutations(range(4)))
-    names = {p: "".join(map(str, p)) for p in perms}
-    mul = {(names[p], names[q]): names[tuple(p[q[i]] for i in range(4))]
-           for p in perms for q in perms}
-    return FiniteGroup.from_function("*", names.values(),
-                                     lambda a, b: mul[(a, b)], "0123")
-
-
 def test_s4_lattice():
     # agrees with the subset scan, which takes seconds on S4 and is not run here
-    g = _symmetric_4()
+    g = catalog.symmetric_4()
     subs = subgroups(g)
     assert Counter(len(s) for s in subs) == S4_SUBGROUP_ORDERS
     assert all(is_subgroup(g, s) for s in subs)
@@ -636,39 +626,9 @@ def test_lights_test_matches_the_full_associativity_scan(g):
 
 # ------------------------------------------- element joins and word closures
 
-def _direct_product(g, h):
-    """g x h on pairs named 'a|b'; the last '|' splits a name."""
-    carrier = [f"{a}|{b}" for a in g.carrier for b in h.carrier]
-
-    def mul(x, y):
-        (a, b), (c, d) = x.rsplit("|", 1), y.rsplit("|", 1)
-        return f"{g.mul(a, c)}|{h.mul(b, d)}"
-
-    return FiniteGroup.from_function(g.op_id, carrier, mul,
-                                     f"{g.identity}|{h.identity}")
-
-
-def _alternating_5():
-    return catalog._permutation_group("*", [
-        p for p in permutations(range(5))
-        if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0])
-
-
-def _dihedral(n):
-    """The symmetries of the n-gon: rotations rk, and reflections sk = rk s,
-    with s rk = r(-k) s."""
-    def mul(x, y):
-        a, b = int(x[1:]), int(y[1:])
-        flip = (x[0] == "s") != (y[0] == "s")
-        return ("s" if flip else "r") + str((a - b if x[0] == "s" else a + b) % n)
-
-    return FiniteGroup.from_function("*", [f"{c}{k}" for c in "rs" for k in range(n)],
-                                     mul, "r0")
-
-
 ABOVE_BOUND = Limits(max_group_order=64)
-Z2_5 = reduce(_direct_product, [catalog.cyclic(2)] * 5)
-Z2_6 = reduce(_direct_product, [catalog.cyclic(2)] * 6)
+Z2_5 = reduce(catalog.direct_product, [catalog.cyclic(2)] * 5)
+Z2_6 = reduce(catalog.direct_product, [catalog.cyclic(2)] * 6)
 
 
 @settings(max_examples=200)
@@ -686,8 +646,9 @@ def test_element_joins_find_the_closed_sets_of_pairwise_joins(g, data):
         list(scan_element_joins(g._ints[0], mask, g._light is not None).items())
 
 
-@pytest.mark.parametrize("g", [_symmetric_4(), _alternating_5(),
-                               _direct_product(_symmetric_4(), catalog.cyclic(2))] +
+@pytest.mark.parametrize("g", [catalog.symmetric_4(), catalog.alternating(5),
+                               catalog.direct_product(catalog.symmetric_4(),
+                                                      catalog.cyclic(2))] +
                          [CORPUS[n] for n in CORPUS_NAMES],
                          ids=["S4", "A5", "S4xZ2"] + CORPUS_NAMES)
 def test_element_joins_find_every_closed_set_of_larger_groups(g):
@@ -699,8 +660,8 @@ def test_element_joins_find_every_closed_set_of_larger_groups(g):
     assert sorted(found) == sorted(scan_closed_subsets(t, full)[0])
 
 
-@pytest.mark.parametrize("g", [_symmetric_4(), _alternating_5(),
-                               _direct_product(_symmetric_4(), catalog.cyclic(2)),
+@pytest.mark.parametrize("g", [catalog.symmetric_4(), catalog.alternating(5),
+                               catalog.direct_product(catalog.symmetric_4(), catalog.cyclic(2)),
                                Z2_5, Z2_6] + [CORPUS[n] for n in CORPUS_NAMES],
                          ids=["S4", "A5", "S4xZ2", "Z2^5", "Z2^6"] + CORPUS_NAMES)
 def test_coset_joins_give_the_dict_of_word_closures(g):
@@ -713,10 +674,10 @@ def test_coset_joins_give_the_dict_of_word_closures(g):
 
 
 WORD_JOIN_GROUPS = [CORPUS[n] for n in CORPUS_NAMES] + [
-    _direct_product(CORPUS["S3"], catalog.cyclic(2)),
-    _direct_product(CORPUS["V4"], catalog.cyclic(3)),
-    _direct_product(CORPUS["Q8"], catalog.cyclic(2)),
-    _direct_product(CORPUS["D4"], catalog.cyclic(2))]
+    catalog.direct_product(CORPUS["S3"], catalog.cyclic(2)),
+    catalog.direct_product(CORPUS["V4"], catalog.cyclic(3)),
+    catalog.direct_product(CORPUS["Q8"], catalog.cyclic(2)),
+    catalog.direct_product(CORPUS["D4"], catalog.cyclic(2))]
 
 
 @st.composite
@@ -767,9 +728,9 @@ def _closed_part(draw, g):
 @settings(max_examples=300)
 @given(st.one_of(
     st.sampled_from([CORPUS[n] for n in CORPUS_NAMES]),
-    st.sampled_from([_direct_product(CORPUS["S3"], catalog.cyclic(2)),
-                     _direct_product(CORPUS["V4"], catalog.cyclic(3)),
-                     _direct_product(CORPUS["Q8"], catalog.cyclic(2))]),
+    st.sampled_from([catalog.direct_product(CORPUS["S3"], catalog.cyclic(2)),
+                     catalog.direct_product(CORPUS["V4"], catalog.cyclic(3)),
+                     catalog.direct_product(CORPUS["Q8"], catalog.cyclic(2))]),
     _associative_tables()), st.data())
 def test_word_closure_equals_the_semi_naive_closure(g, data):
     # associative tables closed on their carrier, with and without inverses
@@ -808,13 +769,13 @@ def test_the_lattice_joins_every_element_closure_on_semigroups(monkeypatch):
 WIDE_ORDER = Limits(max_group_order=128)
 QUOTIENT_GROUPS = {
     **{name: catalog.single(CORPUS[name]) for name in CORPUS_NAMES},
-    "S4": catalog.single(_symmetric_4()),
-    "S4xZ2": catalog.single(_direct_product(_symmetric_4(), catalog.cyclic(2))),
+    "S4": catalog.single(catalog.symmetric_4()),
+    "S4xZ2": catalog.single(catalog.direct_product(catalog.symmetric_4(), catalog.cyclic(2))),
     "Z2^5": catalog.single(Z2_5), "Z2^6": catalog.single(Z2_6),
-    "GF53": catalog.prime_field(53), "A5": catalog.single(_alternating_5()),
-    "A5xZ2": catalog.single(_direct_product(_alternating_5(), catalog.cyclic(2))),
-    "S4xZ3": catalog.single(_direct_product(_symmetric_4(), catalog.cyclic(3))),
-    "D61": catalog.single(_dihedral(61)),
+    "GF53": catalog.prime_field(53), "A5": catalog.single(catalog.alternating(5)),
+    "A5xZ2": catalog.single(catalog.direct_product(catalog.alternating(5), catalog.cyclic(2))),
+    "S4xZ3": catalog.single(catalog.direct_product(catalog.symmetric_4(), catalog.cyclic(3))),
+    "D61": catalog.single(catalog.dihedral(61)),
 }
 
 
@@ -824,7 +785,7 @@ def test_choices_from_the_quotients_match_the_conjugation_scan(name):
     the space, the maximal normal subgroups from the prime-index quotients
     are those of the conjugation test on every lattice member inside it,
     canonically smallest first. A5 and A5 x Z2 are not solvable, and their
-    parts of order 60 or more filter the subgroups of the carrier; S4 x Z3,
+    parts of order 60 or more filter the subgroups under themselves; S4 x Z3,
     of order 72, and D61, of order 122 with a derived subgroup of order 61,
     are solvable and not abelian, so their whole parts walk the derived
     series to the hyperplanes."""
@@ -928,13 +889,13 @@ def test_lattices_above_the_default_bound():
     assert len(subs) == 2825
     assert [n for _, n in sorted(Counter(map(len, subs)).items())] == \
         [1, 63, 651, 1395, 651, 63, 1]
-    assert len(subgroups(_alternating_5(), ABOVE_BOUND)) == 59
-    assert len(subgroups(_direct_product(_symmetric_4(), catalog.cyclic(2)),
+    assert len(subgroups(catalog.alternating(5), ABOVE_BOUND)) == 59
+    assert len(subgroups(catalog.direct_product(catalog.symmetric_4(), catalog.cyclic(2)),
                          ABOVE_BOUND)) == 98
 
 
 @pytest.mark.parametrize("g, light, elements, joins",
-                         [(_symmetric_4(), 4, 24, 132), (Z2_5, 6, 32, 1891),
+                         [(catalog.symmetric_4(), 4, 24, 132), (Z2_5, 6, 32, 1891),
                           (Z2_6, 7, 64, 22848)],
                          ids=["S4", "Z2^5", "Z2^6"])
 def test_lattice_closure_count(monkeypatch, g, light, elements, joins):
@@ -993,7 +954,7 @@ def test_a_cyclic_part_of_s4_is_joined_from_nothing_in_the_completeness_route(mo
     every element closure, closing the allowed elements up to the first
     that generates the part and joining nothing, and the maximal closed
     set is the part itself. Closing every allowed element took 43 closures."""
-    g = _symmetric_4()
+    g = catalog.symmetric_4()
     g._light  # Light's test closes words: run it before _close is counted
     ms = MultiGroupSpace(g.carrier, (g,))
     t = ms._tables[0]

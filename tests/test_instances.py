@@ -3,10 +3,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multigroup import catalog
 from multigroup.errors import ParseError
 from multigroup.instances import parse_instance, serialize_instance
 
+import catalog
 from conftest import INSTANCE_DIR, overlapping_pair_family, small_space_catalog
 from oracles import scan_ints, scan_parse_instance, scan_tables
 
@@ -33,7 +33,7 @@ group *:
 
 
 def test_gf3_parses_to_the_catalog_space():
-    assert parse_instance(GF3_TEXT) == catalog.gf3()
+    assert parse_instance(GF3_TEXT) == catalog.prime_field(3)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -46,12 +46,12 @@ def test_fixture_files_round_trip(instance_dir, name):
 
 def test_comments_and_blank_lines_are_ignored():
     noisy = "# header\n\nelements: 0 1 2  # the universe\n" + GF3_TEXT.split("\n", 1)[1]
-    assert parse_instance(noisy) == catalog.gf3()
+    assert parse_instance(noisy) == catalog.prime_field(3)
 
 
 def test_indentation_is_free_on_input():
     flat = GF3_TEXT.replace("    ", "").replace("  ", "")
-    assert parse_instance(flat) == catalog.gf3()
+    assert parse_instance(flat) == catalog.prime_field(3)
 
 
 def test_empty_file_rejected():
@@ -172,7 +172,7 @@ def test_rows_in_any_order():
     shuffled = GF3_TEXT.replace(
         "    0: 0 1 2\n    1: 1 2 0\n    2: 2 0 1",
         "    2: 2 0 1\n    0: 0 1 2\n    1: 1 2 0")
-    assert parse_instance(shuffled) == catalog.gf3()
+    assert parse_instance(shuffled) == catalog.prime_field(3)
 
 
 _GROUP_HEAD = "elements: 0 1\ngroup +:\n  carrier: 0 1\n  identity: 0\n  table:\n"
@@ -306,8 +306,8 @@ def _reader_corpus():
     """The lines of every catalog space, every corpus group alone, every
     space of the pair family and a space whose products leave a carrier,
     in canonical form."""
-    spaces = [*small_space_catalog().values(), catalog.gf3_corrupt(),
-              catalog.z4_twice(), catalog.prime_field(7),
+    spaces = [*small_space_catalog().values(), catalog.shipped("gf3_corrupt"),
+              catalog.shipped("z4z4"), catalog.prime_field(7),
               *map(catalog.single, catalog.corpus_groups().values()),
               *overlapping_pair_family(6),
               parse_instance((GOLDEN_DIR / "escape.mgs").read_text(encoding="utf-8"))]

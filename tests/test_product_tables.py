@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multigroup import catalog, series as series_module, spaces
+from multigroup import series as series_module, spaces
 from multigroup.errors import DomainError
 from multigroup.generation import GeneratingSet, span_closure, span_once
 from multigroup.groups import FiniteGroup
@@ -35,6 +35,7 @@ from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
 from multigroup.subspaces import (SubsetRef, coset, is_subspace,
                                   is_subspace_by_intersection, subspace_decomposition)
 
+import catalog
 from conftest import (INSTANCE_DIR, chain_layouts, overlapping_chain_family,
                       overlapping_pair_family, relabel, small_space_catalog)
 from test_groups import _semigroups, _tables
@@ -55,8 +56,8 @@ def _spaces():
         cases.append(pytest.param(ms, id=f"catalog-{name}"))
     for i, ms in enumerate(overlapping_pair_family()):
         cases.append(pytest.param(ms, id=f"overlap{i}"))
-    cases.append(pytest.param(catalog.z4_twice(), id="catalog-z4z4"))
-    cases.append(pytest.param(catalog.gf3_corrupt(), id="catalog-gf3_corrupt"))
+    cases.append(pytest.param(catalog.shipped("z4z4"), id="catalog-z4z4"))
+    cases.append(pytest.param(catalog.shipped("gf3_corrupt"), id="catalog-gf3_corrupt"))
     escape = Path(__file__).parent / "golden" / "escape.mgs"
     cases.append(pytest.param(parse_instance(escape.read_text(encoding="utf-8")),
                               id="golden-escape"))
@@ -533,9 +534,7 @@ def test_validation_matches_the_scan_of_both_directions_on_every_chain_layout(mo
 def test_disjoint_carriers_read_no_row(monkeypatch):
     """Six Z2s on disjoint carriers: all 15 pairs hold vacuously, so both
     directions of each are scanned, and neither reads a row."""
-    names = [f"{k}{i}" for k in "abcdef" for i in "01"]
-    ms = MultiGroupSpace(tuple(names), tuple(
-        relabel(catalog.cyclic(2), names[2 * k:2 * k + 2], f"o{k}") for k in range(6)))
+    ms = catalog.disjoint_union(*[catalog.cyclic(2)] * 6)
     scans, check = [], spaces._check_one_direction
     monkeypatch.setattr(spaces, "_check_one_direction",
                         lambda ms, times, circ: scans.append(1) or check(ms, times, circ))

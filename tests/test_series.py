@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from multigroup import catalog, series as series_module, subspaces as subspaces_module
+from multigroup import series as series_module, subspaces as subspaces_module
 from multigroup.config import Limits
 from multigroup.errors import (BoundExceeded, DomainError, InternalConsistencyError,
                                MultigroupError, PreconditionError)
@@ -17,8 +17,9 @@ from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, MaximalSeriesResult,
 from multigroup.spaces import MultiGroupSpace, validate_multigroup
 from multigroup.subspaces import SubsetRef, is_subspace
 
+import catalog
 from conftest import (INSTANCE_DIR, count_lattices, instance_text,
-                      overlapping_chain_family, overlapping_pair_family, relabel,
+                      overlapping_chain_family, overlapping_pair_family,
                       run_cli, subspaces_of)
 from oracles import (_strict_subsets_between, scan_build_series, scan_choices,
                      scan_interposable, scan_link_carriers, scan_maximal_series,
@@ -225,7 +226,7 @@ def test_linked_z2s_series_depends_on_orientation():
     the last operation's identity with no anomaly.
     """
     from multigroup.errors import InternalConsistencyError
-    ms = catalog.linked_z2s()
+    ms = catalog.shipped("z2link")
     with pytest.raises(InternalConsistencyError):
         build_series(ms, seq(ms, ["p", "q"]))
     ok = build_series(ms, seq(ms, ["q", "p"]))
@@ -243,7 +244,7 @@ def test_sequence_validation(gf3):
 
 
 def test_series_require_a_valid_space():
-    broken = catalog.gf3_corrupt()
+    broken = catalog.shipped("gf3_corrupt")
     with pytest.raises(PreconditionError):
         build_series(broken)
     with pytest.raises(PreconditionError):
@@ -311,20 +312,9 @@ def test_disjoint_union_length_is_the_sum_of_component_lengths(left, right):
     the series length adds up component-wise."""
     from oracles import prime_factor_count
     groups = catalog.corpus_groups()
-
-    def relabel(g, prefix, op):
-        names = {e: f"{prefix}{i}" for i, e in enumerate(g.carrier)}
-        table = tuple(tuple(names[x] for x in row) for row in g.table)
-        from multigroup.groups import FiniteGroup
-        return FiniteGroup(op, tuple(names[e] for e in g.carrier), table,
-                           names[g.identity])
-
-    from multigroup.spaces import MultiGroupSpace
-    g1 = relabel(groups[left], "l", "x")
-    g2 = relabel(groups[right], "r", "y")
-    ms = MultiGroupSpace(g1.carrier + g2.carrier, (g1, g2))
-    expected = prime_factor_count(g1.order) + prime_factor_count(g2.order)
-    for order in (["x", "y"], ["y", "x"]):
+    ms = catalog.disjoint_union(groups[left], groups[right])
+    expected = sum(prime_factor_count(g.order) for g in ms.groups)
+    for order in (["a", "b"], ["b", "a"]):
         result = enumerate_maximal_series(ms, seq(ms, order))
         assert result.series
         assert set(result.lengths) == {expected}
@@ -360,7 +350,7 @@ def test_enumeration_bound_refusal():
 # ------------------------------------------------------- length invariance
 
 def test_trivial_space_has_constant_zero():
-    inv = length_invariance_check(catalog.trivial_space())
+    inv = length_invariance_check(catalog.shipped("trivial"))
     assert inv.ok
     assert inv.per_sequence[0].constant == 0
 
@@ -389,7 +379,7 @@ def test_z6units_staged_chains_are_all_interposable():
     interposition-free chain: stripping the 6-cycle in one composition step
     jumps past finer normal subspaces like {0,1,2,4}, and the reverse order
     strands element 3. Both facts are reported, not papered over."""
-    ms = catalog.z6_with_units()
+    ms = catalog.shipped("z6units")
     result = enumerate_maximal_series(ms, seq(ms, ["+", "*"]))
     assert result.series == ()
     assert len(result.rejected) == 2
@@ -415,7 +405,7 @@ def test_build_series_bound_refusal():
 
 
 def test_invariance_report_absorbs_unconstructible_orderings():
-    ms = catalog.linked_z2s()
+    ms = catalog.shipped("z2link")
     inv = length_invariance_check(ms)
     by_order = {s.order: s for s in inv.per_sequence}
     failed = by_order[("p", "q")]
@@ -428,9 +418,7 @@ def test_invariance_report_absorbs_unconstructible_orderings():
 
 def test_cross_sequence_comparison_refuses_too_many_operations():
     # one Z2 per operation, disjoint: 5! orderings would be compared
-    groups = tuple(catalog.cyclic(2, op_id=f"o{i}", prefix=f"o{i}_")
-                   for i in range(MAX_CROSS_SEQUENCE_OPS + 1))
-    ms = MultiGroupSpace(tuple(e for g in groups for e in g.carrier), groups)
+    ms = catalog.disjoint_union(*[catalog.cyclic(2)] * (MAX_CROSS_SEQUENCE_OPS + 1))
     with pytest.raises(BoundExceeded, match="cross-sequence comparison bounded "
                                             "at 4 operations, got 5"):
         length_invariance_check(ms)
@@ -460,12 +448,6 @@ def test_a_sequence_with_two_lengths_names_the_last_series_of_each(monkeypatch, 
 WIDE = Limits(max_group_order=24, max_exhaustive_universe=24)
 
 
-def _disjoint_union(g1, g2):
-    a = relabel(g1, [f"a{i}" for i in range(g1.order)], "a")
-    b = relabel(g2, [f"b{i}" for i in range(g2.order)], "b")
-    return MultiGroupSpace(a.carrier + b.carrier, (a, b))
-
-
 def _shipped(valid):
     for path in sorted(INSTANCE_DIR.glob("*.mgs")):
         ms = parse_instance(path.read_text(encoding="utf-8"))
@@ -484,10 +466,10 @@ def _interposition_cases():
         cases.append(pytest.param(catalog.prime_field(p), id=f"gf{p}"))
     for m in range(1, 7):
         cases.append(pytest.param(
-            _disjoint_union(catalog.cyclic(m), catalog.symmetric_3()), id=f"z{m}+s3"))
+            catalog.disjoint_union(catalog.cyclic(m), catalog.symmetric_3()), id=f"z{m}+s3"))
     for m in range(1, 5):
         cases.append(pytest.param(
-            _disjoint_union(catalog.cyclic(m), catalog.alternating_4()), id=f"z{m}+a4"))
+            catalog.disjoint_union(catalog.cyclic(m), catalog.alternating(4)), id=f"z{m}+a4"))
     return cases
 
 
@@ -889,7 +871,7 @@ def test_enumeration_results_are_cached_per_ordering(gf3):
 
 
 def test_a_failed_construction_is_not_cached(monkeypatch):
-    ms = catalog.linked_z2s()
+    ms = catalog.shipped("z2link")
     runs = _count_stagings(monkeypatch)
     for _ in range(2):
         with pytest.raises(InternalConsistencyError):

@@ -3,7 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from multigroup import catalog, spaces
+from multigroup import spaces
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup
 from multigroup.instances import serialize_instance
@@ -13,6 +13,7 @@ from multigroup.spaces import (MultiGroupSpace, check_distribution,
                                ops_of_element, validate_multigroup)
 from multigroup.subspaces import _closed_part_candidates
 
+import catalog
 from conftest import relabel, run_cli
 from oracles import scan_is_abelian, scan_validate
 from test_golden import INSTANCES, render_golden
@@ -32,7 +33,7 @@ def test_disjoint_carriers_pass_vacuously(z2z3):
 
 
 def test_relabelled_doubled_operation_fails_with_witness():
-    ms = catalog.z4_twice()
+    ms = catalog.shipped("z4z4")
     check = check_distribution(ms, "p", "q")
     assert not check.ok
     # every reported witness replays as a genuine violation
@@ -50,7 +51,7 @@ def test_relabelled_doubled_operation_fails_with_witness():
 
 
 def test_distribution_pair_predicate_is_symmetric(gf3, z2z3):
-    for ms in (gf3, z2z3, catalog.z4_twice()):
+    for ms in (gf3, z2z3, catalog.shipped("z4z4")):
         for a, b in combinations(ms.op_set, 2):
             assert check_distribution(ms, a, b).ok == check_distribution(ms, b, a).ok
 
@@ -94,17 +95,17 @@ def test_prime_fields_classify_as_fields():
 
 
 def test_partial_unit_group_is_general_not_a_field():
-    ms = catalog.z6_with_units()
+    ms = catalog.shipped("z6units")
     assert validate_multigroup(ms).ok
     assert classify_special_case(ms).tag == "general"
 
 
 def test_linked_z2s_space_is_valid():
-    assert validate_multigroup(catalog.linked_z2s()).ok
+    assert validate_multigroup(catalog.shipped("z2link")).ok
 
 
 def test_corrupt_gf3_reports_inverse_witness():
-    report = validate_multigroup(catalog.gf3_corrupt())
+    report = validate_multigroup(catalog.shipped("gf3_corrupt"))
     assert not report.ok
     inverse = [v for v in report.violations if v.kind == "inverse"]
     assert inverse and inverse[0].witness == ("2",)
@@ -113,7 +114,7 @@ def test_corrupt_gf3_reports_inverse_witness():
 
 def test_classify_requires_valid_space():
     with pytest.raises(PreconditionError):
-        classify_special_case(catalog.gf3_corrupt())
+        classify_special_case(catalog.shipped("gf3_corrupt"))
 
 
 def test_orphan_element_is_structural(gf3):
@@ -225,7 +226,7 @@ def test_mutating_a_validation_report_changes_no_later_verdict(gf3):
     assert again.to_dict() == validate_multigroup(gf3).to_dict()
     assert classify_special_case(ms).tag == "field"
 
-    broken = catalog.gf3_corrupt()
+    broken = catalog.shipped("gf3_corrupt")
     report = validate_multigroup(broken)
     report.violations.clear()
     assert not validate_multigroup(broken).ok
@@ -373,7 +374,7 @@ def test_two_groups_on_one_carrier_are_valid_only_on_one_element(n):
 def _a4_pair():
     """Two A4 that share only their identity: overlapping non-abelian
     carriers, whose interposition search reads every memo kind."""
-    a4 = catalog.alternating_4()
+    a4 = catalog.alternating(4)
 
     def named(op):
         return relabel(a4, [x if x == a4.identity else op + x for x in a4.carrier], op)

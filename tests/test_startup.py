@@ -1,14 +1,27 @@
 """What one `mgs` invocation pays before its query: the modules that
-`import multigroup.cli` loads, and the script that times the import."""
+`import multigroup.cli` loads, and the script that times the import; and
+the modules the package ships."""
 
+import importlib.util
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import multigroup
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+
+def test_the_package_ships_only_the_engine():
+    """The test corpus's builders live under tests/, not in the package."""
+    assert sorted(m.name for m in pkgutil.iter_modules(multigroup.__path__)) == [
+        "cli", "config", "errors", "generation", "groups", "instances", "report",
+        "series", "spaces", "subspaces"]
+    assert importlib.util.find_spec("multigroup.catalog") is None
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multigroup import catalog
 from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup, _bits, _close, subgroups
 from multigroup.instances import parse_instance
@@ -22,6 +21,7 @@ from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
                                   is_subspace_by_intersection, lagrange_check,
                                   subspace_decomposition)
 
+import catalog
 from conftest import (INSTANCE_DIR, chain_layouts, count_lattices,
                       overlapping_pair_family, subset_op_combinations, subspaces_of)
 from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
@@ -271,9 +271,10 @@ def test_down_sets_match_the_lattice_filter(monkeypatch):
     assert flags == [True] * (10052 + 4547 + 12860 + 18879 + 345 + 49 + 71)
 
 
-@pytest.mark.parametrize("group", [catalog.alternating_4, catalog.dihedral_4,
-                                   catalog.quaternion_8, catalog.symmetric_3,
-                                   catalog.klein_four])
+@pytest.mark.parametrize("group", [pytest.param(lambda: catalog.alternating(4),
+                                                id="alternating_4"),
+                                   catalog.dihedral_4, catalog.quaternion_8,
+                                   catalog.symmetric_3, catalog.klein_four])
 def test_the_intersection_route_builds_no_lattice_on_a_group(monkeypatch, group):
     """The route reads the subgroups under the target: a cyclic subgroup
     of a fresh group, whose lattice the whole-lattice filter would build."""
@@ -291,7 +292,7 @@ def test_the_intersection_route_builds_no_lattice_on_a_group(monkeypatch, group)
 def test_the_intersection_route_reads_a_lattice_where_a_table_is_no_group(monkeypatch):
     """gf3_corrupt's * names 2 as having no inverse although 2 lies outside
     {0, 1}: only that table's lattice is evaluated, and it raises."""
-    ms = catalog.gf3_corrupt()
+    ms = catalog.shipped("gf3_corrupt")
     evaluations = count_lattices(monkeypatch)
     with pytest.raises(DomainError, match=r"^'2' has no inverse under '\*'$"):
         is_subspace_by_intersection(ms, ref(ms, ["0", "1"]))
@@ -375,7 +376,7 @@ def test_linked_z2s_cosets_genuinely_fail_to_partition():
     the transversal decomposition must fail loudly with the overlap.
     """
     from multigroup.errors import DecompositionFailure
-    ms = catalog.linked_z2s()
+    ms = catalog.shipped("z2link")
     h = ref(ms, ms.universe)
     assert is_subspace(ms, h)
     assert coset(ms, h, "0") == ("0", "1")
@@ -565,7 +566,7 @@ def test_decomposition_cache_is_freed_with_its_space():
     subgroups of each carrier the walk meets, its choices, the edge
     verdicts, the link SubsetRefs and the enumeration. The decompositions
     themselves are computed on each call, and no lattice is kept."""
-    ms = catalog.gf3()
+    ms = catalog.shipped("gf3")
     s = ref(ms, ["0", "1"], ["+", "*"])
     assert subspace_decomposition(ms, s) == {"+": ("0",), "*": ("1",)}
     assert ("candidates", 0, ms._mask(["0", "1"])) in ms._memo
@@ -592,7 +593,7 @@ def test_a_normal_check_closes_each_operation_once(monkeypatch):
 
     closed_subsets = subspaces_module._closed_subsets
     monkeypatch.setattr(subspaces_module, "_closed_subsets", counted)
-    ms = catalog.gf3()
+    ms = catalog.shipped("gf3")
     h = ref(ms, ["0", "1"], ["+", "*"])
     assert series_module.is_normal_subspace(ms, h).ok
     assert series_module.normality_criterion(ms, h)

@@ -12,34 +12,40 @@ the top, so a missing sympy fails rather than skips.
 """
 
 from collections import Counter
+from functools import reduce
 from itertools import permutations
 
 import pytest
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from multigroup import catalog, series
+from multigroup import series
+from multigroup.generation import is_finitely_generated
 from multigroup.groups import (_bits, _derived, composition_series,
                                maximal_proper_normal_subgroups)
 from multigroup.spaces import MultiGroupSpace
 
-from test_groups import (WIDE_ORDER, _alternating_5, _dihedral, _direct_product,
-                         _fresh, _symmetric_4)
+import catalog
+from test_groups import WIDE_ORDER, _fresh
 
+CORPUS = catalog.corpus_groups()
 GROUPS = {
-    "S4": _symmetric_4,
-    "S4xZ2": lambda: _direct_product(_symmetric_4(), catalog.cyclic(2)),
-    "D12": lambda: _dihedral(6),
-    "D24": lambda: _dihedral(12),
-    "A4xZ3": lambda: _direct_product(catalog.alternating_4(), catalog.cyclic(3)),
-    "D12xZ6": lambda: _direct_product(_dihedral(6), catalog.cyclic(6)),
-    "A5": _alternating_5,
-    "A5xZ2": lambda: _direct_product(_alternating_5(), catalog.cyclic(2)),
-    "S5": lambda: catalog._permutation_group("*", list(permutations(range(5)))),
+    **CORPUS,
+    "S4": catalog.symmetric_4(),
+    "S4xZ2": catalog.direct_product(catalog.symmetric_4(), catalog.cyclic(2)),
+    "D12": catalog.dihedral(6),
+    "D24": catalog.dihedral(12),
+    "A4xZ3": catalog.direct_product(catalog.alternating(4), catalog.cyclic(3)),
+    "D12xZ6": catalog.direct_product(catalog.dihedral(6), catalog.cyclic(6)),
+    "A5": catalog.alternating(5),
+    "A5xZ2": catalog.direct_product(catalog.alternating(5), catalog.cyclic(2)),
+    "S5": catalog._permutation_group("*", list(permutations(range(5)))),
 }
 # the composition series of each solvable group, as many as the engine
-# found when this oracle was added: no sympy routine counts them
-CHAINS = {"S4": 3, "S4xZ2": 30, "D12": 4, "D24": 11, "A4xZ3": 18, "D12xZ6": 261}
+# found when this oracle was added (the corpus groups when the sweep was
+# extended to them): no sympy routine counts them
+CHAINS = {"S4": 3, "S4xZ2": 30, "D12": 4, "D24": 11, "A4xZ3": 18, "D12xZ6": 261,
+          **dict(zip(CORPUS, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 3, 1, 7, 3, 3, 3]))}
 
 
 def _regular(g):
@@ -65,7 +71,7 @@ def test_solvable_choices_match_sympy(name):
     """Every chain's factor orders are sympy's composition factors
     (Jordan-Hölder). A maximal normal subgroup of a solvable group has
     prime index, so they are as many as the hyperplanes of each G/G'G^p."""
-    g = _fresh(GROUPS[name]())
+    g = _fresh(GROUPS[name])
     group, _ = _regular(g)
     assert group.order() == g.order and group.is_solvable
     factors = Counter(a.order() // b.order()
@@ -105,7 +111,7 @@ def test_non_solvable_choices_match_sympy(name):
     """Each choice of the group API and of the walk is normal (its normal
     closure has its own order), and the choices are exactly the maximal
     proper normal subgroups, so every proper normal subgroup lies in one."""
-    g = _fresh(GROUPS[name]())
+    g = _fresh(GROUPS[name])
     group, perms = _regular(g)
     assert group.order() == g.order and not group.is_solvable
     proper = _normal_subgroups(group, g) - {frozenset(range(g.order))}
@@ -122,7 +128,27 @@ def test_non_solvable_choices_match_sympy(name):
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_derived_subgroup_matches_sympy(name):
-    g = _fresh(GROUPS[name]())
+    g = _fresh(GROUPS[name])
     group, _ = _regular(g)
     derived = _derived(g._ints[0], list(range(g.order)), g.index(g.identity))
     assert frozenset(_bits(derived)) == _indices(g, group.derived_subgroup())
+
+
+P_GROUPS = {name: CORPUS[name] for name in
+            ["Z2", "Z3", "Z4", "Z5", "Z7", "Z8", "Z9", "Z11", "V4", "D4", "Q8"]}
+P_GROUPS.update({"x".join(f): reduce(catalog.direct_product, map(CORPUS.get, f)) for f in
+                 [("Z2",) * 3, ("Z2",) * 4, ("Z4", "Z2"), ("Z3", "Z3"), ("Q8", "Z2"),
+                  ("D4", "Z2")]})
+
+
+@pytest.mark.parametrize("name", list(P_GROUPS))
+def test_minimal_generating_sets_of_p_groups_match_sympy(name):
+    """A minimal generating set of a p-group P has d(P) elements, the rank
+    of P/P'P^p (Burnside's basis theorem). P/P' is an abelian p-group, so
+    that rank is the number of its invariants."""
+    g = _fresh(P_GROUPS[name])
+    group, _ = _regular(g)
+    assert len(primefactors(group.order())) == 1
+    witness = is_finitely_generated(catalog.single(g))
+    assert witness.minimal
+    assert witness.size == len(group.abelian_invariants())
