@@ -30,6 +30,6 @@ from .spaces import (Classification, DistributionCheck, MultiGroupSpace,
 from .subspaces import (CosetDecomposition, SubsetRef, SubspaceEvidence, coset,
                         coset_decomposition, induced_space, is_subspace,
                         is_subspace_by_completeness, is_subspace_by_intersection,
-                        lagrange_check, subspace_decomposition)
+                        subspace_decomposition)
 
 __version__ = "0.1.0"

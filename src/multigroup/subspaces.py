@@ -50,8 +50,8 @@ from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DecompositionFailure, DomainError, PreconditionError
-from .groups import (Element, FiniteGroup, _bits, _check_order, _close,
-                     _closed_subsets, _maximal, subgroups)
+from .groups import (Element, _bits, _check_order, _close, _closed_subsets,
+                     _maximal)
 from .spaces import MultiGroupSpace, is_complete
 
 
@@ -325,15 +325,3 @@ def coset_decomposition(ms: MultiGroupSpace, h: SubsetRef) -> CosetDecomposition
     return CosetDecomposition(h, tuple(ms.universe[x] for x in transversal),
                               tuple(map(ms._elements, cosets)))
 
-
-def lagrange_check(g: FiniteGroup,
-                   limits: Limits = DEFAULT_LIMITS) -> tuple[bool, tuple | None]:
-    """Every enumerated subgroup order divides the group order.
-
-    Always true for a valid group; a witness would indicate an engine bug,
-    which is exactly what the acceptance suite wants surfaced.
-    """
-    for sub in subgroups(g, limits):
-        if g.order % len(sub) != 0:
-            return False, (sub, len(sub), g.order)
-    return True, None

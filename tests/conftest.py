@@ -20,7 +20,7 @@ from catalog import INSTANCE_DIR, relabel  # noqa: E402
 from multigroup import cli  # noqa: E402
 from multigroup.groups import FiniteGroup  # noqa: E402
 from multigroup.spaces import MultiGroupSpace, validate_multigroup  # noqa: E402
-from multigroup.subspaces import is_subspace  # noqa: E402
+from multigroup.subspaces import SubsetRef, is_subspace  # noqa: E402
 from oracles import subset_op_combinations  # noqa: E402
 
 # fixtures small enough for exhaustive subset scans
@@ -65,6 +65,18 @@ def instance_dir():
 
 def subspaces_of(ms):
     return [s for s in subset_op_combinations(ms) if is_subspace(ms, s)]
+
+
+def ref(ms, elements, ops=None):
+    return SubsetRef.of(ms, elements, ops)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc), str(exc)
 
 
 def run_cli(argv):

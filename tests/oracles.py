@@ -113,10 +113,6 @@ def raw_group(g):
     return list(g.carrier), mul, g.identity
 
 
-def raw_space(ms):
-    return list(ms.universe), [(g.op_id, *raw_group(g)) for g in ms.groups]
-
-
 def _sort_key(within, elements) -> tuple[int, ...]:
     """Indices in a group's carrier or a space's universe, in order."""
     return tuple(sorted(within.index(e) for e in elements))

@@ -18,7 +18,7 @@ from multigroup.series import (is_normal_subspace, length_invariance_check,
 from multigroup.spaces import classify_special_case, validate_multigroup
 from multigroup.subspaces import (SubsetRef, coset_decomposition, is_subspace,
                                   is_subspace_by_completeness,
-                                  is_subspace_by_intersection, lagrange_check)
+                                  is_subspace_by_intersection)
 
 import catalog
 from conftest import (INSTANCE_DIR, run_cli, small_space_catalog,
@@ -48,8 +48,6 @@ def test_c1_lagrange_exhaustive():
         # cross-check the enumeration itself against the unpruned oracle
         assert {frozenset(s) for s in enumerated} == \
             set(brute_subgroups(*raw_group(g))), name
-        ok, witness = lagrange_check(g)
-        assert ok, (name, witness)
         violations += sum(1 for s in enumerated if g.order % len(s) != 0)
     assert violations == 0
     report(f"[PASS] C1 Lagrange: 0 violations across {len(CORPUS)} corpus groups")

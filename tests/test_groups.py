@@ -339,13 +339,10 @@ def test_composition_series_bound_refusal():
 
 
 def _lattice_groups():
-    """Every corpus group and every shipped file's group; nine of the files
-    are also read under their bare names, the ids these groups have had."""
+    """Every corpus group and every shipped file's group."""
     groups = {f"corpus/{name}": g for name, g in CORPUS.items()}
-    spaces = {name: catalog.shipped(name) for name in (
-        "gf3", "gf5", "gf3_corrupt", "z2z3", "z2z2", "z4z4", "z6units", "z2link", "trivial")}
-    spaces.update({f"shipped/{path.stem}": parse_instance(path.read_text())
-                   for path in sorted(INSTANCE_DIR.glob("*.mgs"))})
+    spaces = {f"shipped/{path.stem}": parse_instance(path.read_text())
+              for path in sorted(INSTANCE_DIR.glob("*.mgs"))}
     for key, ms in spaces.items():
         for g in ms.groups:
             groups[f"{key}/{g.op_id}"] = g

@@ -4,17 +4,18 @@ The distribution scan, the raw reading, the one-step span, cosets, the
 conjugation scan and both subspace routes read their products and subsets
 from MultiGroupSpace._tables and universe bitmasks. Each must equal the
 string-keyed code it replaced (tests/oracles.py): the same result, or the
-same exception type and text, on every shipped instance, the overlapping
-pair family, the small catalog spaces, invalid spaces where distribution
-fails and tests/golden/escape.mgs, where a product leaves its carrier. The distribution scan is also checked on random
-partial tables, down to one-element universes, where both directions
-fail often enough to stop its witness search early, on every layout of
-the chain family, on GF(p) for p <= 23 and on a near-field, whose
-multiplication distributes on one side only; the rows it reads show
-where Light's generators decide a direction. Validation, which scans a
-pair's second direction only when the first does not settle it, must give
-the report of scanning both on all of these, and the int tables, built a
-row at a time, must equal the entry-by-entry builders they replaced.
+same exception type and text, on every shipped instance (invalid ones
+where distribution fails among them), the overlapping pair family and
+tests/golden/escape.mgs, where a product leaves its carrier. The
+distribution scan is also checked on random partial tables, down to
+one-element universes, where both directions fail often enough to stop
+its witness search early, on every layout of the chain family, on GF(p)
+for p <= 23 and on a near-field, whose multiplication distributes on one
+side only; the rows it reads show where Light's generators decide a
+direction. Validation, which scans a pair's second direction only when
+the first does not settle it, must give the report of scanning both on
+all of these, and the int tables, built a row at a time, must equal the
+entry-by-entry builders they replaced.
 """
 
 from itertools import combinations, permutations, product
@@ -37,7 +38,7 @@ from multigroup.subspaces import (SubsetRef, coset, is_subspace,
 
 import catalog
 from conftest import (INSTANCE_DIR, chain_layouts, overlapping_chain_family,
-                      overlapping_pair_family, relabel, small_space_catalog)
+                      outcome, overlapping_pair_family, relabel, small_space_catalog)
 from test_groups import _semigroups, _tables
 from test_subspaces import _escaping_groups
 from oracles import (scan_check_one_direction, scan_coset, scan_inverses, scan_ints,
@@ -52,12 +53,8 @@ def _spaces():
     for path in sorted(INSTANCE_DIR.glob("*.mgs")):
         ms = parse_instance(path.read_text(encoding="utf-8"))
         cases.append(pytest.param(ms, id=path.stem))
-    for name, ms in small_space_catalog().items():
-        cases.append(pytest.param(ms, id=f"catalog-{name}"))
     for i, ms in enumerate(overlapping_pair_family()):
         cases.append(pytest.param(ms, id=f"overlap{i}"))
-    cases.append(pytest.param(catalog.shipped("z4z4"), id="catalog-z4z4"))
-    cases.append(pytest.param(catalog.shipped("gf3_corrupt"), id="catalog-gf3_corrupt"))
     escape = Path(__file__).parent / "golden" / "escape.mgs"
     cases.append(pytest.param(parse_instance(escape.read_text(encoding="utf-8")),
                               id="golden-escape"))
@@ -65,13 +62,6 @@ def _spaces():
 
 
 SPACES = _spaces()
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # the oracle must raise the same
-        return type(exc), str(exc)
 
 
 def _direction(ms, times, circ):
@@ -82,8 +72,8 @@ def _direction(ms, times, circ):
 
 def _same_distribution_scan(ms):
     for times, circ in permutations(ms.op_set, 2):
-        assert _outcome(_direction, ms, times, circ) == \
-            _outcome(scan_check_one_direction, ms, times, circ), (times, circ)
+        assert outcome(_direction, ms, times, circ) == \
+            outcome(scan_check_one_direction, ms, times, circ), (times, circ)
 
 
 def _same_validation(ms):
@@ -94,27 +84,27 @@ def _same_raw_reading(ms):
     for r in range(len(ms.universe) + 1):
         for subset in combinations(ms.universe, r):
             for op in ms.op_set:
-                assert _outcome(is_complete, ms, subset, op) == \
-                    _outcome(scan_is_complete, ms, subset, op), (subset, op)
+                assert outcome(is_complete, ms, subset, op) == \
+                    outcome(scan_is_complete, ms, subset, op), (subset, op)
 
 
 def _same_span_once(ms):
     for r in range(1, len(ms.universe) + 1):
         for seeds in combinations(ms.universe, r):
             a = GeneratingSet.of(ms, seeds)
-            assert _outcome(span_once, ms, a) == _outcome(scan_span_once, ms, a), seeds
+            assert outcome(span_once, ms, a) == outcome(scan_span_once, ms, a), seeds
 
 
 def _same_cosets_and_conjugation(ms):
     """Over every subset and retained ops: a non-subspace (or a space whose
     decomposition raises) must fail the same way in both."""
     for h in subset_op_combinations(ms):
-        assert _outcome(is_normal_subspace, ms, h) == \
-            _outcome(scan_is_normal_subspace, ms, h), h
-        if _outcome(is_subspace, ms, h) is not True:
+        assert outcome(is_normal_subspace, ms, h) == \
+            outcome(scan_is_normal_subspace, ms, h), h
+        if outcome(is_subspace, ms, h) is not True:
             continue
         for g in ms.universe:
-            assert _outcome(coset, ms, h, g) == _outcome(scan_coset, ms, h, g), (h, g)
+            assert outcome(coset, ms, h, g) == outcome(scan_coset, ms, h, g), (h, g)
 
 
 @pytest.mark.parametrize("ms", SPACES)
@@ -126,8 +116,8 @@ def test_conjugation_by_generators_matches_the_string_scan(ms):
     ms = MultiGroupSpace(ms.universe, ms.groups)
     valid = validate_multigroup(ms).ok
     for h in subset_op_combinations(ms):
-        expected = _outcome(scan_is_normal_subspace, ms, h)
-        assert _outcome(is_normal_subspace, ms, h) == expected, h
+        expected = outcome(scan_is_normal_subspace, ms, h)
+        assert outcome(is_normal_subspace, ms, h) == expected, h
         if valid and type(expected) is not tuple:
             carriers = tuple(carrier if op in h.retained_ops else 0
                              for op, carrier in zip(ms.op_set, ms._carriers))
@@ -139,10 +129,10 @@ def _same_subspace_routes(ms):
     """Over every subset and retained ops: the same decomposition, the same
     intersection-route evidence, or the same error."""
     for s in subset_op_combinations(ms):
-        assert _outcome(subspace_decomposition, ms, s) == \
-            _outcome(scan_subspace_decomposition, ms, s), s
-        assert _outcome(is_subspace_by_intersection, ms, s) == \
-            _outcome(scan_is_subspace_by_intersection, ms, s), s
+        assert outcome(subspace_decomposition, ms, s) == \
+            outcome(scan_subspace_decomposition, ms, s), s
+        assert outcome(is_subspace_by_intersection, ms, s) == \
+            outcome(scan_is_subspace_by_intersection, ms, s), s
 
 
 @pytest.mark.parametrize("ms", SPACES)
@@ -490,10 +480,10 @@ def test_subspace_routes_match_the_string_routes_on_escaping_tables(g, data):
     if data.draw(st.booleans()):
         g._light  # cached or not: the kernel is chosen by the table alone
     s = SubsetRef.of(ms, data.draw(st.sets(st.sampled_from(ms.universe))))
-    assert _outcome(subspace_decomposition, ms, s) == \
-        _outcome(scan_subspace_decomposition, ms, s)
-    assert _outcome(is_subspace_by_intersection, ms, s) == \
-        _outcome(scan_is_subspace_by_intersection, ms, s)
+    assert outcome(subspace_decomposition, ms, s) == \
+        outcome(scan_subspace_decomposition, ms, s)
+    assert outcome(is_subspace_by_intersection, ms, s) == \
+        outcome(scan_is_subspace_by_intersection, ms, s)
 
 
 @pytest.mark.parametrize("ms", SPACES)
@@ -552,10 +542,10 @@ def _same_int_tables(ms):
         return FiniteGroup(g.op_id, g.carrier, g.table, g.identity)
 
     space = MultiGroupSpace(ms.universe, tuple(map(fresh, ms.groups)))
-    assert _outcome(lambda: space._tables) == _outcome(scan_tables, ms)
+    assert outcome(lambda: space._tables) == outcome(scan_tables, ms)
     for g in map(fresh, ms.groups):
         assert g._ints == scan_ints(g)
-        assert _outcome(lambda: g._inverses) == _outcome(scan_inverses, g)
+        assert outcome(lambda: g._inverses) == outcome(scan_inverses, g)
 
 
 @pytest.mark.parametrize("ms", SPACES)

@@ -20,17 +20,13 @@ from multigroup.subspaces import SubsetRef, is_subspace
 import catalog
 from conftest import (INSTANCE_DIR, count_lattices, instance_text,
                       overlapping_chain_family, overlapping_pair_family,
-                      run_cli, subspaces_of)
+                      ref, run_cli, subspaces_of)
 from oracles import (_strict_subsets_between, scan_build_series, scan_choices,
                      scan_interposable, scan_link_carriers, scan_maximal_series,
                      scan_series_stages)
 
 A3 = ("e", "(123)", "(132)")
 S3_SPACE = catalog.single(catalog.symmetric_3())
-
-
-def ref(ms, elements, ops=None):
-    return SubsetRef.of(ms, elements, ops)
 
 
 def seq(ms, order=None):

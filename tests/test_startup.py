@@ -17,11 +17,14 @@ SRC = ROOT / "src"
 
 
 def test_the_package_ships_only_the_engine():
-    """The test corpus's builders live under tests/, not in the package."""
+    """The test corpus's builders live under tests/, not in the package, and
+    so does the Lagrange check of the enumerated subgroups (acceptance C1)."""
     assert sorted(m.name for m in pkgutil.iter_modules(multigroup.__path__)) == [
         "cli", "config", "errors", "generation", "groups", "instances", "report",
         "series", "spaces", "subspaces"]
     assert importlib.util.find_spec("multigroup.catalog") is None
+    assert not hasattr(multigroup, "lagrange_check")
+    assert not hasattr(multigroup.subspaces, "lagrange_check")
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():

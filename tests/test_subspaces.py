@@ -18,22 +18,17 @@ from multigroup.subspaces import (SubsetRef, _closed_part_candidates, _cover,
                                   _subgroups_under, coset,
                                   coset_decomposition, induced_space, is_subspace,
                                   is_subspace_by_completeness,
-                                  is_subspace_by_intersection, lagrange_check,
-                                  subspace_decomposition)
+                                  is_subspace_by_intersection, subspace_decomposition)
 
 import catalog
 from conftest import (INSTANCE_DIR, chain_layouts, count_lattices,
-                      overlapping_pair_family, subset_op_combinations, subspaces_of)
+                      overlapping_pair_family, ref, subset_op_combinations, subspaces_of)
 from oracles import (brute_subspace, scan_closed_parts, scan_closed_subsets,
                      scan_is_subspace_by_intersection, scan_lattice_filter,
                      scan_space_lattice, scan_subspace_decomposition)
 from test_groups import _tables
 
 A3 = ("e", "(123)", "(132)")
-
-
-def ref(ms, elements, ops=None):
-    return SubsetRef.of(ms, elements, ops)
 
 
 # ------------------------------------------------------- construction
@@ -405,12 +400,6 @@ def test_all_fixture_subspaces_decompose_or_report(small_spaces):
 
 
 # ------------------------------------------------------- other contracts
-
-def test_lagrange_check_on_corpus(corpus):
-    for g in corpus.values():
-        ok, witness = lagrange_check(g)
-        assert ok and witness is None
-
 
 def test_induced_space_is_valid(gf3, small_spaces):
     for ms in small_spaces.values():

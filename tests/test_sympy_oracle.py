@@ -20,6 +20,7 @@ from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from multigroup import series
+from multigroup.config import Limits
 from multigroup.generation import is_finitely_generated
 from multigroup.groups import (_bits, _derived, composition_series,
                                maximal_proper_normal_subgroups)
@@ -40,6 +41,7 @@ GROUPS = {
     "A5": catalog.alternating(5),
     "A5xZ2": catalog.direct_product(catalog.alternating(5), catalog.cyclic(2)),
     "S5": catalog._permutation_group("*", list(permutations(range(5)))),
+    "A5xS3": catalog.direct_product(catalog.alternating(5), catalog.symmetric_3()),
 }
 # the composition series of each solvable group, as many as the engine
 # found when this oracle was added (the corpus groups when the sweep was
@@ -106,24 +108,32 @@ def _normal_subgroups(group, g):
     return set(found)
 
 
-@pytest.mark.parametrize("name", ["A5", "A5xZ2", "S5"])
-def test_non_solvable_choices_match_sympy(name):
-    """Each choice of the group API and of the walk is normal (its normal
-    closure has its own order), and the choices are exactly the maximal
-    proper normal subgroups, so every proper normal subgroup lies in one."""
-    g = _fresh(GROUPS[name])
+def non_solvable_choices(g):
+    """Each choice of the group API and of the walk on the non-solvable g is
+    normal (its normal closure has its own order), and the choices are
+    exactly the maximal proper normal subgroups, so every proper normal
+    subgroup lies in one. Returns how many choices and normal subgroups
+    there are. A5 x S3 takes seconds, so CI checks it outside tier-1."""
     group, perms = _regular(g)
     assert group.order() == g.order and not group.is_solvable
-    proper = _normal_subgroups(group, g) - {frozenset(range(g.order))}
+    normal = _normal_subgroups(group, g)
+    proper = normal - {frozenset(range(g.order))}
     ms = MultiGroupSpace(g.carrier, (g,))
     walk = [frozenset(_bits(m)) for m in series._choices(ms, 0, (1 << g.order) - 1)]
     api = [frozenset(map(g.index, c))
-           for c in maximal_proper_normal_subgroups(g, WIDE_ORDER)]
+           for c in maximal_proper_normal_subgroups(g, Limits(max_group_order=g.order))]
     assert sorted(walk, key=sorted) == sorted(api, key=sorted)
     for choice in api:
         closure = group.normal_closure(PermutationGroup([perms[x] for x in choice]))
         assert closure.order() == len(choice) < g.order
     assert set(api) == {n for n in proper if not any(n < m for m in proper)}
+    return len(api), len(normal)
+
+
+@pytest.mark.parametrize("name", ["A5", "A5xZ2", "S5"])
+def test_non_solvable_choices_match_sympy(name):
+    assert non_solvable_choices(_fresh(GROUPS[name])) == \
+        {"A5": (1, 2), "A5xZ2": (2, 4), "S5": (1, 3)}[name]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
