@@ -299,16 +299,22 @@ def _cmd_generators(ms: MultiGroupSpace, args, limits: Limits):
     return payload, EXIT_PASS
 
 
+# each command with the selection options it reads
 _COMMANDS = {
-    "validate": (_cmd_validate, False, False),
-    "classify": (_cmd_classify, False, False),
-    "subspace": (_cmd_subspace, True, False),
-    "cosets": (_cmd_cosets, True, False),
-    "normal": (_cmd_normal, True, False),
-    "series": (_cmd_series, False, True),
-    "maximal-series": (_cmd_maximal_series, False, True),
-    "span": (_cmd_span, True, False),
-    "generators": (_cmd_generators, False, False),
+    "validate": (_cmd_validate, ()),
+    "classify": (_cmd_classify, ()),
+    "subspace": (_cmd_subspace, ("set", "ops")),
+    "cosets": (_cmd_cosets, ("set", "ops")),
+    "normal": (_cmd_normal, ("set", "ops")),
+    "series": (_cmd_series, ("order",)),
+    "maximal-series": (_cmd_maximal_series, ("order",)),
+    "span": (_cmd_span, ("set",)),
+    "generators": (_cmd_generators, ()),
+}
+_SELECTION_HELP = {
+    "set": "comma-separated subset of elements",
+    "ops": "comma-separated retained operations (default: every operation meeting the set)",
+    "order": "comma-separated oriented operation sequence (default: file order)",
 }
 
 
@@ -320,16 +326,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="mgs", description="checks over multi-group space instance files")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, takes_set, takes_order) in _COMMANDS.items():
+    for name, (_, selection) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("instance", help="path to an .mgs file")
-        if takes_set:
-            p.add_argument("--set", help="comma-separated subset of elements")
-            p.add_argument("--ops", help="comma-separated retained operations "
-                                         "(default: every operation meeting the set)")
-        if takes_order:
-            p.add_argument("--order", help="comma-separated oriented operation "
-                                           "sequence (default: file order)")
+        for option in selection:
+            p.add_argument(f"--{option}", help=_SELECTION_HELP[option])
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
         p.add_argument("--timing", action="store_true",
@@ -418,9 +419,8 @@ def _parser():
 _FLAGS = {"--json": "json", "--timing": "timing"}
 _OPTIONS = {
     name: {**_FLAGS, "--exhaustive-bound": "exhaustive_bound",
-           **({"--set": "set", "--ops": "ops"} if takes_set else {}),
-           **({"--order": "order"} if takes_order else {})}
-    for name, (_, takes_set, takes_order) in _COMMANDS.items()}
+           **{f"--{option}": option for option in selection}}
+    for name, (_, selection) in _COMMANDS.items()}
 
 
 def _plain_args(argv) -> SimpleNamespace | None:

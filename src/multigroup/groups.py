@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundExceeded, DomainError, PreconditionError
-from .report import AXIOM, STRUCTURAL, ValidationReport
+from .report import AXIOM, STRUCTURAL, ValidationReport, Violation
 
 # an element is just its id
 Element = str
@@ -214,7 +214,7 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     outside the carrier, so the string scan for them runs only when _ints
     records one.
     """
-    report = ValidationReport()
+    found = []
     closure_witness = None
     structural_witness = None
     if g._ints[1]:
@@ -228,24 +228,25 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
                     closure_witness = closure_witness or (a, b, p)
     if structural_witness:
         a, b, p = structural_witness
-        report.add(STRUCTURAL, "malformed-table",
-                   f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
-                   (g.op_id,), (a, b, p))
+        found.append(Violation(
+            STRUCTURAL, "malformed-table",
+            f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
+            (g.op_id,), (a, b, p)))
     if closure_witness:
         a, b, p = closure_witness
-        report.add(AXIOM, "closure",
-                   f"{a} {g.op_id} {b} = {p} is outside the carrier",
-                   (g.op_id,), (a, b, p))
+        found.append(Violation(AXIOM, "closure",
+                               f"{a} {g.op_id} {b} = {p} is outside the carrier",
+                               (g.op_id,), (a, b, p)))
     if structural_witness or closure_witness:
-        return report  # remaining axioms are meaningless on a non-closed table
+        return ValidationReport(tuple(found))  # the other axioms need a closed table
 
     # every product is now in the carrier, so the int table has no escapes
     t, e, n = g._ints[0], g.index(g.identity), g.order
     for a in range(n):
         if t[e][a] != a or t[a][e] != a:
-            report.add(AXIOM, "identity",
-                       f"{g.identity} is not an identity at {g.carrier[a]}",
-                       (g.op_id,), (g.carrier[a],))
+            found.append(Violation(AXIOM, "identity",
+                                   f"{g.identity} is not an identity at {g.carrier[a]}",
+                                   (g.op_id,), (g.carrier[a],)))
             break
 
     assoc_witness = None if g._light is not None else next(
@@ -253,18 +254,19 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
         if t[t[a][b]][c] != t[a][t[b][c]])
     if assoc_witness:
         a, b, c = (g.carrier[i] for i in assoc_witness)
-        report.add(AXIOM, "associativity",
-                   f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
-                   (g.op_id,), (a, b, c))
+        found.append(Violation(
+            AXIOM, "associativity",
+            f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
+            (g.op_id,), (a, b, c)))
 
     for a, inverse in zip(g.carrier, g._inverses):
         if inverse is None:
-            report.add(AXIOM, "inverse",
-                       f"{a} has no inverse under {g.op_id!r}",
-                       (g.op_id,), (a,))
+            found.append(Violation(AXIOM, "inverse",
+                                   f"{a} has no inverse under {g.op_id!r}",
+                                   (g.op_id,), (a,)))
             break
 
-    return report
+    return ValidationReport(tuple(found))
 
 
 def _light_generators(t: list[list[int]]) -> list[int] | None:

@@ -57,7 +57,7 @@ from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
 from .groups import (Element, _bits, _closed_subsets, _maximal_normal, _normalises,
                      is_normal_subgroup)
-from .spaces import MultiGroupSpace
+from .spaces import MultiGroupSpace, validate_multigroup
 from .subspaces import SubsetRef, _decomposition, is_subspace, subspace_decomposition
 
 ANOMALY_TERMINAL_MISMATCH = "TERMINAL_MISMATCH"
@@ -174,7 +174,7 @@ def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
         raise BoundExceeded(
             f"series construction bounded at group order {limits.max_group_order}, "
             f"got {worst}", limits.max_group_order)
-    if not ms._validation.ok:
+    if not validate_multigroup(ms).ok:
         raise PreconditionError(
             "series construction requires a valid multi-group space")
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from .errors import DomainError, PreconditionError
 from .groups import Element, FiniteGroup, _bits, _close, _Frozen, validate_group
-from .report import DISTRIBUTION, STRUCTURAL, ValidationReport
+from .report import DISTRIBUTION, STRUCTURAL, ValidationReport, Violation
 
 # at most this many witness triples are kept per operation pair
 MAX_DISTRIBUTION_WITNESSES = 10
@@ -148,8 +148,8 @@ class MultiGroupSpace(_Frozen):
 
     @cached_property
     def _validation(self) -> ValidationReport:
-        # the space is frozen, so it is validated once; the engine reads
-        # this report, and validate_multigroup hands out copies
+        # the space is frozen, so it is validated once; read it through
+        # validate_multigroup
         return _validate(self)
 
     def group_of(self, op_id: str) -> FiniteGroup:
@@ -358,41 +358,39 @@ def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
 
     Structural problems (orphan universe elements, duplicate operation ids,
     carrier elements outside the universe) are reported separately from
-    axiom and distribution failures. The check runs once per space; each
-    call returns a fresh copy of the report, so mutating it changes nothing
-    later.
+    axiom and distribution failures. The check runs once per space, and
+    every call returns the same immutable report.
     """
-    cached = ms._validation
-    return ValidationReport(list(cached.violations), list(cached.notes))
+    return ms._validation
 
 
 def _validate(ms: MultiGroupSpace) -> ValidationReport:
-    report = ValidationReport()
+    found, notes = [], []
     positions, index = ms._positions, ms._index
 
     covered = 0
     for k, (g, carrier) in enumerate(zip(ms.groups, ms._carriers)):
         if positions[g.op_id] != k:  # an earlier group holds the id
-            report.add(STRUCTURAL, "duplicate-op",
-                       f"operation id {g.op_id!r} declared twice", (g.op_id,))
+            found.append(Violation(STRUCTURAL, "duplicate-op",
+                                   f"operation id {g.op_id!r} declared twice", (g.op_id,)))
         outside = next((e for e in g.carrier if e not in index), None)
         if outside is not None:
-            report.add(STRUCTURAL, "carrier-outside-universe",
-                       f"carrier of {g.op_id!r} contains {outside!r} "
-                       f"which is not in the universe",
-                       (g.op_id,), (outside,))
+            found.append(Violation(STRUCTURAL, "carrier-outside-universe",
+                                   f"carrier of {g.op_id!r} contains {outside!r} "
+                                   f"which is not in the universe",
+                                   (g.op_id,), (outside,)))
         covered |= carrier
 
     orphans = ms._elements((1 << len(ms.universe)) - 1 & ~covered)
     if orphans:
-        report.add(STRUCTURAL, "orphan-element",
-                   f"universe element {orphans[0]!r} belongs to no carrier",
-                   (), orphans)
+        found.append(Violation(STRUCTURAL, "orphan-element",
+                               f"universe element {orphans[0]!r} belongs to no carrier",
+                               (), orphans))
 
     for g in ms.groups:
-        report.merge(validate_group(g, index))
+        found.extend(validate_group(g, index).violations)
 
-    if not report.structural():
+    if all(v.category != STRUCTURAL for v in found):
         for a, b in combinations(range(len(ms.groups)), 2):
             # b over a first when only b is a group on a carrier inside a's,
             # the shape where _endomorphism_pass can decide
@@ -403,7 +401,7 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
             second = _check_one_direction(ms, *((a, b) if flip else (b, a)))
             ida, idb = ms.groups[a].op_id, ms.groups[b].op_id
             if first.vacuous and second.vacuous:
-                report.note(
+                notes.append(
                     f"distribution for ({ida}, {idb}) holds vacuously: "
                     f"no fully defined mixed triple")
             if not (first.holds or second.holds):
@@ -411,11 +409,11 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
                 a_over_b, b_over_a = (second, first) if flip else (first, second)
                 merged = list(dict.fromkeys(a_over_b.witnesses + b_over_a.witnesses))
                 for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
-                    report.add(DISTRIBUTION, "distribution",
-                               f"neither {ida!r} nor {idb!r} distributes "
-                               f"over the other at ({', '.join(w)})",
-                               (ida, idb), w)
-    return report
+                    found.append(Violation(DISTRIBUTION, "distribution",
+                                           f"neither {ida!r} nor {idb!r} distributes "
+                                           f"over the other at ({', '.join(w)})",
+                                           (ida, idb), w))
+    return ValidationReport(tuple(found), tuple(notes))
 
 
 # carrier conventions recognised by the field classification
@@ -455,7 +453,7 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
     (1905), a field. tests/test_spaces.py searches both conventions
     exhaustively on small universes for a counterexample.
     """
-    if not ms._validation.ok:
+    if not validate_multigroup(ms).ok:
         raise PreconditionError("classification requires a valid multi-group space")
     if len(ms.groups) == 1:
         return Classification("group")

@@ -94,7 +94,8 @@ from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _c
                                _maximal, _normalises, _proper_normal,
                                is_normal_subgroup, is_subgroup, validate_group,
                                subgroups)
-from multigroup.report import AXIOM, DISTRIBUTION, STRUCTURAL, ValidationReport
+from multigroup.report import (AXIOM, DISTRIBUTION, STRUCTURAL, ValidationReport,
+                               Violation)
 from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
                                ANOMALY_TERMINAL_MISMATCH, MaximalSeriesResult,
                                NormalityEvidence, NormalSeries, _check_preconditions,
@@ -497,7 +498,7 @@ def scan_validate_group(g, universe=None) -> ValidationReport:
     at all are flagged as structural (a malformed table), distinct from the
     closure axiom failure of an entry that escapes the carrier.
     """
-    report = ValidationReport()
+    found = []
     members = set(g.carrier)
     known = members if universe is None else set(universe) | members
 
@@ -512,22 +513,22 @@ def scan_validate_group(g, universe=None) -> ValidationReport:
                 closure_witness = closure_witness or (a, b, p)
     if structural_witness:
         a, b, p = structural_witness
-        report.add(STRUCTURAL, "malformed-table",
-                   f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
-                   (g.op_id,), (a, b, p))
+        found.append(Violation(STRUCTURAL, "malformed-table",
+                               f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
+                               (g.op_id,), (a, b, p)))
     if closure_witness:
         a, b, p = closure_witness
-        report.add(AXIOM, "closure",
-                   f"{a} {g.op_id} {b} = {p} is outside the carrier",
-                   (g.op_id,), (a, b, p))
+        found.append(Violation(AXIOM, "closure",
+                               f"{a} {g.op_id} {b} = {p} is outside the carrier",
+                               (g.op_id,), (a, b, p)))
     if structural_witness or closure_witness:
-        return report  # remaining axioms are meaningless on a non-closed table
+        return ValidationReport(tuple(found))  # the other axioms need a closed table
 
     for a in g.carrier:
         if g.mul(g.identity, a) != a or g.mul(a, g.identity) != a:
-            report.add(AXIOM, "identity",
-                       f"{g.identity} is not an identity at {a}",
-                       (g.op_id,), (a,))
+            found.append(Violation(AXIOM, "identity",
+                                   f"{g.identity} is not an identity at {a}",
+                                   (g.op_id,), (a,)))
             break
 
     assoc_witness = None
@@ -543,19 +544,20 @@ def scan_validate_group(g, universe=None) -> ValidationReport:
                     break
     if assoc_witness:
         a, b, c = assoc_witness
-        report.add(AXIOM, "associativity",
-                   f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
-                   (g.op_id,), (a, b, c))
+        found.append(Violation(
+            AXIOM, "associativity",
+            f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
+            (g.op_id,), (a, b, c)))
 
     inverses = _string_inverses(g)
     for a in g.carrier:
         if a not in inverses:
-            report.add(AXIOM, "inverse",
-                       f"{a} has no inverse under {g.op_id!r}",
-                       (g.op_id,), (a,))
+            found.append(Violation(AXIOM, "inverse",
+                                   f"{a} has no inverse under {g.op_id!r}",
+                                   (g.op_id,), (a,)))
             break
 
-    return report
+    return ValidationReport(tuple(found))
 
 
 def _strict_subsets_between(lower: frozenset, upper):
@@ -681,50 +683,50 @@ def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawC
 def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
     """Structure, per-group axioms, then both distribution directions of
     every operation pair."""
-    report = ValidationReport()
+    found, notes = [], []
     universe = set(ms.universe)
 
     seen_ops: set[str] = set()
     for g in ms.groups:
         if g.op_id in seen_ops:
-            report.add(STRUCTURAL, "duplicate-op",
-                       f"operation id {g.op_id!r} declared twice", (g.op_id,))
+            found.append(Violation(STRUCTURAL, "duplicate-op",
+                                   f"operation id {g.op_id!r} declared twice", (g.op_id,)))
         seen_ops.add(g.op_id)
         outside = [e for e in g.carrier if e not in universe]
         if outside:
-            report.add(STRUCTURAL, "carrier-outside-universe",
-                       f"carrier of {g.op_id!r} contains {outside[0]!r} "
-                       f"which is not in the universe",
-                       (g.op_id,), (outside[0],))
+            found.append(Violation(STRUCTURAL, "carrier-outside-universe",
+                                   f"carrier of {g.op_id!r} contains {outside[0]!r} "
+                                   f"which is not in the universe",
+                                   (g.op_id,), (outside[0],)))
 
     covered = set()
     for g in ms.groups:
         covered.update(g.carrier)
     orphans = [e for e in ms.universe if e not in covered]
     if orphans:
-        report.add(STRUCTURAL, "orphan-element",
-                   f"universe element {orphans[0]!r} belongs to no carrier",
-                   (), tuple(orphans))
+        found.append(Violation(STRUCTURAL, "orphan-element",
+                               f"universe element {orphans[0]!r} belongs to no carrier",
+                               (), tuple(orphans)))
 
     for g in ms.groups:
-        report.merge(validate_group(g, universe))
+        found.extend(validate_group(g, universe).violations)
 
-    if not report.structural():
+    if not any(v.category == STRUCTURAL for v in found):
         for ga, gb in combinations(ms.groups, 2):
             check = check_distribution(ms, ga.op_id, gb.op_id)
             if check.vacuous:
-                report.note(
+                notes.append(
                     f"distribution for ({ga.op_id}, {gb.op_id}) holds vacuously: "
                     f"no fully defined mixed triple")
             if not check.ok:
                 merged = list(dict.fromkeys(check.a_over_b.witnesses
                                             + check.b_over_a.witnesses))
                 for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
-                    report.add(DISTRIBUTION, "distribution",
-                               f"neither {ga.op_id!r} nor {gb.op_id!r} distributes "
-                               f"over the other at ({', '.join(w)})",
-                               (ga.op_id, gb.op_id), w)
-    return report
+                    found.append(Violation(DISTRIBUTION, "distribution",
+                                           f"neither {ga.op_id!r} nor {gb.op_id!r} distributes "
+                                           f"over the other at ({', '.join(w)})",
+                                           (ga.op_id, gb.op_id), w))
+    return ValidationReport(tuple(found), tuple(notes))
 
 
 def scan_ints(g: FiniteGroup) -> tuple[list[list[int]], tuple[Element, ...]]:

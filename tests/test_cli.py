@@ -434,12 +434,13 @@ def test_argvs_outside_the_plain_form_go_to_argparse(argv, expected):
     (["subspace", "gf3.mgs", "--set"], 2),
     (["subspace", "gf3.mgs", "--set", "--json"], 2),
     (["span", "gf3.mgs", "--set", "-1,1"], 2),
+    (["span", "gf3.mgs", "--set", "1", "--ops", "nope"], 2),
     (["validate", "gf5.mgs", "--exhaustive-bound", "x"], 2),
     (["validate", "gf5.mgs", "--exhaustive-bound", "x",
       "--exhaustive-bound", "3"], 2),
 ], ids=["top-help", "short-help", "help", "unknown", "extra-positional",
         "foreign-option", "missing-value", "option-as-value", "dash-value",
-        "not-an-int", "not-an-int-then-an-int"])
+        "span-ops", "not-an-int", "not-an-int-then-an-int"])
 def test_argparse_answers_help_and_usage_errors(argv, code, capsys):
     assert cli._plain_args(argv) is None
     with pytest.raises(SystemExit) as exc:

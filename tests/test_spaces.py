@@ -1,3 +1,4 @@
+import sys
 from functools import cached_property
 from itertools import combinations, permutations, product
 
@@ -8,6 +9,7 @@ from multigroup.errors import DomainError, PreconditionError
 from multigroup.groups import FiniteGroup
 from multigroup.instances import serialize_instance
 from multigroup.report import DISTRIBUTION
+from multigroup.series import build_series, enumerate_maximal_series
 from multigroup.spaces import (MultiGroupSpace, check_distribution,
                                classify_special_case, is_complete,
                                ops_of_element, validate_multigroup)
@@ -217,21 +219,51 @@ def test_cli_validates_a_space_once(tmp_path, monkeypatch, command):
 
 
 def test_mutating_a_validation_report_changes_no_later_verdict(gf3):
+    """The report is immutable, so every mutation raises and the space
+    hands out the same report on every call."""
     ms = catalog.prime_field(3)
     report = validate_multigroup(ms)
-    report.add(DISTRIBUTION, "distribution", "injected", ("+", "*"))
-    report.note("injected")
+    with pytest.raises(AttributeError):
+        report.add(DISTRIBUTION, "distribution", "injected", ("+", "*"))
+    with pytest.raises(AttributeError):
+        report.note("injected")
+    with pytest.raises(AttributeError):
+        report.notes = ("injected",)
     again = validate_multigroup(ms)
+    assert again is report and hash(again) == hash(report)
     assert again.ok and "injected" not in again.notes
     assert again.to_dict() == validate_multigroup(gf3).to_dict()
     assert classify_special_case(ms).tag == "field"
 
     broken = catalog.shipped("gf3_corrupt")
     report = validate_multigroup(broken)
-    report.violations.clear()
+    with pytest.raises(AttributeError):
+        report.violations.clear()
     assert not validate_multigroup(broken).ok
     with pytest.raises(PreconditionError):
         classify_special_case(broken)
+
+
+@pytest.mark.parametrize("decide", [build_series, enumerate_maximal_series,
+                                    classify_special_case],
+                         ids=lambda fn: fn.__name__)
+def test_the_engine_asks_validate_multigroup_for_the_verdict(monkeypatch, decide):
+    """With validate_multigroup wrapped in every multigroup namespace, as
+    perfbench/tracing.py wraps it, each caller that needs a valid space is
+    seen asking it about a freshly parsed one."""
+    asked, original = [], spaces.validate_multigroup
+
+    def wrapped(ms):
+        asked.append(ms)
+        return original(ms)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multigroup" and \
+                vars(module).get("validate_multigroup") is original:
+            monkeypatch.setattr(module, "validate_multigroup", wrapped)
+    ms = catalog.shipped("gf3")
+    decide(ms)
+    assert asked and asked[0] is ms
 
 
 # ------------------------------------------- the carrier conventions, exhaustively
