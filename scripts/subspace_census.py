@@ -24,8 +24,7 @@ from multigroup.subspaces import (is_subspace, is_subspace_by_completeness,
 from oracles import subset_op_combinations
 
 
-def census(path: Path) -> None:
-    ms = parse_instance(path.read_text())
+def census(name: str, ms) -> None:
     total = subspaces = disagreements = raw_divergences = 0
     for s in subset_op_combinations(ms):
         total += 1
@@ -35,7 +34,7 @@ def census(path: Path) -> None:
         subspaces += implemented
         disagreements += implemented != lattice
         raw_divergences += raw != implemented
-    print(f"{path.name:<18} combos={total:<5} subspaces={subspaces:<4} "
+    print(f"{name:<18} combos={total:<5} subspaces={subspaces:<4} "
           f"route-disagreements={disagreements} raw-divergences={raw_divergences}")
 
 
@@ -55,7 +54,7 @@ def main() -> int:
         if not validate_multigroup(ms).ok:
             print(f"{path.name:<18} skipped (not a valid multi-group space)")
             continue
-        census(path)
+        census(path.name, ms)
     return 0
 
 

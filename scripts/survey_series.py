@@ -24,10 +24,7 @@ def survey(path: Path) -> None:
           f"ops {', '.join(ms.op_set)})")
     try:
         inv = length_invariance_check(ms)
-    except BoundExceeded as exc:
-        print(f"   skipped: {exc}")
-        return
-    except PreconditionError as exc:
+    except (BoundExceeded, PreconditionError) as exc:
         print(f"   skipped: {exc}")
         return
     for stat in inv.per_sequence:

@@ -128,10 +128,6 @@ def render_report(payload: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _violations_payload(report) -> list[dict]:
-    return [v.to_dict() for v in report.violations]
-
-
 def _set_elements(args) -> list[str]:
     if not args.set:
         raise DomainError("--set is required for this command")
@@ -155,7 +151,7 @@ def _cmd_validate(ms: MultiGroupSpace, args, limits: Limits):
     report = validate_multigroup(ms)
     payload = {
         "verdict": "valid" if report.ok else "invalid",
-        "violations": _violations_payload(report),
+        "violations": [v.to_dict() for v in report.violations],
         "notes": list(report.notes),
     }
     if report.ok:

@@ -152,11 +152,11 @@ class FiniteGroup(_Frozen):
 
     @cached_property
     def _generators(self) -> list[int] | None:
-        """Light's generators when the table is a group: associative, with
-        the declared identity and every inverse; None otherwise."""
-        t, e, n = self._ints[0], self.index(self.identity), self.order
-        identity = t[e][:n] == list(range(n)) == [row[e] for row in t[:n]]
-        return self._light if identity and None not in self._inverses else None
+        """Light's generators when validate_group passes, so the table is a
+        group; None otherwise. _light is asked first, so an associative
+        table closed on its carrier is all that reaches validate_group,
+        and neither its |G|^3 scan nor its string scan runs from here."""
+        return self._light if self._light and validate_group(self).ok else None
 
     @cached_property
     def _lattice(self) -> dict[int, list[int]]:
@@ -524,14 +524,17 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[tuple[Ele
     group.
     Refuses groups larger than the configured bound instead of truncating.
     """
-    _check_order(g, limits, "subgroup enumeration")
+    _check_order(g.order, limits, "subgroup enumeration bounded at order")
     return list(map(g._names, g._lattice))
 
 
-def _check_order(g: FiniteGroup, limits: Limits, what: str) -> None:
-    if g.order > limits.max_group_order:
-        raise BoundExceeded(f"{what} bounded at order {limits.max_group_order}, "
-                            f"got {g.order}", limits.max_group_order)
+def _check_order(order: int, limits: Limits, what: str) -> None:
+    """Refuse an order above limits.max_group_order. `what` is the
+    refusal's wording up to the bound, as "subgroup enumeration bounded at
+    order"."""
+    if order > limits.max_group_order:
+        raise BoundExceeded(f"{what} {limits.max_group_order}, got {order}",
+                            limits.max_group_order)
 
 
 def _normalises(t: list[list[int]], x: int, members: list[int]) -> bool:
@@ -558,7 +561,7 @@ def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:
 
 
 def _top(g: FiniteGroup, limits: Limits, within) -> int:
-    _check_order(g, limits, "subgroup enumeration")
+    _check_order(g.order, limits, "subgroup enumeration bounded at order")
     return (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
 
 
@@ -768,7 +771,7 @@ def composition_series(g: FiniteGroup,
     chains down to the identity are listed once, however many paths reach
     it, and they are named at the end.
     """
-    _check_order(g, limits, "composition series")
+    _check_order(g.order, limits, "composition series bounded at order")
     group, tails = g._generators is not None, {}
 
     def descend(link):

@@ -55,8 +55,8 @@ from operator import or_
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
-from .groups import (Element, _bits, _closed_subsets, _maximal_normal, _normalises,
-                     is_normal_subgroup)
+from .groups import (Element, _bits, _check_order, _closed_subsets, _maximal_normal,
+                     _normalises, is_normal_subgroup)
 from .spaces import MultiGroupSpace, validate_multigroup
 from .subspaces import SubsetRef, _decomposition, is_subspace, subspace_decomposition
 
@@ -169,11 +169,8 @@ class NormalSeries(namedtuple("NormalSeries", ["chain", "step_ops", "anomalies"]
 
 
 def _check_preconditions(ms: MultiGroupSpace, limits: Limits) -> None:
-    worst = max((g.order for g in ms.groups), default=0)
-    if worst > limits.max_group_order:
-        raise BoundExceeded(
-            f"series construction bounded at group order {limits.max_group_order}, "
-            f"got {worst}", limits.max_group_order)
+    _check_order(max((g.order for g in ms.groups), default=0), limits,
+                 "series construction bounded at group order")
     if not validate_multigroup(ms).ok:
         raise PreconditionError(
             "series construction requires a valid multi-group space")

@@ -13,9 +13,11 @@ distributor's carrier decides it. That check on generators needs the
 distributor to be a group on a carrier inside the other's, as
 multiplication over addition, so validation checks such a direction first:
 the other is checked only when the first fails or holds vacuously. Every
-product lookup of the space layer reads the partial-product rule from one
-place, the int tables MultiGroupSpace._tables, built from each group's int
-table, which the parser hands over as it reads the text.
+check of the space layer reads the partial-product rule from one place,
+the int tables MultiGroupSpace._tables, built from each group's int
+table, which the parser hands over as it reads the text;
+MultiGroupSpace.product and defined answer by element name for library
+users.
 """
 
 from __future__ import annotations
@@ -215,9 +217,11 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
     or does not decide. * and o are positions.
 
     It applies when * is a group on T, o is a group on C, and C is T and
-    o's identity e (as in a field), or T = C = {e}. Multiplication by x in
-    T on the left or the right, with e -> e, maps C into C, and the maps of
-    a product are composites of its factors' maps. A map m of C into C
+    o's identity e (as in a field), or T = C = {e}. Whether * is a group on
+    a T inside C is _group_inside's answer, the one _validate orders each
+    pair's directions by. Multiplication by x in T on the left or the
+    right, with e -> e, maps C into C, and the maps of a product are
+    composites of its factors' maps. A map m of C into C
     with m(z o y) = m(z) o m(y) for each y in C and each generator z != e
     of o is an endomorphism of (C, o), by induction on words in the z. So
     when the maps of Light's generators of * pass, every law with y, z and
@@ -229,12 +233,11 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
     """
     g, h = ms.groups[times], ms.groups[circ]
     t_mask, c_mask = ms._carriers[times], ms._carriers[circ]
-    if t_mask & ~c_mask or h._generators is None or \
+    if not _group_inside(ms, times, circ) or h._generators is None or \
             (t_mask.bit_count(), c_mask.bit_count()) != (g.order, h.order):
-        return None  # T is not in C, o is no group, or a carrier leaves the universe
+        return None  # * is no group in C, o is no group, or a carrier leaves the universe
     e = ms.index(h.identity)
-    if not (c_mask & ~t_mask == 1 << e or t_mask == c_mask == 1 << e) or \
-            g._generators is None:
+    if not (c_mask & ~t_mask == 1 << e or t_mask == c_mask == 1 << e):
         return None
     t, c, cs = ms._tables[times], ms._tables[circ], _bits(c_mask)
     xs = [ms.index(g.carrier[i]) for i in g._generators if g.carrier[i] != g.identity]

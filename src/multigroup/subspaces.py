@@ -231,7 +231,7 @@ def is_subspace_by_intersection(ms: MultiGroupSpace, s: SubsetRef,
 
     candidates: dict[int, list[int]] = {}
     for op, k in zip(s.retained_ops, ks):
-        _check_order(ms.groups[k], limits, "subgroup enumeration")
+        _check_order(ms.groups[k].order, limits, "subgroup enumeration bounded at order")
         cands = _subgroups_under(ms, k, target)
         if not cands:
             return SubspaceEvidence(

@@ -67,16 +67,6 @@ def test_single_elements_cannot_generate_disjoint_union(z2z3):
         assert set(span_closure(z2z3, seeds(z2z3, [e]))) != set(z2z3.universe)
 
 
-def test_budget_exhaustion_refuses():
-    """GF(5) is one component, and 0 and 1 are its first two candidates."""
-    gf5 = catalog.prime_field(5)
-    with pytest.raises(BoundExceeded, match=r"examined 1 candidate sets .* "
-                                            r"max_generator_candidates = 1") as exc:
-        is_finitely_generated(gf5, Limits(max_generator_candidates=1))
-    assert exc.value.bound == 1
-    assert is_finitely_generated(gf5, Limits(max_generator_candidates=2)).generators == ("1",)
-
-
 def test_the_budget_is_counted_across_components():
     """Z2 + Z3 needs two candidates in each component."""
     ms = SPACES["z2z3"]

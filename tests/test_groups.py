@@ -134,14 +134,6 @@ def test_subgroups_output_is_canonically_sorted():
     assert out[0] == ("0",) and out[-1] == CORPUS["Z6"].carrier
 
 
-def test_subgroup_enumeration_refuses_beyond_bound():
-    with pytest.raises(BoundExceeded):
-        subgroups(catalog.cyclic(25))
-    # a tighter limit refuses smaller groups too
-    with pytest.raises(BoundExceeded):
-        subgroups(CORPUS["Z12"], Limits(max_group_order=8))
-
-
 def test_is_subgroup_examples():
     z6 = CORPUS["Z6"]
     assert is_subgroup(z6, {"0", "3"})

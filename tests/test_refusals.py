@@ -1,7 +1,9 @@
 """Every refusal at its bound: the input at the bound is answered and the
 input one past it is refused, with the exact text and BoundExceeded.bound,
 and with exit 3 and error_kind bound-exceeded wherever the CLI reaches the
-refusal."""
+refusal. The default bounds are pinned here too, and so are two answers
+beside a refusal: one ordering compared past the operation bound, and
+GF(5) generated within two candidates though refused at one."""
 
 import json
 
@@ -14,8 +16,9 @@ from multigroup.generation import is_finitely_generated
 from multigroup.groups import (composition_series, maximal_proper_normal_subgroups,
                                proper_normal_subgroups, subgroups)
 from multigroup.instances import serialize_instance
-from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, build_series,
-                               enumerate_maximal_series, length_invariance_check)
+from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
+                               build_series, enumerate_maximal_series,
+                               length_invariance_check)
 from multigroup.subspaces import SubsetRef, is_subspace_by_intersection
 
 import catalog
@@ -83,3 +86,38 @@ def test_each_refusal_answers_at_its_bound_and_refuses_one_past(
         assert exit_code == code, report
         if code == 3:
             assert report["error_kind"] == "bound-exceeded" and report["error"] == text
+
+
+# the defaults: every order site answers Z24 and refuses Z25, and the
+# exhaustive enumeration answers Z12 and refuses Z13
+DEFAULTS = [(site[0], 24) for site in SITES if site[2] is ORDER] + \
+    [("enumerate_maximal_series", 12)]
+
+
+@pytest.mark.parametrize("site, bound", DEFAULTS, ids=[site for site, _ in DEFAULTS])
+def test_each_default_bound_answers_at_it_and_refuses_one_past(site, bound):
+    _, small, _, build, call, text, _ = next(s for s in SITES if s[0] == site)
+    call(build(bound), Limits())
+    with pytest.raises(BoundExceeded) as refused:
+        call(build(bound + 1), Limits())
+    assert str(refused.value) == text.replace(f"{small}, got {small + 1}",
+                                              f"{bound}, got {bound + 1}")
+    assert refused.value.bound == bound
+
+
+def test_one_ordering_is_compared_past_the_operation_bound():
+    ms = _copies(catalog.cyclic(2))(MAX_CROSS_SEQUENCE_OPS + 1)
+    single = length_invariance_check(ms, OrientedOperationSequence.of(ms))
+    assert [s.order for s in single.per_sequence] == [ms.op_set]
+
+
+def test_gf5_is_generated_at_two_candidates_and_refused_at_one():
+    """GF(5) is one component, and 0 and 1 are its first two candidates."""
+    gf5 = catalog.prime_field(5)
+    assert is_finitely_generated(gf5, Limits(max_generator_candidates=2)).generators == ("1",)
+    with pytest.raises(BoundExceeded) as refused:
+        is_finitely_generated(gf5, Limits(max_generator_candidates=1))
+    assert str(refused.value) == (
+        "generating-set search examined 1 candidate sets without confirming a "
+        "minimal one; the bound is max_generator_candidates = 1")
+    assert refused.value.bound == 1
