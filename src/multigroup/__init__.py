@@ -16,8 +16,7 @@ from .generation import (GeneratingSet, GenerationWitness, is_finitely_generated
                          span_closure, span_once)
 from .groups import (CompositionChain, Element, FiniteGroup, composition_series,
                      is_normal_subgroup, is_subgroup,
-                     maximal_proper_normal_subgroups, quotient_group, subgroups,
-                     validate_group)
+                     maximal_proper_normal_subgroups, subgroups, validate_group)
 from .instances import parse_instance, serialize_instance
 from .report import ValidationReport, Violation
 from .series import (LengthInvariance, MaximalSeriesResult, NormalSeries,
@@ -26,7 +25,7 @@ from .series import (LengthInvariance, MaximalSeriesResult, NormalSeries,
                      length_invariance_check, normality_criterion)
 from .spaces import (Classification, DistributionCheck, MultiGroupSpace,
                      check_distribution, classify_special_case, is_complete,
-                     ops_of_element, validate_multigroup)
+                     validate_multigroup)
 from .subspaces import (CosetDecomposition, SubsetRef, SubspaceEvidence, coset,
                         coset_decomposition, induced_space, is_subspace,
                         is_subspace_by_completeness, is_subspace_by_intersection,

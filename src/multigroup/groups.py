@@ -151,12 +151,45 @@ class FiniteGroup(_Frozen):
         return None if self._ints[1] else _light_generators(self._ints[0])
 
     @cached_property
+    def _axioms(self) -> ValidationReport:
+        """The identity, associativity and inverse checks of a table closed
+        on its carrier, one witness per violated axiom, kept on the group:
+        validate_group hands out this report whenever no product leaves the
+        carrier, as the universe plays no part then. Associativity is
+        decided by Light's test (_light); only when it fails does the full
+        |G|^3 scan run, to find the first witness in (a, b, c) order."""
+        found, op, carrier = [], self.op_id, self.carrier
+        t, e, n = self._ints[0], self.index(self.identity), self.order
+        for a in range(n):
+            if t[e][a] != a or t[a][e] != a:
+                found.append(Violation(AXIOM, "identity",
+                                       f"{self.identity} is not an identity at {carrier[a]}",
+                                       (op,), (carrier[a],)))
+                break
+
+        assoc_witness = None if self._light is not None else next(
+            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if t[t[a][b]][c] != t[a][t[b][c]])
+        if assoc_witness:
+            a, b, c = (carrier[i] for i in assoc_witness)
+            found.append(Violation(
+                AXIOM, "associativity",
+                f"({a} {op} {b}) {op} {c} != {a} {op} ({b} {op} {c})", (op,), (a, b, c)))
+
+        for a, inverse in zip(carrier, self._inverses):
+            if inverse is None:
+                found.append(Violation(AXIOM, "inverse", f"{a} has no inverse under {op!r}",
+                                       (op,), (a,)))
+                break
+        return ValidationReport(tuple(found))
+
+    @cached_property
     def _generators(self) -> list[int] | None:
-        """Light's generators when validate_group passes, so the table is a
-        group; None otherwise. _light is asked first, so an associative
-        table closed on its carrier is all that reaches validate_group,
-        and neither its |G|^3 scan nor its string scan runs from here."""
-        return self._light if self._light and validate_group(self).ok else None
+        """Light's generators when the kept axiom report (_axioms) passes,
+        so the table is a group; None otherwise. _light is asked first, so
+        only an associative table closed on its carrier reads the report,
+        and validate_group never runs from here."""
+        return self._light if self._light and self._axioms.ok else None
 
     @cached_property
     def _lattice(self) -> dict[int, list[int]]:
@@ -194,38 +227,29 @@ class FiniteGroup(_Frozen):
         table = tuple(tuple(self.table[a][b] for b in rows) for a in rows)
         return FiniteGroup(self.op_id, sub, table, self.identity)
 
-    @staticmethod
-    def from_function(op_id: str, carrier, mul, identity: Element) -> "FiniteGroup":
-        carrier = tuple(carrier)
-        table = tuple(tuple(mul(a, b) for b in carrier) for a in carrier)
-        return FiniteGroup(op_id, carrier, table, identity)
-
 
 def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
     """Check all four group axioms, reporting one witness per violated axiom.
 
-    When a universe is supplied, table entries that are not elements of it
-    at all are flagged as structural (a malformed table), distinct from the
-    closure axiom failure of an entry that escapes the carrier.
-    Associativity is decided by Light's test (_light_generators, cached on
-    the group as _light), which compares whole rows for the members of a
-    generating set only; when it fails, the full |G|^3 scan finds the
-    first witness in (a, b, c) order. Both table witnesses need a product
-    outside the carrier, so the string scan for them runs only when _ints
-    records one.
+    When no product leaves the carrier this is the group's kept report
+    (FiniteGroup._axioms), the same object on every call, with or without a
+    universe. Otherwise a string scan finds the first product outside the
+    carrier: when a universe is supplied, entries that are not elements of
+    it at all are flagged as structural (a malformed table), distinct from
+    the closure axiom failure of an entry that escapes the carrier. The
+    other axioms need a closed table, so they are not checked then.
     """
-    found = []
-    closure_witness = None
-    structural_witness = None
-    if g._ints[1]:
-        members = set(g.carrier)
-        known = members if universe is None else set(universe) | members
-        for a, row in zip(g.carrier, g.table):
-            for b, p in zip(g.carrier, row):
-                if p not in known:
-                    structural_witness = structural_witness or (a, b, p)
-                elif p not in members:
-                    closure_witness = closure_witness or (a, b, p)
+    if not g._ints[1]:
+        return g._axioms
+    found, closure_witness, structural_witness = [], None, None
+    members = set(g.carrier)
+    known = members if universe is None else set(universe) | members
+    for a, row in zip(g.carrier, g.table):
+        for b, p in zip(g.carrier, row):
+            if p not in known:
+                structural_witness = structural_witness or (a, b, p)
+            elif p not in members:
+                closure_witness = closure_witness or (a, b, p)
     if structural_witness:
         a, b, p = structural_witness
         found.append(Violation(
@@ -237,35 +261,6 @@ def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
         found.append(Violation(AXIOM, "closure",
                                f"{a} {g.op_id} {b} = {p} is outside the carrier",
                                (g.op_id,), (a, b, p)))
-    if structural_witness or closure_witness:
-        return ValidationReport(tuple(found))  # the other axioms need a closed table
-
-    # every product is now in the carrier, so the int table has no escapes
-    t, e, n = g._ints[0], g.index(g.identity), g.order
-    for a in range(n):
-        if t[e][a] != a or t[a][e] != a:
-            found.append(Violation(AXIOM, "identity",
-                                   f"{g.identity} is not an identity at {g.carrier[a]}",
-                                   (g.op_id,), (g.carrier[a],)))
-            break
-
-    assoc_witness = None if g._light is not None else next(
-        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        if t[t[a][b]][c] != t[a][t[b][c]])
-    if assoc_witness:
-        a, b, c = (g.carrier[i] for i in assoc_witness)
-        found.append(Violation(
-            AXIOM, "associativity",
-            f"({a} {g.op_id} {b}) {g.op_id} {c} != {a} {g.op_id} ({b} {g.op_id} {c})",
-            (g.op_id,), (a, b, c)))
-
-    for a, inverse in zip(g.carrier, g._inverses):
-        if inverse is None:
-            found.append(Violation(AXIOM, "inverse",
-                                   f"{a} has no inverse under {g.op_id!r}",
-                                   (g.op_id,), (a,)))
-            break
-
     return ValidationReport(tuple(found))
 
 
@@ -431,7 +426,7 @@ def _closed_subsets(t: list[list[int]], within: int,
             x = (rest & -rest).bit_length() - 1
             if group:
                 xa = cosets.get(x) or _coset(t[x], members, cosets, bit)
-                rest &= ~xa
+                rest &= ~(xa | 1 << x)  # x is in x a on a group, not on any table
             else:
                 rest ^= 1 << x
             union = a | firsts[x]
@@ -509,7 +504,7 @@ def _coset_join(t: list[list[int]], mask: int, x: int, gens: list[int],
                 coset = cosets.get(z) or _coset(t[z], members, cosets, bit)
                 if coset & ~within:
                     return mask | coset
-                mask |= coset
+                mask |= coset | bit[z]  # z is in z a on a group, not on any table
                 reps.append(z)
     return mask
 
@@ -720,31 +715,6 @@ def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIM
     top = _top(g, limits, within)
     group = g._generators is not None and _close((g._ints[0],), 0, top) == top
     return list(map(g._names, _maximal_masks(g, top, group)))
-
-
-def quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:
-    """The group on left cosets of a normal subgroup.
-
-    Cosets are named by their canonically smallest member, so the quotient
-    is again a plain FiniteGroup over string tokens. The carrier is visited
-    in order, and an x in no coset yet is the smallest member of x N: every
-    product x h is mapped to x, and the table is read off the
-    representatives' rows through that map.
-    """
-    sub = set(normal_subset)
-    if not is_normal_subgroup(g, sub):
-        raise PreconditionError("quotient requires a normal subgroup")
-    hs = [g.index(h) for h in sub]
-    reps: list[int] = []
-    rep: dict[Element, Element] = {}  # by element: a product outside raises KeyError
-    for i, x in enumerate(g.carrier):
-        if x not in rep:
-            reps.append(i)
-            for h in hs:
-                rep[g.table[i][h]] = x
-    carrier = tuple(g.carrier[i] for i in reps)
-    table = tuple(tuple(rep[g.table[a][b]] for b in reps) for a in reps)
-    return FiniteGroup(g.op_id, carrier, table, rep[g.identity])
 
 
 class CompositionChain(namedtuple("CompositionChain", ["links"])):

@@ -169,12 +169,6 @@ class MultiGroupSpace(_Frozen):
         return None
 
 
-def ops_of_element(ms: MultiGroupSpace, element: Element) -> tuple[str, ...]:
-    """The operations defined at the element, in operation-set order."""
-    ms.index(element)
-    return tuple(op for op in ms.op_set if element in ms.group_of(op))
-
-
 def is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:
     """Closure of the partial operation restricted to the subset.
 

@@ -18,9 +18,16 @@ from multigroup.spaces import MultiGroupSpace
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 
+def from_function(op_id: str, carrier, mul, identity: str) -> FiniteGroup:
+    """The group whose table is mul over the carrier, in carrier order."""
+    carrier = tuple(carrier)
+    table = tuple(tuple(mul(a, b) for b in carrier) for a in carrier)
+    return FiniteGroup(op_id, carrier, table, identity)
+
+
 def cyclic(n: int, op_id: str = "+", prefix: str = "") -> FiniteGroup:
     names = [f"{prefix}{i}" for i in range(n)]
-    return FiniteGroup.from_function(
+    return from_function(
         op_id, names,
         lambda a, b: f"{prefix}{(int(a[len(prefix):]) + int(b[len(prefix):])) % n}",
         names[0])
@@ -28,7 +35,7 @@ def cyclic(n: int, op_id: str = "+", prefix: str = "") -> FiniteGroup:
 
 def klein_four() -> FiniteGroup:
     names = "eabc"  # the product of two elements is the xor of their indices
-    return FiniteGroup.from_function(
+    return from_function(
         "*", names, lambda x, y: names[names.index(x) ^ names.index(y)], "e")
 
 
@@ -53,7 +60,7 @@ def _permutation_group(op_id: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
         return names[tuple(pa[pb[i]] for i in range(len(pa)))]
 
     identity = names[tuple(range(len(perms[0])))]
-    return FiniteGroup.from_function(op_id, [names[p] for p in perms], mul, identity)
+    return from_function(op_id, [names[p] for p in perms], mul, identity)
 
 
 def symmetric_3() -> FiniteGroup:
@@ -66,8 +73,7 @@ def symmetric_4() -> FiniteGroup:
     names = {p: "".join(map(str, p)) for p in perms}
     mul = {(names[p], names[q]): names[tuple(p[q[i]] for i in range(4))]
            for p in perms for q in perms}
-    return FiniteGroup.from_function("*", names.values(),
-                                     lambda a, b: mul[(a, b)], "0123")
+    return from_function("*", names.values(), lambda a, b: mul[(a, b)], "0123")
 
 
 def alternating(n: int) -> FiniteGroup:
@@ -85,8 +91,7 @@ def dihedral(n: int) -> FiniteGroup:
         flip = (x[0] == "s") != (y[0] == "s")
         return ("s" if flip else "r") + str((a - b if x[0] == "s" else a + b) % n)
 
-    return FiniteGroup.from_function("*", [f"{c}{k}" for c in "rs" for k in range(n)],
-                                     mul, "r0")
+    return from_function("*", [f"{c}{k}" for c in "rs" for k in range(n)], mul, "r0")
 
 
 def dihedral_4() -> FiniteGroup:
@@ -109,7 +114,7 @@ def quaternion_8() -> FiniteGroup:
             sign, r = -sign, r[1:]
         return r if sign == 1 else "-" + r
 
-    return FiniteGroup.from_function("*", names, mul, "1")
+    return from_function("*", names, mul, "1")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -120,8 +125,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         (a, b), (c, d) = x.rsplit("|", 1), y.rsplit("|", 1)
         return f"{g.mul(a, c)}|{h.mul(b, d)}"
 
-    return FiniteGroup.from_function(g.op_id, carrier, mul,
-                                     f"{g.identity}|{h.identity}")
+    return from_function(g.op_id, carrier, mul, f"{g.identity}|{h.identity}")
 
 
 def relabel(group: FiniteGroup, names, op_id: str) -> FiniteGroup:
@@ -152,9 +156,9 @@ def single(group: FiniteGroup) -> MultiGroupSpace:
 def prime_field(p: int) -> MultiGroupSpace:
     """The field of p elements: addition on everything, units under product."""
     names = [str(i) for i in range(p)]
-    add = FiniteGroup.from_function(
+    add = from_function(
         "+", names, lambda a, b: str((int(a) + int(b)) % p), "0")
-    mul = FiniteGroup.from_function(
+    mul = from_function(
         "*", names[1:], lambda a, b: str((int(a) * int(b)) % p), "1")
     return MultiGroupSpace(tuple(names), (add, mul))
 

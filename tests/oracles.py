@@ -11,7 +11,7 @@ scan_word_joins, scan_validate_group, scan_interposable, scan_link_carriers,
 scan_choices, scan_space_lattice, scan_lattice_filter,
 scan_is_finitely_generated, scan_composition_series, scan_is_abelian,
 scan_proper_normal_subgroups, scan_maximal_proper_normal_subgroups,
-scan_maximal, scan_quotient_group, scan_parse_instance, the staged series walk
+scan_maximal, scan_parse_instance, the staged series walk
 (scan_series_stages, scan_build_series, scan_maximal_series) and the five
 string-keyed product scans are the exceptions: they are code the engine
 replaced, kept verbatim as oracles for their replacements.
@@ -56,10 +56,6 @@ prime-index quotients; scan_is_abelian compares
 string-keyed products, as FiniteGroup.is_abelian did before it compared
 the int table with its transpose; scan_maximal compares every mask with
 every other, as groups._maximal did before it kept masks largest first;
-scan_quotient_group builds every coset as a frozenset of FiniteGroup.mul
-products and names it by its smallest member, as quotient_group did
-before it mapped each product to the first element of its coset in one
-pass;
 scan_proper_normal_subgroups and scan_maximal_proper_normal_subgroups
 filter the named lattice with a conjugation scan over every element of
 the carrier or of `within`, as their engine namesakes did before they ran
@@ -92,8 +88,7 @@ from multigroup.errors import (DomainError, InternalConsistencyError, ParseError
 from multigroup.generation import GenerationWitness, GeneratingSet, span_closure
 from multigroup.groups import (CompositionChain, Element, FiniteGroup, _bits, _close,
                                _maximal, _normalises, _proper_normal,
-                               is_normal_subgroup, is_subgroup, validate_group,
-                               subgroups)
+                               is_subgroup, validate_group, subgroups)
 from multigroup.report import (AXIOM, DISTRIBUTION, STRUCTURAL, ValidationReport,
                                Violation)
 from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
@@ -402,33 +397,6 @@ def scan_maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAUL
 
 def scan_maximal(masks: list[int]) -> list[int]:
     return [m for m in masks if not any(m != o and m & o == m for o in masks)]
-
-
-def scan_quotient_group(g: FiniteGroup, normal_subset) -> FiniteGroup:
-    """The group on left cosets of a normal subgroup.
-
-    Cosets are named by their canonically smallest member, so the quotient
-    is again a plain FiniteGroup over string tokens.
-    """
-    sub = set(normal_subset)
-    if not is_normal_subgroup(g, sub):
-        raise PreconditionError("quotient requires a normal subgroup")
-    coset_of: dict[Element, frozenset] = {}
-    reps = []
-    for x in g.carrier:
-        if x in coset_of:
-            continue
-        coset = frozenset(g.mul(x, h) for h in sub)
-        rep = min(coset, key=g.index)
-        reps.append(rep)
-        for y in coset:
-            coset_of[y] = coset
-    rep_of = {coset_of[r]: r for r in reps}
-    carrier = tuple(sorted(reps, key=g.index))
-    table = tuple(tuple(rep_of[coset_of[g.mul(a, b)]] for b in carrier)
-                  for a in carrier)
-    identity = rep_of[coset_of[g.identity]]
-    return FiniteGroup(g.op_id, carrier, table, identity)
 
 
 def scan_is_abelian(g) -> bool:

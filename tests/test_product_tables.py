@@ -296,9 +296,9 @@ def _near_field(opposite):
 
     names = [f"{a}{b}" for a in range(3) for b in range(3)]
     squares = {gf9(u, u) for u in names[1:]}
-    plus = FiniteGroup.from_function(
+    plus = catalog.from_function(
         "+", names, lambda u, v: "".join(str((int(a) + int(b)) % 3) for a, b in zip(u, v)), "00")
-    return MultiGroupSpace(tuple(names), (plus, FiniteGroup.from_function(
+    return MultiGroupSpace(tuple(names), (plus, catalog.from_function(
         "*", names[1:], times, "10")))
 
 
@@ -394,9 +394,8 @@ def _conjugated(g, sigma):
     """g with its elements renamed by sigma, a permutation of its carrier:
     a group again on the same carrier, with identity sigma(e)."""
     to, back = dict(zip(g.carrier, sigma)), dict(zip(sigma, g.carrier))
-    return FiniteGroup.from_function(g.op_id, g.carrier,
-                                     lambda a, b: to[g.mul(back[a], back[b])],
-                                     to[g.identity])
+    return catalog.from_function(g.op_id, g.carrier,
+                                 lambda a, b: to[g.mul(back[a], back[b])], to[g.identity])
 
 
 def _perturbed_field(p, k, sigma):
@@ -431,8 +430,8 @@ def _z5_monoid():
     """Z5 with + and the whole multiplicative monoid: T = C, * associative
     and distributive, but 0 has no inverse, so * is not a group."""
     ms = catalog.prime_field(5)
-    times = FiniteGroup.from_function("*", ms.universe,
-                                      lambda a, b: str(int(a) * int(b) % 5), "1")
+    times = catalog.from_function("*", ms.universe,
+                                  lambda a, b: str(int(a) * int(b) % 5), "1")
     return MultiGroupSpace(ms.universe, (ms.groups[0], times))
 
 

@@ -11,8 +11,7 @@ from multigroup.instances import serialize_instance
 from multigroup.report import DISTRIBUTION
 from multigroup.series import build_series, enumerate_maximal_series
 from multigroup.spaces import (MultiGroupSpace, check_distribution,
-                               classify_special_case, is_complete,
-                               ops_of_element, validate_multigroup)
+                               classify_special_case, is_complete, validate_multigroup)
 from multigroup.subspaces import _closed_part_candidates
 
 import catalog
@@ -157,15 +156,6 @@ def test_every_structural_kind_at_once_matches_the_scan():
         "duplicate-op", "carrier-outside-universe", "orphan-element", "identity"]
     assert report.structural()[2].witness == ("z", "w")
     assert report.to_dict() == scan_validate(ms).to_dict()
-
-
-def test_ops_of_element(gf3, z2z3):
-    assert ops_of_element(gf3, "1") == ("+", "*")
-    assert ops_of_element(gf3, "0") == ("+",)
-    for e in z2z3.universe:
-        assert len(ops_of_element(z2z3, e)) == 1
-    with pytest.raises(DomainError):
-        ops_of_element(gf3, "7")
 
 
 def test_is_complete_examples(gf3):

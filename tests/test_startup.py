@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import multigroup
@@ -25,6 +26,33 @@ def test_the_package_ships_only_the_engine():
     assert importlib.util.find_spec("multigroup.catalog") is None
     assert not hasattr(multigroup, "lagrange_check")
     assert not hasattr(multigroup.subspaces, "lagrange_check")
+
+
+def test_the_package_exports_only_what_a_caller_uses():
+    """The public names of `multigroup`, submodules aside: each is reached
+    by a command, named by the README or the classical single-group case,
+    or read by the benchmark's tracer. The quotient, the operations at an
+    element and the table-from-function builder had only tests as callers;
+    the builder is catalog.from_function now."""
+    assert sorted(name for name, value in vars(multigroup).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)) == [
+        "BoundExceeded", "Classification", "CompositionChain", "CosetDecomposition",
+        "DEFAULT_LIMITS", "DecompositionFailure", "DistributionCheck", "DomainError",
+        "Element", "FiniteGroup", "GeneratingSet", "GenerationWitness",
+        "InternalConsistencyError", "LengthInvariance", "Limits", "MaximalSeriesResult",
+        "MultiGroupSpace", "MultigroupError", "NormalSeries", "OrientedOperationSequence",
+        "ParseError", "PreconditionError", "SubsetRef", "SubspaceEvidence",
+        "ValidationReport", "Violation", "build_series", "check_distribution",
+        "classify_special_case", "composition_series", "coset", "coset_decomposition",
+        "enumerate_maximal_series", "induced_space", "is_complete",
+        "is_finitely_generated", "is_normal_subgroup", "is_normal_subspace", "is_subgroup",
+        "is_subspace", "is_subspace_by_completeness", "is_subspace_by_intersection",
+        "length_invariance_check", "maximal_proper_normal_subgroups", "normality_criterion",
+        "parse_instance", "serialize_instance", "span_closure", "span_once", "subgroups",
+        "subspace_decomposition", "validate_group", "validate_multigroup"]
+    assert not hasattr(multigroup.groups, "quotient_group")
+    assert not hasattr(multigroup.spaces, "ops_of_element")
+    assert not hasattr(multigroup.FiniteGroup, "from_function")
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():
