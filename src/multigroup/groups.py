@@ -555,16 +555,6 @@ def _proper_normal(t: list[list[int]], lattice, within: int, gens) -> list[int]:
             if all(_normalises(t, x, hs) for x in gens)]
 
 
-def _top(g: FiniteGroup, limits: Limits, within) -> int:
-    _check_order(g.order, limits, "subgroup enumeration bounded at order")
-    return (1 << g.order) - 1 if within is None else sum({1 << g.index(e) for e in within})
-
-
-def _normal_masks(g: FiniteGroup, top: int) -> list[int]:
-    # the core over every member of `top` as conjugator, so none need generate it
-    return _proper_normal(g._ints[0], g._lattice, top, _bits(top))
-
-
 def _primes(n: int) -> list[int]:
     out, q = [], 2  # the primes dividing n, smallest first
     while q * q <= n:
@@ -687,34 +677,26 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool) -> lis
     return sorted(out, key=_bits)
 
 
-def _maximal_masks(g: FiniteGroup, top: int, group: bool) -> list[int]:
-    """The maximal proper normal subgroups of g's subset top, by size and
-    then canonical order: from the prime-index quotients when group says
-    that g is a group and top a subgroup of it, and otherwise by the
-    lattice filter."""
-    if not group:
-        return _maximal(_normal_masks(g, top))
+def _maximal_masks(g: FiniteGroup, top: int) -> list[int]:
+    """The maximal proper normal subgroups of top, g's whole carrier or a
+    link of one of its composition series, by size and then canonical
+    order: from the prime-index quotients when g is a group, and otherwise
+    by the lattice filter, whose core takes every member of top as
+    conjugator, so none need generate it."""
+    if g._generators is None:
+        return _maximal(_proper_normal(g._ints[0], g._lattice, top, _bits(top)))
     masks = _maximal_normal(g._ints[0], top, g.index(g.identity), g.is_abelian)
     return sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
 
 
-def proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
-                            within=None) -> list[tuple[Element, ...]]:
-    """The proper normal subgroups of the group g, or of its subgroup
-    `within`: the subgroups of a subgroup are the members of g's lattice
-    inside it, so its own lattice is never enumerated."""
-    return list(map(g._names, _normal_masks(g, _top(g, limits, within))))
-
-
-def maximal_proper_normal_subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS,
-                                    within=None) -> list[tuple[Element, ...]]:
-    """Proper normal subgroups with no strictly larger proper normal subgroup
-    above them, of g or of its subgroup `within`, by size and then
-    canonical order. On a group they come from the prime-index quotients
-    (_maximal_normal), which read no lattice of g."""
-    top = _top(g, limits, within)
-    group = g._generators is not None and _close((g._ints[0],), 0, top) == top
-    return list(map(g._names, _maximal_masks(g, top, group)))
+def maximal_proper_normal_subgroups(g: FiniteGroup,
+                                    limits: Limits = DEFAULT_LIMITS) -> list[tuple[Element, ...]]:
+    """Proper normal subgroups of g with no strictly larger proper normal
+    subgroup above them, by size and then canonical order. On a group they
+    come from the prime-index quotients (_maximal_normal), which read no
+    lattice of g."""
+    _check_order(g.order, limits, "subgroup enumeration bounded at order")
+    return list(map(g._names, _maximal_masks(g, (1 << g.order) - 1)))
 
 
 class CompositionChain(namedtuple("CompositionChain", ["links"])):
@@ -742,12 +724,12 @@ def composition_series(g: FiniteGroup,
     it, and they are named at the end.
     """
     _check_order(g.order, limits, "composition series bounded at order")
-    group, tails = g._generators is not None, {}
+    tails = {}
 
     def descend(link):
         if link not in tails:
             tails[link] = [(link,)] if not link & link - 1 else \
-                [(link,) + tail for n in _maximal_masks(g, link, group) for tail in descend(n)]
+                [(link,) + tail for n in _maximal_masks(g, link) for tail in descend(n)]
         return tails[link]
 
     return [CompositionChain(tuple(map(g._names, links)))

@@ -41,6 +41,8 @@ class MultiGroupSpace(_Frozen):
     _fields = ("universe", "groups")
 
     def __init__(self, universe: tuple[Element, ...], groups: tuple[FiniteGroup, ...]):
+        if not universe:
+            raise ValueError("universe is empty")
         if len(set(universe)) != len(universe):
             raise ValueError("duplicate element in universe")
         self.__dict__.update(universe=universe, groups=groups)
@@ -421,8 +423,7 @@ CONVENTION_IDENTITY_EXCLUDED = "identity-excluded"
 class Classification(namedtuple("Classification", [
         "tag",          # group | field | general
         "convention",   # str | None
-        "notes",        # tuple[str, ...]
-], defaults=(None, ()))):
+], defaults=(None,))):
     __slots__ = ()
 
 

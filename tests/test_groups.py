@@ -17,8 +17,7 @@ from multigroup.errors import BoundExceeded, DomainError, PreconditionError
 from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
                                _light_generators, _maximal, _maximal_normal, _proper_normal,
                                composition_series, is_normal_subgroup, is_subgroup,
-                               maximal_proper_normal_subgroups,
-                               proper_normal_subgroups, subgroups, validate_group)
+                               maximal_proper_normal_subgroups, subgroups, validate_group)
 from multigroup.instances import parse_instance
 from multigroup.spaces import MultiGroupSpace
 
@@ -29,7 +28,7 @@ from oracles import (brute_composition_chains, brute_subgroups,
                      prime_factor_count, raw_group, scan_closed_subsets,
                      scan_choices, scan_composition_series, scan_element_joins,
                      scan_is_abelian, scan_maximal, scan_maximal_proper_normal_subgroups,
-                     scan_proper_normal_subgroups, scan_space_lattice, scan_subgroups,
+                     scan_space_lattice, scan_subgroups,
                      scan_validate_group, scan_word_joins)
 
 CORPUS = catalog.corpus_groups()
@@ -214,22 +213,18 @@ def test_maximal_proper_normal_subgroups_of_s3():
                          ids=CORPUS_NAMES + list(small_space_catalog()))
 def test_normal_subgroups_match_the_string_scan(ms):
     """For every group of the corpus and of the catalog spaces, in its
-    universe, and every subgroup `within` of it: the int core, conjugating
-    with the generators the remapped lattice keeps for `within`, and the
-    name wrappers, conjugating with every member, find the subgroups the
-    string scan over every conjugator finds, in the same order."""
+    universe: the name wrapper finds the maximal normal subgroups the
+    string scan over every conjugator finds, in the same order, and for
+    every subgroup of it, the int core, conjugating with the generators the
+    remapped lattice keeps for that subgroup, finds the ones the string
+    scan finds inside it."""
     for k, g in enumerate(ms.groups):
         lattice = scan_space_lattice(ms, k)
-        assert proper_normal_subgroups(g) == scan_proper_normal_subgroups(g)
         assert maximal_proper_normal_subgroups(g) == scan_maximal_proper_normal_subgroups(g)
         for part, gens in lattice.items():
-            within = ms._elements(part)
-            expected = scan_maximal_proper_normal_subgroups(g, within=within)
+            expected = scan_maximal_proper_normal_subgroups(g, within=ms._elements(part))
             core = _maximal(_proper_normal(ms._tables[k], lattice, part, gens))
             assert [set(ms._elements(m)) for m in core] == list(map(set, expected))
-            assert maximal_proper_normal_subgroups(g, within=within) == expected
-            assert proper_normal_subgroups(g, within=within) == \
-                scan_proper_normal_subgroups(g, within=within)
 
 
 @given(st.lists(st.integers(0, 63), max_size=12))
@@ -824,15 +819,12 @@ def test_solvable_parts_of_order_60_or_more_build_no_lattice(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["S4", "S4xZ2", "A5", "A5xZ2", "S4xZ3", "D61"])
 def test_maximal_normal_subgroups_of_larger_groups_match_the_string_scan(name):
-    """The name wrappers on the group's own table, for the whole group and
-    every subgroup `within`, and every composition series, as the string
-    scan and the recursion through restrict() find them."""
+    """The name wrapper on the group's own table, and every composition
+    series, as the string scan and the recursion through restrict() find
+    them."""
     g = _fresh(QUOTIENT_GROUPS[name].groups[0])
     assert maximal_proper_normal_subgroups(g, WIDE_ORDER) == \
         scan_maximal_proper_normal_subgroups(g, WIDE_ORDER)
-    for within in subgroups(g, WIDE_ORDER):
-        assert maximal_proper_normal_subgroups(g, WIDE_ORDER, within) == \
-            scan_maximal_proper_normal_subgroups(g, WIDE_ORDER, within)
     assert composition_series(g, WIDE_ORDER) == scan_composition_series(g, WIDE_ORDER)
 
 
@@ -862,15 +854,50 @@ def test_non_solvable_parts_read_only_the_subgroups_under_themselves(monkeypatch
         assert choices == scan_choices(ms, 0, top)
 
 
-@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
-def test_maximal_normal_subgroups_within_any_subset(name):
-    """A `within` that is no subgroup, or empty, takes the lattice filter,
-    as the string scan over its members as conjugators does."""
-    g = CORPUS[name]
-    for size in range(g.order + 1):
-        for within in combinations(g.carrier, size):
-            assert maximal_proper_normal_subgroups(g, within=within) == \
-                scan_maximal_proper_normal_subgroups(g, within=within), within
+def _chein_loop(g):
+    """Chein's Moufang loop M(G, 2) on G and a primed copy of it, which is
+    no group when G is not abelian."""
+    def mul(u, v):
+        a, b = u.rstrip("'"), v.rstrip("'")
+        if u == a:
+            return g.mul(a, b) if v == b else g.mul(b, a) + "'"
+        return g.mul(a, g.inverse(b)) + "'" if v == b else g.mul(g.inverse(b), a)
+    return catalog.from_function("*", [*g.carrier, *(a + "'" for a in g.carrier)], mul,
+                                 g.identity)
+
+
+def _loop_of_order_six():
+    """A loop on 0 .. 5 that is not associative, where neither the
+    prime-index quotients nor conjugating with a subgroup's generators
+    alone finds its maximal normal subgroups."""
+    rows = ["012345", "104253", "250134", "325410", "431502", "543021"]
+    return catalog.from_function("*", "012345", lambda a, b: rows[int(a)][int(b)], "0")
+
+
+@pytest.mark.parametrize("build, count", [(lambda: _chein_loop(CORPUS["S3"]), 3),
+                                          (_loop_of_order_six, 1)],
+                         ids=["chein-S3", "order-6-loop"])
+def test_tables_that_are_no_group_take_the_lattice_filter(build, count):
+    """On a loop that is not associative, each link's maximal normal
+    subgroups are the maximal members of the lattice strictly inside it
+    that every member x of the link maps onto themselves, x H = H x; the
+    string scan over the lattice's names finds the same, and every
+    composition series descends through them."""
+    g = build()
+    assert not validate_group(g).ok
+
+    def maximal(top):
+        inside = [h for h in subgroups(g) if len(h) < len(top) and set(h) <= set(top)
+                  and all({g.mul(x, a) for a in h} == {g.mul(a, x) for a in h} for x in top)]
+        return [h for h in inside if not any(set(h) < set(o) for o in inside)]
+
+    def chains(top):
+        return [(top,)] if len(top) == 1 else \
+            [(top,) + tail for n in maximal(top) for tail in chains(n)]
+
+    assert maximal_proper_normal_subgroups(g) == maximal(g.carrier)
+    series_links = [c.links for c in composition_series(g)]
+    assert series_links == chains(g.carrier) and len(series_links) == count
 
 
 def test_lattices_above_the_default_bound():

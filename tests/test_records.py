@@ -41,7 +41,7 @@ def _cases():
                              "witnesses"], law))),
         (DistributionCheck, dict(op_a="+", op_b="*", a_over_b=LawCheck(*law),
                                  b_over_a=LawCheck("+", "*", True, True, 0, ()))),
-        (Classification, dict(tag="field", convention="exact", notes=("n",))),
+        (Classification, dict(tag="field", convention="exact")),
         (SubsetRef, dict(elements=ref[0], retained_ops=ref[1])),
         (SubspaceEvidence, dict(ok=True, intersections=(("+", ("0",)),),
                                 parts=(("+", ("0",)),), reason=None)),
@@ -91,7 +91,7 @@ REPRS = {
         "'1'),)), b_over_a=LawCheck(distributor='+', other='*', holds=True, "
         'vacuous=True, tested=0, witnesses=()))'),
     "Classification": (
-        "Classification(tag='field', convention='exact', notes=('n',))"),
+        "Classification(tag='field', convention='exact')"),
     "SubsetRef": (
         "SubsetRef(elements=('0', '1'), retained_ops=('+', '*'))"),
     "SubspaceEvidence": (
@@ -164,7 +164,7 @@ def test_record_defaults():
     assert ValidationReport() == ValidationReport((), ()) == ((), ())
     bare = Violation("axiom", "k", "m")
     assert bare.op_ids == bare.witness == ()
-    assert Classification("group") == Classification("group", None, ())
+    assert Classification("group") == Classification("group", None)
     assert SubspaceEvidence(False, (), None).reason is None
     assert NormalityEvidence(True).witness is None
     assert not NormalityEvidence(False) and not SubspaceEvidence(False, (), None)
@@ -180,7 +180,9 @@ def test_record_defaults():
     (lambda: FiniteGroup("+", ("0", "1"), (("0", "1"), ("1", "0")), "2"),
      "identity '2' not in carrier of '+'"),
     (lambda: MultiGroupSpace(("0", "1", "0"), ()), "duplicate element in universe"),
-], ids=["duplicate-carrier", "rows", "row", "identity", "duplicate-universe"])
+    (lambda: MultiGroupSpace((), ()), "universe is empty"),
+], ids=["duplicate-carrier", "rows", "row", "identity", "duplicate-universe",
+        "empty-universe"])
 def test_frozen_classes_refuse_malformed_fields(build, message):
     with pytest.raises(ValueError) as raised:
         build()

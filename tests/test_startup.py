@@ -3,6 +3,7 @@
 the modules the package ships."""
 
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -33,7 +34,9 @@ def test_the_package_exports_only_what_a_caller_uses():
     by a command, named by the README or the classical single-group case,
     or read by the benchmark's tracer. The quotient, the operations at an
     element and the table-from-function builder had only tests as callers;
-    the builder is catalog.from_function now."""
+    the builder is catalog.from_function now. So had the proper normal
+    subgroups and the maximal ones of a subset: the group API answers for
+    the whole group only."""
     assert sorted(name for name, value in vars(multigroup).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)) == [
         "BoundExceeded", "Classification", "CompositionChain", "CosetDecomposition",
@@ -53,6 +56,10 @@ def test_the_package_exports_only_what_a_caller_uses():
     assert not hasattr(multigroup.groups, "quotient_group")
     assert not hasattr(multigroup.spaces, "ops_of_element")
     assert not hasattr(multigroup.FiniteGroup, "from_function")
+    for name in "proper_normal_subgroups", "_top", "_normal_masks":
+        assert not hasattr(multigroup.groups, name), name
+    assert list(inspect.signature(multigroup.maximal_proper_normal_subgroups).parameters) == \
+        ["g", "limits"]
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():
