@@ -46,7 +46,7 @@ def _render(key: str, value, indent: int, lines: list[str]) -> None:
         lines.append(f"{pad}{key}:")
         for k, v in value.items():
             _render(k, v, indent + 1, lines)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         if not value:
             lines.append(f"{pad}{key}: []")
             return
@@ -151,8 +151,8 @@ def _cmd_validate(ms: MultiGroupSpace, args, limits: Limits):
     report = validate_multigroup(ms)
     payload = {
         "verdict": "valid" if report.ok else "invalid",
-        "violations": [v.to_dict() for v in report.violations],
-        "notes": list(report.notes),
+        "violations": [v._asdict() for v in report.violations],
+        "notes": report.notes,
     }
     if report.ok:
         payload.update(_cmd_classify(ms, args, limits)[0])
@@ -177,7 +177,7 @@ def _cmd_subspace(ms: MultiGroupSpace, args, limits: Limits):
     implemented = is_subspace(ms, s)
     payload = {
         "subset": _fmt_set(s.elements),
-        "retained_ops": list(s.retained_ops),
+        "retained_ops": s.retained_ops,
         "intersection_route": {
             "verdict": evidence.ok,
             "intersections": {op: _fmt_set(i) for op, i in evidence.intersections},
@@ -207,8 +207,8 @@ def _cmd_cosets(ms: MultiGroupSpace, args, limits: Limits):
         return payload, EXIT_FAIL
     payload = {
         "subset": _fmt_set(s.elements),
-        "retained_ops": list(s.retained_ops),
-        "transversal": list(result.transversal),
+        "retained_ops": s.retained_ops,
+        "transversal": result.transversal,
         "cosets": [_fmt_set(c) for c in result.cosets],
         "verdict": "partition",
     }
@@ -221,7 +221,7 @@ def _cmd_normal(ms: MultiGroupSpace, args, limits: Limits):
     crit = normality_criterion(ms, s)
     payload = {
         "subset": _fmt_set(s.elements),
-        "retained_ops": list(s.retained_ops),
+        "retained_ops": s.retained_ops,
         "conjugation_route": conj.ok,
         "criterion_route": crit,
         "routes_agree": conj.ok == crit,
@@ -235,17 +235,17 @@ def _cmd_normal(ms: MultiGroupSpace, args, limits: Limits):
 def _series_payload(series) -> dict:
     return {
         "chain": [{"elements": _fmt_set(link.elements),
-                   "ops": list(link.retained_ops)} for link in series.chain],
-        "step_ops": list(series.step_ops),
+                   "ops": link.retained_ops} for link in series.chain],
+        "step_ops": series.step_ops,
         "length": series.length,
-        "anomalies": list(series.anomalies),
+        "anomalies": series.anomalies,
     }
 
 
 def _cmd_series(ms: MultiGroupSpace, args, limits: Limits):
     seq = _sequence(ms, args)
     series = build_series(ms, seq, limits)
-    payload = {"order": list(seq.order)}
+    payload = {"order": seq.order}
     payload.update(_series_payload(series))
     return payload, EXIT_PASS
 
@@ -254,10 +254,10 @@ def _cmd_maximal_series(ms: MultiGroupSpace, args, limits: Limits):
     seq = _sequence(ms, args)
     result = enumerate_maximal_series(ms, seq, limits)
     payload = {
-        "order": list(seq.order),
+        "order": seq.order,
         "series": [_series_payload(s) for s in result.series],
         "series_count": len(result.series),
-        "lengths": list(result.lengths),
+        "lengths": result.lengths,
         "constant_length": result.constant,
         "rejected": [{"reason": reason, **_series_payload(s)}
                      for s, reason in result.rejected],

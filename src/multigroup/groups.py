@@ -24,9 +24,10 @@ Element = str
 
 class _Frozen:
     """Equality, hash and repr by the fields named in _fields, and no
-    assignment: __init__ and the cached properties write the instance
-    __dict__ directly. Fields are plain instance attributes, the fastest
-    to read on the hot paths."""
+    assignment: __init__ writes the instance __dict__ directly, the fields
+    and the state every query reads, and the cached properties add what
+    costs work or is not always read on first use. All are plain instance
+    attributes, the fastest to read on the hot paths."""
 
     __slots__ = ()
     _fields: tuple[str, ...]  # set by each subclass
@@ -67,21 +68,15 @@ class FiniteGroup(_Frozen):
     def __init__(self, op_id: str, carrier: tuple[Element, ...],
                  table: tuple[tuple[Element, ...], ...], identity: Element):
         n = len(carrier)
-        if len(set(carrier)) != n:
+        index = dict(zip(carrier, range(n)))
+        if len(index) != n:
             raise ValueError(f"duplicate element in carrier of {op_id!r}")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"table of {op_id!r} is not {n}x{n}")
-        if identity not in carrier:
+        if identity not in carrier:  # a scan, so an unhashable identity is refused alike
             raise ValueError(f"identity {identity!r} not in carrier of {op_id!r}")
-        self.__dict__.update(op_id=op_id, carrier=carrier, table=table, identity=identity)
-
-    @cached_property
-    def _index(self) -> dict[Element, int]:
-        return {e: i for i, e in enumerate(self.carrier)}
-
-    @property
-    def order(self) -> int:
-        return len(self.carrier)
+        self.__dict__.update(op_id=op_id, carrier=carrier, table=table, identity=identity,
+                             order=n, _index=index)
 
     def __contains__(self, element: Element) -> bool:
         return element in self._index

@@ -15,12 +15,13 @@ serializer emits the canonical two/four-space layout, so parse-serialize
 round trips are byte stable on canonical files.
 
 The text is read once. Each table entry is mapped to its carrier index as
-its row is read, and the space and each group are handed their element
-indices. When no product leaves the carrier, the rows are the group's int
-table (FiniteGroup._ints), from which the space's universe-index tables
-(MultiGroupSpace._tables) are built when first read, so no later step
-reads a string table to build them. Only a row with a product outside the
-carrier checks its tokens against the universe.
+its row is read. The records build their own indices when constructed, so
+the rows are the only state handed over: when no product leaves the
+carrier, they are the group's int table (FiniteGroup._ints), from which the
+space's universe-index tables (MultiGroupSpace._tables) are built when
+first read, so no later step reads a string table to build them. Only a
+row with a product outside the carrier checks its tokens against the
+universe.
 """
 
 from __future__ import annotations
@@ -92,9 +93,7 @@ def parse_instance(text: str) -> MultiGroupSpace:
             raise ParseError("empty operation id", lineno)
         groups.append(_parse_group(lines, op_id, index, lineno))
 
-    ms = MultiGroupSpace(tuple(universe_tokens), tuple(groups))
-    ms.__dict__["_index"] = index
-    return ms
+    return MultiGroupSpace(tuple(universe_tokens), tuple(groups))
 
 
 def _parse_group(lines: Iterator[tuple[int, list[str]]], op_id: str,
@@ -157,7 +156,6 @@ def _parse_group(lines: Iterator[tuple[int, list[str]]], op_id: str,
             f"table of {op_id!r} has {size - table.count(None)} rows, expected {size}")
 
     g = FiniteGroup(op_id, carrier, tuple(table), identity)
-    g.__dict__["_index"] = members
     if not escaped:  # else _ints numbers the products outside the carrier itself
         g.__dict__["_ints"] = rows, ()
     return g

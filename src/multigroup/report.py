@@ -25,15 +25,6 @@ class Violation(namedtuple("Violation", [
 ], defaults=((), ()))):
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "kind": self.kind,
-            "message": self.message,
-            "op_ids": list(self.op_ids),
-            "witness": list(self.witness),
-        }
-
 
 class ValidationReport(namedtuple("ValidationReport", [
         "violations",       # tuple[Violation, ...]
@@ -49,10 +40,3 @@ class ValidationReport(namedtuple("ValidationReport", [
 
     def structural(self) -> list[Violation]:
         return [v for v in self.violations if v.category == STRUCTURAL]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-            "notes": list(self.notes),
-        }

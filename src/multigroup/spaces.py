@@ -14,10 +14,11 @@ distributor to be a group on a carrier inside the other's, as
 multiplication over addition, so validation checks such a direction first:
 the other is checked only when the first fails or holds vacuously. Every
 check of the space layer reads the partial-product rule from one place,
-the int tables MultiGroupSpace._tables, built from each group's int
-table, which the parser hands over as it reads the text;
+the int tables MultiGroupSpace._tables, built on first read from each
+group's int table, which the parser hands over as it reads the text;
 MultiGroupSpace.product and defined answer by element name for library
-users.
+users. What every query reads, the element index, the position of each
+operation and the carrier bitmasks, a space builds when it is constructed.
 """
 
 from __future__ import annotations
@@ -43,22 +44,22 @@ class MultiGroupSpace(_Frozen):
     def __init__(self, universe: tuple[Element, ...], groups: tuple[FiniteGroup, ...]):
         if not universe:
             raise ValueError("universe is empty")
-        if len(set(universe)) != len(universe):
+        index = dict(zip(universe, range(len(universe))))
+        if len(index) != len(universe):
             raise ValueError("duplicate element in universe")
-        self.__dict__.update(universe=universe, groups=groups)
-
-    @cached_property
-    def op_set(self) -> tuple[str, ...]:
-        return tuple(g.op_id for g in self.groups)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
+        op_set = tuple(g.op_id for g in groups)
         # first wins on duplicate ids; validation flags each later group
         # whose id maps to an earlier position
-        out: dict[str, int] = {}
-        for k, g in enumerate(self.groups):
-            out.setdefault(g.op_id, k)
-        return out
+        positions: dict[str, int] = {}
+        for k, op_id in enumerate(op_set):
+            positions.setdefault(op_id, k)
+        # one universe bitmask per operation, read from its carrier through
+        # the index, so it exists even where _tables raises; a carrier
+        # element outside the universe is left out
+        carriers = tuple(sum(1 << index[e] for e in g.carrier if e in index)
+                         for g in groups)
+        self.__dict__.update(universe=universe, groups=groups, op_set=op_set,
+                             _positions=positions, _index=index, _carriers=carriers)
 
     def _position(self, op_id: str) -> int:
         """The index in groups of the operation's group."""
@@ -66,10 +67,6 @@ class MultiGroupSpace(_Frozen):
             return self._positions[op_id]
         except KeyError:
             raise DomainError(f"unknown operation {op_id!r}") from None
-
-    @cached_property
-    def _index(self) -> dict[Element, int]:
-        return {e: i for i, e in enumerate(self.universe)}
 
     def index(self, element: Element) -> int:
         try:
@@ -118,14 +115,6 @@ class MultiGroupSpace(_Frozen):
                         self.index(g.table[i][g._index[u[row.index(None)]]])  # raises
             tables.append(rows + [[n] * (n + 1)])
         return tuple(tables)
-
-    @cached_property
-    def _carriers(self) -> tuple[int, ...]:
-        """One universe bitmask per operation, read from its carrier through
-        _index, so it exists even where _tables raises. A carrier element
-        outside the universe is left out."""
-        return tuple(sum(1 << self._index[e] for e in g.carrier if e in self._index)
-                     for g in self.groups)
 
     def _mask(self, elements) -> int:
         return sum(1 << i for i in {self.index(e) for e in elements})

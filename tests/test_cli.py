@@ -480,6 +480,18 @@ def test_the_json_writer_matches_json_dumps(payload):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_a_tuple_renders_as_the_equal_list():
+    """Payloads hold records' tuples as they are; each renders byte for byte
+    as the equal list, the empty one included, in text and in JSON."""
+    def payload(seq):
+        return {"ops": seq(("+", "*")), "none": seq(()),
+                "rows": [{"witness": seq(("a", "b")), "empty": seq(())}],
+                "nested": {"order": seq(("b", "a"))}}
+    for as_json in False, True:
+        assert cli.render_report(payload(tuple), as_json) == \
+            cli.render_report(payload(list), as_json)
+
+
 def test_the_json_writer_matches_json_dumps_on_the_golden_reports():
     for argv in golden_argvs():
         payload, _ = cli.run_command(cli._plain_args([*argv, "--json", "--timing"]))

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multigroup import FiniteGroup, MultiGroupSpace
 from multigroup.errors import ParseError
 from multigroup.instances import parse_instance, serialize_instance
 
@@ -399,3 +400,26 @@ def test_the_reader_matches_the_row_at_a_time_parser_on_every_error(case):
 def test_the_reader_matches_the_row_at_a_time_parser_on_every_file(path):
     # golden/escape.mgs has a product outside its carrier
     _reads_alike(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [*sorted(INSTANCE_DIR.glob("*.mgs")),
+                                  *sorted(GOLDEN_DIR.glob("*.mgs"))],
+                         ids=lambda path: path.stem)
+def test_the_parser_hands_each_group_only_its_int_rows(path):
+    """Before any query a parsed space holds its fields and what its
+    constructor builds, and each group the same plus its int rows when no
+    product leaves its carrier; the records rebuilt from their fields alone
+    derive equal state, int rows included."""
+    ms = parse_instance(path.read_text(encoding="utf-8"))
+    assert set(vars(ms)) == {"universe", "groups", "op_set", "_positions", "_index",
+                             "_carriers"}
+    handed = ["_ints" in vars(g) for g in ms.groups]
+    for g, closed in zip(ms.groups, handed):
+        assert set(vars(g)) == {"op_id", "carrier", "table", "identity", "order", "_index",
+                                *["_ints"] * closed}
+    rebuilt = MultiGroupSpace(ms.universe, tuple(
+        FiniteGroup(g.op_id, g.carrier, g.table, g.identity) for g in ms.groups))
+    assert vars(rebuilt) == vars(ms)
+    for g, h, closed in zip(ms.groups, rebuilt.groups, handed):
+        assert h._ints == g._ints and closed == (not g._ints[1])
+        assert vars(h) == vars(g)

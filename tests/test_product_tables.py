@@ -77,7 +77,7 @@ def _same_distribution_scan(ms):
 
 
 def _same_validation(ms):
-    assert _validate(ms).to_dict() == scan_validate(ms).to_dict()
+    assert _validate(ms) == scan_validate(ms)
 
 
 def _same_raw_reading(ms):
@@ -515,7 +515,7 @@ def test_validation_matches_the_scan_of_both_directions_on_every_chain_layout(mo
         scans.clear()
         report = _validate(ms)
         settled += 2 * 3 - len(scans)
-        assert report.to_dict() == scan_validate(ms).to_dict()
+        assert report == scan_validate(ms)
         valid += report.ok
     assert (len(layouts), valid, settled) == (1350, 355, 958)
 

@@ -179,10 +179,12 @@ def test_record_defaults():
      "table of '+' is not 2x2"),
     (lambda: FiniteGroup("+", ("0", "1"), (("0", "1"), ("1", "0")), "2"),
      "identity '2' not in carrier of '+'"),
+    (lambda: FiniteGroup("+", ("0", "1"), (("0", "1"), ("1", "0")), ["0"]),
+     "identity ['0'] not in carrier of '+'"),
     (lambda: MultiGroupSpace(("0", "1", "0"), ()), "duplicate element in universe"),
     (lambda: MultiGroupSpace((), ()), "universe is empty"),
-], ids=["duplicate-carrier", "rows", "row", "identity", "duplicate-universe",
-        "empty-universe"])
+], ids=["duplicate-carrier", "rows", "row", "identity", "unhashable-identity",
+        "duplicate-universe", "empty-universe"])
 def test_frozen_classes_refuse_malformed_fields(build, message):
     with pytest.raises(ValueError) as raised:
         build()

@@ -155,7 +155,7 @@ def test_every_structural_kind_at_once_matches_the_scan():
     assert [v.kind for v in report.violations] == [
         "duplicate-op", "carrier-outside-universe", "orphan-element", "identity"]
     assert report.structural()[2].witness == ("z", "w")
-    assert report.to_dict() == scan_validate(ms).to_dict()
+    assert report == scan_validate(ms)
 
 
 def test_is_complete_examples(gf3):
@@ -222,7 +222,7 @@ def test_mutating_a_validation_report_changes_no_later_verdict(gf3):
     again = validate_multigroup(ms)
     assert again is report and hash(again) == hash(report)
     assert again.ok and "injected" not in again.notes
-    assert again.to_dict() == validate_multigroup(gf3).to_dict()
+    assert again == validate_multigroup(gf3)
     assert classify_special_case(ms).tag == "field"
 
     broken = catalog.shipped("gf3_corrupt")
