@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Exhaustive subspace census over small instances.
 
-Counts, for every subset/retained-op combination of each instance with a
-universe of at most `--bound` elements: how many are subspaces, whether
-the two subspace routes ever disagree, and how often the literal raw
-closure reading diverges from them.
+Counts, for every subset/retained-op combination of each instance in
+instances/ with a universe of at most BOUND elements: how many are
+subspaces, whether the two subspace routes ever disagree, and how often
+the literal raw closure reading diverges from them.
 
-    python scripts/subspace_census.py [instances_dir] [--bound N]
+    python scripts/subspace_census.py
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -22,6 +21,9 @@ from multigroup.spaces import validate_multigroup
 from multigroup.subspaces import (is_subspace, is_subspace_by_completeness,
                                   is_subspace_by_intersection)
 from oracles import subset_op_combinations
+
+# the largest universe censused: 2^8 subsets times the retained-op choices
+BOUND = 8
 
 
 def census(name: str, ms) -> None:
@@ -39,17 +41,11 @@ def census(name: str, ms) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("instances", nargs="?", default=str(ROOT / "instances"))
-    parser.add_argument("--bound", type=int, default=8)
-    args = parser.parse_args()
-    target = Path(args.instances)
-    files = [target] if target.is_file() else sorted(target.glob("*.mgs"))
-    for path in files:
+    for path in sorted((ROOT / "instances").glob("*.mgs")):
         ms = parse_instance(path.read_text())
-        if len(ms.universe) > args.bound:
+        if len(ms.universe) > BOUND:
             print(f"{path.name:<18} skipped (universe {len(ms.universe)} "
-                  f"> bound {args.bound})")
+                  f"> bound {BOUND})")
             continue
         if not validate_multigroup(ms).ok:
             print(f"{path.name:<18} skipped (not a valid multi-group space)")

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Survey series lengths across instance files and operation orderings.
 
-For every .mgs file in the instances directory (or one passed on the
-command line), enumerate maximal series under every oriented sequence and
-tabulate the per-sequence length constants, rejected chains and anomalies.
+For every .mgs file in instances/, enumerate maximal series under every
+oriented sequence and tabulate the per-sequence length constants, rejected
+chains and anomalies.
 
-    python scripts/survey_series.py [instances_dir_or_file]
+    python scripts/survey_series.py
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from multigroup.errors import BoundExceeded, PreconditionError
 from multigroup.instances import parse_instance
@@ -38,10 +39,7 @@ def survey(path: Path) -> None:
 
 
 def main() -> int:
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else \
-        Path(__file__).resolve().parent.parent / "instances"
-    files = [target] if target.is_file() else sorted(target.glob("*.mgs"))
-    for path in files:
+    for path in sorted((ROOT / "instances").glob("*.mgs")):
         survey(path)
     return 0
 

@@ -263,7 +263,7 @@ def _cmd_maximal_series(ms: MultiGroupSpace, args, limits: Limits):
                      for s, reason in result.rejected],
     }
     if len(ms.op_set) <= MAX_CROSS_SEQUENCE_OPS:
-        invariance = length_invariance_check(ms, None, limits)
+        invariance = length_invariance_check(ms, limits)
         payload["cross_sequence"] = {
             ",".join(s.order): s.constant for s in invariance.per_sequence}
         payload["cross_sequence_constant"] = invariance.cross_sequence_constant

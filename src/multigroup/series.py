@@ -429,30 +429,25 @@ class LengthInvariance(namedtuple("LengthInvariance", [
 ], defaults=(None,))):
     __slots__ = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.within_each_ok
-
 
 def length_invariance_check(ms: MultiGroupSpace,
-                            seq: OrientedOperationSequence | None = None,
                             limits: Limits = DEFAULT_LIMITS) -> LengthInvariance:
-    """Empirical length-invariance verdict for one or all oriented sequences.
+    """Empirical length-invariance verdict across every oriented sequence.
 
     Within a fixed sequence all maximal series must share one length; the
     comparison across different sequences is reported, not asserted, since
-    its status is exactly what the construction leaves open. Comparing all
-    sequences is refused above MAX_CROSS_SEQUENCE_OPS operations.
+    its status is exactly what the construction leaves open. It is refused
+    above MAX_CROSS_SEQUENCE_OPS operations. One sequence's verdict is
+    enumerate_maximal_series(ms, seq, limits).constant.
     """
-    if seq is None and len(ms.op_set) > MAX_CROSS_SEQUENCE_OPS:
+    if len(ms.op_set) > MAX_CROSS_SEQUENCE_OPS:
         raise BoundExceeded(
             f"cross-sequence comparison bounded at {MAX_CROSS_SEQUENCE_OPS} "
             f"operations, got {len(ms.op_set)}", MAX_CROSS_SEQUENCE_OPS)
-    orders = permutations(ms.op_set) if seq is None else [seq.order]
 
     stats: list[SequenceLengths] = []
     counterexample = None
-    for order in orders:
+    for order in permutations(ms.op_set):
         try:
             result = enumerate_maximal_series(
                 ms, OrientedOperationSequence.of(ms, order), limits)

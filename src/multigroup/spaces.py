@@ -321,19 +321,12 @@ class DistributionCheck(namedtuple("DistributionCheck",
 
     __slots__ = ()
 
-    @property
-    def ok(self) -> bool:
-        # one distributing operation per pair suffices
-        return self.a_over_b.holds or self.b_over_a.holds
-
-    @property
-    def vacuous(self) -> bool:
-        return self.a_over_b.vacuous and self.b_over_a.vacuous
-
 
 def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> DistributionCheck:
-    """Per-pair distribution: at least one operation must distribute over
-    the other, in both the left and right law, wherever products exist."""
+    """Both directions of one pair's distribution check: each operation
+    over the other, in both the left and right law, wherever products
+    exist. The pair verdict, one holding direction sufficing, is
+    validate_multigroup's."""
     if op_a == op_b:
         raise DomainError("distribution check needs two distinct operations")
     a, b = ms._position(op_a), ms._position(op_b)

@@ -682,13 +682,15 @@ def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
     if not any(v.category == STRUCTURAL for v in found):
         for ga, gb in combinations(ms.groups, 2):
             check = check_distribution(ms, ga.op_id, gb.op_id)
-            if check.vacuous:
+            a_over_b, b_over_a = check.a_over_b, check.b_over_a
+            # the pair is vacuous when both directions are, and one
+            # holding direction suffices
+            if a_over_b.vacuous and b_over_a.vacuous:
                 notes.append(
                     f"distribution for ({ga.op_id}, {gb.op_id}) holds vacuously: "
                     f"no fully defined mixed triple")
-            if not check.ok:
-                merged = list(dict.fromkeys(check.a_over_b.witnesses
-                                            + check.b_over_a.witnesses))
+            if not (a_over_b.holds or b_over_a.holds):
+                merged = list(dict.fromkeys(a_over_b.witnesses + b_over_a.witnesses))
                 for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
                     found.append(Violation(DISTRIBUTION, "distribution",
                                            f"neither {ga.op_id!r} nor {gb.op_id!r} distributes "

@@ -480,6 +480,17 @@ def test_the_json_writer_matches_json_dumps(payload):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_the_json_writer_refuses_what_json_dumps_refuses():
+    """A value with no JSON form raises json.dumps's TypeError, same text."""
+    payload = {"x": object()}
+    with pytest.raises(TypeError) as dumped:
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as written:
+        cli.render_report(payload, True)
+    assert str(written.value) == str(dumped.value) == \
+        "Object of type object is not JSON serializable"
+
+
 def test_a_tuple_renders_as_the_equal_list():
     """Payloads hold records' tuples as they are; each renders byte for byte
     as the equal list, the empty one included, in text and in JSON."""

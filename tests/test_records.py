@@ -152,7 +152,10 @@ def test_records_construct_compare_hash_and_print_as_before(cls, fields):
     assert hash(record) == hash(cls(**fields))
     with pytest.raises(AttributeError):
         setattr(record, name, fields[name])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
     assert getattr(record, name) == fields[name]
+    assert record.__eq__(object()) is NotImplemented
 
 
 def test_record_defaults():

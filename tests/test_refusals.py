@@ -2,9 +2,8 @@
 input at the bound is answered and the input one past it is refused, with
 the exact text and BoundExceeded.bound, and with exit 3 and error_kind
 bound-exceeded wherever the CLI reaches the refusal. The default bounds are pinned here
-too, and so are two answers beside a refusal: one ordering compared past
-the operation bound, and GF(5) generated within two candidates though
-refused at one."""
+too, and so is an answer beside a refusal: GF(5) generated within two
+candidates though refused at one."""
 
 import json
 
@@ -16,9 +15,8 @@ from multigroup.errors import BoundExceeded
 from multigroup.generation import is_finitely_generated
 from multigroup.groups import composition_series, maximal_proper_normal_subgroups, subgroups
 from multigroup.instances import serialize_instance
-from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, OrientedOperationSequence,
-                               build_series, enumerate_maximal_series,
-                               length_invariance_check)
+from multigroup.series import (MAX_CROSS_SEQUENCE_OPS, build_series,
+                               enumerate_maximal_series, length_invariance_check)
 from multigroup.subspaces import SubsetRef, is_subspace_by_intersection
 
 import catalog
@@ -55,7 +53,7 @@ SITES = [
      "exhaustive series enumeration bounded at universe size 6, got 7; "
      "use build_series for a single witness", ["maximal-series"]),
     ("length_invariance_check", MAX_CROSS_SEQUENCE_OPS, Limits(),
-     _copies(catalog.cyclic(2)), lambda ms, limits: length_invariance_check(ms, None, limits),
+     _copies(catalog.cyclic(2)), length_invariance_check,
      "cross-sequence comparison bounded at 4 operations, got 5", None),
     # n trivial components take one candidate set each
     ("is_finitely_generated", 3, Limits(max_generator_candidates=3),
@@ -101,12 +99,6 @@ def test_each_default_bound_answers_at_it_and_refuses_one_past(site, bound):
     assert str(refused.value) == text.replace(f"{small}, got {small + 1}",
                                               f"{bound}, got {bound + 1}")
     assert refused.value.bound == bound
-
-
-def test_one_ordering_is_compared_past_the_operation_bound():
-    ms = _copies(catalog.cyclic(2))(MAX_CROSS_SEQUENCE_OPS + 1)
-    single = length_invariance_check(ms, OrientedOperationSequence.of(ms))
-    assert [s.order for s in single.per_sequence] == [ms.op_set]
 
 
 def test_gf5_is_generated_at_two_candidates_and_refused_at_one():

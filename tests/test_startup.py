@@ -36,7 +36,10 @@ def test_the_package_exports_only_what_a_caller_uses():
     element and the table-from-function builder had only tests as callers;
     the builder is catalog.from_function now. So had the proper normal
     subgroups and the maximal ones of a subset: the group API answers for
-    the whole group only."""
+    the whole group only. The pair verdict of distribution is
+    validate_multigroup's alone, a cross-sequence check compares every
+    ordering (one ordering's verdict is enumerate_maximal_series'
+    constant), and within_each_ok has no alias."""
     assert sorted(name for name, value in vars(multigroup).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)) == [
         "BoundExceeded", "Classification", "CompositionChain", "CosetDecomposition",
@@ -60,6 +63,12 @@ def test_the_package_exports_only_what_a_caller_uses():
         assert not hasattr(multigroup.groups, name), name
     assert list(inspect.signature(multigroup.maximal_proper_normal_subgroups).parameters) == \
         ["g", "limits"]
+    assert list(inspect.signature(multigroup.length_invariance_check).parameters) == \
+        ["ms", "limits"]
+    for record, names in ((multigroup.DistributionCheck, ("ok", "vacuous")),
+                          (multigroup.LengthInvariance, ("ok",))):
+        for name in names:
+            assert not hasattr(record, name), (record.__name__, name)
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():
