@@ -91,6 +91,8 @@ def parse_instance(text: str) -> MultiGroupSpace:
         op_id = tokens[1][:-1]
         if not op_id:
             raise ParseError("empty operation id", lineno)
+        if any(g.op_id == op_id for g in groups):
+            raise ParseError(f"operation id {op_id!r} declared twice", lineno)
         groups.append(_parse_group(lines, op_id, index, lineno))
 
     return MultiGroupSpace(tuple(universe_tokens), tuple(groups))

@@ -130,9 +130,8 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
     ok = members | 1 << n
     for op in h.retained_ops:
         k = ms._position(op)
-        g, t = ms.groups[k], ms._tables[k]
+        g, t, at = ms.groups[k], ms._tables[k], ms._at[k]
         inside = _bits(members & ms._carriers[k])
-        at = list(map(ms.index, g.carrier))
         for i, x in enumerate(at):
             xi, row = at[g._inverse_of(i)], t[x]
             for m in inside:

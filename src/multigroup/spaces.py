@@ -17,16 +17,20 @@ check of the space layer reads the partial-product rule from one place,
 the int tables MultiGroupSpace._tables, built on first read from each
 group's int table, which the parser hands over as it reads the text;
 MultiGroupSpace.product and defined answer by element name for library
-users. What every query reads, the element index, the position of each
-operation and the carrier bitmasks, a space builds when it is constructed.
+users. A space is well-formed when it is built: the constructor refuses a
+repeated operation id and a carrier element outside the universe, as the
+parser does, so validation reports only what a built space can still get
+wrong. What every query reads, the element index, the position of each
+operation, each carrier's universe positions and the carrier bitmasks, a
+space builds when it is constructed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, compress
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import DomainError, PreconditionError
 from .groups import Element, FiniteGroup, _bits, _close, _Frozen, validate_group
@@ -48,18 +52,21 @@ class MultiGroupSpace(_Frozen):
         if len(index) != len(universe):
             raise ValueError("duplicate element in universe")
         op_set = tuple(g.op_id for g in groups)
-        # first wins on duplicate ids; validation flags each later group
-        # whose id maps to an earlier position
-        positions: dict[str, int] = {}
-        for k, op_id in enumerate(op_set):
-            positions.setdefault(op_id, k)
-        # one universe bitmask per operation, read from its carrier through
-        # the index, so it exists even where _tables raises; a carrier
-        # element outside the universe is left out
-        carriers = tuple(sum(1 << index[e] for e in g.carrier if e in index)
-                         for g in groups)
+        positions = dict(zip(op_set, range(len(op_set))))
+        if len(positions) != len(op_set):  # a repeated id keeps its last position
+            repeated = next(op for k, op in enumerate(op_set) if positions[op] != k)
+            raise ValueError(f"operation id {repeated!r} declared twice")
+        # each carrier's universe positions, in carrier order, and the
+        # bitmask they make; every reader maps a carrier through these
+        at = tuple(tuple(map(index.get, g.carrier)) for g in groups)
+        for g, where in zip(groups, at):
+            if None in where:
+                raise ValueError(f"carrier element {g.carrier[where.index(None)]!r} "
+                                 f"of {g.op_id!r} not in universe")
+        carriers = tuple(sum(1 << i for i in where) for where in at)
         self.__dict__.update(universe=universe, groups=groups, op_set=op_set,
-                             _positions=positions, _index=index, _carriers=carriers)
+                             _positions=positions, _index=index, _at=at,
+                             _carriers=carriers)
 
     def _position(self, op_id: str) -> int:
         """The index in groups of the operation's group."""
@@ -85,34 +92,39 @@ class MultiGroupSpace(_Frozen):
         read it, and so does the series walk inside every induced space.
         Each row is gathered from the group's own int table (_ints), which
         the parser hands over as it reads the text: its columns in universe
-        order, then each entry mapped to its universe position. Where
-        carrier index i is universe index i, a row is the group's row
-        padded with undefined columns.
-        Precondition: every carrier element and product lies in the
-        universe. The parser ensures it, and validation
-        scans distribution only without structural violations; a product
-        outside the universe makes building the tables raise DomainError,
-        naming the first one in universe order.
+        order, then each entry mapped to its universe position. Both maps
+        come from the carrier's universe positions (_at), which the
+        constructor keeps, so only products outside the carrier are looked
+        up by name. Where carrier index i is universe index i, a row is the
+        group's row padded with undefined columns.
+        Precondition: every product lies in the universe. The parser
+        ensures it, and validation scans distribution only without
+        structural violations; a product outside the universe makes
+        building the tables raise DomainError, naming the first one in
+        universe order.
         """
-        n, u, index = len(self.universe), self.universe, self._index
+        n, index = len(self.universe), self._index
         tables = []
-        for g in self.groups:
+        for g, where in zip(self.groups, self._at):
             t, escaped = g._ints
             size = len(t)  # the column index that stands for "not in g"
-            at = [index.get(e) for e in g.carrier + escaped] + [n]  # None: outside u
+            at = [*where, *map(index.get, escaped), n]  # None: a product outside u
             if not escaped and at == [*range(size), n]:
                 pad = [n] * (n + 1 - size)
                 tables.append([row + pad for row in t] +
                               [[n] * (n + 1) for _ in range(n + 1 - size)])
                 continue
-            cols = itemgetter(*[g._index.get(b, size) for b in u], size)
-            rows = [[n] * (n + 1) if i is None else
+            col = [size] * n  # the carrier index of each universe element
+            for i, x in enumerate(where):
+                col[x] = i
+            cols = itemgetter(*col, size)
+            rows = [[n] * (n + 1) if i == size else
                     list(map(at.__getitem__, cols(t[i] + [size])))
-                    for i in map(g._index.get, u)]
-            if None in at:  # a carrier element or product outside the universe
-                for i, row in zip(map(g._index.get, u), rows):
+                    for i in col]
+            if None in at:
+                for i, row in zip(col, rows):
                     if None in row:
-                        self.index(g.table[i][g._index[u[row.index(None)]]])  # raises
+                        self.index(g.table[i][col[row.index(None)]])  # raises
             tables.append(rows + [[n] * (n + 1)])
         return tuple(tables)
 
@@ -218,17 +230,16 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
     """
     g, h = ms.groups[times], ms.groups[circ]
     t_mask, c_mask = ms._carriers[times], ms._carriers[circ]
-    if not _group_inside(ms, times, circ) or h._generators is None or \
-            (t_mask.bit_count(), c_mask.bit_count()) != (g.order, h.order):
-        return None  # * is no group in C, o is no group, or a carrier leaves the universe
+    if not _group_inside(ms, times, circ) or h._generators is None:
+        return None  # * is no group in C, or o is no group
     e = ms.index(h.identity)
     if not (c_mask & ~t_mask == 1 << e or t_mask == c_mask == 1 << e):
         return None
     t, c, cs = ms._tables[times], ms._tables[circ], _bits(c_mask)
-    xs = [ms.index(g.carrier[i]) for i in g._generators if g.carrier[i] != g.identity]
+    xs = [ms._at[times][i] for i in g._generators if g.carrier[i] != g.identity]
     at_c = _getter(cs)
     zs = [(z, _getter(list(map(c[z].__getitem__, cs))))  # z o y for y in C
-          for z in (ms.index(h.carrier[i]) for i in h._generators) if z != e]
+          for z in map(ms._at[circ].__getitem__, h._generators) if z != e]
     outside = c_mask != t_mask  # e is not in T; else T = {e} and xs is empty
     for x in xs:
         for m in t[x][:], list(map(itemgetter(x), t)):  # y -> x*y, y -> y*x
@@ -337,39 +348,27 @@ def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> Distributio
 def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
     """Full validity check: structure, per-group axioms, pairwise distribution.
 
-    Structural problems (orphan universe elements, duplicate operation ids,
-    carrier elements outside the universe) are reported separately from
-    axiom and distribution failures. The check runs once per space, and
-    every call returns the same immutable report.
+    Structural problems (orphan universe elements, table entries that are
+    no element at all) are reported separately from axiom and distribution
+    failures; a repeated operation id or a carrier element outside the
+    universe never gets this far, as the constructor refuses both. The
+    check runs once per space, and every call returns the same immutable
+    report.
     """
     return ms._validation
 
 
 def _validate(ms: MultiGroupSpace) -> ValidationReport:
     found, notes = [], []
-    positions, index = ms._positions, ms._index
 
-    covered = 0
-    for k, (g, carrier) in enumerate(zip(ms.groups, ms._carriers)):
-        if positions[g.op_id] != k:  # an earlier group holds the id
-            found.append(Violation(STRUCTURAL, "duplicate-op",
-                                   f"operation id {g.op_id!r} declared twice", (g.op_id,)))
-        outside = next((e for e in g.carrier if e not in index), None)
-        if outside is not None:
-            found.append(Violation(STRUCTURAL, "carrier-outside-universe",
-                                   f"carrier of {g.op_id!r} contains {outside!r} "
-                                   f"which is not in the universe",
-                                   (g.op_id,), (outside,)))
-        covered |= carrier
-
-    orphans = ms._elements((1 << len(ms.universe)) - 1 & ~covered)
+    orphans = ms._elements((1 << len(ms.universe)) - 1 & ~reduce(or_, ms._carriers, 0))
     if orphans:
         found.append(Violation(STRUCTURAL, "orphan-element",
                                f"universe element {orphans[0]!r} belongs to no carrier",
                                (), orphans))
 
     for g in ms.groups:
-        found.extend(validate_group(g, index).violations)
+        found.extend(validate_group(g, ms._index).violations)
 
     if all(v.category != STRUCTURAL for v in found):
         for a, b in combinations(range(len(ms.groups)), 2):

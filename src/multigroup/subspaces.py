@@ -120,8 +120,7 @@ def _subgroups_under(ms: MultiGroupSpace, k: int, allowed: int) -> list[int]:
     closed set of a finite group is a subgroup. A table that is not a group
     filters its whole lattice, whose inverse checks name an element without
     an inverse wherever it lies."""
-    g = ms.groups[k]
-    at = [ms.index(e) for e in g.carrier]  # carrier index -> universe index
+    g, at = ms.groups[k], ms._at[k]  # carrier index -> universe index
     within = sum(1 << i for i, x in enumerate(at) if allowed >> x & 1)
     found = _closed_subsets(g._ints[0], within, True) if g._generators is not None \
         else [m for m in g._lattice if not m & ~within]

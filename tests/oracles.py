@@ -654,19 +654,6 @@ def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
     found, notes = [], []
     universe = set(ms.universe)
 
-    seen_ops: set[str] = set()
-    for g in ms.groups:
-        if g.op_id in seen_ops:
-            found.append(Violation(STRUCTURAL, "duplicate-op",
-                                   f"operation id {g.op_id!r} declared twice", (g.op_id,)))
-        seen_ops.add(g.op_id)
-        outside = [e for e in g.carrier if e not in universe]
-        if outside:
-            found.append(Violation(STRUCTURAL, "carrier-outside-universe",
-                                   f"carrier of {g.op_id!r} contains {outside[0]!r} "
-                                   f"which is not in the universe",
-                                   (g.op_id,), (outside[0],)))
-
     covered = set()
     for g in ms.groups:
         covered.update(g.carrier)
@@ -1133,6 +1120,8 @@ def scan_parse_instance(text: str) -> MultiGroupSpace:
         op_id = tokens[1][:-1]
         if not op_id:
             raise ParseError("empty operation id", lineno)
+        if op_id in (g.op_id for g in groups):
+            raise ParseError(f"operation id {op_id!r} declared twice", lineno)
         groups.append(_scan_parse_group(lines, op_id, known, lineno))
 
     return MultiGroupSpace(tuple(universe_tokens), tuple(groups))

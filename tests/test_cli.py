@@ -109,6 +109,36 @@ def test_maximal_series_bound_exceeded_exits_three():
     assert code == 3
 
 
+REPEATED_OP = """elements: 0 1 2 3
+group +:
+  carrier: 0 1
+  identity: 0
+  table:
+    0: 0 1
+    1: 1 0
+group +:
+  carrier: 2 3
+  identity: 2
+  table:
+    2: 2 3
+    3: 3 2
+"""
+
+
+def test_a_repeated_operation_id_is_a_parse_error_for_every_command(tmp_path):
+    """The second '+' is refused at its header, so no command reads one
+    '+' table and misses the other, as subspace on {2, 3}, the second
+    group, would."""
+    fp = tmp_path / "space.mgs"
+    fp.write_text(REPEATED_OP, encoding="utf-8")
+    for command, (_, selection) in cli._COMMANDS.items():
+        out, code = run_cli([command, str(fp), *["--set", "2,3"] * ("set" in selection),
+                             "--json"])
+        report = json.loads(out)
+        assert code == 2 and report["error_kind"] == "parse", command
+        assert report["error"] == "line 8: operation id '+' declared twice"
+
+
 def test_span_and_generators():
     out, code = run_cli(["span", path("gf3"), "--set", "1"])
     assert code == 0

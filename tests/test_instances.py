@@ -231,6 +231,8 @@ PARSE_ERRORS = {
                             "unknown element '8' in table", 6),
     "second-group": (_GROUP_HEAD + "    0: 0 1\n    1: 1 0\ngroup *:\n  carrier: 1 1\n",
                      "duplicate element '1' in carrier", 9),
+    "repeated-op-id": (_GROUP_HEAD + "    0: 0 1\n    1: 1 0\ngroup +:\n  carrier: 0 0\n",
+                       "operation id '+' declared twice", 8),
 }
 
 
@@ -407,12 +409,14 @@ def test_the_reader_matches_the_row_at_a_time_parser_on_every_file(path):
                          ids=lambda path: path.stem)
 def test_the_parser_hands_each_group_only_its_int_rows(path):
     """Before any query a parsed space holds its fields and what its
-    constructor builds, and each group the same plus its int rows when no
-    product leaves its carrier; the records rebuilt from their fields alone
-    derive equal state, int rows included."""
+    constructor builds, each carrier's universe positions among it, and
+    each group the same plus its int rows when no product leaves its
+    carrier; the records rebuilt from their fields alone derive equal
+    state, int rows included."""
     ms = parse_instance(path.read_text(encoding="utf-8"))
     assert set(vars(ms)) == {"universe", "groups", "op_set", "_positions", "_index",
-                             "_carriers"}
+                             "_at", "_carriers"}
+    assert ms._at == tuple(tuple(map(ms.index, g.carrier)) for g in ms.groups)
     handed = ["_ints" in vars(g) for g in ms.groups]
     for g, closed in zip(ms.groups, handed):
         assert set(vars(g)) == {"op_id", "carrier", "table", "identity", "order", "_index",

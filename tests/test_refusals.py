@@ -3,7 +3,8 @@ input at the bound is answered and the input one past it is refused, with
 the exact text and BoundExceeded.bound, and with exit 3 and error_kind
 bound-exceeded wherever the CLI reaches the refusal. The default bounds are pinned here
 too, and so is an answer beside a refusal: GF(5) generated within two
-candidates though refused at one."""
+candidates though refused at one, and a maximal-series report that
+leaves out the comparison of orderings it refuses."""
 
 import json
 
@@ -111,3 +112,21 @@ def test_gf5_is_generated_at_two_candidates_and_refused_at_one():
         "generating-set search examined 1 candidate sets without confirming a "
         "minimal one; the bound is max_generator_candidates = 1")
     assert refused.value.bound == 1
+
+
+@pytest.mark.parametrize("n", [MAX_CROSS_SEQUENCE_OPS, MAX_CROSS_SEQUENCE_OPS + 1])
+def test_maximal_series_compares_orderings_only_up_to_the_operation_bound(tmp_path, n):
+    """On n copies of Z2 the report compares all n! orderings up to the
+    bound; one past it the report has no cross-sequence part, and the
+    command still answers."""
+    instance = tmp_path / "copies.mgs"
+    instance.write_text(serialize_instance(_copies(catalog.cyclic(2))(n)), encoding="utf-8")
+    out, code = run_cli(["maximal-series", str(instance), "--json"])
+    report = json.loads(out)
+    assert code == 0 and report["constant_length"] == n
+    cross = {"cross_sequence", "cross_sequence_constant"}
+    if n <= MAX_CROSS_SEQUENCE_OPS:
+        assert report.keys() & cross == cross and len(report["cross_sequence"]) == 24
+        assert report["cross_sequence_constant"] is True
+    else:
+        assert report.keys() & cross == set()

@@ -126,37 +126,43 @@ def test_orphan_element_is_structural(gf3):
     assert [v.kind for v in report.structural()] == ["orphan-element"]
 
 
-def test_duplicate_op_id_is_structural():
-    g = catalog.cyclic(2)
-    ms = MultiGroupSpace(g.carrier, (g, g))
-    report = validate_multigroup(ms)
-    assert "duplicate-op" in {v.kind for v in report.structural()}
+def test_a_repeated_operation_id_is_refused_when_built():
+    """The universe holds both carriers, so only the second '+' is wrong,
+    and the constructor names it as the parser does."""
+    z2 = catalog.cyclic(2)
+    first, twice = relabel(z2, ("a0", "a1"), "+"), relabel(z2, ("b0", "b1"), "+")
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("a0", "a1", "b0", "b1"), (first, twice))
+    assert str(refused.value) == "operation id '+' declared twice"
     with pytest.raises(ValueError, match="duplicate element in universe"):
-        MultiGroupSpace(g.carrier * 2, (g,))
+        MultiGroupSpace(z2.carrier * 2, (z2,))
 
 
-def test_carrier_outside_universe_is_structural():
-    g = catalog.cyclic(3)
-    ms = MultiGroupSpace(("0", "1"), (g,))
-    report = validate_multigroup(ms)
-    assert "carrier-outside-universe" in {v.kind for v in report.structural()}
+def test_a_carrier_element_outside_the_universe_is_refused_when_built():
+    """Z2 on (e, c) in the universe (e,), and the first element outside in
+    carrier order of a later operation: each named with its operation."""
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("e",), (relabel(catalog.cyclic(2), ("e", "c"), "+"),))
+    assert str(refused.value) == "carrier element 'c' of '+' not in universe"
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("0", "8"), (catalog.cyclic(1),
+                                     relabel(catalog.cyclic(3), ("0", "9", "8"), "*")))
+    assert str(refused.value) == "carrier element '9' of '*' not in universe"
 
 
 def test_every_structural_kind_at_once_matches_the_scan():
-    """One space with a duplicate id on a second carrier, a carrier element
-    outside the universe, two orphans and a group axiom failure: each kind,
-    text and witness, in the scan's order."""
+    """One space with two orphans, a table entry that is no element and a
+    group axiom failure: each kind, text and witness, in the scan's order."""
     z2 = catalog.cyclic(2)
     first = relabel(z2, ("a0", "a1"), "+")
-    twice = relabel(z2, ("b0", "b1"), "+")
-    outside = relabel(catalog.cyclic(3), ("a0", "b0", "q"), "x")
+    unknown = FiniteGroup("x", ("a0", "b0"), (("a0", "b0"), ("b0", "q")), "a0")
     no_identity = FiniteGroup("y", ("b0", "b1"), (("b1", "b0"), ("b0", "b1")), "b0")
     ms = MultiGroupSpace(("a0", "a1", "z", "b0", "b1", "w"),
-                         (first, twice, outside, no_identity))
+                         (first, unknown, no_identity))
     report = spaces._validate(ms)
     assert [v.kind for v in report.violations] == [
-        "duplicate-op", "carrier-outside-universe", "orphan-element", "identity"]
-    assert report.structural()[2].witness == ("z", "w")
+        "orphan-element", "malformed-table", "identity"]
+    assert [v.witness for v in report.structural()] == [("z", "w"), ("b0", "b0", "q")]
     assert report == scan_validate(ms)
 
 
