@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundExceeded, DomainError, PreconditionError
-from .report import AXIOM, STRUCTURAL, ValidationReport, Violation
+from .report import AXIOM, ValidationReport, Violation
 
 # an element is just its id
 Element = str
@@ -150,9 +150,9 @@ class FiniteGroup(_Frozen):
         """The identity, associativity and inverse checks of a table closed
         on its carrier, one witness per violated axiom, kept on the group:
         validate_group hands out this report whenever no product leaves the
-        carrier, as the universe plays no part then. Associativity is
-        decided by Light's test (_light); only when it fails does the full
-        |G|^3 scan run, to find the first witness in (a, b, c) order."""
+        carrier. Associativity is decided by Light's test (_light); only
+        when it fails does the full |G|^3 scan run, to find the first
+        witness in (a, b, c) order."""
         found, op, carrier = [], self.op_id, self.carrier
         t, e, n = self._ints[0], self.index(self.identity), self.order
         for a in range(n):
@@ -223,40 +223,24 @@ class FiniteGroup(_Frozen):
         return FiniteGroup(self.op_id, sub, table, self.identity)
 
 
-def validate_group(g: FiniteGroup, universe=None) -> ValidationReport:
+def validate_group(g: FiniteGroup) -> ValidationReport:
     """Check all four group axioms, reporting one witness per violated axiom.
 
     When no product leaves the carrier this is the group's kept report
-    (FiniteGroup._axioms), the same object on every call, with or without a
-    universe. Otherwise a string scan finds the first product outside the
-    carrier: when a universe is supplied, entries that are not elements of
-    it at all are flagged as structural (a malformed table), distinct from
-    the closure axiom failure of an entry that escapes the carrier. The
-    other axioms need a closed table, so they are not checked then.
+    (FiniteGroup._axioms), the same object on every call. Otherwise the
+    report is one closure violation at the first product outside the
+    carrier in row-major order; the other axioms need a closed table, so
+    they are not checked then.
     """
-    if not g._ints[1]:
+    t, escaped = g._ints
+    if not escaped:
         return g._axioms
-    found, closure_witness, structural_witness = [], None, None
-    members = set(g.carrier)
-    known = members if universe is None else set(universe) | members
-    for a, row in zip(g.carrier, g.table):
-        for b, p in zip(g.carrier, row):
-            if p not in known:
-                structural_witness = structural_witness or (a, b, p)
-            elif p not in members:
-                closure_witness = closure_witness or (a, b, p)
-    if structural_witness:
-        a, b, p = structural_witness
-        found.append(Violation(
-            STRUCTURAL, "malformed-table",
-            f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
-            (g.op_id,), (a, b, p)))
-    if closure_witness:
-        a, b, p = closure_witness
-        found.append(Violation(AXIOM, "closure",
-                               f"{a} {g.op_id} {b} = {p} is outside the carrier",
-                               (g.op_id,), (a, b, p)))
-    return ValidationReport(tuple(found))
+    n = g.order
+    a, b = next((a, b) for a in range(n) for b in range(n) if t[a][b] >= n)
+    x, y, p = g.carrier[a], g.carrier[b], escaped[t[a][b] - n]
+    return ValidationReport((Violation(AXIOM, "closure",
+                                       f"{x} {g.op_id} {y} = {p} is outside the carrier",
+                                       (g.op_id,), (x, y, p)),))
 
 
 def _light_generators(t: list[list[int]]) -> list[int] | None:

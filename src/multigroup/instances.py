@@ -70,8 +70,9 @@ def _element_line(tokens: list[str], lineno: int, what: str,
 
 
 def parse_instance(text: str) -> MultiGroupSpace:
-    """Parse instance text, enforcing structural invariants with line numbers."""
-    lines = iter(_lines(text))
+    """Parse instance text, enforcing structural invariants with line numbers.
+    A leading byte-order mark is ignored."""
+    lines = iter(_lines(text.removeprefix("\ufeff")))
 
     first = next(lines, None)
     if first is None:

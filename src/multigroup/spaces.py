@@ -18,11 +18,11 @@ the int tables MultiGroupSpace._tables, built on first read from each
 group's int table, which the parser hands over as it reads the text;
 MultiGroupSpace.product and defined answer by element name for library
 users. A space is well-formed when it is built: the constructor refuses a
-repeated operation id and a carrier element outside the universe, as the
-parser does, so validation reports only what a built space can still get
-wrong. What every query reads, the element index, the position of each
-operation, each carrier's universe positions and the carrier bitmasks, a
-space builds when it is constructed.
+repeated operation id, a carrier element outside the universe and a table
+entry outside it, as the parser does, so validation reports only what a
+built space can still get wrong. What every query reads, the element
+index, the position of each operation, each carrier's universe positions
+and the carrier bitmasks, a space builds when it is constructed.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ class MultiGroupSpace(_Frozen):
             if None in where:
                 raise ValueError(f"carrier element {g.carrier[where.index(None)]!r} "
                                  f"of {g.op_id!r} not in universe")
+            for p in g._ints[1]:  # the products outside the carrier, row-major
+                if p not in index:
+                    raise ValueError(f"table entry {p!r} of {g.op_id!r} not in universe")
         carriers = tuple(sum(1 << i for i in where) for where in at)
         self.__dict__.update(universe=universe, groups=groups, op_set=op_set,
                              _positions=positions, _index=index, _at=at,
@@ -96,19 +99,15 @@ class MultiGroupSpace(_Frozen):
         come from the carrier's universe positions (_at), which the
         constructor keeps, so only products outside the carrier are looked
         up by name. Where carrier index i is universe index i, a row is the
-        group's row padded with undefined columns.
-        Precondition: every product lies in the universe. The parser
-        ensures it, and validation scans distribution only without
-        structural violations; a product outside the universe makes
-        building the tables raise DomainError, naming the first one in
-        universe order.
+        group's row padded with undefined columns. The constructor
+        guarantees that every product lies in the universe.
         """
         n, index = len(self.universe), self._index
         tables = []
         for g, where in zip(self.groups, self._at):
             t, escaped = g._ints
             size = len(t)  # the column index that stands for "not in g"
-            at = [*where, *map(index.get, escaped), n]  # None: a product outside u
+            at = [*where, *map(index.__getitem__, escaped), n]
             if not escaped and at == [*range(size), n]:
                 pad = [n] * (n + 1 - size)
                 tables.append([row + pad for row in t] +
@@ -121,10 +120,6 @@ class MultiGroupSpace(_Frozen):
             rows = [[n] * (n + 1) if i == size else
                     list(map(at.__getitem__, cols(t[i] + [size])))
                     for i in col]
-            if None in at:
-                for i, row in zip(col, rows):
-                    if None in row:
-                        self.index(g.table[i][col[row.index(None)]])  # raises
             tables.append(rows + [[n] * (n + 1)])
         return tuple(tables)
 
@@ -348,12 +343,11 @@ def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> Distributio
 def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
     """Full validity check: structure, per-group axioms, pairwise distribution.
 
-    Structural problems (orphan universe elements, table entries that are
-    no element at all) are reported separately from axiom and distribution
-    failures; a repeated operation id or a carrier element outside the
-    universe never gets this far, as the constructor refuses both. The
-    check runs once per space, and every call returns the same immutable
-    report.
+    Structural problems (orphan universe elements) are reported separately
+    from axiom and distribution failures; a repeated operation id, a
+    carrier element outside the universe and a table entry outside it never
+    get this far, as the constructor refuses them. The check runs once per
+    space, and every call returns the same immutable report.
     """
     return ms._validation
 
@@ -368,9 +362,12 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
                                (), orphans))
 
     for g in ms.groups:
-        found.extend(validate_group(g, ms._index).violations)
+        found.extend(validate_group(g).violations)
 
-    if all(v.category != STRUCTURAL for v in found):
+    # an orphan is the one structural violation a built space can hold;
+    # with one the universe is no union of the carriers, so distribution
+    # is not scanned
+    if not orphans:
         for a, b in combinations(range(len(ms.groups)), 2):
             # b over a first when only b is a group on a carrier inside a's,
             # the shape where _endomorphism_pass can decide

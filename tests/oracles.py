@@ -459,37 +459,26 @@ def _string_inverses(g):
     return inv
 
 
-def scan_validate_group(g, universe=None) -> ValidationReport:
+def scan_validate_group(g) -> ValidationReport:
     """Check all four group axioms, reporting one witness per violated axiom.
 
-    When a universe is supplied, table entries that are not elements of it
-    at all are flagged as structural (a malformed table), distinct from the
-    closure axiom failure of an entry that escapes the carrier.
+    A table entry outside the carrier is a closure failure, reported at the
+    first one in row-major order, and the other axioms are not checked.
     """
     found = []
     members = set(g.carrier)
-    known = members if universe is None else set(universe) | members
 
     closure_witness = None
-    structural_witness = None
     for a in g.carrier:
         for b in g.carrier:
             p = g.table[g.index(a)][g.index(b)]
-            if p not in known:
-                structural_witness = structural_witness or (a, b, p)
-            elif p not in members:
+            if p not in members:
                 closure_witness = closure_witness or (a, b, p)
-    if structural_witness:
-        a, b, p = structural_witness
-        found.append(Violation(STRUCTURAL, "malformed-table",
-                               f"table entry {a} {g.op_id} {b} = {p!r} is not a known element",
-                               (g.op_id,), (a, b, p)))
     if closure_witness:
         a, b, p = closure_witness
         found.append(Violation(AXIOM, "closure",
                                f"{a} {g.op_id} {b} = {p} is outside the carrier",
                                (g.op_id,), (a, b, p)))
-    if structural_witness or closure_witness:
         return ValidationReport(tuple(found))  # the other axioms need a closed table
 
     for a in g.carrier:
@@ -652,7 +641,6 @@ def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
     """Structure, per-group axioms, then both distribution directions of
     every operation pair."""
     found, notes = [], []
-    universe = set(ms.universe)
 
     covered = set()
     for g in ms.groups:
@@ -664,7 +652,7 @@ def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
                                (), tuple(orphans)))
 
     for g in ms.groups:
-        found.extend(validate_group(g, universe).violations)
+        found.extend(validate_group(g).violations)
 
     if not any(v.category == STRUCTURAL for v in found):
         for ga, gb in combinations(ms.groups, 2):

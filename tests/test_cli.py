@@ -195,6 +195,19 @@ def test_a_file_with_comments_and_other_line_ends_reads_as_the_plain_one(tmp_pat
         assert (out.replace(str(target), str(plain)), code) == (expected, expected_code)
 
 
+def test_a_file_with_a_byte_order_mark_classifies_as_the_plain_one(tmp_path):
+    """Some editors open a UTF-8 file with a byte-order mark; the reader
+    drops it, so the first line still declares the elements."""
+    plain = INSTANCE_DIR / "gf5.mgs"
+    target = tmp_path / "gf5.mgs"
+    target.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for flags in ([], ["--json"]):
+        out, code = run_cli(["classify", str(target), *flags])
+        expected, expected_code = run_cli(["classify", str(plain), *flags])
+        assert (out.replace(str(target), str(plain)), code) == (expected, expected_code)
+        assert code == 0 and "field" in out
+
+
 @pytest.mark.parametrize("instance, expected", [
     ("missing.mgs", (2, "parse", "no such file: missing.mgs")),
     (".", (2, "parse", "cannot read .: Is a directory")),

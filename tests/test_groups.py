@@ -19,6 +19,7 @@ from multigroup.groups import (FiniteGroup, _bits, _close, _closed_subsets,
                                composition_series, is_normal_subgroup, is_subgroup,
                                maximal_proper_normal_subgroups, subgroups, validate_group)
 from multigroup.instances import parse_instance
+from multigroup.report import AXIOM
 from multigroup.spaces import MultiGroupSpace
 
 import catalog
@@ -82,26 +83,32 @@ def test_missing_identity_row_reports_identity_violation():
 
 
 def test_entry_outside_carrier_is_closure_violation():
+    """A standalone group knows no universe: an entry outside its carrier
+    is a closure failure, at the first one in row-major order."""
     g = FiniteGroup("*", ("e", "a"), (("e", "a"), ("a", "x")), "e")
-    report = validate_group(g, universe=("e", "a", "x"))
-    assert {v.kind for v in report.violations} == {"closure"}
+    (v,) = validate_group(g).violations
+    assert (v.category, v.kind, v.message, v.witness) == \
+        (AXIOM, "closure", "a * a = x is outside the carrier", ("a", "a", "x"))
 
 
-def test_entry_outside_universe_is_structural():
+def test_entry_outside_universe_is_refused_by_the_space():
+    """The same entry is a closure failure of the group alone, and a space
+    whose universe lacks it is refused when built, as the parser refuses
+    the file."""
     g = FiniteGroup("*", ("e", "a"), (("e", "a"), ("a", "??")), "e")
-    report = validate_group(g, universe=("e", "a"))
-    assert [v.kind for v in report.structural()] == ["malformed-table"]
+    assert [v.kind for v in validate_group(g).violations] == ["closure"]
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("e", "a"), (g,))
+    assert str(refused.value) == "table entry '??' of '*' not in universe"
 
 
 def test_each_closed_table_keeps_one_axiom_report():
     """With no product outside the carrier, every call hands out the same
-    kept report, with or without a universe; the corrupt multiplication's
-    report names its missing inverse."""
+    kept report; the corrupt multiplication's report names its missing
+    inverse."""
     corrupt = catalog.shipped("gf3_corrupt")
-    cases = [(g, g.carrier) for g in CORPUS.values()] + \
-        [(corrupt.group_of("*"), corrupt.universe)]
-    for g, universe in cases:
-        assert validate_group(g) is validate_group(g, universe) is g._axioms
+    for g in [*CORPUS.values(), corrupt.group_of("*")]:
+        assert validate_group(g) is validate_group(g) is g._axioms
     assert [v.kind for v in corrupt.group_of("*")._axioms.violations] == ["inverse"]
 
 
@@ -461,12 +468,10 @@ def test_lattice_matches_the_subset_scan_on_tables_leaving_the_carrier(g):
 
 
 @settings(max_examples=300)
-@given(st.one_of(_tables(outside=("x",)), _tables(paired=True)),
-       st.sampled_from([None, ("x",)]))
-def test_validate_group_matches_the_string_checks(g, universe):
+@given(st.one_of(_tables(outside=("x", "y")), _tables(paired=True)))
+def test_validate_group_matches_the_string_checks(g):
     # the same violations with the same first witnesses, in the same order
-    assert validate_group(g, universe) == \
-        scan_validate_group(_fresh(g), universe)
+    assert validate_group(g) == scan_validate_group(_fresh(g))
 
 
 @settings(max_examples=100)

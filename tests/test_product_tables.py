@@ -25,7 +25,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from multigroup import series as series_module, spaces
-from multigroup.errors import DomainError
 from multigroup.generation import GeneratingSet, span_closure, span_once
 from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
@@ -190,20 +189,21 @@ def test_the_raw_reading_ignores_members_outside_the_universe(gf3):
     assert not is_complete(gf3, {"1", "zz"}, "+")
 
 
-def test_a_product_outside_the_universe_raises_when_the_tables_are_built():
-    """The tables need every product in the universe; a programmatic space
-    that breaks it gets the DomainError of building them, as span_closure
-    always did and the completeness route now does."""
+def test_a_product_outside_the_universe_is_refused_when_the_space_is_built():
+    """The tables need every product in the universe, and the constructor
+    refuses a space that breaks it, naming the entry and its operation, so
+    no route meets such a product. With the product in the universe the
+    routes read the space as the string scans do."""
     broken = FiniteGroup("*", ("e", "a"), (("e", "a"), ("a", "q")), "e")
     z2 = FiniteGroup("+", ("e", "a"), (("e", "a"), ("a", "e")), "e")
-    ms = MultiGroupSpace(("e", "a"), (broken, z2))
-    a = GeneratingSet.of(ms, ("e",))
-    for read in (lambda: span_closure(ms, a), lambda: span_once(ms, a),
-                 lambda: is_complete(ms, ("e",), "*"),
-                 lambda: _direction(ms, "*", "+"),
-                 lambda: subspace_decomposition(ms, SubsetRef.of(ms, ("e",)))):
-        with pytest.raises(DomainError, match="'q' is not in the universe"):
-            read()
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("e", "a"), (z2, broken))
+    assert str(refused.value) == "table entry 'q' of '*' not in universe"
+    ms = MultiGroupSpace(("e", "a", "q"), (z2, broken))
+    assert span_closure(ms, GeneratingSet.of(ms, ("a",))) == ("e", "a", "q")
+    _same_validation(ms)
+    _same_raw_reading(ms)
+    _same_span_once(ms)
 
 
 @st.composite
@@ -560,22 +560,22 @@ def test_int_tables_match_the_entry_by_entry_builders_on_the_corpus():
 @settings(max_examples=300)
 @given(st.one_of(_tables(outside=("x", "y", "z")), _escaping_groups()), st.data())
 def test_int_tables_match_the_entry_by_entry_builders_on_escaping_tables(g, data):
-    """Products leave the carrier; the universe holds the carrier and any of
-    the escaped names, in any order, so a product may lie outside it, and
-    the first such product in universe order is named."""
-    kept = [name for name in g._ints[1] if data.draw(st.booleans())]
-    universe = data.draw(st.permutations([*g.carrier, *kept]))
+    """Products leave the carrier, but not the universe, which holds the
+    carrier and the escaped names in any order."""
+    universe = data.draw(st.permutations([*g.carrier, *g._ints[1]]))
     _same_int_tables(MultiGroupSpace(tuple(universe), (g,)))
 
 
-def test_the_first_product_outside_the_universe_is_named_in_universe_order():
-    # in carrier order a * a = p comes first, in universe order e * e = q
+def test_the_first_product_outside_the_universe_is_named_in_table_order():
+    # in table order a * a = p comes first, in universe order e * e = q;
+    # with p in the universe, q is the first product outside it
     g = FiniteGroup("*", ("a", "e"), (("p", "a"), ("a", "q")), "e")
-    ms = MultiGroupSpace(("e", "a"), (g,))
     assert g._ints[1] == ("p", "q")
-    with pytest.raises(DomainError, match="'q' is not in the universe"):
-        ms._tables
-    _same_int_tables(ms)
+    for universe, named in ((("e", "a"), "p"), (("e", "a", "p"), "q")):
+        with pytest.raises(ValueError) as refused:
+            MultiGroupSpace(universe, (g,))
+        assert str(refused.value) == f"table entry {named!r} of '*' not in universe"
+    _same_int_tables(MultiGroupSpace(("e", "q", "a", "p"), (g,)))
 
 
 def test_inverses_match_the_scan_on_semigroups():

@@ -150,20 +150,46 @@ def test_a_carrier_element_outside_the_universe_is_refused_when_built():
     assert str(refused.value) == "carrier element '9' of '*' not in universe"
 
 
+def test_a_table_entry_outside_the_universe_is_refused_when_built():
+    """The first entry outside the universe in row-major table order, of
+    the first such operation in file order, named with its operation; an
+    entry outside the carrier but inside the universe is a closure failure
+    that validation reports."""
+    z2 = relabel(catalog.cyclic(2), ("e", "a"), "+")
+    leaks = FiniteGroup("*", ("e", "a"), (("e", "q"), ("p", "e")), "e")
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("e", "a"), (z2, leaks))
+    assert str(refused.value) == "table entry 'q' of '*' not in universe"
+    with pytest.raises(ValueError) as refused:
+        MultiGroupSpace(("e", "a", "q"), (leaks, relabel(z2, ("e", "c"), "x")))
+    assert str(refused.value) == "table entry 'p' of '*' not in universe"
+    report = validate_multigroup(MultiGroupSpace(("e", "a", "q", "p"), (leaks, z2)))
+    assert [(v.kind, v.witness) for v in report.violations] == [
+        ("orphan-element", ("q", "p")), ("closure", ("e", "a", "q"))]
+
+
 def test_every_structural_kind_at_once_matches_the_scan():
-    """One space with two orphans, a table entry that is no element and a
-    group axiom failure: each kind, text and witness, in the scan's order."""
+    """One space with two orphans and a group axiom failure: each kind, text
+    and witness, in the scan's order. An orphan is the one structural kind
+    a built space can hold, as a table entry that is no element is refused,
+    and it keeps distribution unscanned: without the orphans the doubled
+    Z2 fails it."""
     z2 = catalog.cyclic(2)
-    first = relabel(z2, ("a0", "a1"), "+")
-    unknown = FiniteGroup("x", ("a0", "b0"), (("a0", "b0"), ("b0", "q")), "a0")
+    first, twice = relabel(z2, ("a0", "a1"), "+"), relabel(z2, ("a0", "a1"), "x")
     no_identity = FiniteGroup("y", ("b0", "b1"), (("b1", "b0"), ("b0", "b1")), "b0")
-    ms = MultiGroupSpace(("a0", "a1", "z", "b0", "b1", "w"),
-                         (first, unknown, no_identity))
+    ms = MultiGroupSpace(("a0", "a1", "z", "b0", "b1", "w"), (first, twice, no_identity))
     report = spaces._validate(ms)
-    assert [v.kind for v in report.violations] == [
-        "orphan-element", "malformed-table", "identity"]
-    assert [v.witness for v in report.structural()] == [("z", "w"), ("b0", "b0", "q")]
+    assert [v.kind for v in report.violations] == ["orphan-element", "identity"]
+    assert [v.witness for v in report.structural()] == [("z", "w")]
+    assert report.notes == ()
     assert report == scan_validate(ms)
+    unknown = FiniteGroup("u", ("a0", "b0"), (("a0", "b0"), ("b0", "q")), "a0")
+    with pytest.raises(ValueError, match="table entry 'q' of 'u' not in universe"):
+        MultiGroupSpace(ms.universe, (*ms.groups, unknown))
+    whole = MultiGroupSpace(("a0", "a1", "b0", "b1"), ms.groups)
+    assert [v.kind for v in spaces._validate(whole).violations] == \
+        ["identity"] + ["distribution"] * 4
+    assert spaces._validate(whole) == scan_validate(whole)
 
 
 def test_is_complete_examples(gf3):
