@@ -60,7 +60,10 @@ class FiniteGroup(_Frozen):
     table[i][j] is the product carrier[i] * carrier[j]. The row label is the
     left operand. Construction enforces shape only; axioms are checked by
     validate_group so that deliberately broken tables can be represented
-    and reported on.
+    and reported on. The constructor is the last step that looks a carrier
+    element up by name: it keeps each element's carrier index (_index) and
+    the identity's (_e), and every check and query reads the identity by
+    that index.
     """
 
     _fields = ("op_id", "carrier", "table", "identity")
@@ -76,7 +79,7 @@ class FiniteGroup(_Frozen):
         if identity not in carrier:  # a scan, so an unhashable identity is refused alike
             raise ValueError(f"identity {identity!r} not in carrier of {op_id!r}")
         self.__dict__.update(op_id=op_id, carrier=carrier, table=table, identity=identity,
-                             order=n, _index=index)
+                             order=n, _index=index, _e=index[identity])
 
     def __contains__(self, element: Element) -> bool:
         return element in self._index
@@ -96,7 +99,7 @@ class FiniteGroup(_Frozen):
         """The first two-sided inverse of each carrier index, or None: the
         first right inverse in the row, or when that one is one-sided the
         first b after it with a b = e = b a."""
-        t, e, n = self._ints[0], self.index(self.identity), self.order
+        t, e, n = self._ints[0], self._e, self.order
         out: list[int | None] = []
         for a in range(n):
             row = t[a]
@@ -154,7 +157,7 @@ class FiniteGroup(_Frozen):
         when it fails does the full |G|^3 scan run, to find the first
         witness in (a, b, c) order."""
         found, op, carrier = [], self.op_id, self.carrier
-        t, e, n = self._ints[0], self.index(self.identity), self.order
+        t, e, n = self._ints[0], self._e, self.order
         for a in range(n):
             if t[e][a] != a or t[a][e] != a:
                 found.append(Violation(AXIOM, "identity",
@@ -193,7 +196,7 @@ class FiniteGroup(_Frozen):
         # every closed set is one, as a member's powers hold its inverse
         group = self._generators is not None
         found = _closed_subsets(self._ints[0], (1 << self.order) - 1, group)
-        e, inverse = 1 << self.index(self.identity), self._inverse_of
+        e, inverse = 1 << self._e, self._inverse_of
         bits = {m: _bits(m) for m in found if m & e and self.order % m.bit_count() == 0}
         return {m: found[m] for m in sorted(bits, key=lambda m: (len(bits[m]), bits[m]))
                 if group or all(m >> inverse(a) & 1 for a in bits[m])}
@@ -215,10 +218,10 @@ class FiniteGroup(_Frozen):
     def restrict(self, subset) -> "FiniteGroup":
         """The group induced on a subgroup, reusing this table's rows."""
         rows = sorted(map(self.index, subset))
-        sub = tuple(self.carrier[a] for a in rows)
-        if self.identity not in sub:
+        if self._e not in rows:
             raise PreconditionError(
                 f"restriction of {self.op_id!r} must contain the identity")
+        sub = tuple(self.carrier[a] for a in rows)
         table = tuple(tuple(self.table[a][b] for b in rows) for a in rows)
         return FiniteGroup(self.op_id, sub, table, self.identity)
 
@@ -302,7 +305,7 @@ def is_normal_subgroup(g: FiniteGroup, subset) -> bool:
         xi, row = g._inverse_of(x), t[x]
         for h in members:
             if row[h] >= n:
-                g.index(g.table[x][h])  # raises, naming the product
+                raise DomainError(f"{g.table[x][h]!r} is not in the carrier of {g.op_id!r}")
             if not mask >> t[row[h]][xi] & 1:
                 return False
     return True
@@ -625,12 +628,13 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool) -> lis
     preimages of the hyperplanes of P/N_p over the primes p dividing
     |P : P'| (for any other p, N_p = P). P/P' is abelian, so N_p is the
     union of the cosets of P' through the p-th powers. For an abelian
-    operation P' is the identity and N_p = {x^p}. A part of prime order
-    has only the identity below it. The derived series decides
-    solvability: it reaches the identity, or it stalls above it, and then
-    P is not solvable: the closure kernel finds the subgroups under P
-    (_closed_subsets), and those strictly inside it that P's generators
-    normalise are filtered.
+    operation P' is the identity and N_p = {x^p}. When |P : N_p| = p,
+    P/N_p is cyclic of order p and its one hyperplane is N_p itself, so no
+    basis is taken. A part of prime order has only the identity below it.
+    The derived series decides solvability: it reaches the identity, or it
+    stalls above it, and then P is not solvable: the closure kernel finds
+    the subgroups under P (_closed_subsets), and those strictly inside it
+    that P's generators normalise are filtered.
     """
     order = part.bit_count()
     primes = _primes(order)
@@ -652,7 +656,7 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool) -> lis
             if not low >> y & 1:
                 row = t[y]
                 low |= sum(1 << row[d] for d in coset)
-        out += _hyperplanes(t, members, low, p)
+        out += [low] if low.bit_count() * p == order else _hyperplanes(t, members, low, p)
     return sorted(out, key=_bits)
 
 
@@ -664,7 +668,7 @@ def _maximal_masks(g: FiniteGroup, top: int) -> list[int]:
     conjugator, so none need generate it."""
     if g._generators is None:
         return _maximal(_proper_normal(g._ints[0], g._lattice, top, _bits(top)))
-    masks = _maximal_normal(g._ints[0], top, g.index(g.identity), g.is_abelian)
+    masks = _maximal_normal(g._ints[0], top, g._e, g.is_abelian)
     return sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
 
 

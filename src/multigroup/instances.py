@@ -50,9 +50,12 @@ def _keyword_line(tokens: list[str], keyword: str) -> list[str] | None:
 
 def _element_line(tokens: list[str], lineno: int, what: str,
                   universe: dict[Element, int] | None = None) -> dict[Element, int]:
-    """The position of each token of an element line. Raises on the first
-    token, in line order, that holds a reserved character, lies outside
-    the universe (when given) or repeats an earlier one."""
+    """The position of each token of an element line. Raises on a line
+    with no token ("universe is empty", "carrier is empty"), and on the
+    first token, in line order, that holds a reserved character, lies
+    outside the universe (when given) or repeats an earlier one."""
+    if not tokens:
+        raise ParseError(f"{what} is empty", lineno)
     out = dict(zip(tokens, range(len(tokens))))
     if len(out) < len(tokens) or not _RESERVED.isdisjoint("".join(tokens)) or \
             universe is not None and not out.keys() <= universe.keys():
@@ -81,8 +84,6 @@ def parse_instance(text: str) -> MultiGroupSpace:
     universe_tokens = _keyword_line(tokens, "elements")
     if universe_tokens is None:
         raise ParseError("expected 'elements:' declaration", lineno)
-    if not universe_tokens:
-        raise ParseError("universe is empty", lineno)
     index = _element_line(universe_tokens, lineno, "universe")
 
     groups = []
@@ -103,7 +104,7 @@ def _parse_group(lines: Iterator[tuple[int, list[str]]], op_id: str,
                  universe: dict[Element, int], header_line: int) -> FiniteGroup:
     item = next(lines, None)
     carrier_tokens = item and _keyword_line(item[1], "carrier")
-    if not carrier_tokens:
+    if carrier_tokens is None:
         raise ParseError(f"group {op_id!r} missing 'carrier:' line",
                          item[0] if item else header_line)
     lineno = item[0]

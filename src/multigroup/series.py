@@ -33,10 +33,11 @@ Three rules let the walk decide by the structure of a step, each exact:
    lattice. If P is solvable, every simple quotient of P is cyclic of
    prime order, so the maximal normal subgroups of P are the preimages of
    the hyperplanes of P/N_p, N_p = P'·P^p, for each prime p dividing
-   |P : P'|; on an abelian operation P' is the identity. A part of prime
-   order has only the identity below it, and a part that is not solvable
-   (its derived series stalls above the identity) filters the subgroups
-   under itself (_choices, groups._maximal_normal). An abelian group
+   |P : P'|; on an abelian operation P' is the identity, and where P/N_p
+   has order p, N_p is the one hyperplane. A part of prime order has only
+   the identity below it, and a part that is not solvable (its derived
+   series stalls above the identity) filters the subgroups under itself
+   (_choices, groups._maximal_normal). An abelian group
    conjugates every subset onto itself, so its carriers are never
    conjugation-tested (_normalised).
 3. When a parent's carriers are pairwise disjoint, a normal subspace M
@@ -137,7 +138,7 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
             for m in inside:
                 conjugate = t[row[m]][xi]
                 if conjugate == n and row[m] != n:
-                    g.index(u[row[m]])  # x * m left the carrier: DomainError
+                    raise DomainError(f"{u[row[m]]!r} is not in the carrier of {op!r}")
                 if not ok >> conjugate & 1:
                     return NormalityEvidence(False, (op, g.carrier[i], u[m], u[conjugate]))
     return NormalityEvidence(True)
@@ -228,7 +229,7 @@ def _choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
     only a part that is not solvable reads the subgroups under itself."""
     g = ms.groups[k]
     return ms._kept(("choices", k, part), lambda: _maximal_normal(
-        ms._tables[k], part, ms.index(g.identity), g.is_abelian))
+        ms._tables[k], part, ms._at[k][g._e], g.is_abelian))
 
 
 def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
@@ -266,16 +267,15 @@ def _series_stages(ms: MultiGroupSpace, seq: OrientedOperationSequence):
 def _finish_series(ms: MultiGroupSpace, seq: OrientedOperationSequence,
                    chain, steps, anomalies) -> NormalSeries:
     # each distinct link is named once per space, as SubsetRef.of would
-    chain = [ms._kept(("ref", m), lambda: SubsetRef(ms._elements(m), tuple(
+    refs = [ms._kept(("ref", m), lambda: SubsetRef(ms._elements(m), tuple(
         op for op, carrier in zip(ms.op_set, ms._carriers) if m & carrier)))
         for m in chain]
-    last_identity = ms.group_of(seq.order[-1]).identity
-    terminal = chain[-1].elements
-    if set(terminal) != {last_identity}:
+    k = ms._position(seq.order[-1])
+    if chain[-1] != 1 << ms._at[k][ms.groups[k]._e]:  # not the last op's identity
         anomalies = anomalies + [
-            f"{ANOMALY_TERMINAL_MISMATCH}: terminal {{{', '.join(terminal)}}} "
-            f"!= {{{last_identity}}}"]
-    return NormalSeries(tuple(chain), tuple(steps), tuple(anomalies))
+            f"{ANOMALY_TERMINAL_MISMATCH}: terminal {{{', '.join(refs[-1].elements)}}} "
+            f"!= {{{ms.groups[k].identity}}}"]
+    return NormalSeries(tuple(refs), tuple(steps), tuple(anomalies))
 
 
 def build_series(ms: MultiGroupSpace, seq: OrientedOperationSequence | None = None,

@@ -21,8 +21,10 @@ users. A space is well-formed when it is built: the constructor refuses a
 repeated operation id, a carrier element outside the universe and a table
 entry outside it, as the parser does, so validation reports only what a
 built space can still get wrong. What every query reads, the element
-index, the position of each operation, each carrier's universe positions
-and the carrier bitmasks, a space builds when it is constructed.
+index, the position of each operation, each carrier's universe positions,
+those of the products outside each carrier and the carrier bitmasks, a
+space builds when it is constructed, so later steps look up by name only
+the elements a query itself names.
 """
 
 from __future__ import annotations
@@ -57,19 +59,21 @@ class MultiGroupSpace(_Frozen):
             repeated = next(op for k, op in enumerate(op_set) if positions[op] != k)
             raise ValueError(f"operation id {repeated!r} declared twice")
         # each carrier's universe positions, in carrier order, and the
-        # bitmask they make; every reader maps a carrier through these
+        # bitmask they make, and those of the products outside each carrier,
+        # in row-major table order (g._ints[1]); every reader maps a carrier
+        # or such a product through these, and none looks a name up again
         at = tuple(tuple(map(index.get, g.carrier)) for g in groups)
-        for g, where in zip(groups, at):
-            if None in where:
-                raise ValueError(f"carrier element {g.carrier[where.index(None)]!r} "
-                                 f"of {g.op_id!r} not in universe")
-            for p in g._ints[1]:  # the products outside the carrier, row-major
-                if p not in index:
-                    raise ValueError(f"table entry {p!r} of {g.op_id!r} not in universe")
+        escaped = tuple(tuple(map(index.get, g._ints[1])) for g in groups)
+        for g, where, outside in zip(groups, at, escaped):
+            for what, names, found in (("carrier element", g.carrier, where),
+                                       ("table entry", g._ints[1], outside)):
+                if None in found:
+                    raise ValueError(f"{what} {names[found.index(None)]!r} "
+                                     f"of {g.op_id!r} not in universe")
         carriers = tuple(sum(1 << i for i in where) for where in at)
         self.__dict__.update(universe=universe, groups=groups, op_set=op_set,
                              _positions=positions, _index=index, _at=at,
-                             _carriers=carriers)
+                             _escaped=escaped, _carriers=carriers)
 
     def _position(self, op_id: str) -> int:
         """The index in groups of the operation's group."""
@@ -96,18 +100,18 @@ class MultiGroupSpace(_Frozen):
         Each row is gathered from the group's own int table (_ints), which
         the parser hands over as it reads the text: its columns in universe
         order, then each entry mapped to its universe position. Both maps
-        come from the carrier's universe positions (_at), which the
-        constructor keeps, so only products outside the carrier are looked
-        up by name. Where carrier index i is universe index i, a row is the
-        group's row padded with undefined columns. The constructor
-        guarantees that every product lies in the universe.
+        come from the universe positions the constructor keeps, the
+        carrier's (_at) and those of the products outside it (_escaped), so
+        no name is looked up, and every product lies in the universe. Where
+        carrier index i is universe index i, a row is the group's row padded
+        with undefined columns.
         """
-        n, index = len(self.universe), self._index
+        n = len(self.universe)
         tables = []
-        for g, where in zip(self.groups, self._at):
-            t, escaped = g._ints
+        for g, where, escaped in zip(self.groups, self._at, self._escaped):
+            t = g._ints[0]
             size = len(t)  # the column index that stands for "not in g"
-            at = [*where, *map(index.__getitem__, escaped), n]
+            at = [*where, *escaped, n]
             if not escaped and at == [*range(size), n]:
                 pad = [n] * (n + 1 - size)
                 tables.append([row + pad for row in t] +
@@ -227,11 +231,11 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
     t_mask, c_mask = ms._carriers[times], ms._carriers[circ]
     if not _group_inside(ms, times, circ) or h._generators is None:
         return None  # * is no group in C, or o is no group
-    e = ms.index(h.identity)
+    e = ms._at[circ][h._e]
     if not (c_mask & ~t_mask == 1 << e or t_mask == c_mask == 1 << e):
         return None
     t, c, cs = ms._tables[times], ms._tables[circ], _bits(c_mask)
-    xs = [ms._at[times][i] for i in g._generators if g.carrier[i] != g.identity]
+    xs = [ms._at[times][i] for i in g._generators if i != g._e]
     at_c = _getter(cs)
     zs = [(z, _getter(list(map(c[z].__getitem__, cs))))  # z o y for y in C
           for z in map(ms._at[circ].__getitem__, h._generators) if z != e]
@@ -434,12 +438,11 @@ def classify_special_case(ms: MultiGroupSpace) -> Classification:
     if len(ms.groups) == 1:
         return Classification("group")
     if len(ms.groups) == 2:
-        g1, g2 = ms.groups
         full = (1 << len(ms.universe)) - 1
         c1, c2 = ms._carriers
         if c1 == full and c2 == full:
             return Classification("field", CONVENTION_EXACT)
-        if (c1 == full and c2 == full & ~(1 << ms._index[g1.identity])
-                or c2 == full and c1 == full & ~(1 << ms._index[g2.identity])):
+        e1, e2 = (where[g._e] for g, where in zip(ms.groups, ms._at))  # the identities
+        if c1 == full and c2 == full & ~(1 << e1) or c2 == full and c1 == full & ~(1 << e2):
             return Classification("field", CONVENTION_IDENTITY_EXCLUDED)
     return Classification("general")

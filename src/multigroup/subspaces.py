@@ -99,13 +99,13 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
     def compute():
         g, t = ms.groups[k], ms._tables[k]
         maximal = _maximal(_closed_subsets(t, within, g._generators is not None))
-        if g._ints[1]:
-            escaped = 0
+        if ms._escaped[k]:
+            reached = 0
             for closed, union in [(0, 1 << x) for x in _bits(within)] + \
                     [(a, a | b) for i, a in enumerate(maximal) for b in maximal[:i]]:
-                escaped |= _close((t,), closed, union)
-            for name in g._ints[1]:  # the products outside the carrier, in table order
-                if escaped >> ms.index(name) & 1:
+                reached |= _close((t,), closed, union)
+            for name, x in zip(g._ints[1], ms._escaped[k]):  # in table order
+                if reached >> x & 1:
                     raise DomainError(f"{name!r} is not in the carrier of {g.op_id!r}")
         return maximal
 

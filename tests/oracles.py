@@ -1119,10 +1119,12 @@ def _scan_parse_group(lines: Iterator[tuple[int, list[str]]], op_id: str,
                  universe: set[str], header_line: int) -> FiniteGroup:
     item = next(lines, None)
     carrier_tokens = item and _scan_keyword_line(item[1], "carrier")
-    if not carrier_tokens:
+    if carrier_tokens is None:
         raise ParseError(f"group {op_id!r} missing 'carrier:' line",
                          item[0] if item else header_line)
     lineno = item[0]
+    if not carrier_tokens:
+        raise ParseError("carrier is empty", lineno)
     members: set[str] = set()
     for tok in carrier_tokens:
         _scan_check_token(tok, lineno)

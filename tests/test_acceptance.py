@@ -21,6 +21,7 @@ from multigroup.subspaces import (SubsetRef, coset_decomposition, is_subspace,
                                   is_subspace_by_intersection)
 
 import catalog
+from command_matrix import COMMAND_MATRIX, _fill
 from conftest import (INSTANCE_DIR, run_cli, small_space_catalog,
                       subset_op_combinations, subspaces_of)
 from oracles import brute_composition_chains, brute_subgroups, raw_group
@@ -168,24 +169,6 @@ def test_c8_generation():
         assert span_closure(ms, GeneratingSet.of(ms, closure)) == closure
     report("[PASS] C8 generation: gf3 minimal witness {1}; z2z3 needs 2; "
            "idempotence on 1000 random seed sets")
-
-
-COMMAND_MATRIX = {
-    "validate": [],
-    "classify": [],
-    "subspace": ["--set", "{identity}", "--ops", "{first_op}"],
-    "cosets": ["--set", "{identity}", "--ops", "{first_op}"],
-    "normal": ["--set", "{identity}", "--ops", "{first_op}"],
-    "series": [],
-    "maximal-series": [],
-    "span": ["--set", "{identity}"],
-    "generators": [],
-}
-
-
-def _fill(args, ms):
-    first = ms.groups[0]
-    return [a.format(identity=first.identity, first_op=first.op_id) for a in args]
 
 
 def test_c9_cli_determinism():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multigroup import cli
+from multigroup.groups import FiniteGroup
 from multigroup.instances import parse_instance
+from multigroup.spaces import MultiGroupSpace
 
 from conftest import INSTANCE_DIR, run_cli
 from test_golden import EXTRA, INSTANCES, _invocations
@@ -450,6 +452,23 @@ def test_the_golden_invocations_are_read_directly():
             args = cli._plain_args(argv)
             assert args is not None, argv
             assert vars(args) == vars(cli._parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("file", INSTANCES, ids=lambda file: file.stem)
+def test_no_command_without_a_set_looks_an_element_up_by_name(file, monkeypatch):
+    """The constructors keep every carrier's, identity's and escaped
+    product's position, so the commands that name no element read none of
+    them by name: neither the group's nor the space's index is called."""
+    calls = []
+    for cls in (FiniteGroup, MultiGroupSpace):
+        def index(self, element, original=cls.index):
+            calls.append((type(self).__name__, element))
+            return original(self, element)
+        monkeypatch.setattr(cls, "index", index)
+    for command in ("validate", "classify", "series", "maximal-series", "generators"):
+        for fmt in ([], ["--json"]):
+            run_cli([command, str(file), *fmt])
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, expected", [

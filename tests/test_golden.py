@@ -16,6 +16,10 @@ arguments. The tests compare byte for byte; after a deliberate change to a
 report, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+With --check the same run compares each file instead and writes nothing;
+it needs neither pytest nor hypothesis, so scripts/parity.py runs it under
+every Python it can start.
 """
 
 import hashlib
@@ -25,7 +29,12 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import pytest
+try:
+    from pytest import mark
+    parametrize = mark.parametrize
+except ModuleNotFoundError:  # the --check run on a Python without pytest
+    def parametrize(*_, **__):
+        return lambda test: test
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -33,7 +42,7 @@ sys.path.insert(0, str(HERE))
 from multigroup import cli  # noqa: E402
 from multigroup.instances import parse_instance  # noqa: E402
 
-from test_acceptance import COMMAND_MATRIX, _fill  # noqa: E402
+from command_matrix import COMMAND_MATRIX, _fill  # noqa: E402
 
 GOLDEN_DIR = HERE / "golden"
 INSTANCES = sorted((HERE.parent / "instances").glob("*.mgs")) + \
@@ -78,13 +87,13 @@ def _golden_file(path: Path) -> Path:
     return folder / f"{path.stem}.txt"
 
 
-@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+@parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_cli_reports_match_golden_files(path):
     expected = _golden_file(path).read_text(encoding="utf-8")
     assert render_golden(path) == expected
 
 
-@pytest.mark.parametrize("path", ABOVE_BOUND, ids=lambda p: p.stem)
+@parametrize("path", ABOVE_BOUND, ids=lambda p: p.stem)
 def test_above_bound_reports_match_golden_files(path):
     expected = _golden_file(path).read_text(encoding="utf-8")
     assert render_golden(path, _above_bound_invocations) == expected
@@ -100,7 +109,7 @@ def report_digest(path: Path) -> str:
     return hashlib.sha256(report.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("path", HASHED, ids=lambda p: p.stem)
+@parametrize("path", HASHED, ids=lambda p: p.stem)
 def test_large_above_bound_reports_match_their_digests(path):
     expected = path.with_suffix(".sha256").read_text(encoding="utf-8").strip()
     assert report_digest(path) == expected
@@ -112,24 +121,42 @@ def render_script(name: str) -> str:
                           text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("name", SCRIPTS)
+@parametrize("name", SCRIPTS)
 def test_survey_scripts_match_golden_files(name):
     expected = (GOLDEN_DIR / "scripts" / f"{name}.txt").read_text(encoding="utf-8")
     assert render_script(name) == expected
 
 
-if __name__ == "__main__":
+def golden_files():
+    """(golden file, the text it should hold) for every file the tests read."""
     for instance in INSTANCES + ABOVE_BOUND:
         invocations = (_above_bound_invocations if instance in ABOVE_BOUND
                        else _invocations)
-        _golden_file(instance).write_text(render_golden(instance, invocations),
-                                          encoding="utf-8")
-        print(f"wrote {_golden_file(instance).relative_to(HERE.parent)}")
+        yield _golden_file(instance), render_golden(instance, invocations)
     for instance in HASHED:
-        target = instance.with_suffix(".sha256")
-        target.write_text(report_digest(instance) + "\n", encoding="utf-8")
-        print(f"wrote {target.relative_to(HERE.parent)}")
+        yield instance.with_suffix(".sha256"), report_digest(instance) + "\n"
     for name in SCRIPTS:
-        target = GOLDEN_DIR / "scripts" / f"{name}.txt"
-        target.write_text(render_script(name), encoding="utf-8")
-        print(f"wrote {target.relative_to(HERE.parent)}")
+        yield GOLDEN_DIR / "scripts" / f"{name}.txt", render_script(name)
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: python tests/test_golden.py [--check]", file=sys.stderr)
+        return 2
+    files = differ = 0
+    for target, text in golden_files():
+        name = target.relative_to(HERE.parent)
+        files += 1
+        if not argv:
+            target.write_text(text, encoding="utf-8")
+            print(f"wrote {name}")
+        elif target.read_text(encoding="utf-8") != text:
+            differ += 1
+            print(f"differs: {name}")
+    if argv:
+        print(f"{differ} of {files} golden files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -203,8 +203,7 @@ PARSE_ERRORS = {
                                "group '+' missing 'carrier:' line", 3),
     "missing-carrier": ("elements: 0\ngroup +:\n  identity: 0\n",
                         "group '+' missing 'carrier:' line", 3),
-    "empty-carrier": ("elements: 0\ngroup +:\n  carrier:\n",
-                      "group '+' missing 'carrier:' line", 3),
+    "empty-carrier": ("elements: 0\ngroup +:\n  carrier:\n", "carrier is empty", 3),
     "reserved-in-carrier": ("elements: 0\ngroup +:\n  carrier: 0 a,b\n",
                             "invalid element token 'a,b' (':', ',' and '#' are reserved)", 3),
     "carrier-outside-universe": ("elements: 0 1\ngroup +:\n  carrier: 1 9 8 1\n",
@@ -419,19 +418,22 @@ def test_the_reader_matches_the_row_at_a_time_parser_on_every_file(path):
                          ids=lambda path: path.stem)
 def test_the_parser_hands_each_group_only_its_int_rows(path):
     """Before any query a parsed space holds its fields and what its
-    constructor builds, each carrier's universe positions among it, and
-    each group the same plus its int rows: the parser hands them over when
-    no product leaves the carrier, and the space's constructor builds the
-    rest as it checks the products outside each carrier. The records
+    constructor builds, each carrier's universe positions and those of the
+    products outside it among it, and each group the same, its identity's
+    carrier index among it, plus its int rows: the parser hands them over
+    when no product leaves the carrier, and the space's constructor builds
+    the rest as it checks the products outside each carrier. The records
     rebuilt from their fields alone derive equal state, int rows
     included."""
     ms = parse_instance(path.read_text(encoding="utf-8"))
     assert set(vars(ms)) == {"universe", "groups", "op_set", "_positions", "_index",
-                             "_at", "_carriers"}
+                             "_at", "_escaped", "_carriers"}
     assert ms._at == tuple(tuple(map(ms.index, g.carrier)) for g in ms.groups)
+    assert ms._escaped == tuple(tuple(map(ms.index, g._ints[1])) for g in ms.groups)
     for g in ms.groups:
         assert set(vars(g)) == {"op_id", "carrier", "table", "identity", "order", "_index",
-                                "_ints"}
+                                "_e", "_ints"}
+        assert g._e == g.index(g.identity)
     rebuilt = MultiGroupSpace(ms.universe, tuple(
         FiniteGroup(g.op_id, g.carrier, g.table, g.identity) for g in ms.groups))
     assert vars(rebuilt) == vars(ms)
