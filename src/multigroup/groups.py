@@ -22,6 +22,11 @@ from .report import AXIOM, ValidationReport, Violation
 Element = str
 
 
+def _not_in_carrier(element: Element, op_id: str) -> DomainError:
+    """The one text for an element, named or a product, outside a carrier."""
+    return DomainError(f"{element!r} is not in the carrier of {op_id!r}")
+
+
 class _Frozen:
     """Equality, hash and repr by the fields named in _fields, and no
     assignment: __init__ writes the instance __dict__ directly, the fields
@@ -88,8 +93,7 @@ class FiniteGroup(_Frozen):
         try:
             return self._index[element]
         except KeyError:
-            raise DomainError(
-                f"{element!r} is not in the carrier of {self.op_id!r}") from None
+            raise _not_in_carrier(element, self.op_id) from None
 
     def mul(self, a: Element, b: Element) -> Element:
         return self.table[self.index(a)][self.index(b)]
@@ -305,7 +309,7 @@ def is_normal_subgroup(g: FiniteGroup, subset) -> bool:
         xi, row = g._inverse_of(x), t[x]
         for h in members:
             if row[h] >= n:
-                raise DomainError(f"{g.table[x][h]!r} is not in the carrier of {g.op_id!r}")
+                raise _not_in_carrier(g.table[x][h], g.op_id)
             if not mask >> t[row[h]][xi] & 1:
                 return False
     return True
@@ -628,13 +632,12 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool) -> lis
     preimages of the hyperplanes of P/N_p over the primes p dividing
     |P : P'| (for any other p, N_p = P). P/P' is abelian, so N_p is the
     union of the cosets of P' through the p-th powers. For an abelian
-    operation P' is the identity and N_p = {x^p}. When |P : N_p| = p,
-    P/N_p is cyclic of order p and its one hyperplane is N_p itself, so no
-    basis is taken. A part of prime order has only the identity below it.
-    The derived series decides solvability: it reaches the identity, or it
-    stalls above it, and then P is not solvable: the closure kernel finds
-    the subgroups under P (_closed_subsets), and those strictly inside it
-    that P's generators normalise are filtered.
+    operation P' is the identity and N_p = {x^p}. A part of prime order
+    has only the identity below it. The derived series decides
+    solvability: it reaches the identity, or it stalls above it, and then
+    P is not solvable: the closure kernel finds the subgroups under P
+    (_closed_subsets), and those strictly inside it that P's generators
+    normalise are filtered.
     """
     order = part.bit_count()
     primes = _primes(order)
@@ -656,7 +659,7 @@ def _maximal_normal(t: list[list[int]], part: int, e: int, abelian: bool) -> lis
             if not low >> y & 1:
                 row = t[y]
                 low |= sum(1 << row[d] for d in coset)
-        out += [low] if low.bit_count() * p == order else _hyperplanes(t, members, low, p)
+        out += _hyperplanes(t, members, low, p)
     return sorted(out, key=_bits)
 
 

@@ -33,11 +33,10 @@ Three rules let the walk decide by the structure of a step, each exact:
    lattice. If P is solvable, every simple quotient of P is cyclic of
    prime order, so the maximal normal subgroups of P are the preimages of
    the hyperplanes of P/N_p, N_p = P'·P^p, for each prime p dividing
-   |P : P'|; on an abelian operation P' is the identity, and where P/N_p
-   has order p, N_p is the one hyperplane. A part of prime order has only
-   the identity below it, and a part that is not solvable (its derived
-   series stalls above the identity) filters the subgroups under itself
-   (_choices, groups._maximal_normal). An abelian group
+   |P : P'|; on an abelian operation P' is the identity. A part of prime
+   order has only the identity below it, and a part that is not solvable
+   (its derived series stalls above the identity) filters the subgroups
+   under itself (_choices, groups._maximal_normal). An abelian group
    conjugates every subset onto itself, so its carriers are never
    conjugation-tested (_normalised).
 3. When a parent's carriers are pairwise disjoint, a normal subspace M
@@ -57,7 +56,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import (BoundExceeded, DomainError, InternalConsistencyError,
                      PreconditionError)
 from .groups import (Element, _bits, _check_order, _closed_subsets, _maximal_normal,
-                     _normalises, is_normal_subgroup)
+                     _normalises, _not_in_carrier, is_normal_subgroup)
 from .spaces import MultiGroupSpace, validate_multigroup
 from .subspaces import SubsetRef, _decomposition, is_subspace, subspace_decomposition
 
@@ -138,7 +137,7 @@ def is_normal_subspace(ms: MultiGroupSpace, h: SubsetRef) -> NormalityEvidence:
             for m in inside:
                 conjugate = t[row[m]][xi]
                 if conjugate == n and row[m] != n:
-                    raise DomainError(f"{u[row[m]]!r} is not in the carrier of {op!r}")
+                    raise _not_in_carrier(u[row[m]], op)  # x * m left the carrier
                 if not ok >> conjugate & 1:
                     return NormalityEvidence(False, (op, g.carrier[i], u[m], u[conjugate]))
     return NormalityEvidence(True)

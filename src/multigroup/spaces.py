@@ -65,11 +65,12 @@ class MultiGroupSpace(_Frozen):
         at = tuple(tuple(map(index.get, g.carrier)) for g in groups)
         escaped = tuple(tuple(map(index.get, g._ints[1])) for g in groups)
         for g, where, outside in zip(groups, at, escaped):
-            for what, names, found in (("carrier element", g.carrier, where),
-                                       ("table entry", g._ints[1], outside)):
-                if None in found:
-                    raise ValueError(f"{what} {names[found.index(None)]!r} "
-                                     f"of {g.op_id!r} not in universe")
+            if None in where:
+                raise ValueError(f"carrier element {g.carrier[where.index(None)]!r} "
+                                 f"of {g.op_id!r} not in universe")
+            if None in outside:
+                raise ValueError(f"table entry {g._ints[1][outside.index(None)]!r} "
+                                 f"of {g.op_id!r} not in universe")
         carriers = tuple(sum(1 << i for i in where) for where in at)
         self.__dict__.update(universe=universe, groups=groups, op_set=op_set,
                              _positions=positions, _index=index, _at=at,

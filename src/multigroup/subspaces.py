@@ -49,9 +49,9 @@ from itertools import chain, product
 from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import DecompositionFailure, DomainError, PreconditionError
+from .errors import DecompositionFailure, PreconditionError
 from .groups import (Element, _bits, _check_order, _close, _closed_subsets,
-                     _maximal)
+                     _maximal, _not_in_carrier)
 from .spaces import MultiGroupSpace, is_complete
 
 
@@ -106,7 +106,7 @@ def _closed_part_candidates(ms: MultiGroupSpace, k: int, within: int) -> list[in
                 reached |= _close((t,), closed, union)
             for name, x in zip(g._ints[1], ms._escaped[k]):  # in table order
                 if reached >> x & 1:
-                    raise DomainError(f"{name!r} is not in the carrier of {g.op_id!r}")
+                    raise _not_in_carrier(name, g.op_id)
         return maximal
 
     return ms._kept(("candidates", k, within), compute)
