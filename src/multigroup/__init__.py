@@ -23,9 +23,8 @@ from .series import (LengthInvariance, MaximalSeriesResult, NormalSeries,
                      OrientedOperationSequence, build_series,
                      enumerate_maximal_series, is_normal_subspace,
                      length_invariance_check, normality_criterion)
-from .spaces import (Classification, DistributionCheck, MultiGroupSpace,
-                     check_distribution, classify_special_case, is_complete,
-                     validate_multigroup)
+from .spaces import (Classification, MultiGroupSpace, classify_special_case,
+                     is_complete, validate_multigroup)
 from .subspaces import (CosetDecomposition, SubsetRef, SubspaceEvidence, coset,
                         coset_decomposition, induced_space, is_subspace,
                         is_subspace_by_completeness, is_subspace_by_intersection,

@@ -12,7 +12,10 @@ endomorphisms of the other on its generators; otherwise one scan over the
 distributor's carrier decides it. That check on generators needs the
 distributor to be a group on a carrier inside the other's, as
 multiplication over addition, so validation checks such a direction first:
-the other is checked only when the first fails or holds vacuously. Every
+the other is checked only when the first fails or holds vacuously. A
+direction's check returns only what it measured, the number of laws
+tested and the witnesses of those that fail, and validation alone turns
+the two into the pair's verdict, one holding direction sufficing. Every
 check of the space layer reads the partial-product rule from one place,
 the int tables MultiGroupSpace._tables, built on first read from each
 group's int table, which the parser hands over as it reads the text;
@@ -185,15 +188,6 @@ def is_complete(ms: MultiGroupSpace, subset, op_id: str) -> bool:
     return not _close((t,), 0, sub, None, ok) & ~ok
 
 
-class LawCheck(namedtuple("LawCheck", [
-        "distributor", "other", "holds", "vacuous", "tested",
-        "witnesses",  # tuple[tuple[Element, Element, Element], ...]
-])):
-    """One direction of the distribution check: distributor over other."""
-
-    __slots__ = ()
-
-
 def _getter(indices):
     """itemgetter over the indices that returns a tuple of at least two
     entries: one index is doubled, where itemgetter would return a scalar."""
@@ -252,9 +246,12 @@ def _endomorphism_pass(ms: MultiGroupSpace, times: int, circ: int) -> int | None
     return 2 * size * (size * size - size * outside)
 
 
-def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck:
+def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> tuple[int, tuple]:
     """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror, where * and
-    o are the operations at positions times and circ.
+    o are the operations at positions times and circ: (tested, witnesses),
+    the number of laws tested and the (x, y, z) triples, as element names,
+    of those that fail. The direction holds when there is no witness,
+    vacuously when no law is tested.
 
     Only triples with every intermediate product defined count; a triple
     with any undefined product is skipped entirely. A law is tested exactly
@@ -275,12 +272,10 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
     t, c, u = ms._tables[times], ms._tables[circ], ms.universe
     n = len(u)
     t_mask, in_c = ms._carriers[times], ms._carriers[circ]
-    ids = ms.groups[times].op_id, ms.groups[circ].op_id
-    if not t_mask & in_c:  # no y lies in both carriers
-        return LawCheck(*ids, holds=True, vacuous=True, tested=0, witnesses=())
-    if (decided := _endomorphism_pass(ms, times, circ)) is not None:
-        return LawCheck(*ids, holds=True, vacuous=decided == 0, tested=decided,
-                        witnesses=())
+    # no law is tested when no y lies in both carriers
+    decided = _endomorphism_pass(ms, times, circ) if t_mask & in_c else 0
+    if decided is not None:
+        return decided, ()
     both = _bits(t_mask & in_c)
     is_t = [t_mask >> i & 1 for i in range(n + 1)]  # index n: undefined
     bits = [1 << z for z in both]
@@ -294,7 +289,7 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
             per_y.append((y, zs, sum(compress(bits, keep)),
                           _getter(zs), _getter(list(compress(yz, keep)))))
     if not per_y:
-        return LawCheck(*ids, holds=True, vacuous=True, tested=0, witnesses=())
+        return 0, ()
     is_c = [in_c >> i & 1 for i in range(n + 1)]
     tested = 0
     witnesses: list[tuple[Element, Element, Element]] = []
@@ -322,27 +317,7 @@ def _check_one_direction(ms: MultiGroupSpace, times: int, circ: int) -> LawCheck
                                   if b != n and a != b)
             for z in sorted(failed)[:MAX_DISTRIBUTION_WITNESSES - len(witnesses)]:
                 witnesses.append((u[x], u[y], u[z]))
-    return LawCheck(*ids, holds=not witnesses, vacuous=tested == 0,
-                    tested=tested, witnesses=tuple(witnesses))
-
-
-class DistributionCheck(namedtuple("DistributionCheck",
-                                   ["op_a", "op_b", "a_over_b", "b_over_a"])):
-    """Both directions of the distribution check of one operation pair."""
-
-    __slots__ = ()
-
-
-def check_distribution(ms: MultiGroupSpace, op_a: str, op_b: str) -> DistributionCheck:
-    """Both directions of one pair's distribution check: each operation
-    over the other, in both the left and right law, wherever products
-    exist. The pair verdict, one holding direction sufficing, is
-    validate_multigroup's."""
-    if op_a == op_b:
-        raise DomainError("distribution check needs two distinct operations")
-    a, b = ms._position(op_a), ms._position(op_b)
-    return DistributionCheck(op_a, op_b, _check_one_direction(ms, a, b),
-                             _check_one_direction(ms, b, a))
+    return tested, tuple(witnesses)
 
 
 def validate_multigroup(ms: MultiGroupSpace) -> ValidationReport:
@@ -377,19 +352,20 @@ def _validate(ms: MultiGroupSpace) -> ValidationReport:
             # b over a first when only b is a group on a carrier inside a's,
             # the shape where _endomorphism_pass can decide
             flip = _group_inside(ms, b, a) and not _group_inside(ms, a, b)
-            first = _check_one_direction(ms, *((b, a) if flip else (a, b)))
-            if first.holds and first.tested:
+            first = (b, a) if flip else (a, b)
+            tested, witnesses = _check_one_direction(ms, *first)
+            if tested and not witnesses:
                 continue  # the pair distributes, and not vacuously
-            second = _check_one_direction(ms, *((a, b) if flip else (b, a)))
+            tested_back, witnesses_back = _check_one_direction(ms, *first[::-1])
             ida, idb = ms.groups[a].op_id, ms.groups[b].op_id
-            if first.vacuous and second.vacuous:
+            if not (tested or tested_back):
                 notes.append(
                     f"distribution for ({ida}, {idb}) holds vacuously: "
                     f"no fully defined mixed triple")
-            if not (first.holds or second.holds):
+            if witnesses and witnesses_back:
                 # both were scanned and failed; witnesses of a over b first
-                a_over_b, b_over_a = (second, first) if flip else (first, second)
-                merged = list(dict.fromkeys(a_over_b.witnesses + b_over_a.witnesses))
+                merged = list(dict.fromkeys(witnesses_back + witnesses if flip
+                                            else witnesses + witnesses_back))
                 for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
                     found.append(Violation(DISTRIBUTION, "distribution",
                                            f"neither {ida!r} nor {idb!r} distributes "

@@ -250,9 +250,11 @@ def is_subspace_by_completeness(ms: MultiGroupSpace, s: SubsetRef) -> bool:
     """The literal raw reading: the whole subset closed under each retained op.
 
     Kept for the documented divergence from the other two routes; see the
-    module docstring for the pinned {0,1} example.
+    module docstring for the pinned {0,1} example. Like both routes, it
+    answers false for a subset with no element or no retained operation.
     """
-    return all(is_complete(ms, s.elements, op) for op in s.retained_ops)
+    return bool(s.elements and s.retained_ops) and \
+        all(is_complete(ms, s.elements, op) for op in s.retained_ops)
 
 
 def induced_space(ms: MultiGroupSpace, s: SubsetRef) -> MultiGroupSpace:

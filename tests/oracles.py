@@ -66,8 +66,9 @@ test carrier membership and multiply with FiniteGroup.mul, as the
 distribution scan, the raw reading, the one-step span, cosets and the
 conjugation scan did before they read MultiGroupSpace._tables.
 scan_validate scans both distribution directions of every operation pair
-through check_distribution, as validation did before it scanned the second
-direction only when the first does not settle the pair. scan_ints,
+with _check_one_direction, by position, and applies the pair rule itself,
+as validation did before it scanned the second direction only when the
+first does not settle the pair. scan_ints,
 scan_inverses and scan_tables build the int tables entry by entry, as
 FiniteGroup._ints, FiniteGroup._inverses and MultiGroupSpace._tables did
 before they gathered whole rows. scan_parse_instance reads the string
@@ -95,8 +96,8 @@ from multigroup.series import (ANOMALY_CARRIER_LOST, ANOMALY_REJECTED_STEP,
                                ANOMALY_TERMINAL_MISMATCH, MaximalSeriesResult,
                                NormalityEvidence, NormalSeries, _check_preconditions,
                                _induced, is_normal_subspace)
-from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, LawCheck, MultiGroupSpace,
-                               check_distribution)
+from multigroup.spaces import (MAX_DISTRIBUTION_WITNESSES, MultiGroupSpace,
+                               _check_one_direction)
 from multigroup.subspaces import (SubspaceEvidence, SubsetRef, induced_space,
                                   is_subspace, subspace_decomposition)
 
@@ -595,8 +596,9 @@ def scan_choices(ms: MultiGroupSpace, k: int, part: int) -> list[int]:
                   key=_bits)
 
 
-def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawCheck:
-    """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror.
+def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> tuple[int, tuple]:
+    """Test x*(y o z) = (x*y) o (x*z) and its right-hand mirror: the number
+    of laws tested and the first witnesses of those that fail.
 
     Only triples with every intermediate product defined count; a triple
     with any undefined product is skipped entirely.
@@ -605,11 +607,8 @@ def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawC
     gc = ms.group_of(circ)
     tested = 0
     witnesses: list[tuple[Element, Element, Element]] = []
-    failed = False
 
     def witness(x, y, z):
-        nonlocal failed
-        failed = True
         if (x, y, z) not in witnesses and len(witnesses) < MAX_DISTRIBUTION_WITNESSES:
             witnesses.append((x, y, z))
 
@@ -633,8 +632,7 @@ def scan_check_one_direction(ms: MultiGroupSpace, times: str, circ: str) -> LawC
                     tested += 1
                     if gt.mul(yz, x) != gc.mul(yx, zx):
                         witness(x, y, z)
-    return LawCheck(times, circ, holds=not failed, vacuous=tested == 0,
-                    tested=tested, witnesses=tuple(witnesses))
+    return tested, tuple(witnesses)
 
 
 def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
@@ -655,17 +653,17 @@ def scan_validate(ms: MultiGroupSpace) -> ValidationReport:
         found.extend(validate_group(g).violations)
 
     if not any(v.category == STRUCTURAL for v in found):
-        for ga, gb in combinations(ms.groups, 2):
-            check = check_distribution(ms, ga.op_id, gb.op_id)
-            a_over_b, b_over_a = check.a_over_b, check.b_over_a
-            # the pair is vacuous when both directions are, and one
-            # holding direction suffices
-            if a_over_b.vacuous and b_over_a.vacuous:
+        for (a, ga), (b, gb) in combinations(enumerate(ms.groups), 2):
+            a_tested, a_over_b = _check_one_direction(ms, a, b)
+            b_tested, b_over_a = _check_one_direction(ms, b, a)
+            # the pair is vacuous when both directions test no law, and one
+            # direction without a witness suffices
+            if not (a_tested or b_tested):
                 notes.append(
                     f"distribution for ({ga.op_id}, {gb.op_id}) holds vacuously: "
                     f"no fully defined mixed triple")
-            if not (a_over_b.holds or b_over_a.holds):
-                merged = list(dict.fromkeys(a_over_b.witnesses + b_over_a.witnesses))
+            if a_over_b and b_over_a:
+                merged = list(dict.fromkeys(a_over_b + b_over_a))
                 for w in merged[:MAX_DISTRIBUTION_WITNESSES]:
                     found.append(Violation(DISTRIBUTION, "distribution",
                                            f"neither {ga.op_id!r} nor {gb.op_id!r} distributes "

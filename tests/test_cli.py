@@ -56,6 +56,15 @@ def test_subspace_prints_both_readings_and_flags_disagreement():
     assert "raw_reading_disagrees: true" in out
 
 
+@pytest.mark.parametrize("argv", [["--set", "0", "--ops", ","], ["--set", ","]],
+                         ids=["no-operation", "no-element"])
+def test_a_subset_retaining_no_operation_is_no_subspace_by_any_reading(argv):
+    out, code = run_cli(["subspace", path("gf3"), *argv])
+    assert code == 1
+    assert {"retained_ops: []", "completeness_route: false", "raw_union_reading: false",
+            "raw_reading_disagrees: false"} <= set(out.splitlines()), out
+
+
 def test_subspace_failure_exits_one():
     out, code = run_cli(["subspace", path("gf3"), "--set", "0,2", "--ops", "+"])
     assert code == 1

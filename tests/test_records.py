@@ -11,19 +11,16 @@ ValidationReport's fields are tuples where they were lists.
 import pytest
 
 from multigroup import (Classification, CompositionChain, CosetDecomposition,
-                        DistributionCheck, FiniteGroup, GeneratingSet,
-                        GenerationWitness, LengthInvariance, Limits,
-                        MaximalSeriesResult, MultiGroupSpace, NormalSeries,
-                        OrientedOperationSequence, SubsetRef, SubspaceEvidence,
-                        ValidationReport, Violation)
+                        FiniteGroup, GeneratingSet, GenerationWitness,
+                        LengthInvariance, Limits, MaximalSeriesResult,
+                        MultiGroupSpace, NormalSeries, OrientedOperationSequence,
+                        SubsetRef, SubspaceEvidence, ValidationReport, Violation)
 from multigroup.series import NormalityEvidence, SequenceLengths
-from multigroup.spaces import LawCheck
 
 
 def _cases():
-    """(class, fields with their values in order) for all 20 records."""
+    """(class, fields with their values in order) for all 18 records."""
     z2 = (("0", "1"), (("0", "1"), ("1", "0")))
-    law = ("*", "+", False, False, 8, (("1", "0", "1"),))
     ref, low = (("0", "1"), ("+", "*")), (("0",), ("+",))
     series = ((SubsetRef(*ref), SubsetRef(*low)), ("+",), ("TERMINAL_MISMATCH",))
     return [
@@ -37,10 +34,6 @@ def _cases():
         (CompositionChain, dict(links=(("0", "1"), ("0",)))),
         (MultiGroupSpace, dict(universe=("0", "1"),
                                groups=(FiniteGroup("+", *z2, "0"),))),
-        (LawCheck, dict(zip(["distributor", "other", "holds", "vacuous", "tested",
-                             "witnesses"], law))),
-        (DistributionCheck, dict(op_a="+", op_b="*", a_over_b=LawCheck(*law),
-                                 b_over_a=LawCheck("+", "*", True, True, 0, ()))),
         (Classification, dict(tag="field", convention="exact")),
         (SubsetRef, dict(elements=ref[0], retained_ops=ref[1])),
         (SubspaceEvidence, dict(ok=True, intersections=(("+", ("0",)),),
@@ -82,14 +75,6 @@ REPRS = {
     "MultiGroupSpace": (
         "MultiGroupSpace(universe=('0', '1'), groups=(FiniteGroup(op_id='+', "
         "carrier=('0', '1'), table=(('0', '1'), ('1', '0')), identity='0'),))"),
-    "LawCheck": (
-        "LawCheck(distributor='*', other='+', holds=False, vacuous=False, "
-        "tested=8, witnesses=(('1', '0', '1'),))"),
-    "DistributionCheck": (
-        "DistributionCheck(op_a='+', op_b='*', a_over_b=LawCheck(distributor='*', "
-        "other='+', holds=False, vacuous=False, tested=8, witnesses=(('1', '0', "
-        "'1'),)), b_over_a=LawCheck(distributor='+', other='*', holds=True, "
-        'vacuous=True, tested=0, witnesses=()))'),
     "Classification": (
         "Classification(tag='field', convention='exact')"),
     "SubsetRef": (

@@ -37,20 +37,20 @@ def test_the_package_exports_only_what_a_caller_uses():
     the builder is catalog.from_function now. So had the proper normal
     subgroups and the maximal ones of a subset: the group API answers for
     the whole group only. The pair verdict of distribution is
-    validate_multigroup's alone, a cross-sequence check compares every
+    validate_multigroup's alone, so the unordered pair check and its
+    records are gone, a cross-sequence check compares every
     ordering (one ordering's verdict is enumerate_maximal_series'
     constant), and within_each_ok has no alias."""
     assert sorted(name for name, value in vars(multigroup).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)) == [
         "BoundExceeded", "Classification", "CompositionChain", "CosetDecomposition",
-        "DEFAULT_LIMITS", "DecompositionFailure", "DistributionCheck", "DomainError",
-        "Element", "FiniteGroup", "GeneratingSet", "GenerationWitness",
-        "InternalConsistencyError", "LengthInvariance", "Limits", "MaximalSeriesResult",
-        "MultiGroupSpace", "MultigroupError", "NormalSeries", "OrientedOperationSequence",
-        "ParseError", "PreconditionError", "SubsetRef", "SubspaceEvidence",
-        "ValidationReport", "Violation", "build_series", "check_distribution",
-        "classify_special_case", "composition_series", "coset", "coset_decomposition",
-        "enumerate_maximal_series", "induced_space", "is_complete",
+        "DEFAULT_LIMITS", "DecompositionFailure", "DomainError", "Element", "FiniteGroup",
+        "GeneratingSet", "GenerationWitness", "InternalConsistencyError",
+        "LengthInvariance", "Limits", "MaximalSeriesResult", "MultiGroupSpace",
+        "MultigroupError", "NormalSeries", "OrientedOperationSequence", "ParseError",
+        "PreconditionError", "SubsetRef", "SubspaceEvidence", "ValidationReport",
+        "Violation", "build_series", "classify_special_case", "composition_series",
+        "coset", "coset_decomposition", "enumerate_maximal_series", "induced_space", "is_complete",
         "is_finitely_generated", "is_normal_subgroup", "is_normal_subspace", "is_subgroup",
         "is_subspace", "is_subspace_by_completeness", "is_subspace_by_intersection",
         "length_invariance_check", "maximal_proper_normal_subgroups", "normality_criterion",
@@ -65,10 +65,9 @@ def test_the_package_exports_only_what_a_caller_uses():
         ["g", "limits"]
     assert list(inspect.signature(multigroup.length_invariance_check).parameters) == \
         ["ms", "limits"]
-    for record, names in ((multigroup.DistributionCheck, ("ok", "vacuous")),
-                          (multigroup.LengthInvariance, ("ok",))):
-        for name in names:
-            assert not hasattr(record, name), (record.__name__, name)
+    for name in "check_distribution", "DistributionCheck", "LawCheck":
+        assert not hasattr(multigroup.spaces, name), name
+    assert not hasattr(multigroup.LengthInvariance, "ok")
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():

@@ -90,6 +90,15 @@ def test_raw_completeness_reading_examples(gf3):
     assert is_subspace_by_completeness(gf3, ref(gf3, ["0"], ["+"]))
 
 
+def test_the_raw_reading_needs_elements_and_a_retained_operation(gf3):
+    """A subset with no element or no retained operation is closed under
+    what it retains, yet it is no subspace by either route, and the raw
+    reading answers as they do."""
+    for s in (ref(gf3, ["0"], []), ref(gf3, [], []), SubsetRef((), ("+",))):
+        assert not is_subspace_by_completeness(gf3, s), s
+        assert not is_subspace(gf3, s) and not is_subspace_by_intersection(gf3, s).ok
+
+
 def test_implemented_subspace_examples(gf3, z2z3):
     assert is_subspace(gf3, ref(gf3, ["0", "1"], ["+", "*"]))
     assert is_subspace(z2z3, ref(z2z3, ["b0", "b1", "b2"], ["b"]))
