@@ -21,6 +21,12 @@ conjugate a set onto itself form a subgroup. An edge's interposition
 verdict, a part's maximal normal subgroups, a carrier's subgroups and a
 link's SubsetRef are kept through MultiGroupSpace._kept.
 
+A maximal-series enumeration returns its accepted series and its
+rejected ones with the reason. The length-invariance check returns each
+ordering's lengths and constant (None when its series differ in length
+or it has none, the lengths being the witness) and whether the
+constants agree.
+
 Three rules let the walk decide by the structure of a step, each exact:
 1. A step of op k from its part P to nxt removes P & ~nxt. A carrier that
    misses those elements stays whole, a subgroup and normal in itself; a
@@ -347,7 +353,6 @@ def _interposable(ms: MultiGroupSpace, carriers: tuple[int, ...],
 
 
 class MaximalSeriesResult(namedtuple("MaximalSeriesResult", [
-        "sequence",
         "series",
         "rejected",  # tuple[tuple[NormalSeries, str], ...]
 ], defaults=((),))):
@@ -406,7 +411,7 @@ def _enumerate_maximal_series(ms: MultiGroupSpace,
             accepted.append(series)
         else:
             rejected.append((series, reason))
-    return MaximalSeriesResult(seq, tuple(accepted), tuple(rejected))
+    return MaximalSeriesResult(tuple(accepted), tuple(rejected))
 
 
 class SequenceLengths(namedtuple("SequenceLengths", [
@@ -421,10 +426,8 @@ class SequenceLengths(namedtuple("SequenceLengths", [
 
 class LengthInvariance(namedtuple("LengthInvariance", [
         "per_sequence",
-        "within_each_ok",
         "cross_sequence_constant",  # bool | None
-        "counterexample",           # (NormalSeries, NormalSeries) | None
-], defaults=(None,))):
+])):
     __slots__ = ()
 
 
@@ -432,10 +435,13 @@ def length_invariance_check(ms: MultiGroupSpace,
                             limits: Limits = DEFAULT_LIMITS) -> LengthInvariance:
     """Empirical length-invariance verdict across every oriented sequence.
 
-    Within a fixed sequence all maximal series must share one length; the
-    comparison across different sequences is reported, not asserted, since
-    its status is exactly what the construction leaves open. It is refused
-    above MAX_CROSS_SEQUENCE_OPS operations. One sequence's verdict is
+    Within a fixed sequence all maximal series must share one length: that
+    sequence's SequenceLengths.constant, None when they differ, with its
+    lengths as the witness. The comparison across different sequences is
+    reported, not asserted, since its status is exactly what the
+    construction leaves open: cross_sequence_constant is None unless every
+    sequence has a constant. It is refused above MAX_CROSS_SEQUENCE_OPS
+    operations. One sequence's verdict is
     enumerate_maximal_series(ms, seq, limits).constant.
     """
     if len(ms.op_set) > MAX_CROSS_SEQUENCE_OPS:
@@ -444,7 +450,6 @@ def length_invariance_check(ms: MultiGroupSpace,
             f"operations, got {len(ms.op_set)}", MAX_CROSS_SEQUENCE_OPS)
 
     stats: list[SequenceLengths] = []
-    counterexample = None
     for order in permutations(ms.op_set):
         try:
             result = enumerate_maximal_series(
@@ -455,18 +460,12 @@ def length_invariance_check(ms: MultiGroupSpace,
             stats.append(SequenceLengths(order, (), None, 0,
                                          (f"CONSTRUCTION_FAILED: {exc}",)))
             continue
-        constant = result.constant
         anomalies = tuple(dict.fromkeys(
             a for s in result.series for a in s.anomalies))
-        if constant is None and result.series and counterexample is None:
-            by_len = {s.length: s for s in result.series}
-            counterexample = (by_len[min(by_len)], by_len[max(by_len)])
-        stats.append(SequenceLengths(order, result.lengths, constant,
+        stats.append(SequenceLengths(order, result.lengths, result.constant,
                                      len(result.series), anomalies))
 
-    within = all(s.constant is not None for s in stats if s.series_count > 0)
-    constants = {s.constant for s in stats if s.series_count > 0}
-    cross = None
-    if all(s.series_count > 0 for s in stats) and within:
-        cross = len(constants) == 1
-    return LengthInvariance(tuple(stats), within, cross, counterexample)
+    # a sequence with no series, or series of two lengths, has no constant
+    constants = {s.constant for s in stats}
+    within = None not in constants
+    return LengthInvariance(tuple(stats), len(constants) == 1 if within else None)

@@ -294,8 +294,7 @@ def coset(ms: MultiGroupSpace, h: SubsetRef, g: Element) -> tuple[Element, ...]:
     return ms._elements(_coset(ms, parts, x))
 
 
-class CosetDecomposition(namedtuple("CosetDecomposition",
-                                    ["subspace", "transversal", "cosets"])):
+class CosetDecomposition(namedtuple("CosetDecomposition", ["transversal", "cosets"])):
     __slots__ = ()
 
 
@@ -323,6 +322,6 @@ def coset_decomposition(ms: MultiGroupSpace, h: SubsetRef) -> CosetDecomposition
                 raise DecompositionFailure(ms.universe[transversal[i]],
                                            ms.universe[transversal[j]],
                                            ms._elements(overlap))
-    return CosetDecomposition(h, tuple(ms.universe[x] for x in transversal),
+    return CosetDecomposition(tuple(ms.universe[x] for x in transversal),
                               tuple(map(ms._elements, cosets)))
 

@@ -8,7 +8,7 @@ defined once, by instances/*.mgs, and read here through shipped().
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 from multigroup.groups import FiniteGroup
@@ -161,6 +161,59 @@ def prime_field(p: int) -> MultiGroupSpace:
     mul = from_function(
         "*", names[1:], lambda a, b: str((int(a) * int(b)) % p), "1")
     return MultiGroupSpace(tuple(names), (add, mul))
+
+
+# (Z/n)[x] modulo x^d + f[d-1] x^(d-1) + ... + f[0], d = len(f), as (n, f):
+# the fields of 4, 8 and 9 elements, two rings where x squares to 0, and
+# Z/n itself as the quotient by x
+RINGS = {"gf4": (2, (1, 1)), "gf8": (2, (1, 1, 0)), "gf9": (3, (1, 0)),
+         "f2_x2": (2, (0, 0)), "f3_x2": (3, (0, 0)),
+         "z4": (4, (0,)), "z6": (6, (0,)), "z8": (8, (0,)), "z9": (9, (0,))}
+
+
+def polynomial_arithmetic(n: int, f: tuple[int, ...]):
+    """(elements, add, mul) of (Z/n)[x] modulo the monic x^d + f[d-1]
+    x^(d-1) + ... + f[0], d = len(f), on coefficient tuples lowest degree
+    first."""
+    d = len(f)
+
+    def add(a, b):
+        return tuple((x + y) % n for x, y in zip(a, b))
+
+    def mul(a, b):
+        c = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+        for i in range(2 * d - 2, d - 1, -1):  # x^d = -(f[0] + f[1] x + ...)
+            for j, fj in enumerate(f):
+                c[i - d + j] -= c[i] * fj
+        return tuple(x % n for x in c[:d])
+
+    return list(product(range(n), repeat=d)), add, mul
+
+
+def ring(elements, add, mul) -> MultiGroupSpace:
+    """The space of a finite ring with a one: addition on every element and
+    the product on the units. The elements are tuples, each named by its
+    entries joined, and the zero and the one are read off the tables."""
+    elements = list(elements)
+    by_name = {"".join(map(str, t)): t for t in elements}
+    name = dict(zip(elements, by_name))
+    zero = next(z for z in elements if all(add(z, a) == a for a in elements))
+    one = next(u for u in elements if all(mul(u, a) == a == mul(a, u) for a in elements))
+    units = [name[u] for u in elements if any(mul(u, v) == one for v in elements)]
+
+    def named(op):
+        return lambda a, b: name[op(by_name[a], by_name[b])]
+
+    return MultiGroupSpace(tuple(by_name), (from_function("+", by_name, named(add), name[zero]),
+                                            from_function("*", units, named(mul), name[one])))
+
+
+def finite_ring(name: str) -> MultiGroupSpace:
+    """The space of the ring RINGS[name]."""
+    return ring(*polynomial_arithmetic(*RINGS[name]))
 
 
 def disjoint_union(*groups: FiniteGroup) -> MultiGroupSpace:

@@ -36,8 +36,10 @@ search did before it enumerated unions of subgroups; the staged series
 walk builds an induced space for every link and checks the link in it, as
 the series constructions did before they walked universe bitmasks and
 carrier tuples of the top-level space, and it decides interposition with
-scan_interposable; scan_link_carriers decomposes every link in full and
-conjugation-tests it on every carrier, and scan_choices tests every
+scan_interposable; scan_maximal_series returns the engine's record, its
+accepted series and its rejected ones with the reason, so the two
+enumerations compare whole; scan_link_carriers decomposes every link in
+full and conjugation-tests it on every carrier, and scan_choices tests every
 lattice member inside a part for normality, abelian or not, as the walk's
 steps and choices did before they decided by the structure of the step
 and took a part's choices from its prime-index quotients;
@@ -128,6 +130,30 @@ def subset_op_combinations(ms):
             for k in range(1, len(present) + 1):
                 for ops in combinations(present, k):
                     yield SubsetRef.of(ms, elems, ops)
+
+
+def scan_ring_axioms(elements, add, mul) -> list[str]:
+    """The ring axioms that add and mul break on the elements, by an
+    unpruned scan of every pair and triple; a ring with a one breaks none."""
+    es = list(elements)
+    pairs, triples = list(product(es, repeat=2)), list(product(es, repeat=3))
+    zeros = [z for z in es if all(add(z, a) == a for a in es)]
+    laws = {
+        "closure": all(add(a, b) in es and mul(a, b) in es for a, b in pairs),
+        "additive associativity": all(add(add(a, b), c) == add(a, add(b, c))
+                                      for a, b, c in triples),
+        "additive commutativity": all(add(a, b) == add(b, a) for a, b in pairs),
+        "zero": bool(zeros),
+        "negatives": bool(zeros) and all(any(add(a, b) == zeros[0] for b in es) for a in es),
+        "multiplicative associativity": all(mul(mul(a, b), c) == mul(a, mul(b, c))
+                                            for a, b, c in triples),
+        "one": any(all(mul(u, a) == a == mul(a, u) for a in es) for u in es),
+        "left distributivity": all(mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+                                   for a, b, c in triples),
+        "right distributivity": all(mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+                                    for a, b, c in triples),
+    }
+    return [law for law, holds in laws.items() if not holds]
 
 
 def _inverses(elems, mul, identity):
@@ -1044,7 +1070,7 @@ def scan_maximal_series(ms: MultiGroupSpace, seq,
             accepted.append(series)
         else:
             rejected.append((series, reason))
-    return MaximalSeriesResult(seq, tuple(accepted), tuple(rejected))
+    return MaximalSeriesResult(tuple(accepted), tuple(rejected))
 
 
 _SCAN_RESERVED = set(":#,")

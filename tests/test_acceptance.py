@@ -130,7 +130,6 @@ def test_c6_series_length_constants():
     for name in ("z2z3", "z2z2"):
         ms = SMALL_SPACES[name]
         inv = length_invariance_check(ms)
-        assert inv.within_each_ok
         for stat in inv.per_sequence:
             assert stat.series_count >= 1
             assert stat.constant is not None

@@ -38,21 +38,18 @@ def _cases():
         (SubsetRef, dict(elements=ref[0], retained_ops=ref[1])),
         (SubspaceEvidence, dict(ok=True, intersections=(("+", ("0",)),),
                                 parts=(("+", ("0",)),), reason=None)),
-        (CosetDecomposition, dict(subspace=SubsetRef(*low), transversal=("0", "1"),
-                                  cosets=(("0",), ("1",)))),
+        (CosetDecomposition, dict(transversal=("0", "1"), cosets=(("0",), ("1",)))),
         (GeneratingSet, dict(seeds=("1",))),
         (GenerationWitness, dict(generators=("1",), minimal=True)),
         (OrientedOperationSequence, dict(order=("+", "*"))),
         (NormalityEvidence, dict(ok=False, witness=("+", "1", "0", "1"))),
         (NormalSeries, dict(chain=series[0], step_ops=series[1], anomalies=series[2])),
-        (MaximalSeriesResult, dict(sequence=OrientedOperationSequence(("+",)),
-                                   series=(NormalSeries(*series),),
+        (MaximalSeriesResult, dict(series=(NormalSeries(*series),),
                                    rejected=((NormalSeries(*series), "r"),))),
         (SequenceLengths, dict(order=("+",), lengths=(1,), constant=1,
                                series_count=1, anomalies=())),
         (LengthInvariance, dict(per_sequence=(SequenceLengths(("+",), (1,), 1, 1, ()),),
-                                within_each_ok=True, cross_sequence_constant=None,
-                                counterexample=(NormalSeries(*series),) * 2)),
+                                cross_sequence_constant=None)),
     ]
 
 
@@ -83,8 +80,7 @@ REPRS = {
         "SubspaceEvidence(ok=True, intersections=(('+', ('0',)),), parts=(('+', "
         "('0',)),), reason=None)"),
     "CosetDecomposition": (
-        "CosetDecomposition(subspace=SubsetRef(elements=('0',), "
-        "retained_ops=('+',)), transversal=('0', '1'), cosets=(('0',), ('1',)))"),
+        "CosetDecomposition(transversal=('0', '1'), cosets=(('0',), ('1',)))"),
     "GeneratingSet": (
         "GeneratingSet(seeds=('1',))"),
     "GenerationWitness": (
@@ -98,8 +94,7 @@ REPRS = {
         "'*')), SubsetRef(elements=('0',), retained_ops=('+',))), step_ops=('+',), "
         "anomalies=('TERMINAL_MISMATCH',))"),
     "MaximalSeriesResult": (
-        "MaximalSeriesResult(sequence=OrientedOperationSequence(order=('+',)), "
-        "series=(NormalSeries(chain=(SubsetRef(elements=('0', '1'), "
+        "MaximalSeriesResult(series=(NormalSeries(chain=(SubsetRef(elements=('0', '1'), "
         "retained_ops=('+', '*')), SubsetRef(elements=('0',), "
         "retained_ops=('+',))), step_ops=('+',), "
         "anomalies=('TERMINAL_MISMATCH',)),), "
@@ -113,14 +108,7 @@ REPRS = {
     "LengthInvariance": (
         "LengthInvariance(per_sequence=(SequenceLengths(order=('+',), "
         'lengths=(1,), constant=1, series_count=1, anomalies=()),), '
-        'within_each_ok=True, cross_sequence_constant=None, '
-        "counterexample=(NormalSeries(chain=(SubsetRef(elements=('0', '1'), "
-        "retained_ops=('+', '*')), SubsetRef(elements=('0',), "
-        "retained_ops=('+',))), step_ops=('+',), "
-        "anomalies=('TERMINAL_MISMATCH',)), "
-        "NormalSeries(chain=(SubsetRef(elements=('0', '1'), retained_ops=('+', "
-        "'*')), SubsetRef(elements=('0',), retained_ops=('+',))), step_ops=('+',), "
-        "anomalies=('TERMINAL_MISMATCH',))))"),
+        'cross_sequence_constant=None)'),
 }
 
 CASES = _cases()

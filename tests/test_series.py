@@ -339,17 +339,14 @@ def test_gf3_addition_first_series_is_interposable(gf3):
 
 def test_trivial_space_has_constant_zero():
     inv = length_invariance_check(catalog.shipped("trivial"))
-    assert inv.within_each_ok
     assert inv.per_sequence[0].constant == 0
 
 
 def test_z2z3_invariance_across_orderings(z2z3):
     inv = length_invariance_check(z2z3)
-    assert inv.within_each_ok
     assert {s.order for s in inv.per_sequence} == {("a", "b"), ("b", "a")}
     assert all(s.constant == 2 for s in inv.per_sequence)
     assert inv.cross_sequence_constant is True
-    assert inv.counterexample is None
 
 
 def test_corpus_single_operation_invariance(small_spaces):
@@ -357,7 +354,7 @@ def test_corpus_single_operation_invariance(small_spaces):
     for name in ("s3", "z6", "klein"):
         ms = small_spaces[name]
         inv = length_invariance_check(ms)
-        assert inv.within_each_ok
+        assert all(stat.constant is not None for stat in inv.per_sequence)
         expected = {c.length for c in composition_series(ms.groups[0])}
         assert {inv.per_sequence[0].constant} == expected
 
@@ -390,26 +387,35 @@ def test_invariance_report_absorbs_unconstructible_orderings():
     assert inv.cross_sequence_constant is None
 
 
-def test_a_sequence_with_two_lengths_names_the_last_series_of_each(monkeypatch, z2z3):
+def test_a_sequence_with_two_lengths_has_no_constant_and_keeps_its_lengths(monkeypatch, z2z3):
     """No ordering of a pair-family or chain-family space accepts series of
-    two lengths, so the counterexample rule is pinned on an enumeration
-    that returns series of lengths 2, 3, 2, 3: the pair is the last series
-    of length 2 and the last of length 3."""
+    two lengths, so that case is pinned on an enumeration that returns
+    series of lengths 2, 3, 2, 3: the ordering has no constant, its lengths
+    are the witness, and the cross-sequence comparison has no answer."""
     link = ref(z2z3, z2z3.universe)
     made = [series_module.NormalSeries((link,) * (length + 1), ("a",) * length, (str(i),))
             for i, length in enumerate((2, 3, 2, 3))]
     monkeypatch.setattr(series_module, "enumerate_maximal_series",
-                        lambda ms, order, limits: MaximalSeriesResult(order, tuple(made)))
+                        lambda ms, order, limits: MaximalSeriesResult(tuple(made)))
     inv = length_invariance_check(z2z3)
-    first, second = inv.counterexample
-    assert first is made[2] and second is made[3]
-    assert inv.within_each_ok is False
+    for stat in inv.per_sequence:
+        assert stat.constant is None
+        assert stat.lengths == (2, 3, 2, 3)
     assert inv.cross_sequence_constant is None
 
 
 # ------------------------------------------------ the walk vs the oracle walk
 
 WIDE = Limits(max_group_order=24, max_exhaustive_universe=24)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.RINGS))
+def test_the_invariance_check_reports_both_orderings_of_every_finite_ring(name):
+    """Each ordering of a finite ring's space is reported, constructed or
+    broken down. Which orderings break down on these shared carriers is
+    still open, so no series answer is pinned."""
+    inv = length_invariance_check(catalog.finite_ring(name), WIDE)
+    assert sorted(s.order for s in inv.per_sequence) == [("*", "+"), ("+", "*")]
 
 
 def _shipped(valid):

@@ -16,7 +16,7 @@ from multigroup.subspaces import _closed_part_candidates
 
 import catalog
 from conftest import relabel, run_cli
-from oracles import scan_is_abelian, scan_validate
+from oracles import scan_is_abelian, scan_ring_axioms, scan_validate
 from test_golden import INSTANCES, render_golden
 
 
@@ -93,6 +93,29 @@ def test_prime_fields_classify_as_fields():
         assert validate_multigroup(ms).ok
         c = classify_special_case(ms)
         assert c.tag == "field" and c.convention == "identity-excluded"
+
+
+# (|R|, |R^x|) for each ring of catalog.RINGS, counted by hand
+RING_ORDERS = {"gf4": (4, 3), "gf8": (8, 7), "gf9": (9, 8), "f2_x2": (4, 2), "f3_x2": (9, 6),
+               "z4": (4, 2), "z6": (6, 2), "z8": (8, 4), "z9": (9, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(catalog.RINGS))
+def test_every_finite_ring_is_a_valid_space(name):
+    """(R, +) with (R^x, *) is a valid space for every finite ring R with a
+    one. The builder's arithmetic is a ring by the brute-force scan, and
+    its unit group has the order counted by hand."""
+    arithmetic = catalog.polynomial_arithmetic(*catalog.RINGS[name])
+    assert scan_ring_axioms(*arithmetic) == []
+    ms = catalog.ring(*arithmetic)
+    assert tuple(g.order for g in ms.groups) == RING_ORDERS[name]
+    assert validate_multigroup(ms).ok
+
+
+def test_exactly_the_galois_fields_among_the_rings_classify_as_fields():
+    assert {name for name in catalog.RINGS
+            if classify_special_case(catalog.finite_ring(name)).tag == "field"} == \
+        {"gf4", "gf8", "gf9"}
 
 
 def test_partial_unit_group_is_general_not_a_field():

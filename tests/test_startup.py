@@ -40,7 +40,9 @@ def test_the_package_exports_only_what_a_caller_uses():
     validate_multigroup's alone, so the unordered pair check and its
     records are gone, a cross-sequence check compares every
     ordering (one ordering's verdict is enumerate_maximal_series'
-    constant), and within_each_ok has no alias."""
+    constant), and no result restates what its per-ordering summaries or
+    its caller's arguments already hold: no within-each verdict, no
+    counterexample pair, no echoed sequence or subspace."""
     assert sorted(name for name, value in vars(multigroup).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)) == [
         "BoundExceeded", "Classification", "CompositionChain", "CosetDecomposition",
@@ -68,6 +70,9 @@ def test_the_package_exports_only_what_a_caller_uses():
     for name in "check_distribution", "DistributionCheck", "LawCheck":
         assert not hasattr(multigroup.spaces, name), name
     assert not hasattr(multigroup.LengthInvariance, "ok")
+    assert multigroup.LengthInvariance._fields == ("per_sequence", "cross_sequence_constant")
+    assert multigroup.MaximalSeriesResult._fields == ("series", "rejected")
+    assert multigroup.CosetDecomposition._fields == ("transversal", "cosets")
 
 
 def test_importing_the_cli_loads_no_code_generator_or_argparse():
